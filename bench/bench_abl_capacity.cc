@@ -61,49 +61,14 @@ Outcome RunArray(const ArrayAspect& aspect, SchedulerKind sched) {
   return out;
 }
 
-// Unlike RunArray's mixed pass, the parity rigs never set
+// General (k+m) erasure points: same six spindles, m parity columns, so the
+// capacity fraction is k/(k+m) rather than the mirror's 1/(Dr*Dm); m = 1 is
+// RAID-5. Unlike RunArray's mixed pass, these rigs never set
 // foreground_write_propagation: that knob is mirror-only (delayed replica
-// propagation vs writing all replicas in the foreground) and Raid5Options()/
-// EcOptions() ignore it — a parity small write always does its full RMW or
+// propagation vs writing all replicas in the foreground) and EcOptions()
+// ignores it — a parity small write always does its full RMW or
 // reconstruct-write cycle in the foreground. Setting it here would be dead
 // config implying a comparison knob that doesn't exist.
-Outcome RunRaid5() {
-  Outcome out{};
-  out.capacity_frac = static_cast<double>(kDisks - 1) / kDisks;
-  for (int pass = 0; pass < 2; ++pass) {
-    Raid5RigConfig rig;
-    rig.disks = kDisks;
-    rig.dataset_sectors = kDataset;
-    rig.max_scan = 128;
-    rig.seed = 41;
-    std::unique_ptr<MimdRaid> array = MakeRaid5Array(rig);
-
-    ClosedLoopOptions loop;
-    loop.dataset_sectors = kDataset;
-    loop.sectors = 8;
-    loop.warmup_ops = 200;
-    if (pass == 0) {
-      loop.outstanding = 1;
-      loop.read_frac = 1.0;
-      loop.measure_ops = 2500;
-    } else {
-      loop.outstanding = 16;
-      loop.read_frac = 0.6;
-      loop.measure_ops = 3500;
-    }
-    ClosedLoopDriver driver(&array->sim(), array->Submitter(), loop);
-    const RunResult r = driver.Run();
-    if (pass == 0) {
-      out.read_ms = r.latency.MeanMs();
-    } else {
-      out.mixed_iops = r.iops;
-    }
-  }
-  return out;
-}
-
-// General (k+m) erasure points: same six spindles, m parity columns, so the
-// capacity fraction is k/(k+m) rather than the hardcoded mirror/RAID-5 forms.
 Outcome RunErasure(uint32_t parity_shards) {
   Outcome out{};
   const double k = static_cast<double>(kDisks) - parity_shards;
@@ -170,12 +135,11 @@ int main(int argc, char** argv) {
     uint32_t parity_shards;
   };
   const std::vector<EcRow> ec_rows = {
-      {"EC 5+1 (SATF)", 1},
+      {"RAID-5 = EC 5+1 (SATF)", 1},
       {"EC 4+2 (SATF)", 2},
       {"EC 3+3 (SATF)", 3},
   };
   DeferredSweep<Outcome> sweep;
-  sweep.Defer([] { return RunRaid5(); });
   for (const EcRow& row : ec_rows) {
     sweep.Defer([row] { return RunErasure(row.parity_shards); });
   }
@@ -186,9 +150,6 @@ int main(int argc, char** argv) {
 
   std::printf("%-22s %-10s %-14s %s\n", "scheme", "capacity",
               "read latency", "mixed throughput");
-  const Outcome raid5 = sweep.Next();
-  std::printf("%-22s %-10.2f %10.2f ms  %8.0f IOPS\n", "RAID-5 (SATF)",
-              raid5.capacity_frac, raid5.read_ms, raid5.mixed_iops);
   for (const EcRow& row : ec_rows) {
     const Outcome o = sweep.Next();
     std::printf("%-22s %-10.2f %10.2f ms  %8.0f IOPS\n", row.label,

@@ -68,11 +68,12 @@ Outcome RunRaid10() {
 Outcome RunRaid5() {
   Outcome out;
   for (int pass = 0; pass < 2; ++pass) {
-    Raid5RigConfig rig;
+    EcRigConfig rig;
     rig.disks = kDisks;
+    rig.parity_shards = 1;
     rig.dataset_sectors = kDataset;
     rig.seed = 13;
-    std::unique_ptr<MimdRaid> array = MakeRaid5Array(rig);
+    std::unique_ptr<MimdRaid> array = MakeEcArray(rig);
     if (pass == 1) {
       MIMDRAID_CHECK(array->backend().FailDisk(SlotId(0)));
     }

@@ -90,11 +90,12 @@ Row RunMirror() {
 
 Row RunRaid5() {
   return RunScheme([] {
-    Raid5RigConfig rig;
+    EcRigConfig rig;
     rig.disks = kDisks;
+    rig.parity_shards = 1;
     rig.dataset_sectors = kDataset;
     rig.seed = 13;
-    return MakeRaid5Array(rig);
+    return MakeEcArray(rig);
   });
 }
 

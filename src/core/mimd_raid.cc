@@ -113,13 +113,8 @@ ArrayController& MimdRaid::controller() {
   return *controller_;
 }
 
-Raid5Controller& MimdRaid::raid5() {
-  MIMDRAID_CHECK(raid5_ != nullptr);  // RAID-5 backend only
-  return *raid5_;
-}
-
 EcController& MimdRaid::ec() {
-  MIMDRAID_CHECK(ec_ != nullptr);  // erasure backend only
+  MIMDRAID_CHECK(ec_ != nullptr);  // erasure-coded backends only
   return *ec_;
 }
 
@@ -128,13 +123,8 @@ const ArrayLayout& MimdRaid::layout() const {
   return *layout_;
 }
 
-const Raid5Layout& MimdRaid::raid5_layout() const {
-  MIMDRAID_CHECK(raid5_layout_ != nullptr);  // RAID-5 backend only
-  return *raid5_layout_;
-}
-
 const EcLayout& MimdRaid::ec_layout() const {
-  MIMDRAID_CHECK(ec_layout_ != nullptr);  // erasure backend only
+  MIMDRAID_CHECK(ec_layout_ != nullptr);  // erasure-coded backends only
   return *ec_layout_;
 }
 
@@ -161,36 +151,17 @@ void MimdRaid::BuildBackend() {
         &sim_, std::move(disk_ptrs), std::move(pred_ptrs), layout_.get(),
         ControllerOptions());
     backend_ = controller_.get();
-  } else if (options_.backend == ArrayBackendKind::kRaid5) {
+  } else {
     const uint32_t n = static_cast<uint32_t>(disks_.size());
-    MIMDRAID_CHECK_GE(n, 3u);
-    // The aspect supplies only the disk budget here; replica dimensions are
+    const uint32_t m =
+        ParityShardsFor(options_.backend, options_.parity_shards);
+    MIMDRAID_CHECK_GE(m, 1u);
+    MIMDRAID_CHECK_GT(n, m);
+    // The aspect supplies only the disk budget; replica dimensions are
     // meaningless under parity.
     MIMDRAID_CHECK_EQ(options_.aspect.dr, 1);
     MIMDRAID_CHECK_EQ(options_.aspect.dm, 1);
-    const uint64_t unit = options_.stripe_unit_sectors;
-    // One disk's worth of parity: size each drive so the N-1 data shares
-    // cover the dataset, rounded up to whole stripe units.
-    const uint64_t per_data = (options_.dataset_sectors + n - 2) / (n - 1);
-    const uint64_t per_disk = (per_data + unit - 1) / unit * unit;
-    // RAID-5 stripes symmetrically, so the weakest drive bounds every share.
-    for (const auto& disk : disks_) {
-      MIMDRAID_CHECK_LE(per_disk, disk->layout().num_data_sectors());
-    }
-    raid5_layout_ = std::make_unique<Raid5Layout>(
-        n, options_.stripe_unit_sectors, per_disk);
-    raid5_ = std::make_unique<Raid5Controller>(
-        &sim_, std::move(disk_ptrs), std::move(pred_ptrs),
-        raid5_layout_.get(), Raid5Options());
-    backend_ = raid5_.get();
-  } else {
-    const uint32_t n = static_cast<uint32_t>(disks_.size());
-    MIMDRAID_CHECK_GE(options_.parity_shards, 1u);
-    MIMDRAID_CHECK_GT(n, options_.parity_shards);
-    // As for RAID-5, the aspect supplies only the disk budget.
-    MIMDRAID_CHECK_EQ(options_.aspect.dr, 1);
-    MIMDRAID_CHECK_EQ(options_.aspect.dm, 1);
-    const uint32_t k = n - options_.parity_shards;
+    const uint32_t k = n - m;
     const uint64_t unit = options_.stripe_unit_sectors;
     // m disks' worth of parity: size each drive so the k data shares cover
     // the dataset, rounded up to whole stripe units.
@@ -203,7 +174,7 @@ void MimdRaid::BuildBackend() {
     }
     ec_layout_ = std::make_unique<EcLayout>(
         n, k, options_.stripe_unit_sectors, per_disk);
-    ec_codec_ = std::make_unique<EcCodec>(k, options_.parity_shards);
+    ec_codec_ = std::make_unique<EcCodec>(k, m);
     ec_ = std::make_unique<EcController>(
         &sim_, std::move(disk_ptrs), std::move(pred_ptrs), ec_layout_.get(),
         ec_codec_.get(), EcOptions());
@@ -229,20 +200,6 @@ ArrayControllerOptions MimdRaid::ControllerOptions() const {
   copts.collector = options_.collector;
   copts.auditor = options_.auditor;
   return copts;
-}
-
-Raid5ControllerOptions MimdRaid::Raid5Options() const {
-  Raid5ControllerOptions ropts;
-  ropts.scheduler = options_.scheduler;
-  ropts.max_scan = options_.max_scan;
-  ropts.auditor = options_.auditor;
-  ropts.fault_injector = injector_.get();
-  ropts.collector = options_.collector;
-  ropts.retry = options_.retry;
-  ropts.disk_error_fail_threshold = options_.disk_error_fail_threshold;
-  ropts.scrub_interval_us = options_.scrub_interval_us;
-  ropts.scrub_gating = options_.scrub_gating;
-  return ropts;
 }
 
 EcControllerOptions MimdRaid::EcOptions() const {

@@ -23,8 +23,6 @@
 #include "src/ec/gf256.h"
 #include "src/model/configurator.h"
 #include "src/model/fleet_spec.h"
-#include "src/raid5/raid5_controller.h"
-#include "src/raid5/raid5_layout.h"
 #include "src/sim/auditor.h"
 #include "src/sim/fault_injector.h"
 #include "src/sim/io_status.h"
@@ -35,16 +33,16 @@ namespace mimdraid {
 
 struct MimdRaidOptions {
   // Redundancy policy layered over the shared DriveSet engine. kMirror is the
-  // paper's replica-based design (SR/ML/ABL via `aspect`); kRaid5 runs
-  // rotating parity over the same disk budget (aspect.TotalDisks() drives,
-  // one disk's worth of capacity spent on parity); kErasure runs general
-  // (k+m) Reed-Solomon coding with m = parity_shards drives' worth of parity
-  // and k = TotalDisks() - m data shards.
+  // paper's replica-based design (SR/ML/ABL via `aspect`); kErasure runs
+  // general (k+m) Reed-Solomon coding over the same disk budget
+  // (aspect.TotalDisks() drives) with m = parity_shards drives' worth of
+  // parity and k = TotalDisks() - m data shards; kRaid5 is kErasure with m
+  // fixed at 1.
   ArrayBackendKind backend = ArrayBackendKind::kMirror;
   ArrayAspect aspect;  // Ds x Dr x Dm; TotalDisks() is the disk budget
-  // kErasure only: parity shards per stripe row (m). 1 matches RAID-5's
-  // fault tolerance, 2 is RAID-6, larger m tolerates m concurrent losses at
-  // k/(k+m) capacity efficiency.
+  // kErasure only: parity shards per stripe row (m). 1 is RAID-5 (what
+  // kRaid5 runs, ignoring this field), 2 is RAID-6, larger m tolerates m
+  // concurrent losses at k/(k+m) capacity efficiency.
   uint32_t parity_shards = 2;
   SchedulerKind scheduler = SchedulerKind::kRsatf;
   size_t max_scan = 0;
@@ -126,14 +124,13 @@ class MimdRaid {
   // Backend-specific access; each CHECKs that its backend is the one
   // configured.
   ArrayController& controller();
-  Raid5Controller& raid5();
+  // Erasure-coded backends, kRaid5 included.
   EcController& ec();
 
   // Mirror-only: the replica layout. CHECKs on the other backends.
   const ArrayLayout& layout() const;
-  // RAID-5-only: the parity layout. CHECKs on the other backends.
-  const Raid5Layout& raid5_layout() const;
-  // Erasure-only: the (k+m) layout. CHECKs on the other backends.
+  // Erasure-coded backends (kRaid5 included): the (k+m) layout. CHECKs on
+  // the mirror.
   const EcLayout& ec_layout() const;
   const MimdRaidOptions& options() const { return options_; }
 
@@ -157,7 +154,6 @@ class MimdRaid {
 
  private:
   ArrayControllerOptions ControllerOptions() const;
-  Raid5ControllerOptions Raid5Options() const;
   EcControllerOptions EcOptions() const;
   // (Re)creates the configured backend over disks_/predictors_ and registers
   // the hot spares with it.
@@ -171,13 +167,11 @@ class MimdRaid {
   std::vector<std::unique_ptr<SimDisk>> spare_disks_;
   std::vector<std::unique_ptr<AccessPredictor>> spare_predictors_;
   std::unique_ptr<ArrayLayout> layout_;
-  std::unique_ptr<Raid5Layout> raid5_layout_;
   std::unique_ptr<EcLayout> ec_layout_;
   std::unique_ptr<EcCodec> ec_codec_;
   std::unique_ptr<ArrayController> controller_;
-  std::unique_ptr<Raid5Controller> raid5_;
   std::unique_ptr<EcController> ec_;
-  ArrayBackend* backend_ = nullptr;  // whichever of the three is live
+  ArrayBackend* backend_ = nullptr;  // whichever of the two is live
 };
 
 }  // namespace mimdraid

@@ -389,46 +389,51 @@ void EcController::SubmitWriteFragment(uint64_t op_id, const EcFragment& frag,
   //   RCW decode   k                  (any k readable columns reconstruct
   //                                    the other data units first)
   // and take the argmin, tied toward RMW. RCW-direct dominates RCW-decode
-  // whenever it is valid, so at most one RCW variant competes.
+  // whenever it is valid, so at most one RCW variant competes; and when RMW
+  // is valid and reads no more than k - 1, it wins outright, so the RCW read
+  // set is never built (the common healthy small write allocates nothing
+  // here).
   const uint32_t rmw_reads = 1 + live_parities;
-  std::vector<uint32_t> other_data;
-  bool others_readable = true;
-  for (uint32_t s = 0; s < k; ++s) {
-    if (s == frag.shard_index) {
-      continue;
-    }
-    const uint32_t d = layout_->DataDiskOf(frag.row, s);
-    other_data.push_back(d);
-    if (!DiskUsable(d, frag.row)) {
-      others_readable = false;
-    }
-  }
+  const bool rmw_valid = data_readable;
   std::vector<uint32_t> rcw_reads;
   bool rcw_valid = false;
-  if (others_readable) {
-    rcw_reads = std::move(other_data);
-    rcw_valid = true;
-  } else {
-    // A sibling data column is down: reconstruct it (and the rest) through
-    // an arbitrary decode set. The target's own old unit is a valid decode
-    // column unless its contents are what we failed to read.
-    std::vector<uint32_t> cols = ReadableColumns(
-        frag.row, layout_->num_disks(),
-        force_degraded ? frag.data_disk : layout_->num_disks());
-    if (cols.size() >= k) {
-      cols.resize(k);
-      std::vector<uint32_t> positions;
-      positions.reserve(cols.size());
-      for (uint32_t d : cols) {
-        positions.push_back(layout_->PositionOfDisk(frag.row, d));
+  if (!rmw_valid || rmw_reads > k - 1) {
+    std::vector<uint32_t> other_data;
+    bool others_readable = true;
+    for (uint32_t s = 0; s < k; ++s) {
+      if (s == frag.shard_index) {
+        continue;
       }
-      MIMDRAID_CHECK(codec_->CanDecodeFrom(positions));
-      rcw_reads = std::move(cols);
+      const uint32_t d = layout_->DataDiskOf(frag.row, s);
+      other_data.push_back(d);
+      if (!DiskUsable(d, frag.row)) {
+        others_readable = false;
+      }
+    }
+    if (others_readable) {
+      rcw_reads = std::move(other_data);
       rcw_valid = true;
+    } else {
+      // A sibling data column is down: reconstruct it (and the rest) through
+      // an arbitrary decode set. The target's own old unit is a valid decode
+      // column unless its contents are what we failed to read.
+      std::vector<uint32_t> cols = ReadableColumns(
+          frag.row, layout_->num_disks(),
+          force_degraded ? frag.data_disk : layout_->num_disks());
+      if (cols.size() >= k) {
+        cols.resize(k);
+        std::vector<uint32_t> positions;
+        positions.reserve(cols.size());
+        for (uint32_t d : cols) {
+          positions.push_back(layout_->PositionOfDisk(frag.row, d));
+        }
+        MIMDRAID_CHECK(codec_->CanDecodeFrom(positions));
+        rcw_reads = std::move(cols);
+        rcw_valid = true;
+      }
     }
   }
 
-  const bool rmw_valid = data_readable;
   if (!rmw_valid && !rcw_valid) {
     // Fewer than k readable columns and no old data to delta against: the
     // new parity cannot be computed.
@@ -539,14 +544,8 @@ void EcController::FragmentPhaseDone(const std::shared_ptr<FragWork>& work,
     OpPartDone(work->op_id, completion, work->status, last);
     return;
   }
-  const bool data_ok = DiskUsable(frag.data_disk, frag.row);
-  std::vector<uint32_t> parity_targets;
-  for (uint32_t j = 0; j < codec_->m(); ++j) {
-    const uint32_t p = layout_->ParityDiskOf(frag.row, j);
-    if (DiskUsable(p, frag.row)) {
-      parity_targets.push_back(p);
-    }
-  }
+  // Each target is counted as it is enqueued: command completions always
+  // arrive through the event queue, never inside EnqueueDiskOp.
   auto writes = std::make_shared<int>(0);
   auto on_write = [this, work, writes](const DiskOpResult& r, uint64_t id) {
     if (work->abandoned) {
@@ -576,18 +575,21 @@ void EcController::FragmentPhaseDone(const std::shared_ptr<FragWork>& work,
       OpPartDone(work->op_id, r.completion_us, work->status, &r);
     }
   };
-  *writes = (data_ok ? 1 : 0) + static_cast<int>(parity_targets.size());
-  if (*writes == 0) {
-    // Every target died while the reads were in flight.
-    CompleteFragmentFailed(work->op_id, IoStatus::kUnrecoverable);
-    return;
-  }
-  if (data_ok) {
+  if (DiskUsable(frag.data_disk, frag.row)) {
+    ++*writes;
     EnqueueDiskOp(frag.data_disk, DiskOp::kWrite, frag.disk_lba, frag.sectors,
                   on_write);
   }
-  for (uint32_t p : parity_targets) {
-    EnqueueDiskOp(p, DiskOp::kWrite, frag.disk_lba, frag.sectors, on_write);
+  for (uint32_t j = 0; j < codec_->m(); ++j) {
+    const uint32_t p = layout_->ParityDiskOf(frag.row, j);
+    if (DiskUsable(p, frag.row)) {
+      ++*writes;
+      EnqueueDiskOp(p, DiskOp::kWrite, frag.disk_lba, frag.sectors, on_write);
+    }
+  }
+  if (*writes == 0) {
+    // Every target died while the reads were in flight.
+    CompleteFragmentFailed(work->op_id, IoStatus::kUnrecoverable);
   }
 }
 

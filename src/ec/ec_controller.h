@@ -4,10 +4,10 @@
 // and per-request parity-update strategy selection (read-modify-write vs
 // reconstruct-write by I/O-count argmin).
 //
-// This is the third ArrayBackend and the capacity-efficient, deep-redundancy
-// end of the paper's frontier: k+1 reproduces RAID-5's geometry, k+2 is
-// RAID-6, larger m buys tolerance of m concurrent failures at k/(k+m)
-// capacity efficiency. Like Raid5Controller it is a pure policy layer: the
+// This is the parity ArrayBackend and the capacity-efficient end of the
+// paper's frontier: k+1 is RAID-5 (what ArrayBackendKind::kRaid5 runs), k+2
+// is RAID-6, larger m buys tolerance of m concurrent failures at k/(k+m)
+// capacity efficiency. Like ArrayController it is a pure policy layer: the
 // per-drive machinery — scheduler queues, dispatch, bounded retry, fault
 // counting, auto-fail, hot-spare promotion, the scrub timer, observer
 // wiring — lives in the shared DriveSet engine.
@@ -18,8 +18,10 @@
 // reconstruct-write costs (k - 1) reads when every other data column is
 // readable, or k reads through an arbitrary decode set otherwise, plus the
 // same writes. The controller prices both and takes the cheaper plan, tied
-// toward RMW. With fewer than k readable columns and no RMW path the
-// fragment completes with IoStatus::kUnrecoverable — never a crash.
+// toward RMW. For RAID-5 (m = 1) with k >= 3 that is the classic
+// four-access small write for every healthy fragment, full units included.
+// With fewer than k readable columns and no RMW path the fragment completes
+// with IoStatus::kUnrecoverable — never a crash.
 //
 // Rebuild: slots queue. One slot rebuilds at a time (row by row through a
 // k-column decode set); further failed slots whose spares promote while a
@@ -72,9 +74,16 @@ struct EcControllerOptions {
   // failed and promotes a hot spare (0 = never auto-fail on errors; an
   // explicit kDiskFailed status always auto-fails).
   uint32_t disk_error_fail_threshold = 0;
-  // Period of the background scrubber (0 = off); see Raid5ControllerOptions.
+  // Period of the background scrubber (0 = off). Each tick that finds the
+  // array otherwise idle reads every usable unit of the next stripe row; a
+  // media error triggers a repair-rewrite of the unit (the data is logically
+  // reconstructible from the row peers read in the same pass). Idle-gating is
+  // the rate limit: scrubbing never competes with foreground work.
   SimDuration scrub_interval_us;
-  // Whether scrub ticks defer to foreground activity or fire every period.
+  // Whether scrub ticks defer to foreground activity (the default) or fire
+  // on every period regardless of engine load (fixed-period policy for
+  // reliability studies). The policy-level gate (no logical ops, no rebuild)
+  // applies under both modes.
   ScrubGating scrub_gating = ScrubGating::kIdleGated;
 };
 
@@ -170,8 +179,11 @@ class EcController : public ArrayBackend, private DriveSetClient {
     // surfaced to the submitter.
     IoStatus status = IoStatus::kOk;
     uint32_t recovery_attempts = 0;
-    // Final-leg decomposition, as in Raid5Controller: the completing sub-op's
-    // disk phases; everything earlier lands in the recovery residual.
+    // Decomposition of the sub-op whose completion is last_completion (the
+    // one that completes the request). Parity sub-ops have no single queue
+    // timestamp for the logical request, so entry_arrival_us is the disk
+    // start: queue_us reads 0 and everything before the final leg (RMW read
+    // phases, decode reads, queueing) lands in the recovery residual.
     bool has_leg = false;
     FinalLeg leg;
   };
@@ -208,8 +220,8 @@ class EcController : public ArrayBackend, private DriveSetClient {
                        BlockAddr chosen_lba,
                        const DiskOpResult& result) override;
   void OnSlotFailed(SlotId disk) override;
-  // Promotion is always allowed: unlike RAID-5's single rebuild cursor, a
-  // promotion during a rebuild queues behind it instead of clobbering it.
+  // Promotion is always allowed: a promotion during a rebuild queues behind
+  // it instead of clobbering the rebuild cursor.
   bool SparePromotionAllowed(SlotId disk) override;
   uint64_t UsedSpanSectors(SlotId disk) const override;
   void OnSparePromoted(SlotId disk) override;

@@ -1,6 +1,6 @@
 // The backend-neutral face of an array: what MimdRaid, benches, and the
 // conformance suite program against. A backend is a redundancy policy
-// (mirroring, rotated parity, ...) layered over the shared DriveSet engine;
+// (mirroring, erasure coding) layered over the shared DriveSet engine;
 // everything here is policy-independent: logical I/O submission, explicit
 // failure/rebuild control, the hot-spare pool, idle/quiescence queries, and
 // stats export.
@@ -21,9 +21,16 @@ namespace mimdraid {
 // Which redundancy policy an assembled array runs over the DriveSet engine.
 enum class ArrayBackendKind {
   kMirror,   // ArrayController: Ds x Dr x Dm replica layout (SR/ML/ABL)
-  kRaid5,    // Raid5Controller: left-symmetric rotating parity
+  kRaid5,    // kErasure with m fixed at 1 (k = n - 1): rotating parity
   kErasure,  // EcController: general (k+m) Reed-Solomon/Cauchy coding
 };
+
+// Parity shards per stripe row (m) an erasure-coded backend runs: kRaid5
+// fixes m at 1, kErasure takes the configured `parity_shards`.
+inline uint32_t ParityShardsFor(ArrayBackendKind kind,
+                                uint32_t parity_shards) {
+  return kind == ArrayBackendKind::kRaid5 ? 1 : parity_shards;
+}
 
 class ArrayBackend {
  public:

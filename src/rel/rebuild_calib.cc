@@ -24,7 +24,7 @@ MimdRaidOptions CalibrationRig(ArrayBackendKind kind, uint64_t seed) {
     options.aspect.dr = 1;
     options.aspect.dm = 2;
   } else {
-    // Both parity backends: four columns (RAID-5 3+1; erasure k+m from
+    // Parity backends: four columns (RAID-5 3+1; erasure k+m from
     // options.parity_shards, 2+2 at the default).
     options.aspect.ds = 4;
     options.aspect.dr = 1;
@@ -75,10 +75,6 @@ RebuildCalibration CalibrateRebuild(ArrayBackendKind kind, uint64_t seed) {
       calib.measured_sectors = array.layout().per_disk_sectors();
       break;
     case ArrayBackendKind::kRaid5:
-      calib.measured_sectors =
-          static_cast<uint64_t>(array.raid5_layout().num_rows()) *
-          array.raid5_layout().stripe_unit_sectors();
-      break;
     case ArrayBackendKind::kErasure:
       calib.measured_sectors =
           static_cast<uint64_t>(array.ec_layout().num_rows()) *

@@ -1,6 +1,6 @@
 // Fault / recovery counters exported by the array controllers.
 //
-// One struct shared by ArrayController and Raid5Controller so chaos tests
+// One struct shared by ArrayController and EcController so chaos tests
 // and CI artifacts can reconcile what the FaultInjector injected against what
 // the recovery machinery did about it: every fault must end up retried,
 // failed-over, reconstructed, repaired, or surfaced as kUnrecoverable —

@@ -59,22 +59,15 @@ uint64_t VirtualArrayAllocator::PerDriveSectors(const VaRequest& request) {
   const uint64_t unit = request.stripe_unit_sectors;
   MIMDRAID_CHECK_GT(unit, 0u);
   MIMDRAID_CHECK_GT(request.dataset_sectors, 0u);
-  if (request.backend == ArrayBackendKind::kRaid5) {
-    // Mirrors MimdRaid's RAID-5 sizing: N-1 data shares cover the dataset,
-    // rounded up to whole stripe units (the parity share is the same size).
-    const uint64_t n = static_cast<uint64_t>(request.aspect.TotalDisks());
-    MIMDRAID_CHECK_GE(n, 3u);
-    const uint64_t per_data = (request.dataset_sectors + n - 2) / (n - 1);
-    return (per_data + unit - 1) / unit * unit;
-  }
-  if (request.backend == ArrayBackendKind::kErasure) {
+  if (request.backend != ArrayBackendKind::kMirror) {
     // Mirrors MimdRaid's erasure sizing: k = n - m data shares cover the
     // dataset, rounded up to whole stripe units (every shard, data or
     // parity, is the same size).
     const uint64_t n = static_cast<uint64_t>(request.aspect.TotalDisks());
-    MIMDRAID_CHECK_GE(request.parity_shards, 1u);
-    MIMDRAID_CHECK_GT(n, request.parity_shards);
-    const uint64_t k = n - request.parity_shards;
+    const uint32_t m = ParityShardsFor(request.backend, request.parity_shards);
+    MIMDRAID_CHECK_GE(m, 1u);
+    MIMDRAID_CHECK_GT(n, m);
+    const uint64_t k = n - m;
     const uint64_t per_data = (request.dataset_sectors + k - 1) / k;
     return (per_data + unit - 1) / unit * unit;
   }

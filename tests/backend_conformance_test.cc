@@ -1,10 +1,10 @@
 // Backend conformance: the observable contract every ArrayBackend
-// implementation must honor, run against all three backends (mirror, RAID-5,
-// and the general k+m erasure controller — here a 2+2 group, so redundancy
-// exhaustion needs m+1 = 3 failures) over the shared DriveSet engine. Rigs
-// come off the MimdRaid
-// backend-selection path — the same assembly the benches and experiments use
-// — with the invariant auditor attached throughout, so every scenario also
+// implementation must honor, run against every backend kind (mirror; RAID-5,
+// the erasure controller at m = 1; and the general k+m erasure controller —
+// here a 2+2 group, so redundancy exhaustion needs m+1 = 3 failures) over
+// the shared DriveSet engine. Rigs come off the MimdRaid backend-selection
+// path — the same assembly the benches and experiments use — with the
+// invariant auditor attached throughout, so every scenario also
 // proves fault conservation (no failed sub-op is silently dropped).
 //
 // The contract under test:
@@ -46,8 +46,8 @@ struct RigConfig {
 };
 
 // Four small test drives for any backend: the mirror runs them as two
-// mirrored columns (2x1x2), RAID-5 as a 4-disk rotating-parity group, and
-// the erasure controller as a 2+2 code (two-fault tolerant).
+// mirrored columns (2x1x2), RAID-5 as a 3+1 rotating-parity group, and
+// kErasure as a 2+2 code (two-fault tolerant).
 std::unique_ptr<MimdRaid> MakeArray(ArrayBackendKind kind,
                                     const RigConfig& rig = {}) {
   MimdRaidOptions options;
@@ -60,7 +60,7 @@ std::unique_ptr<MimdRaid> MakeArray(ArrayBackendKind kind,
     options.aspect.ds = 4;
     options.aspect.dr = 1;
     options.aspect.dm = 1;
-    options.parity_shards = 2;  // kErasure only; kRaid5 ignores it
+    options.parity_shards = 2;  // kErasure only; kRaid5 fixes m at 1
   }
   options.scheduler = SchedulerKind::kSatf;
   options.dataset_sectors = kDataset;
@@ -148,10 +148,6 @@ void PlantLatentError(MimdRaid* array, uint64_t lba) {
   if (array->backend_kind() == ArrayBackendKind::kMirror) {
     for (const ArrayFragment& f : array->layout().Map(lba, 1)) {
       injector->InjectLatentError(f.replicas[0].disk, f.replicas[0].lba);
-    }
-  } else if (array->backend_kind() == ArrayBackendKind::kRaid5) {
-    for (const Raid5Fragment& f : array->raid5_layout().Map(lba, 1)) {
-      injector->InjectLatentError(f.data_disk, f.disk_lba);
     }
   } else {
     for (const EcFragment& f : array->ec_layout().Map(lba, 1)) {
@@ -354,12 +350,9 @@ TEST_P(BackendConformance, ExportStatsPublishesFaultAndBackendCounters) {
   EXPECT_TRUE(registry.Contains("fault.scrub_last_sweep_coverage"));
   EXPECT_TRUE(registry.Contains("fault.spares_promoted"));
   // ...plus the backend's own prefix with real traffic behind it.
-  std::string prefix = "raid5.reads_completed";
-  if (GetParam() == ArrayBackendKind::kMirror) {
-    prefix = "array.reads_completed";
-  } else if (GetParam() == ArrayBackendKind::kErasure) {
-    prefix = "ec.reads_completed";
-  }
+  const std::string prefix = GetParam() == ArrayBackendKind::kMirror
+                                 ? "array.reads_completed"
+                                 : "ec.reads_completed";
   EXPECT_TRUE(registry.Contains(prefix));
   EXPECT_GT(registry.Get(prefix), 0.0);
 }
@@ -386,7 +379,7 @@ std::unique_ptr<MimdRaid> MakeMixedRpmArray(
     options.aspect.ds = 4;
     options.aspect.dr = 1;
     options.aspect.dm = 1;
-    options.parity_shards = 2;  // kErasure only; kRaid5 ignores it
+    options.parity_shards = 2;  // kErasure only; kRaid5 fixes m at 1
   }
   options.scheduler = SchedulerKind::kSatf;
   options.dataset_sectors = kDataset;

@@ -1,6 +1,6 @@
 // Seeded chaos soak: a randomized fault mix (latent sector errors, transient
-// errors, timeouts, explicit fail-stops) against the mirrored array, the
-// RAID-5 controller, and the general (k+m) erasure controller, with the
+// errors, timeouts, explicit fail-stops) against the mirrored array, RAID-5
+// (the erasure controller at m = 1), and a 4+2 erasure array, with the
 // runtime invariant auditor attached. Every submitted operation must
 // complete exactly once with a terminal status (kOk or kUnrecoverable —
 // never an intermediate fault status), the array must drain to a quiescent
@@ -227,7 +227,8 @@ TEST(ChaosSoak, MirrorRunIsDeterministicForSeed) {
 }
 
 // ---------------------------------------------------------------------------
-// RAID-5 chaos: stochastic faults plus a mid-run fail-stop, with the same
+// RAID-5 chaos (kRaid5: the erasure controller over 5 disks with m = 1):
+// stochastic faults plus a mid-run fail-stop, with the same
 // engine feature set as the mirror soak — auditor, error-threshold
 // auto-fail, a hot spare (promotion + automatic rebuild), and the scrub
 // sweeper.
@@ -251,8 +252,8 @@ void RunRaid5Chaos(uint64_t seed, bool write_summary, ChaosDigest* out) {
   options.fault.timeout_prob = 0.002;
   MimdRaid array(options);
   Simulator& sim = array.sim();
-  Raid5Controller& controller = array.raid5();
-  const Raid5Layout& layout = array.raid5_layout();
+  EcController& controller = array.ec();
+  const EcLayout& layout = array.ec_layout();
   FaultInjector& injector = *array.fault_injector();
 
   Rng rng(seed * 31 + 7);
@@ -263,7 +264,7 @@ void RunRaid5Chaos(uint64_t seed, bool write_summary, ChaosDigest* out) {
   // repair-rewrite path has deterministic work.
   for (int i = 0; i < 4; ++i) {
     const uint64_t lba = rng.UniformU64(layout.data_capacity_sectors() - 4);
-    for (const Raid5Fragment& f : layout.Map(lba, 1)) {
+    for (const EcFragment& f : layout.Map(lba, 1)) {
       injector.InjectLatentError(f.data_disk, f.disk_lba);
     }
   }

@@ -1,8 +1,9 @@
 // End-to-end fault-injection tests: the injector's determinism, the disk's
 // media-error / write-reallocation path (DiskLayout::AddBadSector), and the
 // controllers' recovery machinery — retry with backoff, mirror failover,
-// RAID-5 degraded reconstruction with repair, error-threshold auto-failure,
-// hot-spare promotion, and background scrubbing.
+// RAID-5 (the m = 1 erasure controller) degraded reconstruction with repair,
+// error-threshold auto-failure, hot-spare promotion, and background
+// scrubbing.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -12,8 +13,9 @@
 #include "src/array/controller.h"
 #include "src/calib/predictor.h"
 #include "src/disk/sim_disk.h"
-#include "src/raid5/raid5_controller.h"
-#include "src/raid5/raid5_layout.h"
+#include "src/ec/ec_controller.h"
+#include "src/ec/ec_layout.h"
+#include "src/ec/gf256.h"
 #include "src/sim/fault_injector.h"
 #include "src/sim/simulator.h"
 #include "src/util/rng.h"
@@ -498,7 +500,7 @@ TEST(ArrayRecovery, ScrubberYieldsToForegroundTraffic) {
 }
 
 // ---------------------------------------------------------------------------
-// RAID-5 recovery (Raid5Controller).
+// RAID-5 recovery: the erasure controller with k = n - 1, m = 1.
 // ---------------------------------------------------------------------------
 
 struct Raid5Rig {
@@ -514,11 +516,17 @@ struct Raid5Rig {
       dptr.push_back(sim_disks.back().get());
       pptr.push_back(preds.back().get());
     }
-    layout = std::make_unique<Raid5Layout>(disks_n, 16, 2000);
-    Raid5ControllerOptions copts;
+    layout = std::make_unique<EcLayout>(disks_n, disks_n - 1, 16, 2000);
+    codec = std::make_unique<EcCodec>(disks_n - 1, 1);
+    EcControllerOptions copts;
     copts.fault_injector = &injector;
-    controller = std::make_unique<Raid5Controller>(&sim, dptr, pptr,
-                                                   layout.get(), copts);
+    controller = std::make_unique<EcController>(&sim, dptr, pptr, layout.get(),
+                                                codec.get(), copts);
+  }
+
+  // The row's single parity disk.
+  uint32_t ParityDisk(const EcFragment& frag) const {
+    return layout->ParityDiskOf(frag.row, 0);
   }
 
   IoResult Do(DiskOp op, uint64_t lba, uint32_t sectors) {
@@ -545,8 +553,9 @@ struct Raid5Rig {
   std::vector<std::unique_ptr<AccessPredictor>> preds;
   std::vector<SimDisk*> dptr;
   std::vector<AccessPredictor*> pptr;
-  std::unique_ptr<Raid5Layout> layout;
-  std::unique_ptr<Raid5Controller> controller;
+  std::unique_ptr<EcLayout> layout;
+  std::unique_ptr<EcCodec> codec;
+  std::unique_ptr<EcController> controller;
 };
 
 TEST(Raid5Recovery, TransientReadErrorRetriesInPlace) {
@@ -591,12 +600,13 @@ TEST(Raid5Recovery, DoubleFailureReadsSurfaceUnrecoverable) {
   for (const bool reverse : {false, true}) {
     Raid5Rig rig;
     const auto frag = rig.layout->Map(0, 8)[0];
-    const uint32_t first = reverse ? frag.parity_disk : frag.data_disk;
-    const uint32_t second = reverse ? frag.data_disk : frag.parity_disk;
+    const uint32_t parity_disk = rig.ParityDisk(frag);
+    const uint32_t first = reverse ? parity_disk : frag.data_disk;
+    const uint32_t second = reverse ? frag.data_disk : parity_disk;
     rig.controller->FailDisk(SlotId(first));
     rig.controller->FailDisk(SlotId(second));
     EXPECT_TRUE(rig.controller->IsFailed(SlotId(frag.data_disk)));
-    EXPECT_TRUE(rig.controller->IsFailed(SlotId(frag.parity_disk)));
+    EXPECT_TRUE(rig.controller->IsFailed(SlotId(parity_disk)));
 
     // This fragment needs its dead data disk plus a full reconstruction set
     // that includes the other dead disk: unrecoverable, not a crash.

@@ -11,12 +11,13 @@
 #include "src/core/experiment.h"
 #include "src/core/mimd_raid.h"
 #include "src/disk/sim_disk.h"
+#include "src/ec/ec_controller.h"
+#include "src/ec/ec_layout.h"
+#include "src/ec/gf256.h"
 #include "src/obs/chrome_trace.h"
 #include "src/obs/json_lite.h"
 #include "src/obs/stats_registry.h"
 #include "src/obs/trace_collector.h"
-#include "src/raid5/raid5_controller.h"
-#include "src/raid5/raid5_layout.h"
 #include "src/stats/latency_recorder.h"
 
 namespace mimdraid {
@@ -153,11 +154,13 @@ TEST(TraceCollector, Raid5RmwWriteBooksEarlierPhasesAsRecovery) {
     dptr.push_back(sim_disks.back().get());
     pptr.push_back(preds.back().get());
   }
-  Raid5Layout layout(4, 16, 2000);
+  // RAID-5: the erasure controller with k = 3, m = 1.
+  EcLayout layout(4, 3, 16, 2000);
+  EcCodec codec(3, 1);
   TraceCollector collector;
-  Raid5ControllerOptions options;
+  EcControllerOptions options;
   options.collector = &collector;
-  Raid5Controller controller(&sim, dptr, pptr, &layout, options);
+  EcController controller(&sim, dptr, pptr, &layout, &codec, options);
 
   bool done = false;
   controller.Submit(DiskOp::kWrite, 100, 4, [&](const IoResult&) {

@@ -340,7 +340,7 @@ TEST(VaEndToEndTest, MixedGenerationMultiTenantRunExportsPerVaStats) {
   ExportVaTrace(collector_a, "tenantA", &registry);
 
   EXPECT_GT(registry.Get("va.tenantA.array.reads_completed"), 0.0);
-  EXPECT_GT(registry.Get("va.tenantB.raid5.reads_completed"), 0.0);
+  EXPECT_GT(registry.Get("va.tenantB.ec.reads_completed"), 0.0);
   EXPECT_GT(registry.Get("va.tenantC.ec.reads_completed"), 0.0);
   EXPECT_TRUE(registry.Contains("va.tenantA.fault.spare_rejected"));
   EXPECT_TRUE(registry.Contains("va.tenantB.fault.spare_rejected"));
