@@ -5,7 +5,9 @@
 // complete exactly once with a terminal status (kOk or kUnrecoverable —
 // never an intermediate fault status), the array must drain to a quiescent
 // state that passes the auditor's terminal consistency check, and the whole
-// run must be bit-for-bit reproducible for a given seed.
+// run must be bit-for-bit reproducible for a given seed. The default seeds'
+// digests are pinned (kPinnedDigests), so a behaviour change shows up as a
+// diff even when both runs of a seed agree with each other.
 //
 // All rigs come off the MimdRaid backend-selection path and run the same
 // DriveSet engine underneath; the soaks here are the parity check that every
@@ -81,6 +83,44 @@ struct ChaosDigest {
            retries == o.retries && failovers == o.failovers;
   }
 };
+
+// Digests recorded for the default seeds. Refactors of the engine or the
+// policies must reproduce them exactly; a behaviour change that moves one is
+// deliberate and re-records the table. A seed outside the table (set through
+// MIMDRAID_CHAOS_SEED) is not pinned.
+struct PinnedDigest {
+  const char* backend;
+  uint64_t seed;
+  ChaosDigest digest;
+};
+
+const PinnedDigest kPinnedDigests[] = {
+    {"mirror", 101, {575059079, 595, 5, 18, 9, 11}},
+    {"mirror", 202, {618864216, 599, 1, 15, 7, 7}},
+    {"mirror", 303, {536870592, 598, 2, 19, 7, 10}},
+    {"raid5", 101, {241828616, 211, 189, 18, 13, 31}},
+    {"raid5", 202, {294284435, 356, 44, 17, 12, 15}},
+    {"raid5", 303, {273255684, 343, 57, 15, 10, 23}},
+    {"ec", 101, {319898827, 323, 77, 27, 19, 26}},
+    {"ec", 202, {356147619, 311, 89, 24, 17, 23}},
+    {"ec", 303, {261682689, 199, 201, 20, 14, 31}},
+};
+
+void ExpectPinnedDigest(const std::string& backend, uint64_t seed,
+                        const ChaosDigest& got) {
+  for (const PinnedDigest& pin : kPinnedDigests) {
+    if (backend != pin.backend || seed != pin.seed) {
+      continue;
+    }
+    EXPECT_EQ(got.completion_time_sum, pin.digest.completion_time_sum);
+    EXPECT_EQ(got.ok, pin.digest.ok);
+    EXPECT_EQ(got.unrecoverable, pin.digest.unrecoverable);
+    EXPECT_EQ(got.faults_seen, pin.digest.faults_seen);
+    EXPECT_EQ(got.retries, pin.digest.retries);
+    EXPECT_EQ(got.failovers, pin.digest.failovers);
+    return;
+  }
+}
 
 // Chaos rig shared by both backends: small test drives, the full fault mix,
 // auditor, error-threshold auto-fail, one hot spare, and the scrub sweeper.
@@ -211,6 +251,7 @@ TEST(ChaosSoak, MirroredArraySurvivesRandomFaultMix) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     ChaosDigest digest;
     RunMirrorChaos(seed, /*write_summary=*/true, &digest);
+    ExpectPinnedDigest("mirror", seed, digest);
   }
 }
 
@@ -371,6 +412,7 @@ TEST(ChaosSoak, Raid5SurvivesFaultMixWithMidRunFailStop) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     ChaosDigest digest;
     RunRaid5Chaos(seed, /*write_summary=*/true, &digest);
+    ExpectPinnedDigest("raid5", seed, digest);
   }
 }
 
@@ -552,6 +594,7 @@ TEST(ChaosSoak, ErasureSurvivesFaultMixWithTwoConcurrentFailStops) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     ChaosDigest digest;
     RunErasureChaos(seed, /*write_summary=*/true, &digest);
+    ExpectPinnedDigest("ec", seed, digest);
   }
 }
 
