@@ -56,7 +56,8 @@ FleetSpec MakeMixFleet(size_t old_drives) {
 
 VaRequest TenantRequest(size_t index) {
   VaRequest r;
-  r.name = "t" + std::to_string(index);
+  r.name = "t";
+  r.name += std::to_string(index);
   if (index % 2 == 0) {
     r.backend = ArrayBackendKind::kMirror;
     r.aspect = Aspect(2, 1, 2);

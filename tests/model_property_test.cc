@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <tuple>
 
 #include "src/model/analytic.h"
@@ -105,10 +106,14 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(0.4, 0.6, 0.8, 1.0),
                        ::testing::Values(1.0, 8.0, 32.0)),
     [](const auto& suite_info) {
-      return "D" + std::to_string(std::get<0>(suite_info.param)) + "_p" +
-             std::to_string(static_cast<int>(std::get<1>(suite_info.param) * 100)) +
-             "_q" +
-             std::to_string(static_cast<int>(std::get<2>(suite_info.param)));
+      std::string name = "D";
+      name += std::to_string(std::get<0>(suite_info.param));
+      name += "_p";
+      name += std::to_string(
+          static_cast<int>(std::get<1>(suite_info.param) * 100));
+      name += "_q";
+      name += std::to_string(static_cast<int>(std::get<2>(suite_info.param)));
+      return name;
     });
 
 // Scaling law: the rule-of-thumb sqrt(D) improvement (Section 2.6).

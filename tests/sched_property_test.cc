@@ -98,7 +98,10 @@ TEST(SchedulerOptimality, SatfMinimizesOverPrimaries) {
   SimDisk disk(&sim, MakeTestGeometry(), MakeTestSeekProfile(),
                DiskNoiseModel::None(), 1, 0.0);
   OraclePredictor predictor(&disk, 0.0);
-  ScheduleContext ctx{SimTime(12345), &predictor, &disk.layout()};
+  ScheduleContext ctx{.now = SimTime(12345),
+                      .predictor = &predictor,
+                      .layout = &disk.layout(),
+                      .disk = SlotId(0)};
   Rng rng(7);
   auto satf = MakeScheduler(SchedulerKind::kSatf);
   for (int trial = 0; trial < 30; ++trial) {
@@ -131,7 +134,10 @@ TEST(SchedulerOptimality, RlookFollowsLookRequestOrder) {
   SimDisk disk(&sim, MakeTestGeometry(), MakeTestSeekProfile(),
                DiskNoiseModel::None(), 1, 0.0);
   OraclePredictor predictor(&disk, 0.0);
-  ScheduleContext ctx{SimTime(0), &predictor, &disk.layout()};
+  ScheduleContext ctx{.now = SimTime(0),
+                      .predictor = &predictor,
+                      .layout = &disk.layout(),
+                      .disk = SlotId(0)};
   Rng rng(9);
   auto rlook = MakeScheduler(SchedulerKind::kRlook);
   auto look = MakeScheduler(SchedulerKind::kLook);
