@@ -120,7 +120,7 @@ void BM_RsatfPick(benchmark::State& state) {
     }
     queue.push_back(std::move(req));
   }
-  RsatfScheduler sched;
+  SatfScheduler sched(SchedulerKind::kRsatf);
   ScheduleContext ctx;
   ctx.predictor = &predictor;
   ctx.layout = &disk.layout();

@@ -35,6 +35,16 @@ CandidateCost CostOf(const ScheduleContext& ctx, const QueuedRequest& req,
 // skipping its full prediction leaves the scan's result bit-identical. The
 // scan order itself is never reordered.
 
+SatfScheduler::SatfScheduler(SchedulerKind kind, size_t max_scan)
+    : kind_(kind),
+      max_scan_(max_scan),
+      all_replicas_(kind != SchedulerKind::kSatf),
+      age_weight_(kind == SchedulerKind::kAsatf ? kAsatfAgeWeight : 0.0) {
+  MIMDRAID_CHECK(kind == SchedulerKind::kSatf ||
+                 kind == SchedulerKind::kRsatf ||
+                 kind == SchedulerKind::kAsatf);
+}
+
 SchedulerPick SatfScheduler::Pick(const std::vector<QueuedRequest>& queue,
                                   const ScheduleContext& ctx) {
   MIMDRAID_CHECK(!queue.empty());
@@ -42,87 +52,24 @@ SchedulerPick SatfScheduler::Pick(const std::vector<QueuedRequest>& queue,
   const size_t scan = max_scan_ == 0 ? queue.size()
                                      : std::min(max_scan_, queue.size());
   size_t best = 0;
-  CandidateCost best_cost{std::numeric_limits<double>::infinity(), 0.0};
-  uint64_t examined = 0;
-  for (size_t i = 0; i < scan; ++i) {
-    // SATF proper is replica-oblivious: it evaluates the primary copy only.
-    const QueuedRequest& req = queue[i];
-    const BlockAddr lba = req.candidate_lbas.front();
-    const bool is_write = req.op == DiskOp::kWrite;
-    if (ctx.predictor->AccessBoundUs(ctx.now, lba, req.sectors, is_write) >
-        best_cost.effective_us) {
-      continue;
-    }
-    const CandidateCost cost = CostOf(ctx, req, lba);
-    ++examined;
-    if (cost.effective_us < best_cost.effective_us) {
-      best_cost = cost;
-      best = i;
-    }
-  }
-  if (ctx.collector != nullptr) {
-    ctx.collector->OnSchedulerScan(ctx.disk.value(), examined);
-  }
-  return SchedulerPick{best, queue[best].candidate_lbas.front(),
-                       best_cost.predicted_us};
-}
-
-SchedulerPick RsatfScheduler::Pick(const std::vector<QueuedRequest>& queue,
-                                   const ScheduleContext& ctx) {
-  MIMDRAID_CHECK(!queue.empty());
-  MIMDRAID_CHECK(ctx.predictor != nullptr);
-  const size_t scan = max_scan_ == 0 ? queue.size()
-                                     : std::min(max_scan_, queue.size());
-  size_t best = 0;
-  BlockAddr best_lba = queue[0].candidate_lbas.front();
-  CandidateCost best_cost{std::numeric_limits<double>::infinity(), 0.0};
-  uint64_t examined = 0;
-  for (size_t i = 0; i < scan; ++i) {
-    const QueuedRequest& req = queue[i];
-    const bool is_write = req.op == DiskOp::kWrite;
-    // The bound must be evaluated per replica, not once per entry: replicas
-    // normally share a cylinder, but a latent-bad-sector remap can move one
-    // to spare space on a different cylinder, so no single seek bound covers
-    // the candidate list.
-    for (BlockAddr lba : req.candidate_lbas) {
-      if (ctx.predictor->AccessBoundUs(ctx.now, lba, req.sectors, is_write) >
-          best_cost.effective_us) {
-        continue;
-      }
-      const CandidateCost cost = CostOf(ctx, req, lba);
-      ++examined;
-      if (cost.effective_us < best_cost.effective_us) {
-        best_cost = cost;
-        best = i;
-        best_lba = lba;
-      }
-    }
-  }
-  if (ctx.collector != nullptr) {
-    ctx.collector->OnSchedulerScan(ctx.disk.value(), examined);
-  }
-  return SchedulerPick{best, best_lba, best_cost.predicted_us};
-}
-
-SchedulerPick AsatfScheduler::Pick(const std::vector<QueuedRequest>& queue,
-                                   const ScheduleContext& ctx) {
-  MIMDRAID_CHECK(!queue.empty());
-  MIMDRAID_CHECK(ctx.predictor != nullptr);
-  const size_t scan = max_scan_ == 0 ? queue.size()
-                                     : std::min(max_scan_, queue.size());
-  size_t best = 0;
   BlockAddr best_lba = queue[0].candidate_lbas.front();
   double best_aged = std::numeric_limits<double>::infinity();
-  CandidateCost best_cost{0.0, 0.0};
+  double best_predicted = 0.0;
   uint64_t examined = 0;
   for (size_t i = 0; i < scan; ++i) {
     const QueuedRequest& req = queue[i];
     const bool is_write = req.op == DiskOp::kWrite;
+    // A zero weight makes the credit +-0.0, and subtracting it is exact, so
+    // SATF and RSATF rank by the plain slack-adjusted cost.
     const double age_credit =
         age_weight_ * static_cast<double>((ctx.now - req.arrival_us).us());
-    // Aged-cost analogue of the RSATF prune: aged >= bound - age_credit, so
-    // a bound beaten by best_aged even after the credit cannot win the scan.
-    for (BlockAddr lba : req.candidate_lbas) {
+    const size_t candidates = all_replicas_ ? req.candidate_lbas.size() : 1;
+    for (size_t c = 0; c < candidates; ++c) {
+      const BlockAddr lba = req.candidate_lbas[c];
+      // The bound is evaluated per replica, not once per entry: replicas
+      // normally share a cylinder, but a latent-bad-sector remap can move one
+      // to spare space on a different cylinder. Aged cost >= bound - credit,
+      // so a bound beaten by best_aged even after the credit cannot win.
       if (ctx.predictor->AccessBoundUs(ctx.now, lba, req.sectors, is_write) -
               age_credit >
           best_aged) {
@@ -133,7 +80,7 @@ SchedulerPick AsatfScheduler::Pick(const std::vector<QueuedRequest>& queue,
       const double aged = cost.effective_us - age_credit;
       if (aged < best_aged) {
         best_aged = aged;
-        best_cost = cost;
+        best_predicted = cost.predicted_us;
         best = i;
         best_lba = lba;
       }
@@ -142,7 +89,7 @@ SchedulerPick AsatfScheduler::Pick(const std::vector<QueuedRequest>& queue,
   if (ctx.collector != nullptr) {
     ctx.collector->OnSchedulerScan(ctx.disk.value(), examined);
   }
-  return SchedulerPick{best, best_lba, best_cost.predicted_us};
+  return SchedulerPick{best, best_lba, best_predicted};
 }
 
 SchedulerPick RlookScheduler::Pick(const std::vector<QueuedRequest>& queue,

@@ -1,13 +1,17 @@
-// Rotational-position-sensitive schedulers: SATF, RLOOK, RSATF.
+// Rotational-position-sensitive schedulers: the SATF family and RLOOK.
 //
 // SATF (Shortest Access Time First, Jacobson & Wilkes / Seltzer et al.) picks
-// the request with the smallest predicted positioning time (seek + rotation).
-// The paper's extensions consider rotational replicas: RLOOK keeps the LOOK
-// sweep in the seek dimension but picks the rotationally closest replica of
-// the chosen request; RSATF minimizes predicted access time over every
-// replica of every queued request (Section 2.4).
+// the request with the smallest predicted positioning time (seek + rotation),
+// looking at each request's primary copy only. The paper's extensions
+// consider rotational replicas: RSATF minimizes predicted access time over
+// every replica of every queued request (Section 2.4), and RLOOK keeps the
+// LOOK sweep in the seek dimension but picks the rotationally closest replica
+// of the chosen request. ASATF is RSATF with a starvation control: a request's
+// cost is its predicted access time minus an age credit that grows while it
+// waits, so a far request cannot be bypassed forever by a stream of nearby
+// arrivals (SATF's classic weakness).
 //
-// All three apply the predictor's slack: a candidate whose predicted
+// All of them apply the predictor's slack: a candidate whose predicted
 // rotational wait is below the slack is charged a full extra rotation, which
 // is what keeps the on-target rate above 99% despite unobservable request
 // overhead (Section 3.2).
@@ -19,49 +23,27 @@
 
 namespace mimdraid {
 
+// One pruned scan serves SATF, RSATF and ASATF; the kind decides which
+// candidates of an entry are read and how much credit its age earns.
 class SatfScheduler : public Scheduler {
  public:
-  explicit SatfScheduler(size_t max_scan = 0) : max_scan_(max_scan) {}
+  // Microseconds of predicted access time one microsecond of waiting is
+  // worth under ASATF.
+  static constexpr double kAsatfAgeWeight = 0.1;
+
+  // `kind` is kSatf, kRsatf or kAsatf; `max_scan` caps the queue entries
+  // examined per pick (0 = the whole queue).
+  explicit SatfScheduler(SchedulerKind kind, size_t max_scan = 0);
 
   SchedulerPick Pick(const std::vector<QueuedRequest>& queue,
                      const ScheduleContext& ctx) override;
-  std::string name() const override { return "SATF"; }
+  std::string name() const override { return SchedulerKindName(kind_); }
 
  private:
+  SchedulerKind kind_;
   size_t max_scan_;
-};
-
-class RsatfScheduler : public Scheduler {
- public:
-  explicit RsatfScheduler(size_t max_scan = 0) : max_scan_(max_scan) {}
-
-  SchedulerPick Pick(const std::vector<QueuedRequest>& queue,
-                     const ScheduleContext& ctx) override;
-  std::string name() const override { return "RSATF"; }
-
- private:
-  size_t max_scan_;
-};
-
-// Aged SATF: SATF with a starvation control. A request's cost is its
-// predicted (slack-adjusted) access time minus an age credit that grows while
-// it waits, so a far request cannot be bypassed forever by a stream of
-// nearby arrivals — SATF's classic weakness (noted by Jacobson & Wilkes and
-// Seltzer et al.). age_weight is the microseconds of predicted access time
-// one microsecond of waiting is worth; 0 degenerates to plain SATF.
-// Replica-aware like RSATF (evaluates every candidate).
-class AsatfScheduler : public Scheduler {
- public:
-  explicit AsatfScheduler(size_t max_scan = 0, double age_weight = 0.1)
-      : max_scan_(max_scan), age_weight_(age_weight) {}
-
-  SchedulerPick Pick(const std::vector<QueuedRequest>& queue,
-                     const ScheduleContext& ctx) override;
-  std::string name() const override { return "ASATF"; }
-
- private:
-  size_t max_scan_;
-  double age_weight_;
+  bool all_replicas_;  // false: the primary copy only (SATF)
+  double age_weight_;  // 0 except under ASATF
 };
 
 class RlookScheduler : public LookScheduler {

@@ -53,13 +53,11 @@ std::unique_ptr<Scheduler> MakeScheduler(SchedulerKind kind, size_t max_scan) {
     case SchedulerKind::kClook:
       return std::make_unique<ClookScheduler>();
     case SchedulerKind::kSatf:
-      return std::make_unique<SatfScheduler>(max_scan);
     case SchedulerKind::kAsatf:
-      return std::make_unique<AsatfScheduler>(max_scan);
+    case SchedulerKind::kRsatf:
+      return std::make_unique<SatfScheduler>(kind, max_scan);
     case SchedulerKind::kRlook:
       return std::make_unique<RlookScheduler>();
-    case SchedulerKind::kRsatf:
-      return std::make_unique<RsatfScheduler>(max_scan);
   }
   MIMDRAID_CHECK(false);
 }

@@ -125,7 +125,7 @@ TEST_F(SchedTest, ClookWrapsToLowestCylinder) {
 }
 
 TEST_F(SchedTest, SatfPicksShortestPredictedAccess) {
-  SatfScheduler sched;
+  SatfScheduler sched(SchedulerKind::kSatf);
   std::vector<QueuedRequest> q;
   // Far cylinder vs near cylinder: the near one has a much smaller seek.
   q.push_back(ReqAtCylinder(55));
@@ -136,7 +136,7 @@ TEST_F(SchedTest, SatfPicksShortestPredictedAccess) {
 }
 
 TEST_F(SchedTest, SatfRespectsMaxScan) {
-  SatfScheduler sched(/*max_scan=*/1);
+  SatfScheduler sched(SchedulerKind::kSatf, /*max_scan=*/1);
   std::vector<QueuedRequest> q;
   q.push_back(ReqAtCylinder(55));
   q.push_back(ReqAtCylinder(1));
@@ -145,7 +145,7 @@ TEST_F(SchedTest, SatfRespectsMaxScan) {
 }
 
 TEST_F(SchedTest, RsatfChoosesMinimumCostReplica) {
-  RsatfScheduler sched;
+  SatfScheduler sched(SchedulerKind::kRsatf);
   std::vector<QueuedRequest> q;
   QueuedRequest r = ReqAtCylinder(40);
   const uint64_t near_lba = disk_.layout().ToLba(Chs{2, 0, 0});
@@ -185,8 +185,8 @@ TEST_F(SchedTest, RsatfReplicaChoiceReducesPredictedCost) {
   // With evenly spaced replicas the best replica's predicted rotational wait
   // must be at most ~R/2 (two replicas) while a fixed single copy can cost up
   // to a full R.
-  RsatfScheduler rsatf;
-  SatfScheduler satf;
+  SatfScheduler rsatf(SchedulerKind::kRsatf);
+  SatfScheduler satf(SchedulerKind::kSatf);
   double rsatf_total = 0.0;
   double satf_total = 0.0;
   for (uint32_t s = 0; s < 30; s += 3) {
