@@ -65,8 +65,8 @@ Outcome RunArray(const ArrayAspect& aspect, SchedulerKind sched) {
 // capacity fraction is k/(k+m) rather than the mirror's 1/(Dr*Dm); m = 1 is
 // RAID-5. Unlike RunArray's mixed pass, these rigs never set
 // foreground_write_propagation: that knob is mirror-only (delayed replica
-// propagation vs writing all replicas in the foreground) and EcOptions()
-// ignores it — a parity small write always does its full RMW or
+// propagation vs writing all replicas in the foreground) and the erasure
+// branch of MimdRaid::BuildBackend ignores it — a parity small write always does its full RMW or
 // reconstruct-write cycle in the foreground. Setting it here would be dead
 // config implying a comparison knob that doesn't exist.
 Outcome RunErasure(uint32_t parity_shards) {

@@ -55,8 +55,8 @@ Outcome RunRaid10() {
     out.degraded_ms = RunClosedLoopOnArray(array, loop).latency.MeanMs();
     const SimTime start = array.sim().Now();
     SimTime rebuilt(-1);
-    array.controller().RebuildDisk(
-        0, [&](const IoResult& r) { rebuilt = r.completion_us; });
+    array.controller().Rebuild(
+        SlotId(0), [&](const IoResult& r) { rebuilt = r.completion_us; });
     while (rebuilt < SimTime(0)) {
       array.sim().Step();
     }

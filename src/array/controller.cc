@@ -14,46 +14,29 @@ IoStatus Worse(IoStatus a, IoStatus b) {
   return static_cast<uint8_t>(a) >= static_cast<uint8_t>(b) ? a : b;
 }
 
-DriveSetOptions EngineOptions(const ArrayControllerOptions& options) {
-  DriveSetOptions dso;
-  dso.scheduler = options.scheduler;
-  dso.max_scan = options.max_scan;
-  dso.auditor = options.auditor;
-  dso.fault_injector = options.fault_injector;
-  dso.collector = options.collector;
-  dso.retry = options.retry;
-  dso.disk_error_fail_threshold = options.disk_error_fail_threshold;
-  dso.scrub_interval_us = options.scrub_interval_us;
-  dso.scrub_gating = options.scrub_gating;
-  return dso;
-}
 }  // namespace
 
 ArrayController::ArrayController(Simulator* sim, std::vector<SimDisk*> disks,
                                  std::vector<AccessPredictor*> predictors,
                                  const ArrayLayout* layout,
                                  const ArrayControllerOptions& options)
-    : sim_(sim),
+    : ArrayBackend(sim, std::move(disks), std::move(predictors),
+                   options.drives),
+      sim_(sim),
       layout_(layout),
       options_(options),
-      auditor_(options.auditor),
-      collector_(options.collector) {
-  MIMDRAID_CHECK(sim != nullptr);
+      auditor_(options.drives.auditor),
+      collector_(options.drives.collector) {
   MIMDRAID_CHECK(layout != nullptr);
-  MIMDRAID_CHECK_EQ(disks.size(), layout->num_disks());
-  MIMDRAID_CHECK_EQ(predictors.size(), disks.size());
-  const size_t n = disks.size();
+  MIMDRAID_CHECK_EQ(drives().num_slots(), layout->num_disks());
+  const size_t n = drives().num_slots();
   recalibration_events_.resize(n);
-  drives_ = std::make_unique<DriveSet>(sim, std::move(disks),
-                                       std::move(predictors),
-                                       static_cast<DriveSetClient*>(this),
-                                       EngineOptions(options));
   if (options_.recalibration_interval_us > SimDuration(0)) {
     for (size_t i = 0; i < n; ++i) {
       ScheduleRecalibration(static_cast<uint32_t>(i));
     }
   }
-  drives_->StartScrub();
+  StartScrub();
 }
 
 ArrayController::~ArrayController() {
@@ -64,24 +47,23 @@ ArrayController::~ArrayController() {
       MIMDRAID_CHECK(sim_->Cancel(id));
     }
   }
-  StopScrub();
 }
 
 void ArrayController::AuditQuiescent() const {
   if (auditor_ == nullptr) {
     return;
   }
-  auditor_->CheckQuiescent(drives_->TotalFgQueued(),
-                           drives_->TotalDelayedQueued(), nvram_.size(),
+  auditor_->CheckQuiescent(drives().TotalFgQueued(),
+                           drives().TotalDelayedQueued(), nvram_.size(),
                            stale_sectors_.size(), inflight_writes_.size(),
                            parked_.size());
 }
 
 bool ArrayController::Idle() const {
-  if (!ops_.empty() || !parked_.empty() || drives_->pending_recovery() > 0) {
+  if (!ops_.empty() || !parked_.empty() || drives().pending_recovery() > 0) {
     return false;
   }
-  return drives_->AllDrivesQuiet();
+  return drives().AllDrivesQuiet();
 }
 
 void ArrayController::Submit(DiskOp op, uint64_t lba, uint32_t sectors,
@@ -204,7 +186,7 @@ bool ArrayController::SubmitReadFragment(FragState& frag, uint64_t frag_key) {
   for (int m = 0; m < dm; ++m) {
     DiskCandidates dc;
     dc.disk = frag.replicas[static_cast<size_t>(m) * dr].disk;
-    if (drives_->failed(SlotId(dc.disk))) {
+    if (drives().failed(SlotId(dc.disk))) {
       continue;
     }
     for (int r = 0; r < dr; ++r) {
@@ -241,13 +223,13 @@ bool ArrayController::SubmitReadFragment(FragState& frag, uint64_t frag_key) {
     const DiskCandidates* best_idle = nullptr;
     double best_cost = std::numeric_limits<double>::infinity();
     for (const DiskCandidates& dc : candidates) {
-      if (drives_->disk(SlotId(dc.disk))->busy() || !drives_->fg(SlotId(dc.disk)).empty()) {
+      if (drives().disk(SlotId(dc.disk))->busy() || !drives().fg(SlotId(dc.disk)).empty()) {
         continue;
       }
       for (BlockAddr cand : dc.lbas) {
-        const AccessPlan plan = drives_->predictor(SlotId(dc.disk))->Predict(
+        const AccessPlan plan = drives().predictor(SlotId(dc.disk))->Predict(
             sim_->Now(), cand, frag.sectors, /*is_write=*/false);
-        const double cost = drives_->predictor(SlotId(dc.disk))->EffectiveServiceUs(plan);
+        const double cost = drives().predictor(SlotId(dc.disk))->EffectiveServiceUs(plan);
         if (cost < best_cost) {
           best_cost = cost;
           best_idle = &dc;
@@ -267,19 +249,19 @@ bool ArrayController::SubmitReadFragment(FragState& frag, uint64_t frag_key) {
 
   for (const DiskCandidates* dc : targets) {
     QueuedRequest entry;
-    entry.id = drives_->AllocEntryId();
+    entry.id = drives().AllocEntryId();
     entry.op = DiskOp::kRead;
     entry.sectors = frag.sectors;
     entry.candidate_lbas = dc->lbas;
     entry.arrival_us = sim_->Now();
     entry.tag = frag_key;
     frag.queued.emplace_back(dc->disk, entry.id);
-    drives_->EnqueueFg(SlotId(dc->disk), std::move(entry));
+    drives().EnqueueFg(SlotId(dc->disk), std::move(entry));
   }
   // Dispatch after all duplicates are queued so cancellation state is
   // complete before the first pick.
   for (const DiskCandidates* dc : targets) {
-    drives_->MaybeDispatch(SlotId(dc->disk));
+    drives().MaybeDispatch(SlotId(dc->disk));
   }
   return true;
 }
@@ -293,7 +275,7 @@ bool ArrayController::SubmitWriteFragment(FragState& frag, uint64_t frag_key) {
     // replica; the fragment completes when all land.
     uint32_t live = 0;
     for (const ReplicaLocation& loc : frag.replicas) {
-      if (!drives_->failed(SlotId(loc.disk))) {
+      if (!drives().failed(SlotId(loc.disk))) {
         ++live;
       }
     }
@@ -305,21 +287,21 @@ bool ArrayController::SubmitWriteFragment(FragState& frag, uint64_t frag_key) {
     frag.entries_remaining = live;
     std::vector<uint32_t> touched;
     for (const ReplicaLocation& loc : frag.replicas) {
-      if (drives_->failed(SlotId(loc.disk))) {
+      if (drives().failed(SlotId(loc.disk))) {
         continue;
       }
       QueuedRequest entry;
-      entry.id = drives_->AllocEntryId();
+      entry.id = drives().AllocEntryId();
       entry.op = DiskOp::kWrite;
       entry.sectors = frag.sectors;
       entry.candidate_lbas = {BlockAddr(loc.lba)};
       entry.arrival_us = sim_->Now();
       entry.tag = frag_key;
-      drives_->EnqueueFg(SlotId(loc.disk), std::move(entry));
+      drives().EnqueueFg(SlotId(loc.disk), std::move(entry));
       touched.push_back(loc.disk);
     }
     for (uint32_t d : touched) {
-      drives_->MaybeDispatch(SlotId(d));
+      drives().MaybeDispatch(SlotId(d));
     }
     return true;
   }
@@ -331,11 +313,11 @@ bool ArrayController::SubmitWriteFragment(FragState& frag, uint64_t frag_key) {
   std::vector<uint32_t> touched;
   for (int m = 0; m < dm; ++m) {
     const uint32_t disk = frag.replicas[static_cast<size_t>(m) * dr].disk;
-    if (drives_->failed(SlotId(disk))) {
+    if (drives().failed(SlotId(disk))) {
       continue;
     }
     QueuedRequest entry;
-    entry.id = drives_->AllocEntryId();
+    entry.id = drives().AllocEntryId();
     entry.op = DiskOp::kWrite;
     entry.sectors = frag.sectors;
     entry.arrival_us = sim_->Now();
@@ -345,7 +327,7 @@ bool ArrayController::SubmitWriteFragment(FragState& frag, uint64_t frag_key) {
           BlockAddr(frag.replicas[static_cast<size_t>(m) * dr + r].lba));
     }
     frag.queued.emplace_back(disk, entry.id);
-    drives_->EnqueueFg(SlotId(disk), std::move(entry));
+    drives().EnqueueFg(SlotId(disk), std::move(entry));
     touched.push_back(disk);
   }
   if (touched.empty()) {
@@ -353,7 +335,7 @@ bool ArrayController::SubmitWriteFragment(FragState& frag, uint64_t frag_key) {
     return false;
   }
   for (uint32_t d : touched) {
-    drives_->MaybeDispatch(SlotId(d));
+    drives().MaybeDispatch(SlotId(d));
   }
   return true;
 }
@@ -375,9 +357,9 @@ void ArrayController::AuditMappedFragments(
   }
   auditor_->OnArrayMap(lba, sectors, layout_->aspect().dm,
                        layout_->aspect().dr, layout_->num_disks(),
-                       drives_->num_slots() == 0
+                       drives().num_slots() == 0
                            ? 0
-                           : drives_->disk(SlotId(0))->num_sectors(),
+                           : drives().disk(SlotId(0))->num_sectors(),
                        audit_frags);
 }
 
@@ -398,7 +380,7 @@ void ArrayController::CancelSiblings(uint64_t frag_key, uint32_t winner_disk,
     if (disk == winner_disk && entry_id == winner_entry) {
       continue;
     }
-    auto& q = drives_->fg(SlotId(disk));
+    auto& q = drives().fg(SlotId(disk));
     for (size_t i = 0; i < q.size(); ++i) {
       if (q[i].id == entry_id) {
         q.erase(q.begin() + static_cast<ptrdiff_t>(i));
@@ -452,7 +434,7 @@ void ArrayController::OnEntryComplete(SlotId slot,
     }
     ++stats_.maintenance_reads;
     if (auto* hp =
-            dynamic_cast<HeadPositionPredictor*>(drives_->predictor(SlotId(disk)))) {
+            dynamic_cast<HeadPositionPredictor*>(drives().predictor(SlotId(disk)))) {
       hp->AddReferenceObservation(result.completion_us);
     }
     return;
@@ -515,7 +497,7 @@ void ArrayController::CompleteFragment(uint64_t frag_key, FragState& frag,
       }
       for (const ReplicaLocation& loc : frag.replicas) {
         if ((loc.disk == chosen_disk && loc.lba == chosen_lba) ||
-            drives_->failed(SlotId(loc.disk))) {
+            drives().failed(SlotId(loc.disk))) {
           continue;
         }
         AddDelayedWrite(loc.disk, loc.lba, frag.sectors);
@@ -530,7 +512,7 @@ void ArrayController::CompleteFragment(uint64_t frag_key, FragState& frag,
     // rewritten with the data just served from a surviving copy; the drive's
     // firmware remaps the latent sector on write, clearing the error.
     for (const ReplicaLocation& bad : frag.bad_replicas) {
-      if (drives_->failed(SlotId(bad.disk))) {
+      if (drives().failed(SlotId(bad.disk))) {
         continue;
       }
       ++fstats().repairs_queued;
@@ -584,24 +566,11 @@ void ArrayController::CompleteFragmentUnrecoverable(uint64_t frag_key,
 
 // --- Fault recovery -------------------------------------------------------
 
-void ArrayController::ResolveFault(uint64_t entry_id,
-                                   FaultResolution resolution,
-                                   bool target_disk_failed) {
-  if (auditor_ != nullptr) {
-    auditor_->OnFaultResolved(entry_id, resolution, target_disk_failed);
-  }
-}
-
 void ArrayController::NoteOpRecoveryAttempt(uint64_t op_id) {
   auto it = ops_.find(op_id);
   if (it != ops_.end()) {
     ++it->second.recovery_attempts;
   }
-}
-
-void ArrayController::ScheduleRecovery(uint32_t attempt,
-                                       std::function<void()> fn) {
-  drives_->ScheduleRecovery(attempt, std::move(fn));
 }
 
 void ArrayController::HandleEntryFailure(uint32_t disk,
@@ -630,13 +599,13 @@ void ArrayController::HandleReadFailure(uint32_t disk,
 
   // A timeout says nothing about the media; retry in place (bounded, with
   // backoff) before writing the path off.
-  if (result.status == IoStatus::kTimeout && !drives_->failed(SlotId(disk)) &&
-      frag.attempts + 1 < options_.retry.max_attempts) {
+  if (result.status == IoStatus::kTimeout && !drives().failed(SlotId(disk)) &&
+      frag.attempts + 1 < drives().options().retry.max_attempts) {
     ++frag.attempts;
     ++fstats().retries_issued;
-    ResolveFault(entry.id, FaultResolution::kRetried, false);
+    drives().ResolveFault(entry.id, FaultResolution::kRetried, false);
     const uint64_t frag_key = entry.tag;
-    ScheduleRecovery(frag.attempts, [this, frag_key]() {
+    drives().ScheduleRecovery(frag.attempts, [this, frag_key]() {
       auto fit = frags_.find(frag_key);
       if (fit == frags_.end()) {
         return;
@@ -650,7 +619,7 @@ void ArrayController::HandleReadFailure(uint32_t disk,
     // That specific replica is bad: never read it again for this fragment,
     // and rewrite it once a clean copy has been served (CompleteFragment).
     frag.bad_replicas.push_back(ReplicaLocation{disk, chosen_lba});
-  } else if (result.status == IoStatus::kTimeout && !drives_->failed(SlotId(disk))) {
+  } else if (result.status == IoStatus::kTimeout && !drives().failed(SlotId(disk))) {
     // Retries exhausted: treat the whole path as suspect for this fragment.
     for (const ReplicaLocation& loc : frag.replicas) {
       if (loc.disk == disk) {
@@ -662,12 +631,13 @@ void ArrayController::HandleReadFailure(uint32_t disk,
   // disk from candidate sets.
 
   ++fstats().failovers;
-  const bool target_failed = drives_->failed(SlotId(disk));
+  const bool target_failed = drives().failed(SlotId(disk));
   if (SubmitReadFragment(frag, entry.tag)) {
-    ResolveFault(entry.id, FaultResolution::kFailedOver, target_failed);
+    drives().ResolveFault(entry.id, FaultResolution::kFailedOver,
+                          target_failed);
   } else {
     // No live replica remained; the fragment completed as kUnrecoverable.
-    ResolveFault(entry.id, FaultResolution::kSurfaced, target_failed);
+    drives().ResolveFault(entry.id, FaultResolution::kSurfaced, target_failed);
   }
 }
 
@@ -685,12 +655,12 @@ void ArrayController::HandleWriteFailure(uint32_t disk,
   if (!options_.foreground_write_propagation) {
     // First-copy write: duplicates were cancelled at dispatch, so this entry
     // carried the fragment alone.
-    if (drives_->failed(SlotId(disk))) {
+    if (drives().failed(SlotId(disk))) {
       ++fstats().failovers;
       if (SubmitWriteFragment(frag, frag_key)) {
-        ResolveFault(entry.id, FaultResolution::kFailedOver, true);
+        drives().ResolveFault(entry.id, FaultResolution::kFailedOver, true);
       } else {
-        ResolveFault(entry.id, FaultResolution::kSurfaced, true);
+        drives().ResolveFault(entry.id, FaultResolution::kSurfaced, true);
       }
       return;
     }
@@ -699,8 +669,8 @@ void ArrayController::HandleWriteFailure(uint32_t disk,
     // disk itself is declared dead.
     ++frag.attempts;
     ++fstats().retries_issued;
-    ResolveFault(entry.id, FaultResolution::kRetried, false);
-    ScheduleRecovery(frag.attempts, [this, frag_key]() {
+    drives().ResolveFault(entry.id, FaultResolution::kRetried, false);
+    drives().ScheduleRecovery(frag.attempts, [this, frag_key]() {
       auto fit = frags_.find(frag_key);
       if (fit == frags_.end()) {
         return;
@@ -711,32 +681,33 @@ void ArrayController::HandleWriteFailure(uint32_t disk,
   }
 
   // Foreground propagation: each entry is one replica.
-  if (drives_->failed(SlotId(disk))) {
+  if (drives().failed(SlotId(disk))) {
     // This copy is lost; surviving copies carry the fragment. If none
     // succeeded by the time all entries account, the write is unrecoverable.
-    ResolveFault(entry.id, FaultResolution::kAbandoned, true);
+    drives().ResolveFault(entry.id, FaultResolution::kAbandoned, true);
     LoseWriteReplica(frag_key);
     return;
   }
   QueuedRequest retry;
-  retry.id = drives_->AllocEntryId();
+  retry.id = drives().AllocEntryId();
   retry.op = DiskOp::kWrite;
   retry.sectors = entry.sectors;
   retry.candidate_lbas = {BlockAddr(chosen_lba)};
   retry.tag = frag_key;
   retry.attempts = entry.attempts + 1;
   ++fstats().retries_issued;
-  ResolveFault(entry.id, FaultResolution::kRetried, false);
-  ScheduleRecovery(retry.attempts,
-                   [this, disk, retry = std::move(retry)]() mutable {
-                     if (drives_->failed(SlotId(disk))) {
-                       LoseWriteReplica(retry.tag);
-                       return;
-                     }
-                     retry.arrival_us = sim_->Now();
-                     drives_->EnqueueFg(SlotId(disk), std::move(retry));
-                     drives_->MaybeDispatch(SlotId(disk));
-                   });
+  drives().ResolveFault(entry.id, FaultResolution::kRetried, false);
+  const uint32_t attempts = retry.attempts;
+  drives().ScheduleRecovery(
+      attempts, [this, disk, retry = std::move(retry)]() mutable {
+        if (drives().failed(SlotId(disk))) {
+          LoseWriteReplica(retry.tag);
+          return;
+        }
+        retry.arrival_us = sim_->Now();
+        drives().EnqueueFg(SlotId(disk), std::move(retry));
+        drives().MaybeDispatch(SlotId(disk));
+      });
 }
 
 void ArrayController::LoseWriteReplica(uint64_t frag_key) {
@@ -760,7 +731,7 @@ void ArrayController::HandleDelayedFailure(uint32_t disk,
   (void)result;
   const std::optional<uint64_t> owner = nvram_.OwnerOf(disk, chosen_lba);
   const bool is_owner = owner.has_value() && *owner == entry.id;
-  if (drives_->failed(SlotId(disk))) {
+  if (drives().failed(SlotId(disk))) {
     if (is_owner) {
       nvram_.Erase(disk, chosen_lba);
       if (auditor_ != nullptr) {
@@ -771,13 +742,13 @@ void ArrayController::HandleDelayedFailure(uint32_t disk,
       }
     }
     ++fstats().propagations_abandoned;
-    ResolveFault(entry.id, FaultResolution::kAbandoned, true);
+    drives().ResolveFault(entry.id, FaultResolution::kAbandoned, true);
     return;
   }
   if (!is_owner) {
     // A newer write superseded this propagation while it was in flight; the
     // live owner entry will rewrite the location with fresher data.
-    ResolveFault(entry.id, FaultResolution::kRetried, false);
+    drives().ResolveFault(entry.id, FaultResolution::kRetried, false);
     return;
   }
   // Move ownership of the pending propagation to a fresh retry entry. The
@@ -788,19 +759,20 @@ void ArrayController::HandleDelayedFailure(uint32_t disk,
     auditor_->OnNvramErase(disk, chosen_lba);
   }
   ++fstats().retries_issued;
-  ResolveFault(entry.id, FaultResolution::kRetried, false);
+  drives().ResolveFault(entry.id, FaultResolution::kRetried, false);
   const uint32_t attempts = entry.attempts + 1;
   const uint32_t sectors = entry.sectors;
-  ScheduleRecovery(attempts, [this, disk, chosen_lba, sectors, attempts]() {
-    if (drives_->failed(SlotId(disk))) {
-      for (uint32_t s = 0; s < sectors; ++s) {
-        stale_sectors_.erase(ReplicaKey(disk, chosen_lba + s));
-      }
-      ++fstats().propagations_abandoned;
-      return;
-    }
-    AddDelayedWrite(disk, chosen_lba, sectors, attempts);
-  });
+  drives().ScheduleRecovery(
+      attempts, [this, disk, chosen_lba, sectors, attempts]() {
+        if (drives().failed(SlotId(disk))) {
+          for (uint32_t s = 0; s < sectors; ++s) {
+            stale_sectors_.erase(ReplicaKey(disk, chosen_lba + s));
+          }
+          ++fstats().propagations_abandoned;
+          return;
+        }
+        AddDelayedWrite(disk, chosen_lba, sectors, attempts);
+      });
 }
 
 void ArrayController::HandleMaintenanceFailure(uint32_t disk,
@@ -813,7 +785,8 @@ void ArrayController::HandleMaintenanceFailure(uint32_t disk,
     auto fn = std::move(rit->second);
     rebuild_read_done_.erase(rit);
     fn(result);  // restarts the fragment copy with a different source
-    ResolveFault(entry.id, FaultResolution::kFailedOver, drives_->failed(SlotId(disk)));
+    drives().ResolveFault(entry.id, FaultResolution::kFailedOver,
+                          drives().failed(SlotId(disk)));
     return;
   }
   if (auto wit = rebuild_write_done_.find(entry.id);
@@ -821,10 +794,11 @@ void ArrayController::HandleMaintenanceFailure(uint32_t disk,
     auto fn = std::move(wit->second);
     rebuild_write_done_.erase(wit);
     fn(result);  // retries the copy, or records it lost if the target died
-    ResolveFault(entry.id,
-                 drives_->failed(SlotId(disk)) ? FaultResolution::kAbandoned
-                                       : FaultResolution::kRetried,
-                 drives_->failed(SlotId(disk)));
+    const bool target_failed = drives().failed(SlotId(disk));
+    drives().ResolveFault(entry.id,
+                          target_failed ? FaultResolution::kAbandoned
+                                        : FaultResolution::kRetried,
+                          target_failed);
     return;
   }
   if (auto sit = scrub_reads_.find(entry.id); sit != scrub_reads_.end()) {
@@ -835,26 +809,27 @@ void ArrayController::HandleMaintenanceFailure(uint32_t disk,
     // sweep's job is discovery, and discovery is what happened.
     fstats().scrub_sectors_read += target.sectors;
     if (result.status == IoStatus::kMediaError &&
-        !drives_->failed(SlotId(target.disk))) {
+        !drives().failed(SlotId(target.disk))) {
       // Latent sector error caught by the sweep: rewrite the replica with
       // the logically equivalent data the scrubber reads from its siblings
       // in the same pass; the drive remaps the sector on write.
       ++fstats().scrub_repairs;
       ++fstats().repairs_queued;
       AddDelayedWrite(target.disk, target.lba, target.sectors);
-      ResolveFault(entry.id, FaultResolution::kRepaired, false);
-    } else if (drives_->failed(SlotId(target.disk))) {
-      ResolveFault(entry.id, FaultResolution::kAbandoned, true);
+      drives().ResolveFault(entry.id, FaultResolution::kRepaired, false);
+    } else if (drives().failed(SlotId(target.disk))) {
+      drives().ResolveFault(entry.id, FaultResolution::kAbandoned, true);
     } else {
       // Transient noise on a verification read: the next sweep revisits the
       // chunk, so the observation is surfaced (counted) and dropped.
-      ResolveFault(entry.id, FaultResolution::kSurfaced, false);
+      drives().ResolveFault(entry.id, FaultResolution::kSurfaced, false);
     }
     return;
   }
   // Recalibration reference read: nothing to recover — the observation is
   // simply missed and the next timer issues a fresh one.
-  ResolveFault(entry.id, FaultResolution::kSurfaced, drives_->failed(SlotId(disk)));
+  drives().ResolveFault(entry.id, FaultResolution::kSurfaced,
+                        drives().failed(SlotId(disk)));
 }
 
 void ArrayController::OnSlotFailed(SlotId slot) {
@@ -864,73 +839,31 @@ void ArrayController::OnSlotFailed(SlotId slot) {
 }
 
 void ArrayController::AbandonDelayedQueue(uint32_t disk) {
-  std::vector<QueuedRequest> drained = std::move(drives_->delayed(SlotId(disk)));
-  drives_->delayed(SlotId(disk)).clear();
-  for (QueuedRequest& e : drained) {
+  std::vector<QueuedRequest> drained =
+      std::move(drives().delayed(SlotId(disk)));
+  drives().delayed(SlotId(disk)).clear();
+  for (const QueuedRequest& e : drained) {
     if (auditor_ != nullptr) {
       auditor_->OnEntryCancelled(disk, e.id);
     }
-    if (e.maintenance) {
-      // Rebuild copy traffic rides the delayed queues; hand the hooks a
-      // synthetic disk-failed result so the chains reroute or terminate.
-      DiskOpResult dead;
-      dead.status = IoStatus::kDiskFailed;
-      dead.start_us = sim_->Now();
-      dead.completion_us = sim_->Now();
-      if (auto rit = rebuild_read_done_.find(e.id);
-          rit != rebuild_read_done_.end()) {
-        auto fn = std::move(rit->second);
-        rebuild_read_done_.erase(rit);
-        fn(dead);
-      } else if (auto wit = rebuild_write_done_.find(e.id);
-                 wit != rebuild_write_done_.end()) {
-        auto fn = std::move(wit->second);
-        rebuild_write_done_.erase(wit);
-        fn(dead);
-      } else {
-        scrub_reads_.erase(e.id);
-      }
-      continue;
-    }
-    // Pending propagation to a dead disk: meaningless now.
-    if (nvram_.EraseIfOwner(disk, e.candidate_lbas.front().value(), e.id)) {
-      if (auditor_ != nullptr) {
-        auditor_->OnNvramErase(disk, e.candidate_lbas.front().value());
-      }
-    }
-    for (uint32_t s = 0; s < e.sectors; ++s) {
-      stale_sectors_.erase(ReplicaKey(disk, e.candidate_lbas.front().value() + s));
-    }
-    ++fstats().propagations_abandoned;
+    // The delayed queue carries only background entries.
+    MIMDRAID_CHECK(DropDeadSlotEntry(disk, e));
   }
 }
 
 void ArrayController::RerouteQueuedEntries(uint32_t disk) {
-  std::vector<QueuedRequest> moved = std::move(drives_->fg(SlotId(disk)));
-  drives_->fg(SlotId(disk)).clear();
+  std::vector<QueuedRequest> moved = std::move(drives().fg(SlotId(disk)));
+  drives().fg(SlotId(disk)).clear();
   if (collector_ != nullptr && !moved.empty()) {
     collector_->OnQueueDepth(disk, sim_->Now(), 0);
   }
-  for (QueuedRequest& e : moved) {
+  for (const QueuedRequest& e : moved) {
     if (auditor_ != nullptr) {
       auditor_->OnEntryCancelled(disk, e.id);
     }
-    if (e.maintenance) {
-      // Recalibration reads are periodic; the next timer re-issues one.
-      scrub_reads_.erase(e.id);
-      continue;
-    }
-    if (e.delayed) {
-      // Propagation forced into the FG queue by the table limit.
-      if (nvram_.EraseIfOwner(disk, e.candidate_lbas.front().value(), e.id)) {
-        if (auditor_ != nullptr) {
-          auditor_->OnNvramErase(disk, e.candidate_lbas.front().value());
-        }
-      }
-      for (uint32_t s = 0; s < e.sectors; ++s) {
-        stale_sectors_.erase(ReplicaKey(disk, e.candidate_lbas.front().value() + s));
-      }
-      ++fstats().propagations_abandoned;
+    // Background entries land here when the table limit forced them out of
+    // the delayed queue, or (recalibration reads) were queued here directly.
+    if (DropDeadSlotEntry(disk, e)) {
       continue;
     }
     auto fit = frags_.find(e.tag);
@@ -962,6 +895,46 @@ void ArrayController::RerouteQueuedEntries(uint32_t disk) {
   }
 }
 
+bool ArrayController::DropDeadSlotEntry(uint32_t disk,
+                                        const QueuedRequest& entry) {
+  if (entry.maintenance) {
+    // Rebuild copy traffic: hand the hook a synthetic disk-failed result so
+    // the chain reroutes or terminates. Scrub and recalibration reads are
+    // simply dropped; the next sweep or timer re-issues them.
+    DiskOpResult dead;
+    dead.status = IoStatus::kDiskFailed;
+    dead.start_us = sim_->Now();
+    dead.completion_us = sim_->Now();
+    if (auto rit = rebuild_read_done_.find(entry.id);
+        rit != rebuild_read_done_.end()) {
+      auto fn = std::move(rit->second);
+      rebuild_read_done_.erase(rit);
+      fn(dead);
+    } else if (auto wit = rebuild_write_done_.find(entry.id);
+               wit != rebuild_write_done_.end()) {
+      auto fn = std::move(wit->second);
+      rebuild_write_done_.erase(wit);
+      fn(dead);
+    } else {
+      scrub_reads_.erase(entry.id);
+    }
+    return true;
+  }
+  if (!entry.delayed) {
+    return false;
+  }
+  // Pending propagation (or repair rewrite) to a dead disk: meaningless now.
+  const uint64_t lba = entry.candidate_lbas.front().value();
+  if (nvram_.EraseIfOwner(disk, lba, entry.id) && auditor_ != nullptr) {
+    auditor_->OnNvramErase(disk, lba);
+  }
+  for (uint32_t s = 0; s < entry.sectors; ++s) {
+    stale_sectors_.erase(ReplicaKey(disk, lba + s));
+  }
+  ++fstats().propagations_abandoned;
+  return true;
+}
+
 bool ArrayController::SparePromotionAllowed(SlotId slot) {
   (void)slot;
   // An SR-Array column (Dm == 1) has nothing to rebuild a spare from.
@@ -976,7 +949,7 @@ uint64_t ArrayController::UsedSpanSectors(SlotId slot) const {
 }
 
 void ArrayController::OnSparePromoted(SlotId slot) {
-  RebuildDisk(slot.value(), [this](const IoResult& r) {
+  Rebuild(slot, [this](const IoResult& r) {
     if (r.status == IoStatus::kOk) {
       ++fstats().spare_rebuilds_completed;
     }
@@ -998,26 +971,19 @@ void ArrayController::ScrubStep() {
   }
   if (scrub_cursor_ >= dataset) {
     scrub_cursor_ = 0;
-    ++fstats().scrub_sweeps_completed;
-    fstats().scrub_last_sweep_coverage =
-        sweep_sectors_nominal_ == 0
-            ? 0.0
-            : static_cast<double>(sweep_sectors_issued_) /
-                  static_cast<double>(sweep_sectors_nominal_);
-    sweep_sectors_issued_ = 0;
-    sweep_sectors_nominal_ = 0;
+    drives().EndScrubSweep();
   }
   const uint32_t span = static_cast<uint32_t>(std::min<uint64_t>(
       layout_->stripe_unit_sectors(), dataset - scrub_cursor_));
   for (const ArrayFragment& f : layout_->Map(scrub_cursor_, span)) {
     for (const ReplicaLocation& loc : f.replicas) {
-      sweep_sectors_nominal_ += f.sectors;
-      if (drives_->failed(SlotId(loc.disk))) {
+      const bool live = !drives().failed(SlotId(loc.disk));
+      drives().NoteScrubUnit(f.sectors, live);
+      if (!live) {
         continue;
       }
-      sweep_sectors_issued_ += f.sectors;
       QueuedRequest e;
-      e.id = drives_->AllocEntryId();
+      e.id = drives().AllocEntryId();
       e.op = DiskOp::kRead;
       e.sectors = f.sectors;
       e.candidate_lbas = {BlockAddr(loc.lba)};
@@ -1025,8 +991,8 @@ void ArrayController::ScrubStep() {
       e.maintenance = true;
       scrub_reads_[e.id] = ScrubTarget{loc.disk, loc.lba, f.sectors};
       const uint32_t d = loc.disk;
-      drives_->EnqueueDelayed(SlotId(d), std::move(e));
-      drives_->MaybeDispatch(SlotId(d));
+      drives().EnqueueDelayed(SlotId(d), std::move(e));
+      drives().MaybeDispatch(SlotId(d));
     }
   }
   scrub_cursor_ += span;
@@ -1040,7 +1006,7 @@ void ArrayController::AddDelayedWrite(uint32_t disk, uint64_t lba,
     // If the superseded entry is still queued, it simply carries the newer
     // data ("data dies young", Section 3.4) — nothing more to do. If it is
     // already in flight, a fresh propagation must follow it.
-    for (const auto* q : {&drives_->delayed(SlotId(disk)), &drives_->fg(SlotId(disk))}) {
+    for (const auto* q : {&drives().delayed(SlotId(disk)), &drives().fg(SlotId(disk))}) {
       for (const QueuedRequest& e : *q) {
         if (e.id == *existing_owner) {
           return;  // still queued; superseded in place
@@ -1053,7 +1019,7 @@ void ArrayController::AddDelayedWrite(uint32_t disk, uint64_t lba,
     }
   }
   QueuedRequest entry;
-  entry.id = drives_->AllocEntryId();
+  entry.id = drives().AllocEntryId();
   entry.op = DiskOp::kWrite;
   entry.sectors = sectors;
   entry.candidate_lbas = {BlockAddr(lba)};
@@ -1063,7 +1029,7 @@ void ArrayController::AddDelayedWrite(uint32_t disk, uint64_t lba,
   const uint64_t owner_id = entry.id;
   // Queue registration precedes the table insert so the auditor sees the
   // NVRAM entry owned by an already-live delayed entry.
-  drives_->EnqueueDelayed(SlotId(disk), std::move(entry));
+  drives().EnqueueDelayed(SlotId(disk), std::move(entry));
   nvram_.Put(NvramEntry{disk, lba, sectors}, owner_id);
   if (auditor_ != nullptr) {
     auditor_->OnNvramPut(disk, lba, owner_id);
@@ -1071,7 +1037,7 @@ void ArrayController::AddDelayedWrite(uint32_t disk, uint64_t lba,
   for (uint32_t s = 0; s < sectors; ++s) {
     stale_sectors_.insert(ReplicaKey(disk, lba + s));
   }
-  drives_->MaybeDispatch(SlotId(disk));
+  drives().MaybeDispatch(SlotId(disk));
 }
 
 void ArrayController::CancelPendingDelayed(uint32_t disk, uint64_t lba) {
@@ -1086,7 +1052,7 @@ void ArrayController::CancelPendingDelayed(uint32_t disk, uint64_t lba) {
   }
   ++stats_.delayed_writes_discarded;
   // The entry may sit in the delayed queue or (if forced out) the FG queue.
-  for (auto* q : {&drives_->delayed(SlotId(disk)), &drives_->fg(SlotId(disk))}) {
+  for (auto* q : {&drives().delayed(SlotId(disk)), &drives().fg(SlotId(disk))}) {
     for (size_t i = 0; i < q->size(); ++i) {
       if ((*q)[i].id == *owner) {
         for (uint32_t s = 0; s < (*q)[i].sectors; ++s) {
@@ -1112,28 +1078,28 @@ void ArrayController::EnforceDelayedTableLimit() {
     // Force the oldest still-queued delayed write into its FG queue.
     uint32_t best_disk = 0;
     uint64_t best_id = UINT64_MAX;
-    for (uint32_t d = 0; d < drives_->num_slots(); ++d) {
-      if (!drives_->delayed(SlotId(d)).empty() &&
-          drives_->delayed(SlotId(d)).front().id < best_id) {
-        best_id = drives_->delayed(SlotId(d)).front().id;
+    for (uint32_t d = 0; d < drives().num_slots(); ++d) {
+      if (!drives().delayed(SlotId(d)).empty() &&
+          drives().delayed(SlotId(d)).front().id < best_id) {
+        best_id = drives().delayed(SlotId(d)).front().id;
         best_disk = d;
       }
     }
     if (best_id == UINT64_MAX) {
       return;  // everything pending is already in flight or forced
     }
-    QueuedRequest entry = std::move(drives_->delayed(SlotId(best_disk)).front());
-    drives_->delayed(SlotId(best_disk)).erase(drives_->delayed(SlotId(best_disk)).begin());
-    drives_->fg(SlotId(best_disk)).push_back(std::move(entry));
+    QueuedRequest entry = std::move(drives().delayed(SlotId(best_disk)).front());
+    drives().delayed(SlotId(best_disk)).erase(drives().delayed(SlotId(best_disk)).begin());
+    drives().fg(SlotId(best_disk)).push_back(std::move(entry));
     ++stats_.delayed_writes_forced;
-    drives_->MaybeDispatch(SlotId(best_disk));
+    drives().MaybeDispatch(SlotId(best_disk));
   }
 }
 
 void ArrayController::RestorePropagations(
     const std::vector<NvramEntry>& entries) {
   for (const NvramEntry& e : entries) {
-    MIMDRAID_CHECK_LT(e.disk, drives_->num_slots());
+    MIMDRAID_CHECK_LT(e.disk, drives().num_slots());
     AddDelayedWrite(e.disk, e.lba, e.sectors);
   }
   EnforceDelayedTableLimit();
@@ -1185,26 +1151,26 @@ void ArrayController::WakeParked() {
 
 bool ArrayController::FailDisk(SlotId slot) {
   const uint32_t disk = slot.value();
-  MIMDRAID_CHECK_LT(disk, drives_->num_slots());
-  MIMDRAID_CHECK(!drives_->failed(SlotId(disk)));
-  MIMDRAID_CHECK(!drives_->disk(SlotId(disk))->busy());
-  MIMDRAID_CHECK(drives_->fg(SlotId(disk)).empty());
+  MIMDRAID_CHECK_LT(disk, drives().num_slots());
+  MIMDRAID_CHECK(!drives().failed(SlotId(disk)));
+  MIMDRAID_CHECK(!drives().disk(SlotId(disk))->busy());
+  MIMDRAID_CHECK(drives().fg(SlotId(disk)).empty());
   if (layout_->aspect().dm < 2) {
     // An SR-Array/stripe column has no cross-disk copy: losing the disk
     // loses data (the paper's Section 2.5 reliability tradeoff).
     return false;
   }
-  drives_->MarkFailed(SlotId(disk));
+  drives().MarkFailed(SlotId(disk));
   // Pending propagations to the failed disk are meaningless now.
   AbandonDelayedQueue(disk);
   return true;
 }
 
-void ArrayController::RebuildDisk(uint32_t disk, DoneFn done) {
-  MIMDRAID_CHECK(drives_->failed(SlotId(disk)));
+void ArrayController::Rebuild(SlotId disk, DoneFn done) {
+  MIMDRAID_CHECK(drives().failed(disk));
   MIMDRAID_CHECK_GE(layout_->aspect().dm, 2);
-  drives_->MarkReplaced(SlotId(disk));  // replacement drive in the slot
-  RebuildNextFragment(disk, 0, std::move(done));
+  drives().MarkReplaced(disk);  // replacement drive in the slot
+  RebuildNextFragment(disk.value(), 0, std::move(done));
 }
 
 void ArrayController::RebuildNextFragment(uint32_t disk, uint64_t next_lba,
@@ -1212,7 +1178,7 @@ void ArrayController::RebuildNextFragment(uint32_t disk, uint64_t next_lba,
   // Stream the dataset fragment by fragment; for each fragment with replicas
   // on `disk`, read a surviving copy and rewrite this disk's copies. The copy
   // traffic rides the delayed queues, yielding to foreground work.
-  if (drives_->failed(SlotId(disk))) {
+  if (drives().failed(SlotId(disk))) {
     // The replacement itself died mid-rebuild; abort the stream.
     if (done) {
       done(IoResult{IoStatus::kDiskFailed, sim_->Now(), 0});
@@ -1231,7 +1197,7 @@ void ArrayController::RebuildNextFragment(uint32_t disk, uint64_t next_lba,
       for (const ReplicaLocation& loc : f.replicas) {
         if (loc.disk == disk) {
           targets.push_back(loc);
-        } else if (source == nullptr && !drives_->failed(SlotId(loc.disk)) &&
+        } else if (source == nullptr && !drives().failed(SlotId(loc.disk)) &&
                    !bad_sources_.contains(ReplicaKey(loc.disk, loc.lba))) {
           source = &loc;
         }
@@ -1252,7 +1218,7 @@ void ArrayController::RebuildNextFragment(uint32_t disk, uint64_t next_lba,
       const uint64_t source_lba = source->lba;
 
       QueuedRequest read_entry;
-      read_entry.id = drives_->AllocEntryId();
+      read_entry.id = drives().AllocEntryId();
       read_entry.op = DiskOp::kRead;
       read_entry.sectors = len;
       read_entry.candidate_lbas = {BlockAddr(source_lba)};
@@ -1266,7 +1232,7 @@ void ArrayController::RebuildNextFragment(uint32_t disk, uint64_t next_lba,
                 // The source replica is bad: exclude it from future sourcing
                 // and rewrite it from whichever copy the restart picks.
                 bad_sources_.insert(ReplicaKey(source_disk, source_lba));
-                if (!drives_->failed(SlotId(source_disk))) {
+                if (!drives().failed(SlotId(source_disk))) {
                   ++fstats().repairs_queued;
                   AddDelayedWrite(source_disk, source_lba, len);
                 }
@@ -1280,8 +1246,8 @@ void ArrayController::RebuildNextFragment(uint32_t disk, uint64_t next_lba,
               EnqueueRebuildWrite(loc, len, writes_left, disk, resume, done);
             }
           };
-      drives_->EnqueueDelayed(SlotId(source_disk), std::move(read_entry));
-      drives_->MaybeDispatch(SlotId(source_disk));
+      drives().EnqueueDelayed(SlotId(source_disk), std::move(read_entry));
+      drives().MaybeDispatch(SlotId(source_disk));
       return;  // continue from the completion callbacks
     }
     lba += span;
@@ -1295,7 +1261,7 @@ void ArrayController::EnqueueRebuildWrite(ReplicaLocation loc, uint32_t len,
                                           std::shared_ptr<size_t> writes_left,
                                           uint32_t rebuild_disk,
                                           uint64_t resume, DoneFn done) {
-  if (drives_->failed(SlotId(loc.disk))) {
+  if (drives().failed(SlotId(loc.disk))) {
     // The target slot died between sourcing the copy and issuing the write;
     // an entry queued to a failed disk would never dispatch. The fragment is
     // lost and the stream advances (RebuildNextFragment aborts the rebuild
@@ -1307,7 +1273,7 @@ void ArrayController::EnqueueRebuildWrite(ReplicaLocation loc, uint32_t len,
     return;
   }
   QueuedRequest w;
-  w.id = drives_->AllocEntryId();
+  w.id = drives().AllocEntryId();
   w.op = DiskOp::kWrite;
   w.sectors = len;
   w.candidate_lbas = {BlockAddr(loc.lba)};
@@ -1315,13 +1281,13 @@ void ArrayController::EnqueueRebuildWrite(ReplicaLocation loc, uint32_t len,
   w.maintenance = true;
   rebuild_write_done_[w.id] = [this, loc, len, writes_left, rebuild_disk,
                                resume, done](const DiskOpResult& r) mutable {
-    if (r.status != IoStatus::kOk && !drives_->failed(SlotId(loc.disk))) {
+    if (r.status != IoStatus::kOk && !drives().failed(SlotId(loc.disk))) {
       // Transient failure of the copy write: retry after backoff. The write
       // itself repairs any latent error at the target (firmware remap).
       ++fstats().retries_issued;
-      ScheduleRecovery(1, [this, loc, len, writes_left, rebuild_disk, resume,
-                           done]() mutable {
-        if (drives_->failed(SlotId(loc.disk))) {
+      drives().ScheduleRecovery(1, [this, loc, len, writes_left, rebuild_disk,
+                                    resume, done]() mutable {
+        if (drives().failed(SlotId(loc.disk))) {
           ++fstats().rebuild_fragments_lost;
           if (--*writes_left == 0) {
             RebuildNextFragment(rebuild_disk, resume, std::move(done));
@@ -1342,24 +1308,24 @@ void ArrayController::EnqueueRebuildWrite(ReplicaLocation loc, uint32_t len,
       RebuildNextFragment(rebuild_disk, resume, std::move(done));
     }
   };
-  drives_->EnqueueDelayed(SlotId(loc.disk), std::move(w));
-  drives_->MaybeDispatch(SlotId(loc.disk));
+  drives().EnqueueDelayed(SlotId(loc.disk), std::move(w));
+  drives().MaybeDispatch(SlotId(loc.disk));
 }
 
 void ArrayController::ScheduleRecalibration(uint32_t disk) {
   recalibration_events_[disk] =
       sim_->ScheduleAfter(options_.recalibration_interval_us, [this, disk]() {
-    auto* hp = dynamic_cast<HeadPositionPredictor*>(drives_->predictor(SlotId(disk)));
+    auto* hp = dynamic_cast<HeadPositionPredictor*>(drives().predictor(SlotId(disk)));
     if (hp != nullptr) {
       QueuedRequest entry;
-      entry.id = drives_->AllocEntryId();
+      entry.id = drives().AllocEntryId();
       entry.op = DiskOp::kRead;
       entry.sectors = 1;
       entry.candidate_lbas = {BlockAddr(hp->reference_lba())};
       entry.arrival_us = sim_->Now();
       entry.maintenance = true;
-      drives_->EnqueueFg(SlotId(disk), std::move(entry));
-      drives_->MaybeDispatch(SlotId(disk));
+      drives().EnqueueFg(SlotId(disk), std::move(entry));
+      drives().MaybeDispatch(SlotId(disk));
     }
     ScheduleRecalibration(disk);
   });
@@ -1379,7 +1345,7 @@ bool ArrayController::ReplicaIsStale(uint32_t disk, uint64_t lba,
 }
 
 void ArrayController::ExportStats(StatsRegistry* registry) const {
-  ExportFaultStats(drives_->fstats(), registry);
+  ExportFaultStats(fault_stats(), registry);
   registry->Set("array.reads_completed",
                 static_cast<double>(stats_.reads_completed));
   registry->Set("array.writes_completed",

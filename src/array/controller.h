@@ -7,9 +7,9 @@
 //
 // The per-drive machinery — scheduler queues, the dispatch loop, fault
 // counting, auto-fail, hot-spare promotion, the scrub timer, observer
-// wiring — lives in the shared DriveSet engine (src/io/drive_set.h); this
-// class is the mirror *policy* over that engine and one of the two
-// ArrayBackend implementations.
+// wiring — lives in the shared DriveSet engine (src/io/drive_set.h) that
+// ArrayBackend owns; this class is the mirror *policy* over that engine and
+// one of the two ArrayBackend implementations.
 #ifndef MIMDRAID_SRC_ARRAY_CONTROLLER_H_
 #define MIMDRAID_SRC_ARRAY_CONTROLLER_H_
 
@@ -38,9 +38,9 @@
 namespace mimdraid {
 
 struct ArrayControllerOptions {
-  SchedulerKind scheduler = SchedulerKind::kRsatf;
-  // Cap on SATF-class scan depth per dispatch (0 = whole queue).
-  size_t max_scan = 0;
+  // The drive-pool engine's settings (scheduler, observers, retry, auto-fail,
+  // scrub); the mirror schedules with RSATF unless told otherwise.
+  DriveSetOptions drives{.scheduler = SchedulerKind::kRsatf};
   // NVRAM delayed-write metadata table capacity; above this, pending delayed
   // writes are forced into the foreground queues (Section 3.4).
   size_t delayed_table_limit = 10'000;
@@ -52,44 +52,6 @@ struct ArrayControllerOptions {
   // mode of Figures 5 and 13). When false, the write completes after the
   // first copy; the rest propagate in the background.
   bool foreground_write_propagation = false;
-  // Debug tripwire: when set, the controller wires this runtime
-  // invariant auditor into the simulator, every disk, and every per-drive
-  // scheduler, and reports queue/replica/NVRAM transitions to it (see
-  // src/sim/auditor.h). Borrowed; must outlive the controller. Auditing
-  // observes without altering any scheduling decision, so measured results
-  // are unchanged.
-  InvariantAuditor* auditor = nullptr;
-  // Fault injection: when set, the controller wires the injector into every
-  // disk (and into promoted spares) and runs its recovery machinery against
-  // the faults the disks report. Borrowed; must outlive the controller.
-  FaultInjector* fault_injector = nullptr;
-  // Observability: when set, the controller wires the collector into every
-  // disk (and every promoted spare) and reports the request lifecycle to it
-  // (arrival, completion with the final-leg service decomposition, queue
-  // depth, dispatch prediction error). Borrowed; must outlive the
-  // controller. Like the auditor, the collector only observes — attaching it
-  // changes no scheduling or recovery decision.
-  TraceCollector* collector = nullptr;
-  // Bounded-retry policy for foreground reads that fail with a transient
-  // status (timeouts). Writes and background propagations retry without an
-  // attempt bound: they carry data that exists nowhere else yet, so the only
-  // legal terminal states are "landed" and "target disk failed".
-  RetryPolicy retry;
-  // Consecutive-error budget per disk before the controller declares the
-  // drive failed and promotes a hot spare (0 = never auto-fail on errors;
-  // an explicit kDiskFailed status always auto-fails).
-  uint32_t disk_error_fail_threshold = 0;
-  // Period of the background scrubber (0 = off). Each tick that finds the
-  // array otherwise idle reads every live replica of the next chunk of the
-  // logical space; a media error triggers a repair-rewrite from a surviving
-  // copy. Idle-gating is the rate limit: scrubbing never competes with
-  // foreground work.
-  SimDuration scrub_interval_us;
-  // Whether scrub ticks defer to foreground activity (historical default) or
-  // fire on every period regardless of engine load (fixed-period policy for
-  // reliability studies). The policy-level gate (no logical ops, no rebuild)
-  // applies under both modes.
-  ScrubGating scrub_gating = ScrubGating::kIdleGated;
 };
 
 struct ArrayStats {
@@ -106,23 +68,14 @@ struct ArrayStats {
   uint64_t stale_fallback_reads = 0;
 };
 
-class ArrayController : public ArrayBackend, private DriveSetClient {
+class ArrayController : public ArrayBackend {
  public:
-  // Completion carries a full IoResult: kOk, or kUnrecoverable when every
-  // recovery avenue (retry, replica failover, repair) is exhausted. The
-  // intermediate statuses (kMediaError/kTimeout/kDiskFailed) are absorbed by
-  // the recovery machinery and never surface here.
-  using DoneFn = ArrayBackend::DoneFn;
-
   // `disks` and `predictors` are parallel arrays of size
   // layout->num_disks(); the controller borrows them.
   ArrayController(Simulator* sim, std::vector<SimDisk*> disks,
                   std::vector<AccessPredictor*> predictors,
                   const ArrayLayout* layout,
                   const ArrayControllerOptions& options);
-
-  ArrayController(const ArrayController&) = delete;
-  ArrayController& operator=(const ArrayController&) = delete;
 
   // Cancels pending maintenance timers. The controller must be idle (no
   // in-flight disk operation holds a completion callback into it).
@@ -140,7 +93,7 @@ class ArrayController : public ArrayBackend, private DriveSetClient {
 
   // Outstanding foreground entries across all drive queues (dispatched
   // requests excluded).
-  size_t TotalQueued() const { return drives_->TotalFgQueued(); }
+  size_t TotalQueued() const { return drives().TotalFgQueued(); }
   // Pending background replica propagations (the NVRAM table occupancy).
   size_t DelayedBacklog() const { return nvram_.size(); }
   // The delayed-write metadata table (what NVRAM preserves across a crash).
@@ -150,7 +103,7 @@ class ArrayController : public ArrayBackend, private DriveSetClient {
   // controller before offering load.
   void RestorePropagations(const std::vector<NvramEntry>& entries);
   size_t QueueDepth(uint32_t disk) const {
-    return drives_->fg(SlotId(disk)).size();
+    return drives().fg(SlotId(disk)).size();
   }
   bool Idle() const override;
 
@@ -166,47 +119,17 @@ class ArrayController : public ArrayBackend, private DriveSetClient {
   // column has no cross-disk copy — data loss). The array must be quiescent
   // on that disk (no in-flight command).
   bool FailDisk(SlotId disk) override;
-  bool IsFailed(SlotId disk) const override { return drives_->failed(disk); }
   // Re-populates a replaced disk from its mirror twins, fragment stream by
   // fragment stream; `done` fires when redundancy is restored. Requires
   // Dm >= 2.
-  void RebuildDisk(uint32_t disk, DoneFn done);
-  void Rebuild(SlotId disk, DoneFn done) override {
-    RebuildDisk(disk.value(), std::move(done));
-  }
+  void Rebuild(SlotId disk, DoneFn done) override;
   uint64_t rebuild_copied_fragments() const { return rebuild_copied_; }
   bool RebuildInProgress() const override {
     return !rebuild_read_done_.empty() || !rebuild_write_done_.empty();
   }
 
-  // --- Hot spares and fault recovery. ---
-  // Registers a standby drive (and its predictor) the controller may promote
-  // into a failed slot. Borrowed; must outlive the controller. The spare is
-  // wired to the auditor/injector only on promotion.
-  void AddSpare(SimDisk* disk, AccessPredictor* predictor) override {
-    drives_->AddSpare(disk, predictor);
-  }
-  size_t spares_available() const override {
-    return drives_->spares_available();
-  }
-  const FaultRecoveryStats& fault_stats() const override {
-    return drives_->fstats();
-  }
-  uint64_t disk_error_count(uint32_t disk) const {
-    return drives_->error_count(SlotId(disk));
-  }
-
   // Publishes "fault.*" and "array.*" counters.
   void ExportStats(StatsRegistry* registry) const override;
-
-  // Cancels the periodic scrub timer (in-flight scrub reads drain normally).
-  // Call before draining to quiescence; the destructor also cancels it.
-  void StopScrub() override { drives_->StopScrub(); }
-  // Re-arms the timer; the next step resumes from scrub_cursor_ as it stood.
-  void StartScrub() override { drives_->StartScrub(); }
-  uint64_t scrub_sweeps_completed() const {
-    return drives_->fstats().scrub_sweeps_completed;
-  }
 
  private:
   struct FragState {
@@ -312,30 +235,25 @@ class ArrayController : public ArrayBackend, private DriveSetClient {
   void HandleMaintenanceFailure(uint32_t disk, const QueuedRequest& entry,
                                 uint64_t chosen_lba,
                                 const DiskOpResult& result);
-  void ResolveFault(uint64_t entry_id, FaultResolution resolution,
-                    bool target_disk_failed);
   void AbandonDelayedQueue(uint32_t disk);
   void RerouteQueuedEntries(uint32_t disk);
-  // Schedules `fn` after the retry backoff for `attempt`; Idle() stays false
-  // until every such recovery event has fired.
-  void ScheduleRecovery(uint32_t attempt, std::function<void()> fn);
+  // Disposes of a background entry (propagation, rebuild copy, scrub or
+  // recalibration read) that was queued on `disk` when the slot failed:
+  // rebuild hooks get a synthetic kDiskFailed result so their chains reroute
+  // or end, propagations are abandoned. Returns false for a foreground
+  // fragment entry, which the caller must reroute.
+  bool DropDeadSlotEntry(uint32_t disk, const QueuedRequest& entry);
   void NoteOpRecoveryAttempt(uint64_t op_id);
   void CompleteFragmentUnrecoverable(uint64_t frag_key, FragState& frag);
   // A foreground-propagation replica write was lost (its disk failed);
   // accounts it and completes the fragment when all entries are in.
   void LoseWriteReplica(uint64_t frag_key);
 
-  FaultRecoveryStats& fstats() { return drives_->fstats(); }
-
   Simulator* sim_;
   const ArrayLayout* layout_;
   ArrayControllerOptions options_;
   InvariantAuditor* auditor_ = nullptr;
   TraceCollector* collector_ = nullptr;
-
-  // The shared drive-pool engine: queues, dispatch, fault counting,
-  // auto-fail, spares, the scrub timer. Constructed in the ctor body.
-  std::unique_ptr<DriveSet> drives_;
 
   std::vector<EventId> recalibration_events_;
 
@@ -368,11 +286,6 @@ class ArrayController : public ArrayBackend, private DriveSetClient {
 
   // --- Background scrubbing state ---
   uint64_t scrub_cursor_ = 0;  // next logical LBA to sweep
-  // Per-sweep coverage tallies: sectors of scrub reads issued this sweep vs.
-  // what a fully-live array would have issued over the same logical span.
-  // Their ratio lands in fstats().scrub_last_sweep_coverage at sweep wrap.
-  uint64_t sweep_sectors_issued_ = 0;
-  uint64_t sweep_sectors_nominal_ = 0;
   // In-flight scrub reads: entry id -> target replica.
   struct ScrubTarget {
     uint32_t disk = 0;

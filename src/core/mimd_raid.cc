@@ -57,15 +57,15 @@ MimdRaid::MimdRaid(const MimdRaidOptions& options) : options_(options) {
   }
 
   if (options_.use_oracle_predictor) {
-    double slack = options_.oracle_slack_us;
-    if (slack < 0.0) {
-      bool noisy = false;
-      for (const DriveParams& g : options_.fleet.generations) {
-        noisy = noisy || g.noise.overhead_stddev_us > 0.0 ||
-                g.noise.hiccup_prob > 0.0;
-      }
-      slack = noisy ? 450.0 : 0.0;
+    // Noisy drives hide part of each request's overhead from the oracle;
+    // 450 us of slack keeps the on-target rate up. Noise-free drives need
+    // none.
+    bool noisy = false;
+    for (const DriveParams& g : options_.fleet.generations) {
+      noisy = noisy || g.noise.overhead_stddev_us > 0.0 ||
+              g.noise.hiccup_prob > 0.0;
     }
+    const double slack = noisy ? 450.0 : 0.0;
     for (auto& disk : disks_) {
       predictors_.push_back(
           std::make_unique<OraclePredictor>(disk.get(), slack));
@@ -135,6 +135,17 @@ void MimdRaid::BuildBackend() {
     disk_ptrs.push_back(disks_[i].get());
     pred_ptrs.push_back(predictors_[i].get());
   }
+  const DriveSetOptions drives{
+      .scheduler = options_.scheduler,
+      .max_scan = options_.max_scan,
+      .auditor = options_.auditor,
+      .fault_injector = injector_.get(),
+      .collector = options_.collector,
+      .retry = options_.retry,
+      .disk_error_fail_threshold = options_.disk_error_fail_threshold,
+      .scrub_interval_us = options_.scrub_interval_us,
+      .scrub_gating = options_.scrub_gating,
+  };
   if (options_.backend == ArrayBackendKind::kMirror) {
     // Every slot maps through its own drive's layout; mixed generations get
     // capacity-weighted striping, identical drives exact round-robin.
@@ -149,7 +160,13 @@ void MimdRaid::BuildBackend() {
         options_.placement_mode);
     controller_ = std::make_unique<ArrayController>(
         &sim_, std::move(disk_ptrs), std::move(pred_ptrs), layout_.get(),
-        ControllerOptions());
+        ArrayControllerOptions{
+            .drives = drives,
+            .delayed_table_limit = options_.delayed_table_limit,
+            .recalibration_interval_us = options_.recalibration_interval_us,
+            .foreground_write_propagation =
+                options_.foreground_write_propagation,
+        });
     backend_ = controller_.get();
   } else {
     const uint32_t n = static_cast<uint32_t>(disks_.size());
@@ -177,43 +194,12 @@ void MimdRaid::BuildBackend() {
     ec_codec_ = std::make_unique<EcCodec>(k, m);
     ec_ = std::make_unique<EcController>(
         &sim_, std::move(disk_ptrs), std::move(pred_ptrs), ec_layout_.get(),
-        ec_codec_.get(), EcOptions());
+        ec_codec_.get(), drives);
     backend_ = ec_.get();
   }
   for (size_t i = 0; i < spare_disks_.size(); ++i) {
     backend_->AddSpare(spare_disks_[i].get(), spare_predictors_[i].get());
   }
-}
-
-ArrayControllerOptions MimdRaid::ControllerOptions() const {
-  ArrayControllerOptions copts;
-  copts.scheduler = options_.scheduler;
-  copts.max_scan = options_.max_scan;
-  copts.delayed_table_limit = options_.delayed_table_limit;
-  copts.recalibration_interval_us = options_.recalibration_interval_us;
-  copts.foreground_write_propagation = options_.foreground_write_propagation;
-  copts.fault_injector = injector_.get();
-  copts.retry = options_.retry;
-  copts.disk_error_fail_threshold = options_.disk_error_fail_threshold;
-  copts.scrub_interval_us = options_.scrub_interval_us;
-  copts.scrub_gating = options_.scrub_gating;
-  copts.collector = options_.collector;
-  copts.auditor = options_.auditor;
-  return copts;
-}
-
-EcControllerOptions MimdRaid::EcOptions() const {
-  EcControllerOptions eopts;
-  eopts.scheduler = options_.scheduler;
-  eopts.max_scan = options_.max_scan;
-  eopts.auditor = options_.auditor;
-  eopts.fault_injector = injector_.get();
-  eopts.collector = options_.collector;
-  eopts.retry = options_.retry;
-  eopts.disk_error_fail_threshold = options_.disk_error_fail_threshold;
-  eopts.scrub_interval_us = options_.scrub_interval_us;
-  eopts.scrub_gating = options_.scrub_gating;
-  return eopts;
 }
 
 void MimdRaid::Reshape(const ArrayAspect& aspect, SimDuration migration_us) {

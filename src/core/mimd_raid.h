@@ -70,8 +70,9 @@ struct MimdRaidOptions {
   // is the right choice for macro experiments (the paper validated that its
   // software predictor matches; Table 2 re-establishes that here). Setting
   // use_oracle_predictor = false runs the full software calibration path.
+  // The oracle runs with 450 us of slack when any drive generation is noisy,
+  // and none otherwise.
   bool use_oracle_predictor = true;
-  double oracle_slack_us = -1.0;  // <0: auto (0 for noise-free disks)
   CalibrationOptions calibration;
   SlackFeedbackOptions slack;  // software-predictor slack policy
 
@@ -153,8 +154,6 @@ class MimdRaid {
   void Reshape(const ArrayAspect& aspect, SimDuration migration_us);
 
  private:
-  ArrayControllerOptions ControllerOptions() const;
-  EcControllerOptions EcOptions() const;
   // (Re)creates the configured backend over disks_/predictors_ and registers
   // the hot spares with it.
   void BuildBackend();

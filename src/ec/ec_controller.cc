@@ -14,70 +14,47 @@ namespace {
 IoStatus Worse(IoStatus a, IoStatus b) {
   return static_cast<int>(a) >= static_cast<int>(b) ? a : b;
 }
-
-DriveSetOptions EngineOptions(const EcControllerOptions& options) {
-  DriveSetOptions engine;
-  engine.scheduler = options.scheduler;
-  engine.max_scan = options.max_scan;
-  engine.auditor = options.auditor;
-  engine.fault_injector = options.fault_injector;
-  engine.collector = options.collector;
-  engine.retry = options.retry;
-  engine.disk_error_fail_threshold = options.disk_error_fail_threshold;
-  engine.scrub_interval_us = options.scrub_interval_us;
-  engine.scrub_gating = options.scrub_gating;
-  return engine;
-}
-
 }  // namespace
 
 EcController::EcController(Simulator* sim, std::vector<SimDisk*> disks,
                            std::vector<AccessPredictor*> predictors,
                            const EcLayout* layout, const EcCodec* codec,
-                           const EcControllerOptions& options)
-    : sim_(sim),
+                           const DriveSetOptions& options)
+    : ArrayBackend(sim, std::move(disks), std::move(predictors), options),
+      sim_(sim),
       layout_(layout),
       codec_(codec),
-      options_(options),
       auditor_(options.auditor),
       collector_(options.collector) {
-  MIMDRAID_CHECK(sim != nullptr);
   MIMDRAID_CHECK(layout != nullptr);
   MIMDRAID_CHECK(codec != nullptr);
-  MIMDRAID_CHECK_EQ(disks.size(), layout->num_disks());
-  MIMDRAID_CHECK_EQ(predictors.size(), disks.size());
+  MIMDRAID_CHECK_EQ(drives().num_slots(), layout->num_disks());
   MIMDRAID_CHECK_EQ(codec->n(), layout->num_disks());
   MIMDRAID_CHECK_EQ(codec->k(), layout->data_shards());
-  drives_ = std::make_unique<DriveSet>(sim, std::move(disks),
-                                       std::move(predictors),
-                                       static_cast<DriveSetClient*>(this),
-                                       EngineOptions(options));
-  drives_->StartScrub();
+  StartScrub();
 }
-
-EcController::~EcController() = default;
 
 bool EcController::Idle() const {
   if (!ops_.empty() || rebuilding_disk_ >= 0 || !rebuild_queue_.empty() ||
-      drives_->pending_recovery() > 0) {
+      drives().pending_recovery() > 0) {
     return false;
   }
-  return drives_->AllDrivesQuiet();
+  return drives().AllDrivesQuiet();
 }
 
 void EcController::AuditQuiescent() const {
   if (auditor_ == nullptr) {
     return;
   }
-  auditor_->CheckQuiescent(drives_->TotalFgQueued(),
-                           drives_->TotalDelayedQueued(),
+  auditor_->CheckQuiescent(drives().TotalFgQueued(),
+                           drives().TotalDelayedQueued(),
                            /*nvram_entries=*/0, /*stale_sectors=*/0,
                            /*inflight_writes=*/0, /*parked_requests=*/0);
 }
 
 void EcController::ExportStats(StatsRegistry* registry) const {
   MIMDRAID_CHECK(registry != nullptr);
-  ExportFaultStats(drives_->fstats(), registry);
+  ExportFaultStats(fault_stats(), registry);
   registry->Set("ec.reads_completed",
                 static_cast<double>(stats_.reads_completed));
   registry->Set("ec.writes_completed",
@@ -93,15 +70,15 @@ void EcController::ExportStats(StatsRegistry* registry) const {
 }
 
 bool EcController::FailDisk(SlotId disk) {
-  MIMDRAID_CHECK_LT(disk.value(), drives_->num_slots());
-  if (drives_->failed(disk)) {
+  MIMDRAID_CHECK_LT(disk.value(), drives().num_slots());
+  if (drives().failed(disk)) {
     return true;
   }
-  drives_->MarkFailed(disk);
-  if (drives_->fault_injector() != nullptr) {
-    drives_->fault_injector()->FailStop(disk.value());
+  drives().MarkFailed(disk);
+  if (drives().fault_injector() != nullptr) {
+    drives().fault_injector()->FailStop(disk.value());
   }
-  drives_->FailQueuedCommands(disk);
+  drives().FailQueuedCommands(disk);
   return true;
 }
 
@@ -116,13 +93,7 @@ void EcController::OnEntryComplete(SlotId /*disk*/,
 }
 
 void EcController::OnSlotFailed(SlotId disk) {
-  drives_->FailQueuedCommands(disk);
-}
-
-bool EcController::SparePromotionAllowed(SlotId /*disk*/) {
-  // Always: a promotion while another slot is rebuilding queues behind it
-  // (the slot stays marked failed until its own pass starts).
-  return true;
+  drives().FailQueuedCommands(disk);
 }
 
 uint64_t EcController::UsedSpanSectors(SlotId /*disk*/) const {
@@ -156,24 +127,17 @@ void EcController::ScrubStep() {
   }
   if (scrub_cursor_ >= rows) {
     scrub_cursor_ = 0;
-    ++fstats().scrub_sweeps_completed;
-    fstats().scrub_last_sweep_coverage =
-        sweep_sectors_nominal_ == 0
-            ? 0.0
-            : static_cast<double>(sweep_sectors_issued_) /
-                  static_cast<double>(sweep_sectors_nominal_);
-    sweep_sectors_issued_ = 0;
-    sweep_sectors_nominal_ = 0;
+    drives().EndScrubSweep();
   }
   const uint32_t row = scrub_cursor_++;
   const uint32_t unit = layout_->stripe_unit_sectors();
   const uint64_t lba = static_cast<uint64_t>(row) * unit;
   for (uint32_t d = 0; d < layout_->num_disks(); ++d) {
-    sweep_sectors_nominal_ += unit;
-    if (!DiskUsable(d, row)) {
+    const bool usable = DiskUsable(d, row);
+    drives().NoteScrubUnit(unit, usable);
+    if (!usable) {
       continue;
     }
-    sweep_sectors_issued_ += unit;
     EnqueueDiskOp(
         d, DiskOp::kRead, lba, unit,
         [this, d, lba, unit](const DiskOpResult& r, uint64_t id) {
@@ -183,7 +147,7 @@ void EcController::ScrubStep() {
             return;
           }
           if (r.status == IoStatus::kMediaError &&
-              !drives_->failed(SlotId(d))) {
+              !drives().failed(SlotId(d))) {
             // Latent sector error caught before a failure could turn it into
             // data loss: rewrite the unit so the drive reallocates the bad
             // sectors. The replacement contents are reconstructible from the
@@ -193,17 +157,17 @@ void EcController::ScrubStep() {
             EnqueueDiskOp(d, DiskOp::kWrite, lba, unit,
                           [this](const DiskOpResult& w, uint64_t wid) {
                             if (!w.ok()) {
-                              ResolveCommandFault(
+                              drives().ResolveFault(
                                   wid, FaultResolution::kSurfaced,
                                   w.status == IoStatus::kDiskFailed);
                             }
                           });
-            ResolveCommandFault(id, FaultResolution::kRepaired,
+            drives().ResolveFault(id, FaultResolution::kRepaired,
                                 /*target_disk_failed=*/false);
             return;
           }
-          const bool disk_failed = drives_->failed(SlotId(d));
-          ResolveCommandFault(id,
+          const bool disk_failed = drives().failed(SlotId(d));
+          drives().ResolveFault(id,
                               disk_failed ? FaultResolution::kAbandoned
                                           : FaultResolution::kSurfaced,
                               disk_failed);
@@ -212,7 +176,7 @@ void EcController::ScrubStep() {
 }
 
 bool EcController::DiskUsable(uint32_t disk, uint32_t row) const {
-  if (drives_->failed(SlotId(disk))) {
+  if (drives().failed(SlotId(disk))) {
     return false;  // covers slots waiting in the rebuild queue too
   }
   if (rebuilding_disk_ == static_cast<int>(disk)) {
@@ -274,7 +238,7 @@ void EcController::SubmitReadFragment(uint64_t op_id, const EcFragment& frag,
         [this, work](const DiskOpResult& r, uint64_t id) {
           if (work->abandoned) {
             if (!r.ok()) {
-              ResolveCommandFault(id, FaultResolution::kSurfaced,
+              drives().ResolveFault(id, FaultResolution::kSurfaced,
                                   r.status == IoStatus::kDiskFailed);
             }
             return;
@@ -291,9 +255,9 @@ void EcController::SubmitReadFragment(uint64_t op_id, const EcFragment& frag,
           ++fstats().failovers;
           const bool repair =
               r.status == IoStatus::kMediaError &&
-              !drives_->failed(SlotId(work->frag.data_disk));
-          ResolveCommandFault(id, FaultResolution::kFailedOver,
-                              drives_->failed(SlotId(work->frag.data_disk)));
+              !drives().failed(SlotId(work->frag.data_disk));
+          drives().ResolveFault(id, FaultResolution::kFailedOver,
+                              drives().failed(SlotId(work->frag.data_disk)));
           SubmitReadFragment(work->op_id, work->frag,
                              /*force_degraded=*/true, repair);
         });
@@ -328,7 +292,7 @@ void EcController::SubmitReadFragment(uint64_t op_id, const EcFragment& frag,
                     if (!r.ok()) {
                       // A fault while decoding an already-missing member:
                       // the loss is surfaced to the submitter.
-                      ResolveCommandFault(id, FaultResolution::kSurfaced,
+                      drives().ResolveFault(id, FaultResolution::kSurfaced,
                                           r.status == IoStatus::kDiskFailed);
                     }
                     if (work->abandoned) {
@@ -448,7 +412,7 @@ void EcController::SubmitWriteFragment(uint64_t op_id, const EcFragment& frag,
   auto read_cb = [this, work](const DiskOpResult& r, uint64_t id) {
     if (work->abandoned) {
       if (!r.ok()) {
-        ResolveCommandFault(id, FaultResolution::kSurfaced,
+        drives().ResolveFault(id, FaultResolution::kSurfaced,
                             r.status == IoStatus::kDiskFailed);
       }
       return;
@@ -458,7 +422,7 @@ void EcController::SubmitWriteFragment(uint64_t op_id, const EcFragment& frag,
         // Row membership changed under us: re-plan against the survivors.
         work->abandoned = true;
         NoteOpRecovery(work->op_id);
-        ResolveCommandFault(id, FaultResolution::kFailedOver,
+        drives().ResolveFault(id, FaultResolution::kFailedOver,
                             /*target_disk_failed=*/true);
         SubmitWriteFragment(work->op_id, work->frag, work->force_degraded);
         return;
@@ -469,7 +433,7 @@ void EcController::SubmitWriteFragment(uint64_t op_id, const EcFragment& frag,
         work->abandoned = true;
         NoteOpRecovery(work->op_id);
         ++fstats().failovers;
-        ResolveCommandFault(id, FaultResolution::kFailedOver,
+        drives().ResolveFault(id, FaultResolution::kFailedOver,
                             /*target_disk_failed=*/false);
         SubmitWriteFragment(work->op_id, work->frag, /*force_degraded=*/true);
         return;
@@ -477,7 +441,7 @@ void EcController::SubmitWriteFragment(uint64_t op_id, const EcFragment& frag,
       // Already on the fallback plan and a decode column is unreadable: the
       // new parity cannot be computed.
       work->status = Worse(work->status, IoStatus::kUnrecoverable);
-      ResolveCommandFault(id, FaultResolution::kSurfaced,
+      drives().ResolveFault(id, FaultResolution::kSurfaced,
                           /*target_disk_failed=*/false);
     }
     FragmentPhaseDone(work, r.completion_us, &r);
@@ -529,7 +493,7 @@ void EcController::FragmentPhaseDone(const std::shared_ptr<FragWork>& work,
                     frag.sectors,
                     [this](const DiskOpResult& w, uint64_t id) {
                       if (!w.ok()) {
-                        ResolveCommandFault(id, FaultResolution::kSurfaced,
+                        drives().ResolveFault(id, FaultResolution::kSurfaced,
                                             w.status == IoStatus::kDiskFailed);
                       }
                     });
@@ -550,7 +514,7 @@ void EcController::FragmentPhaseDone(const std::shared_ptr<FragWork>& work,
   auto on_write = [this, work, writes](const DiskOpResult& r, uint64_t id) {
     if (work->abandoned) {
       if (!r.ok()) {
-        ResolveCommandFault(id, FaultResolution::kSurfaced,
+        drives().ResolveFault(id, FaultResolution::kSurfaced,
                             r.status == IoStatus::kDiskFailed);
       }
       return;
@@ -561,13 +525,13 @@ void EcController::FragmentPhaseDone(const std::shared_ptr<FragWork>& work,
         // members are (re)written by the new plan.
         work->abandoned = true;
         NoteOpRecovery(work->op_id);
-        ResolveCommandFault(id, FaultResolution::kFailedOver,
+        drives().ResolveFault(id, FaultResolution::kFailedOver,
                             /*target_disk_failed=*/true);
         SubmitWriteFragment(work->op_id, work->frag, work->force_degraded);
         return;
       }
       work->status = Worse(work->status, IoStatus::kUnrecoverable);
-      ResolveCommandFault(id, FaultResolution::kSurfaced,
+      drives().ResolveFault(id, FaultResolution::kSurfaced,
                           /*target_disk_failed=*/false);
     }
     MIMDRAID_CHECK_GT(*writes, 0);
@@ -640,7 +604,7 @@ void EcController::OpPartDone(uint64_t op_id, SimTime completion,
 }
 
 void EcController::CompleteFragmentFailed(uint64_t op_id, IoStatus status) {
-  drives_->CompleteDeferred(
+  drives().CompleteDeferred(
       [this, op_id, status] { OpPartDone(op_id, sim_->Now(), status); });
 }
 
@@ -653,23 +617,15 @@ void EcController::NoteOpRecovery(uint64_t op_id) {
 
 void EcController::EnqueueDiskOp(uint32_t disk, DiskOp op, uint64_t lba,
                                  uint32_t sectors,
-                                 DriveSet::CommandDoneFn done,
-                                 uint32_t attempts) {
+                                 DriveSet::CommandDoneFn done) {
   // The controller tracks its stripe ops by its own op ids; the engine entry
   // id is only meaningful to the DriveSet retry machinery.
-  (void)drives_->EnqueueCommand(  // mdl-ok(MDL002): engine id unused by policy
-      SlotId(disk), op, BlockAddr(lba), sectors, std::move(done), attempts);
-}
-
-void EcController::ResolveCommandFault(uint64_t id, FaultResolution resolution,
-                                       bool target_disk_failed) {
-  if (id != 0) {
-    drives_->ResolveFault(id, resolution, target_disk_failed);
-  }
+  (void)drives().EnqueueCommand(  // mdl-ok(MDL002): engine id unused by policy
+      SlotId(disk), op, BlockAddr(lba), sectors, std::move(done));
 }
 
 void EcController::Rebuild(SlotId disk, DoneFn done) {
-  MIMDRAID_CHECK(drives_->failed(disk));
+  MIMDRAID_CHECK(drives().failed(disk));
   if (rebuilding_disk_ >= 0) {
     rebuild_queue_.push_back(QueuedRebuild{disk, std::move(done)});
     return;
@@ -678,11 +634,11 @@ void EcController::Rebuild(SlotId disk, DoneFn done) {
 }
 
 void EcController::StartRebuild(SlotId disk, DoneFn done) {
-  MIMDRAID_CHECK(drives_->failed(disk));
+  MIMDRAID_CHECK(drives().failed(disk));
   MIMDRAID_CHECK_LT(rebuilding_disk_, 0);
-  drives_->MarkReplaced(disk);  // the replacement drive is in the slot
-  if (drives_->fault_injector() != nullptr) {
-    drives_->fault_injector()->ReplaceDisk(disk.value());
+  drives().MarkReplaced(disk);  // the replacement drive is in the slot
+  if (drives().fault_injector() != nullptr) {
+    drives().fault_injector()->ReplaceDisk(disk.value());
   }
   rebuilding_disk_ = static_cast<int>(disk.value());
   rebuilt_rows_ = 0;
@@ -719,7 +675,7 @@ void EcController::AbortRebuild(uint32_t disk) {
 void EcController::RebuildNextRow() {
   MIMDRAID_CHECK_GE(rebuilding_disk_, 0);
   const uint32_t disk = static_cast<uint32_t>(rebuilding_disk_);
-  if (drives_->failed(SlotId(disk))) {
+  if (drives().failed(SlotId(disk))) {
     AbortRebuild(disk);
     return;
   }
@@ -752,7 +708,7 @@ void EcController::RebuildNextRow() {
     auto after_reads = [this, disk, lba, unit, remaining, lost,
                         column_died](const DiskOpResult& r, uint64_t id) {
       if (!r.ok()) {
-        ResolveCommandFault(id, FaultResolution::kSurfaced,
+        drives().ResolveFault(id, FaultResolution::kSurfaced,
                             r.status == IoStatus::kDiskFailed);
         *lost = true;
         if (r.status == IoStatus::kDiskFailed) {
@@ -762,7 +718,7 @@ void EcController::RebuildNextRow() {
       if (--*remaining > 0) {
         return;
       }
-      if (drives_->failed(SlotId(disk))) {
+      if (drives().failed(SlotId(disk))) {
         AbortRebuild(disk);
         return;
       }
@@ -785,10 +741,10 @@ void EcController::RebuildNextRow() {
           disk, DiskOp::kWrite, lba, unit,
           [this, disk](const DiskOpResult& w, uint64_t wid) {
             if (!w.ok()) {
-              ResolveCommandFault(wid, FaultResolution::kSurfaced,
+              drives().ResolveFault(wid, FaultResolution::kSurfaced,
                                   w.status == IoStatus::kDiskFailed);
             }
-            if (!w.ok() && drives_->failed(SlotId(disk))) {
+            if (!w.ok() && drives().failed(SlotId(disk))) {
               AbortRebuild(disk);
               return;
             }

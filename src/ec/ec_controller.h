@@ -10,7 +10,7 @@
 // capacity efficiency. Like ArrayController it is a pure policy layer: the
 // per-drive machinery — scheduler queues, dispatch, bounded retry, fault
 // counting, auto-fail, hot-spare promotion, the scrub timer, observer
-// wiring — lives in the shared DriveSet engine.
+// wiring — lives in the shared DriveSet engine that ArrayBackend owns.
 //
 // Write planning: for a fragment targeting data shard D with p <= m live
 // parity columns, read-modify-write costs (1 + p) reads + (1 + p) writes
@@ -53,40 +53,6 @@
 
 namespace mimdraid {
 
-struct EcControllerOptions {
-  SchedulerKind scheduler = SchedulerKind::kSatf;
-  size_t max_scan = 0;
-  // Debug tripwire: when set, the controller wires this runtime invariant
-  // auditor into the simulator, every disk, and every per-drive scheduler.
-  // Borrowed; must outlive the controller. Observes only.
-  InvariantAuditor* auditor = nullptr;
-  // Optional fault injection: wired into every disk so media accesses can
-  // fail. nullptr leaves the fault path dormant (every access returns kOk).
-  FaultInjector* fault_injector = nullptr;
-  // Optional observability: wired into every disk; the controller reports
-  // request lifecycle, queue depth, and dispatch prediction error to it.
-  // Borrowed; must outlive the controller. Observes only.
-  TraceCollector* collector = nullptr;
-  // Bounded retry with exponential backoff for transient errors and timeouts
-  // on individual disk commands.
-  RetryPolicy retry;
-  // Consecutive-error budget per disk before the engine declares the drive
-  // failed and promotes a hot spare (0 = never auto-fail on errors; an
-  // explicit kDiskFailed status always auto-fails).
-  uint32_t disk_error_fail_threshold = 0;
-  // Period of the background scrubber (0 = off). Each tick that finds the
-  // array otherwise idle reads every usable unit of the next stripe row; a
-  // media error triggers a repair-rewrite of the unit (the data is logically
-  // reconstructible from the row peers read in the same pass). Idle-gating is
-  // the rate limit: scrubbing never competes with foreground work.
-  SimDuration scrub_interval_us;
-  // Whether scrub ticks defer to foreground activity (the default) or fire
-  // on every period regardless of engine load (fixed-period policy for
-  // reliability studies). The policy-level gate (no logical ops, no rebuild)
-  // applies under both modes.
-  ScrubGating scrub_gating = ScrubGating::kIdleGated;
-};
-
 struct EcControllerStats {
   uint64_t reads_completed = 0;
   uint64_t writes_completed = 0;
@@ -100,22 +66,16 @@ struct EcControllerStats {
   uint64_t rebuilt_rows = 0;
 };
 
-class EcController : public ArrayBackend, private DriveSetClient {
+class EcController : public ArrayBackend {
  public:
-  using DoneFn = ArrayBackend::DoneFn;
-
   // `codec` and `layout` are borrowed and must outlive the controller;
   // codec->n() must equal layout->num_disks() and codec->k() the layout's
-  // data_shards().
+  // data_shards(). `options` configures the drive-pool engine; the erasure
+  // policy has no settings of its own.
   EcController(Simulator* sim, std::vector<SimDisk*> disks,
                std::vector<AccessPredictor*> predictors,
                const EcLayout* layout, const EcCodec* codec,
-               const EcControllerOptions& options);
-
-  EcController(const EcController&) = delete;
-  EcController& operator=(const EcController&) = delete;
-
-  ~EcController() override;
+               const DriveSetOptions& options);
 
   void Submit(DiskOp op, uint64_t lba, uint32_t sectors, DoneFn done) override;
 
@@ -130,7 +90,6 @@ class EcController : public ArrayBackend, private DriveSetClient {
   // IoStatus::kUnrecoverable instead of crashing. Always returns true: every
   // single loss is covered by the code.
   bool FailDisk(SlotId disk) override;
-  bool IsFailed(SlotId disk) const override { return drives_->failed(disk); }
 
   // Reconstructs the (replaced) failed disk row by row through a k-column
   // decode set. When another rebuild is already streaming the slot queues
@@ -140,32 +99,13 @@ class EcController : public ArrayBackend, private DriveSetClient {
   void Rebuild(SlotId disk, DoneFn done) override;
   bool RebuildInProgress() const override { return rebuilding_disk_ >= 0; }
 
-  void AddSpare(SimDisk* disk, AccessPredictor* predictor) override {
-    drives_->AddSpare(disk, predictor);
-  }
-  size_t spares_available() const override {
-    return drives_->spares_available();
-  }
-
   const EcControllerStats& stats() const { return stats_; }
-  const FaultRecoveryStats& fault_stats() const override {
-    return drives_->fstats();
-  }
-  uint64_t disk_error_count(SlotId disk) const {
-    return drives_->error_count(disk);
-  }
   const EcLayout& layout() const { return *layout_; }
   const EcCodec& codec() const { return *codec_; }
   bool Idle() const override;
 
   // Publishes "fault.*" and "ec.*" counters.
   void ExportStats(StatsRegistry* registry) const override;
-
-  void StopScrub() override { drives_->StopScrub(); }
-  void StartScrub() override { drives_->StartScrub(); }
-  uint64_t scrub_sweeps_completed() const {
-    return drives_->fstats().scrub_sweeps_completed;
-  }
 
   void AuditQuiescent() const override;
 
@@ -220,10 +160,10 @@ class EcController : public ArrayBackend, private DriveSetClient {
                        BlockAddr chosen_lba,
                        const DiskOpResult& result) override;
   void OnSlotFailed(SlotId disk) override;
-  // Promotion is always allowed: a promotion during a rebuild queues behind
-  // it instead of clobbering the rebuild cursor.
-  bool SparePromotionAllowed(SlotId disk) override;
   uint64_t UsedSpanSectors(SlotId disk) const override;
+  // Promotion is always allowed (the engine's default): a spare promoted
+  // while another slot rebuilds queues behind it instead of clobbering the
+  // rebuild cursor.
   void OnSparePromoted(SlotId disk) override;
   bool ScrubEligible() const override;
   // One scrub chunk: reads every usable unit of the next stripe row.
@@ -235,9 +175,7 @@ class EcController : public ArrayBackend, private DriveSetClient {
   void SubmitWriteFragment(uint64_t op_id, const EcFragment& frag,
                            bool force_degraded = false);
   void EnqueueDiskOp(uint32_t disk, DiskOp op, uint64_t lba, uint32_t sectors,
-                     DriveSet::CommandDoneFn done, uint32_t attempts = 0);
-  void ResolveCommandFault(uint64_t id, FaultResolution resolution,
-                           bool target_disk_failed);
+                     DriveSet::CommandDoneFn done);
   void FragmentPhaseDone(const std::shared_ptr<FragWork>& work,
                          SimTime completion, const DiskOpResult* last = nullptr);
   void OpPartDone(uint64_t op_id, SimTime completion, IoStatus status,
@@ -261,16 +199,11 @@ class EcController : public ArrayBackend, private DriveSetClient {
   std::vector<uint32_t> ReadableColumns(uint32_t row, uint32_t excluding_disk,
                                         uint32_t unreadable_disk) const;
 
-  FaultRecoveryStats& fstats() { return drives_->fstats(); }
-
   Simulator* sim_;
   const EcLayout* layout_;
   const EcCodec* codec_;
-  EcControllerOptions options_;
   InvariantAuditor* auditor_ = nullptr;
   TraceCollector* collector_ = nullptr;
-
-  std::unique_ptr<DriveSet> drives_;
 
   std::unordered_map<uint64_t, PendingOp> ops_;
   uint64_t next_op_id_ = 1;
@@ -286,8 +219,6 @@ class EcController : public ArrayBackend, private DriveSetClient {
   std::deque<QueuedRebuild> rebuild_queue_;
 
   uint32_t scrub_cursor_ = 0;  // next stripe row to sweep
-  uint64_t sweep_sectors_issued_ = 0;
-  uint64_t sweep_sectors_nominal_ = 0;
 
   EcControllerStats stats_;
 };

@@ -1,19 +1,25 @@
 // The backend-neutral face of an array: what MimdRaid, benches, and the
 // conformance suite program against. A backend is a redundancy policy
-// (mirroring, erasure coding) layered over the shared DriveSet engine;
-// everything here is policy-independent: logical I/O submission, explicit
-// failure/rebuild control, the hot-spare pool, idle/quiescence queries, and
-// stats export.
+// (mirroring, erasure coding) layered over the shared DriveSet engine, which
+// this base class owns. The drive-pool operations — failed-slot queries, the
+// hot-spare pool, the scrub timer, fault counters — are the engine's and are
+// written here once; a policy supplies only what differs: logical I/O
+// submission, explicit failure/rebuild control, idle/quiescence queries,
+// stats export, and the DriveSetClient hooks.
 #ifndef MIMDRAID_SRC_IO_ARRAY_BACKEND_H_
 #define MIMDRAID_SRC_IO_ARRAY_BACKEND_H_
 
 #include <cstdint>
 #include <functional>
+#include <utility>
+#include <vector>
 
 #include "src/disk/access_predictor.h"
 #include "src/disk/sim_disk.h"
+#include "src/io/drive_set.h"
 #include "src/obs/stats_registry.h"
 #include "src/sim/io_status.h"
+#include "src/sim/simulator.h"
 #include "src/stats/fault_stats.h"
 
 namespace mimdraid {
@@ -32,7 +38,7 @@ inline uint32_t ParityShardsFor(ArrayBackendKind kind,
   return kind == ArrayBackendKind::kRaid5 ? 1 : parity_shards;
 }
 
-class ArrayBackend {
+class ArrayBackend : protected DriveSetClient {
  public:
   // Completion carries a full IoResult: kOk, or kUnrecoverable when every
   // recovery avenue (retry, failover, reconstruction, repair) is exhausted.
@@ -40,7 +46,9 @@ class ArrayBackend {
   // surface here.
   using DoneFn = std::function<void(const IoResult&)>;
 
-  virtual ~ArrayBackend() = default;
+  ArrayBackend(const ArrayBackend&) = delete;
+  ArrayBackend& operator=(const ArrayBackend&) = delete;
+  ~ArrayBackend() override = default;
 
   // Submits a logical I/O against the backend's logical address space
   // ([0, dataset_sectors())). `done` fires at the simulated completion time.
@@ -54,36 +62,55 @@ class ArrayBackend {
   // Marks a disk failed; returns false if the configuration cannot tolerate
   // the loss (no redundancy covering the disk — data loss).
   virtual bool FailDisk(SlotId disk) = 0;
-  virtual bool IsFailed(SlotId disk) const = 0;
+  bool IsFailed(SlotId disk) const { return drives_.failed(disk); }
   // Re-populates a replaced drive in `disk`'s slot from the surviving
   // redundancy; `done` fires when redundancy is restored.
   virtual void Rebuild(SlotId disk, DoneFn done) = 0;
   virtual bool RebuildInProgress() const = 0;
-  // Registers a standby drive + predictor (borrowed) for automatic promotion
-  // into a slot the engine fail-stops.
-  virtual void AddSpare(SimDisk* disk, AccessPredictor* predictor) = 0;
-  virtual size_t spares_available() const = 0;
+  // Registers a standby drive + predictor (borrowed; must outlive the
+  // backend) for automatic promotion into a slot the engine fail-stops.
+  void AddSpare(SimDisk* disk, AccessPredictor* predictor) {
+    drives_.AddSpare(disk, predictor);
+  }
+  size_t spares_available() const { return drives_.spares_available(); }
 
   // --- Quiescence and teardown ---
   // No logical op outstanding, every queue empty, no recovery timer armed.
   virtual bool Idle() const = 0;
   // Cancels the periodic scrub timer (in-flight scrub work drains normally).
   // Call before draining to quiescence.
-  virtual void StopScrub() = 0;
+  void StopScrub() { drives_.StopScrub(); }
   // Re-arms the periodic scrub timer after a StopScrub (a no-op when already
   // armed or when the backend was configured without scrubbing). Sweep state
   // survives the stop/start pair: the next step resumes from the cursor the
   // last one left.
-  virtual void StartScrub() = 0;
+  void StartScrub() { drives_.StartScrub(); }
   // Runs the auditor's terminal consistency check; a no-op when no auditor
   // is attached. Call once Idle() reports true.
   virtual void AuditQuiescent() const = 0;
 
   // --- Stats ---
-  virtual const FaultRecoveryStats& fault_stats() const = 0;
+  const FaultRecoveryStats& fault_stats() const { return drives_.fstats(); }
   // Publishes the backend's counters under stable names ("fault.*" plus a
   // backend-specific prefix) so traced runs carry backend stats.
   virtual void ExportStats(StatsRegistry* registry) const = 0;
+
+ protected:
+  // `disks` and `predictors` are parallel, same-size, borrowed. The engine is
+  // built with this backend as its client; no hook runs before the policy's
+  // constructor body, which arms the scrub timer (StartScrub) once its own
+  // constructor-time timers exist.
+  ArrayBackend(Simulator* sim, std::vector<SimDisk*> disks,
+               std::vector<AccessPredictor*> predictors,
+               const DriveSetOptions& options)
+      : drives_(sim, std::move(disks), std::move(predictors), this, options) {}
+
+  DriveSet& drives() { return drives_; }
+  const DriveSet& drives() const { return drives_; }
+  FaultRecoveryStats& fstats() { return drives_.fstats(); }
+
+ private:
+  DriveSet drives_;
 };
 
 // Publishes every FaultRecoveryStats counter under "fault.<field>".

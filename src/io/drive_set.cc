@@ -392,10 +392,21 @@ void DriveSet::CompleteDeferred(std::function<void()> fn) {
 
 void DriveSet::ResolveFault(uint64_t entry_id, FaultResolution resolution,
                             bool target_disk_failed) {
-  if (options_.auditor != nullptr) {
+  if (options_.auditor != nullptr && entry_id != 0) {
     options_.auditor->OnFaultResolved(entry_id, resolution,
                                       target_disk_failed);
   }
+}
+
+void DriveSet::EndScrubSweep() {
+  ++fstats_.scrub_sweeps_completed;
+  fstats_.scrub_last_sweep_coverage =
+      sweep_sectors_nominal_ == 0
+          ? 0.0
+          : static_cast<double>(sweep_sectors_issued_) /
+                static_cast<double>(sweep_sectors_nominal_);
+  sweep_sectors_issued_ = 0;
+  sweep_sectors_nominal_ = 0;
 }
 
 void DriveSet::ScheduleScrubTick() {

@@ -1,25 +1,23 @@
-// The shared drive-pool engine underneath every array backend.
+// The shared drive-pool engine underneath every array backend: per-drive
+// scheduler queues, the dispatch loop, bounded retry with backoff,
+// consecutive-error auto-fail, fail-stop response, hot-spare promotion, the
+// idle-gated scrub timer with its sweep-coverage tally, and the wiring of the
+// three observer layers (InvariantAuditor, FaultInjector, TraceCollector).
+// ArrayBackend (src/io/array_backend.h) owns one DriveSet and is its
+// DriveSetClient; a redundancy policy (mirror heuristics + delayed
+// propagation, or erasure-code geometry + RMW planning) speaks to the engine
+// through the hooks below.
 //
-// Historically the mirror/SR-Array controller and the RAID-5 controller each
-// owned their own copy of the per-drive machinery: scheduler queues, the
-// dispatch loop, bounded retry with backoff, consecutive-error auto-fail,
-// fail-stop response, hot-spare promotion, the idle-gated scrub timer, and
-// the wiring of the three observer layers (InvariantAuditor, FaultInjector,
-// TraceCollector). DriveSet extracts that machinery once; a backend is now a
-// policy layer (mirror heuristics + delayed propagation on one side, parity
-// geometry + RMW planning on the other) speaking to the engine through the
-// DriveSetClient hooks below.
-//
-// Two usage styles coexist, matching the two controllers' historical shapes:
+// The engine runs disk work in two styles, one per retry unit:
 //  * Raw entries: the policy allocates ids (AllocEntryId), builds
 //    QueuedRequest values, enqueues them (EnqueueFg/EnqueueDelayed), and gets
 //    every completion through DriveSetClient::OnEntryComplete. The engine does
 //    the observer bookkeeping and fault counting; recovery is entirely the
-//    policy's (the mirror path, whose retry unit is the *fragment*).
+//    policy's. The mirror works this way: its retry unit is the *fragment*.
 //  * Commands: EnqueueCommand registers a per-entry done callback and the
 //    engine runs bounded retry with backoff for transient statuses itself,
-//    delivering only terminal results (the RAID-5 path, whose retry unit is
-//    the *disk command*).
+//    delivering only terminal results. The erasure controller works this
+//    way: its retry unit is the *disk command*.
 #ifndef MIMDRAID_SRC_IO_DRIVE_SET_H_
 #define MIMDRAID_SRC_IO_DRIVE_SET_H_
 
@@ -71,7 +69,7 @@ struct DriveSetOptions {
   TraceCollector* collector = nullptr;
   // Bounded retry with exponential backoff, used by the engine for command
   // execution and by policies for their own recovery timers.
-  RetryPolicy retry;
+  RetryPolicy retry{};
   // Consecutive-error budget per slot before the engine declares the drive
   // failed and promotes a hot spare (0 = never auto-fail on error count; an
   // explicit kDiskFailed verdict always auto-fails).
@@ -81,7 +79,7 @@ struct DriveSetOptions {
   // (DriveSetClient::ScrubEligible) runs one policy-defined ScrubStep.
   // Idle-gating is the rate limit: scrubbing never competes with foreground
   // work.
-  SimDuration scrub_interval_us;
+  SimDuration scrub_interval_us{};
   // Engine-side scrub admission (see ScrubGating above). The default keeps
   // the historical idle-gated behavior.
   ScrubGating scrub_gating = ScrubGating::kIdleGated;
@@ -173,9 +171,6 @@ class DriveSet {
   // client hooks, or spare promotion.
   void MarkFailed(SlotId slot) { failed_[slot.value()] = true; }
   void MarkReplaced(SlotId slot) { failed_[slot.value()] = false; }
-  uint64_t error_count(SlotId slot) const {
-    return error_counts_[slot.value()];
-  }
 
   InvariantAuditor* auditor() { return options_.auditor; }
   FaultInjector* fault_injector() { return options_.fault_injector; }
@@ -255,17 +250,30 @@ class DriveSet {
   void CompleteDeferred(std::function<void()> fn);
   size_t pending_recovery() const { return pending_recovery_; }
 
-  // Closes an open auditor fault record; a no-op without an auditor.
+  // Closes an open auditor fault record; a no-op without an auditor and for
+  // id 0 (a synthetic command completion that never opened a record).
   void ResolveFault(uint64_t entry_id, FaultResolution resolution,
                     bool target_disk_failed);
 
-  // Arms the periodic scrub timer (no-op when scrub_interval_us == 0). Called
-  // by the backend after it finishes its own constructor-time scheduling so
-  // timer-creation order — and therefore same-timestamp tie-breaking — is
-  // identical to the pre-engine controllers.
+  // Arms the periodic scrub timer (no-op when scrub_interval_us == 0). A
+  // backend calls it last in its constructor, after its own timers: events
+  // due at the same time fire in creation order, and the goldens lock that
+  // order.
   void StartScrub();
   // Cancels the periodic scrub timer (in-flight scrub work drains normally).
   void StopScrub();
+  // Sweep coverage: the policy's ScrubStep reports every unit its sweep
+  // covers — `issued` when it queued the verification read, false when the
+  // unit sits on a drive it cannot read — and calls EndScrubSweep when its
+  // cursor wraps. That counts the sweep and records issued / nominal sectors
+  // in fstats().scrub_last_sweep_coverage.
+  void NoteScrubUnit(uint64_t sectors, bool issued) {
+    sweep_sectors_nominal_ += sectors;
+    if (issued) {
+      sweep_sectors_issued_ += sectors;
+    }
+  }
+  void EndScrubSweep();
 
  private:
   void HandleCompletion(SlotId slot, const QueuedRequest& entry,
@@ -304,6 +312,8 @@ class DriveSet {
   std::vector<SpareEntry> spares_;
   size_t pending_recovery_ = 0;
   EventId scrub_event_;
+  uint64_t sweep_sectors_issued_ = 0;
+  uint64_t sweep_sectors_nominal_ = 0;
 
   FaultRecoveryStats fstats_;
 };

@@ -4,7 +4,7 @@
 // a mis-ordered event, a stale head position, or a replica map that drifts
 // out of sync skews every latency number without failing a single test. The
 // InvariantAuditor is a passive observer that components report to when a
-// debug flag enables it (ArrayControllerOptions::auditor, or directly via
+// debug flag enables it (DriveSetOptions::auditor, or directly via
 // Simulator::set_auditor / SimDisk::SetAuditor). It machine-checks, after
 // every operation:
 //

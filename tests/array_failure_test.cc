@@ -9,6 +9,7 @@
 #include "src/array/controller.h"
 #include "src/calib/predictor.h"
 #include "src/disk/sim_disk.h"
+#include "src/sim/fault_injector.h"
 #include "src/sim/simulator.h"
 #include "src/util/rng.h"
 
@@ -16,7 +17,8 @@ namespace mimdraid {
 namespace {
 
 struct Rig {
-  Rig(int ds, int dr, int dm, uint64_t dataset = 3000) {
+  Rig(int ds, int dr, int dm, uint64_t dataset = 3000,
+      const ArrayControllerOptions& copts = {}) {
     aspect.ds = ds;
     aspect.dr = dr;
     aspect.dm = dm;
@@ -32,7 +34,7 @@ struct Rig {
     layout = std::make_unique<ArrayLayout>(&disks[0]->layout(), aspect, 16,
                                            dataset);
     controller = std::make_unique<ArrayController>(
-        &sim, dptr, pptr, layout.get(), ArrayControllerOptions{});
+        &sim, dptr, pptr, layout.get(), copts);
   }
 
   SimTime Do(DiskOp op, uint64_t lba, uint32_t sectors) {
@@ -123,7 +125,7 @@ TEST(ArrayFailure, RebuildRestoresService) {
   rig.Drain();
   ASSERT_TRUE(rig.controller->FailDisk(SlotId(1)));
   SimTime rebuilt_at(-1);
-  rig.controller->RebuildDisk(1, [&](const IoResult& r) { rebuilt_at = r.completion_us; });
+  rig.controller->Rebuild(SlotId(1), [&](const IoResult& r) { rebuilt_at = r.completion_us; });
   while (rebuilt_at < SimTime(0)) {
     ASSERT_TRUE(rig.sim.Step());
   }
@@ -143,7 +145,7 @@ TEST(ArrayFailure, ForegroundTrafficContinuesDuringRebuild) {
   Rig rig(1, 1, 2, /*dataset=*/1600);
   ASSERT_TRUE(rig.controller->FailDisk(SlotId(0)));
   SimTime rebuilt_at(-1);
-  rig.controller->RebuildDisk(0, [&](const IoResult& r) { rebuilt_at = r.completion_us; });
+  rig.controller->Rebuild(SlotId(0), [&](const IoResult& r) { rebuilt_at = r.completion_us; });
   Rng rng(11);
   int done = 0;
   constexpr int kOps = 50;
@@ -157,6 +159,50 @@ TEST(ArrayFailure, ForegroundTrafficContinuesDuringRebuild) {
   rig.Drain();
   EXPECT_EQ(rig.controller->stats().reads_completed,
             static_cast<uint64_t>(kOps));
+}
+
+TEST(ArrayFailure, RebuildFinishesWhenForcedOutCopyTargetFailStops) {
+  // The NVRAM table limit forces the front of a delayed queue into the
+  // foreground queue, rebuild copy traffic included: here the first forced
+  // entry is a copy write to the slot being rebuilt. When that drive then
+  // fail-stops, the forced-out copy must still reach its rebuild hook (which
+  // ends the pass with kDiskFailed); dropping it silently leaves the rebuild
+  // in progress forever on an otherwise idle array.
+  FaultInjector injector(FaultInjectorOptions{});
+  ArrayControllerOptions copts;
+  copts.delayed_table_limit = 1;
+  copts.drives.fault_injector = &injector;
+  Rig rig(1, 1, 3, /*dataset=*/3000, copts);
+  ASSERT_TRUE(rig.controller->FailDisk(SlotId(0)));
+  Rng rng(1);
+  for (int i = 0; i < 30; ++i) {
+    rig.Do(DiskOp::kRead, rng.UniformU64(3000 - 8), 8);
+  }
+  IoResult rebuild;
+  bool rebuilt = false;
+  rig.controller->Rebuild(SlotId(0), [&](const IoResult& r) {
+    rebuild = r;
+    rebuilt = true;
+  });
+  int writes_done = 0;
+  for (int i = 0; i < 4; ++i) {
+    rig.controller->Submit(DiskOp::kWrite, static_cast<uint64_t>(i) * 64, 8,
+                           [&](const IoResult&) { ++writes_done; });
+  }
+  while (rig.controller->stats().delayed_writes_forced == 0) {
+    ASSERT_TRUE(rig.sim.Step());
+  }
+  injector.FailStop(0);
+  uint64_t steps = 0;
+  while ((!rig.controller->Idle() || rig.controller->RebuildInProgress()) &&
+         rig.sim.Step()) {
+    ASSERT_LT(++steps, 10'000'000u) << "drain wedged";
+  }
+  EXPECT_EQ(writes_done, 4);
+  EXPECT_TRUE(rig.controller->IsFailed(SlotId(0)));
+  EXPECT_FALSE(rig.controller->RebuildInProgress());
+  ASSERT_TRUE(rebuilt);
+  EXPECT_EQ(rebuild.status, IoStatus::kDiskFailed);
 }
 
 }  // namespace

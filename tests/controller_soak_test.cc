@@ -56,10 +56,10 @@ TEST_P(ControllerSoak, AllOpsCompleteAndDrain) {
   // decision, and aborts the test on the first violation.
   InvariantAuditor auditor;
   ArrayControllerOptions copts;
-  copts.scheduler = param.sched;
+  copts.drives.scheduler = param.sched;
   copts.foreground_write_propagation = param.foreground;
   copts.delayed_table_limit = 50;
-  copts.auditor = &auditor;
+  copts.drives.auditor = &auditor;
   ArrayController controller(&sim, dptr, pptr, &layout, copts);
 
   Rng rng(static_cast<uint64_t>(param.ds * 100 + param.dr * 10 + param.dm));

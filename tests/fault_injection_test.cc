@@ -264,9 +264,9 @@ struct ArrayRig {
     layout = std::make_unique<ArrayLayout>(&disks[0]->layout(), aspect, 16,
                                            dataset);
     ArrayControllerOptions copts;
-    copts.fault_injector = &injector;
-    copts.disk_error_fail_threshold = fail_threshold;
-    copts.scrub_interval_us = scrub_interval_us;
+    copts.drives.fault_injector = &injector;
+    copts.drives.disk_error_fail_threshold = fail_threshold;
+    copts.drives.scrub_interval_us = scrub_interval_us;
     controller = std::make_unique<ArrayController>(&sim, dptr, pptr,
                                                    layout.get(), copts);
     for (uint32_t s = 0; s < spares; ++s) {
@@ -518,7 +518,7 @@ struct Raid5Rig {
     }
     layout = std::make_unique<EcLayout>(disks_n, disks_n - 1, 16, 2000);
     codec = std::make_unique<EcCodec>(disks_n - 1, 1);
-    EcControllerOptions copts;
+    DriveSetOptions copts;
     copts.fault_injector = &injector;
     controller = std::make_unique<EcController>(&sim, dptr, pptr, layout.get(),
                                                 codec.get(), copts);

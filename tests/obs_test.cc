@@ -158,7 +158,7 @@ TEST(TraceCollector, Raid5RmwWriteBooksEarlierPhasesAsRecovery) {
   EcLayout layout(4, 3, 16, 2000);
   EcCodec codec(3, 1);
   TraceCollector collector;
-  EcControllerOptions options;
+  DriveSetOptions options;
   options.collector = &collector;
   EcController controller(&sim, dptr, pptr, &layout, &codec, options);
 
