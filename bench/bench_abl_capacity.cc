@@ -74,13 +74,15 @@ Outcome RunErasure(uint32_t parity_shards) {
   const double k = static_cast<double>(kDisks) - parity_shards;
   out.capacity_frac = k / kDisks;
   for (int pass = 0; pass < 2; ++pass) {
-    EcRigConfig rig;
-    rig.disks = kDisks;
-    rig.parity_shards = parity_shards;
-    rig.dataset_sectors = kDataset;
-    rig.max_scan = 128;
-    rig.seed = 41;
-    std::unique_ptr<MimdRaid> array = MakeEcArray(rig);
+    MimdRaidOptions options;
+    options.backend = ArrayBackendKind::kErasure;
+    options.aspect = Aspect(kDisks, 1);
+    options.parity_shards = parity_shards;
+    options.scheduler = SchedulerKind::kSatf;
+    options.max_scan = 128;
+    options.dataset_sectors = kDataset;
+    options.seed = 41;
+    auto array = std::make_unique<MimdRaid>(options);
 
     ClosedLoopOptions loop;
     loop.dataset_sectors = kDataset;

@@ -68,12 +68,14 @@ Outcome RunRaid10() {
 Outcome RunRaid5() {
   Outcome out;
   for (int pass = 0; pass < 2; ++pass) {
-    EcRigConfig rig;
-    rig.disks = kDisks;
-    rig.parity_shards = 1;
-    rig.dataset_sectors = kDataset;
-    rig.seed = 13;
-    std::unique_ptr<MimdRaid> array = MakeEcArray(rig);
+    MimdRaidOptions options;
+    options.backend = ArrayBackendKind::kErasure;
+    options.aspect = Aspect(kDisks, 1);
+    options.parity_shards = 1;
+    options.scheduler = SchedulerKind::kSatf;
+    options.dataset_sectors = kDataset;
+    options.seed = 13;
+    auto array = std::make_unique<MimdRaid>(options);
     if (pass == 1) {
       MIMDRAID_CHECK(array->backend().FailDisk(SlotId(0)));
     }

@@ -207,48 +207,6 @@ inline ArrayAspect Aspect(int ds, int dr, int dm = 1) {
   return a;
 }
 
-// General (k+m) erasure rig on the MimdRaid backend-selection path: same
-// drive model, predictor wiring, and assembly as the mirror rigs, with
-// `disks` columns, `parity_shards` of them parity per rotated stripe row
-// (parity_shards = 1 is RAID-5). Fail up to m slots and reads stay correct;
-// fail/rebuild via array->ec() or the ArrayBackend interface.
-struct EcRigConfig {
-  int disks = 6;
-  uint32_t parity_shards = 2;
-  uint64_t dataset_sectors = 1'000'000;
-  SchedulerKind scheduler = SchedulerKind::kSatf;
-  size_t max_scan = 0;
-  uint32_t stripe_unit_sectors = 128;
-  uint64_t seed = 42;
-  bool enable_fault_injection = false;
-  FaultInjectorOptions fault;
-  uint32_t disk_error_fail_threshold = 0;
-  uint32_t hot_spares = 0;
-  SimDuration scrub_interval_us;
-  TraceCollector* collector = nullptr;
-  InvariantAuditor* auditor = nullptr;
-};
-
-inline std::unique_ptr<MimdRaid> MakeEcArray(const EcRigConfig& config) {
-  MimdRaidOptions options;
-  options.backend = ArrayBackendKind::kErasure;
-  options.aspect = Aspect(config.disks, 1, 1);
-  options.parity_shards = config.parity_shards;
-  options.scheduler = config.scheduler;
-  options.max_scan = config.max_scan;
-  options.dataset_sectors = config.dataset_sectors;
-  options.stripe_unit_sectors = config.stripe_unit_sectors;
-  options.seed = config.seed;
-  options.enable_fault_injection = config.enable_fault_injection;
-  options.fault = config.fault;
-  options.disk_error_fail_threshold = config.disk_error_fail_threshold;
-  options.hot_spares = config.hot_spares;
-  options.scrub_interval_us = config.scrub_interval_us;
-  options.collector = config.collector;
-  options.auditor = config.auditor;
-  return std::make_unique<MimdRaid>(options);
-}
-
 }  // namespace bench
 }  // namespace mimdraid
 

@@ -90,12 +90,14 @@ Row RunMirror() {
 
 Row RunRaid5() {
   return RunScheme([] {
-    EcRigConfig rig;
-    rig.disks = kDisks;
-    rig.parity_shards = 1;
-    rig.dataset_sectors = kDataset;
-    rig.seed = 13;
-    return MakeEcArray(rig);
+    MimdRaidOptions options;
+    options.backend = ArrayBackendKind::kErasure;
+    options.aspect = Aspect(kDisks, 1);
+    options.parity_shards = 1;
+    options.scheduler = SchedulerKind::kSatf;
+    options.dataset_sectors = kDataset;
+    options.seed = 13;
+    return std::make_unique<MimdRaid>(options);
   });
 }
 

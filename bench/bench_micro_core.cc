@@ -143,7 +143,7 @@ BENCHMARK(BM_RsatfPick)
 // Closed-loop fleet: N independent disks on one simulator, each immediately
 // re-issuing on completion, so the event engine holds N pending completions
 // at all times. One iteration = one Step(); measures the engine's per-event
-// cost (calendar-queue pop + insert) at fleet scale, not disk mechanics.
+// cost (heap pop + push) at fleet scale, not disk mechanics.
 void BM_FleetSimStep(benchmark::State& state) {
   const size_t fleet = static_cast<size_t>(state.range(0));
   Simulator sim;

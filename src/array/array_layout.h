@@ -88,9 +88,6 @@ class ArrayLayout {
     return *placements_[placement_of_disk_[disk]];
   }
 
-  // True when every disk shares one DiskLayout (the homogeneous case).
-  bool uniform() const { return placements_.size() == 1; }
-
   // Logical sectors stored in stripe column `group`.
   uint64_t column_sectors(uint32_t group) const {
     return static_cast<uint64_t>(column_units_[group]) * stripe_unit_sectors_;

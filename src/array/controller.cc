@@ -99,7 +99,6 @@ void ArrayController::SubmitInternal(DiskOp op, uint64_t lba, uint32_t sectors,
   opstate.op = op;
   opstate.fragments_remaining = static_cast<uint32_t>(fragments.size());
   opstate.done = std::move(done);
-  opstate.issue_us = issue_us;
 
   if (op == DiskOp::kWrite) {
     MarkInflightWrite(lba, sectors, +1);
@@ -412,31 +411,7 @@ void ArrayController::OnEntryComplete(SlotId slot,
     return;
   }
   if (entry.maintenance) {
-    if (auto sit = scrub_reads_.find(entry.id); sit != scrub_reads_.end()) {
-      fstats().scrub_sectors_read += sit->second.sectors;
-      scrub_reads_.erase(sit);
-      ++fstats().scrub_reads;
-      return;
-    }
-    if (auto rit = rebuild_read_done_.find(entry.id);
-        rit != rebuild_read_done_.end()) {
-      auto fn = std::move(rit->second);
-      rebuild_read_done_.erase(rit);
-      fn(result);
-      return;
-    }
-    if (auto wit = rebuild_write_done_.find(entry.id);
-        wit != rebuild_write_done_.end()) {
-      auto fn = std::move(wit->second);
-      rebuild_write_done_.erase(wit);
-      fn(result);
-      return;
-    }
-    ++stats_.maintenance_reads;
-    if (auto* hp =
-            dynamic_cast<HeadPositionPredictor*>(drives().predictor(SlotId(disk)))) {
-      hp->AddReferenceObservation(result.completion_us);
-    }
+    RunMaintenanceHook(entry.id, result, /*ran=*/true);
     return;
   }
   if (entry.delayed) {
@@ -578,7 +553,9 @@ void ArrayController::HandleEntryFailure(uint32_t disk,
                                          uint64_t chosen_lba,
                                          const DiskOpResult& result) {
   if (entry.maintenance) {
-    HandleMaintenanceFailure(disk, entry, chosen_lba, result);
+    const FaultResolution resolution =
+        RunMaintenanceHook(entry.id, result, /*ran=*/true);
+    drives().ResolveFault(entry.id, resolution, drives().failed(SlotId(disk)));
   } else if (entry.delayed) {
     HandleDelayedFailure(disk, entry, chosen_lba, result);
   } else if (entry.op == DiskOp::kRead) {
@@ -729,23 +706,13 @@ void ArrayController::HandleDelayedFailure(uint32_t disk,
                                            uint64_t chosen_lba,
                                            const DiskOpResult& result) {
   (void)result;
-  const std::optional<uint64_t> owner = nvram_.OwnerOf(disk, chosen_lba);
-  const bool is_owner = owner.has_value() && *owner == entry.id;
   if (drives().failed(SlotId(disk))) {
-    if (is_owner) {
-      nvram_.Erase(disk, chosen_lba);
-      if (auditor_ != nullptr) {
-        auditor_->OnNvramErase(disk, chosen_lba);
-      }
-      for (uint32_t s = 0; s < entry.sectors; ++s) {
-        stale_sectors_.erase(ReplicaKey(disk, chosen_lba + s));
-      }
-    }
-    ++fstats().propagations_abandoned;
+    DropDeadSlotEntry(disk, entry);
     drives().ResolveFault(entry.id, FaultResolution::kAbandoned, true);
     return;
   }
-  if (!is_owner) {
+  const std::optional<uint64_t> owner = nvram_.OwnerOf(disk, chosen_lba);
+  if (owner != entry.id) {
     // A newer write superseded this propagation while it was in flight; the
     // live owner entry will rewrite the location with fresher data.
     drives().ResolveFault(entry.id, FaultResolution::kRetried, false);
@@ -773,63 +740,6 @@ void ArrayController::HandleDelayedFailure(uint32_t disk,
         }
         AddDelayedWrite(disk, chosen_lba, sectors, attempts);
       });
-}
-
-void ArrayController::HandleMaintenanceFailure(uint32_t disk,
-                                               const QueuedRequest& entry,
-                                               uint64_t chosen_lba,
-                                               const DiskOpResult& result) {
-  (void)chosen_lba;
-  if (auto rit = rebuild_read_done_.find(entry.id);
-      rit != rebuild_read_done_.end()) {
-    auto fn = std::move(rit->second);
-    rebuild_read_done_.erase(rit);
-    fn(result);  // restarts the fragment copy with a different source
-    drives().ResolveFault(entry.id, FaultResolution::kFailedOver,
-                          drives().failed(SlotId(disk)));
-    return;
-  }
-  if (auto wit = rebuild_write_done_.find(entry.id);
-      wit != rebuild_write_done_.end()) {
-    auto fn = std::move(wit->second);
-    rebuild_write_done_.erase(wit);
-    fn(result);  // retries the copy, or records it lost if the target died
-    const bool target_failed = drives().failed(SlotId(disk));
-    drives().ResolveFault(entry.id,
-                          target_failed ? FaultResolution::kAbandoned
-                                        : FaultResolution::kRetried,
-                          target_failed);
-    return;
-  }
-  if (auto sit = scrub_reads_.find(entry.id); sit != scrub_reads_.end()) {
-    const ScrubTarget target = sit->second;
-    scrub_reads_.erase(sit);
-    ++fstats().scrub_reads;
-    // The read covered its sectors even when it surfaced a media error: the
-    // sweep's job is discovery, and discovery is what happened.
-    fstats().scrub_sectors_read += target.sectors;
-    if (result.status == IoStatus::kMediaError &&
-        !drives().failed(SlotId(target.disk))) {
-      // Latent sector error caught by the sweep: rewrite the replica with
-      // the logically equivalent data the scrubber reads from its siblings
-      // in the same pass; the drive remaps the sector on write.
-      ++fstats().scrub_repairs;
-      ++fstats().repairs_queued;
-      AddDelayedWrite(target.disk, target.lba, target.sectors);
-      drives().ResolveFault(entry.id, FaultResolution::kRepaired, false);
-    } else if (drives().failed(SlotId(target.disk))) {
-      drives().ResolveFault(entry.id, FaultResolution::kAbandoned, true);
-    } else {
-      // Transient noise on a verification read: the next sweep revisits the
-      // chunk, so the observation is surfaced (counted) and dropped.
-      drives().ResolveFault(entry.id, FaultResolution::kSurfaced, false);
-    }
-    return;
-  }
-  // Recalibration reference read: nothing to recover — the observation is
-  // simply missed and the next timer issues a fresh one.
-  drives().ResolveFault(entry.id, FaultResolution::kSurfaced,
-                        drives().failed(SlotId(disk)));
 }
 
 void ArrayController::OnSlotFailed(SlotId slot) {
@@ -898,26 +808,14 @@ void ArrayController::RerouteQueuedEntries(uint32_t disk) {
 bool ArrayController::DropDeadSlotEntry(uint32_t disk,
                                         const QueuedRequest& entry) {
   if (entry.maintenance) {
-    // Rebuild copy traffic: hand the hook a synthetic disk-failed result so
-    // the chain reroutes or terminates. Scrub and recalibration reads are
-    // simply dropped; the next sweep or timer re-issues them.
+    // Rebuild copy hooks see the synthetic disk-failed result and reroute or
+    // end their chain. Scrub and recalibration hooks do nothing; the next
+    // sweep or timer re-issues the read.
     DiskOpResult dead;
     dead.status = IoStatus::kDiskFailed;
     dead.start_us = sim_->Now();
     dead.completion_us = sim_->Now();
-    if (auto rit = rebuild_read_done_.find(entry.id);
-        rit != rebuild_read_done_.end()) {
-      auto fn = std::move(rit->second);
-      rebuild_read_done_.erase(rit);
-      fn(dead);
-    } else if (auto wit = rebuild_write_done_.find(entry.id);
-               wit != rebuild_write_done_.end()) {
-      auto fn = std::move(wit->second);
-      rebuild_write_done_.erase(wit);
-      fn(dead);
-    } else {
-      scrub_reads_.erase(entry.id);
-    }
+    RunMaintenanceHook(entry.id, dead, /*ran=*/false);
     return true;
   }
   if (!entry.delayed) {
@@ -933,6 +831,16 @@ bool ArrayController::DropDeadSlotEntry(uint32_t disk,
   }
   ++fstats().propagations_abandoned;
   return true;
+}
+
+FaultResolution ArrayController::RunMaintenanceHook(uint64_t id,
+                                                    const DiskOpResult& result,
+                                                    bool ran) {
+  auto it = maintenance_.find(id);
+  MIMDRAID_CHECK(it != maintenance_.end());
+  MaintenanceHook hook = std::move(it->second);
+  maintenance_.erase(it);
+  return hook(result, ran);
 }
 
 bool ArrayController::SparePromotionAllowed(SlotId slot) {
@@ -989,8 +897,30 @@ void ArrayController::ScrubStep() {
       e.candidate_lbas = {BlockAddr(loc.lba)};
       e.arrival_us = sim_->Now();
       e.maintenance = true;
-      scrub_reads_[e.id] = ScrubTarget{loc.disk, loc.lba, f.sectors};
       const uint32_t d = loc.disk;
+      maintenance_[e.id] = [this, d, lba = loc.lba, sectors = f.sectors](
+                               const DiskOpResult& r, bool ran) {
+        if (!ran) {
+          return FaultResolution::kAbandoned;
+        }
+        // The read covered its sectors even when it surfaced a media error:
+        // the sweep's job is discovery, and discovery is what happened.
+        ++fstats().scrub_reads;
+        fstats().scrub_sectors_read += sectors;
+        if (r.status == IoStatus::kMediaError && !drives().failed(SlotId(d))) {
+          // Latent sector error caught by the sweep: rewrite the replica with
+          // the logically equivalent data the scrubber reads from its
+          // siblings in the same pass; the drive remaps the sector on write.
+          ++fstats().scrub_repairs;
+          ++fstats().repairs_queued;
+          AddDelayedWrite(d, lba, sectors);
+          return FaultResolution::kRepaired;
+        }
+        // Transient noise on a verification read: the next sweep revisits
+        // the chunk, so the observation is surfaced (counted) and dropped.
+        return drives().failed(SlotId(d)) ? FaultResolution::kAbandoned
+                                          : FaultResolution::kSurfaced;
+      };
       drives().EnqueueDelayed(SlotId(d), std::move(e));
       drives().MaybeDispatch(SlotId(d));
     }
@@ -1170,6 +1100,7 @@ void ArrayController::Rebuild(SlotId disk, DoneFn done) {
   MIMDRAID_CHECK(drives().failed(disk));
   MIMDRAID_CHECK_GE(layout_->aspect().dm, 2);
   drives().MarkReplaced(disk);  // replacement drive in the slot
+  ++rebuild_chains_;
   RebuildNextFragment(disk.value(), 0, std::move(done));
 }
 
@@ -1180,6 +1111,7 @@ void ArrayController::RebuildNextFragment(uint32_t disk, uint64_t next_lba,
   // traffic rides the delayed queues, yielding to foreground work.
   if (drives().failed(SlotId(disk))) {
     // The replacement itself died mid-rebuild; abort the stream.
+    --rebuild_chains_;
     if (done) {
       done(IoResult{IoStatus::kDiskFailed, sim_->Now(), 0});
     }
@@ -1224,9 +1156,9 @@ void ArrayController::RebuildNextFragment(uint32_t disk, uint64_t next_lba,
       read_entry.candidate_lbas = {BlockAddr(source_lba)};
       read_entry.arrival_us = sim_->Now();
       read_entry.maintenance = true;
-      rebuild_read_done_[read_entry.id] =
+      maintenance_[read_entry.id] =
           [this, disk, frag_start, resume, targets, len, source_disk,
-           source_lba, done](const DiskOpResult& r) mutable {
+           source_lba, done](const DiskOpResult& r, bool) mutable {
             if (r.status != IoStatus::kOk) {
               if (r.status == IoStatus::kMediaError) {
                 // The source replica is bad: exclude it from future sourcing
@@ -1239,12 +1171,13 @@ void ArrayController::RebuildNextFragment(uint32_t disk, uint64_t next_lba,
               }
               ++fstats().failovers;
               RebuildNextFragment(disk, frag_start, std::move(done));
-              return;
+              return FaultResolution::kFailedOver;
             }
             auto writes_left = std::make_shared<size_t>(targets.size());
             for (const ReplicaLocation& loc : targets) {
               EnqueueRebuildWrite(loc, len, writes_left, disk, resume, done);
             }
+            return FaultResolution::kFailedOver;  // unread: the read succeeded
           };
       drives().EnqueueDelayed(SlotId(source_disk), std::move(read_entry));
       drives().MaybeDispatch(SlotId(source_disk));
@@ -1252,6 +1185,7 @@ void ArrayController::RebuildNextFragment(uint32_t disk, uint64_t next_lba,
     }
     lba += span;
   }
+  --rebuild_chains_;
   if (done) {
     done(IoResult{IoStatus::kOk, sim_->Now(), 0});
   }
@@ -1279,8 +1213,8 @@ void ArrayController::EnqueueRebuildWrite(ReplicaLocation loc, uint32_t len,
   w.candidate_lbas = {BlockAddr(loc.lba)};
   w.arrival_us = sim_->Now();
   w.maintenance = true;
-  rebuild_write_done_[w.id] = [this, loc, len, writes_left, rebuild_disk,
-                               resume, done](const DiskOpResult& r) mutable {
+  maintenance_[w.id] = [this, loc, len, writes_left, rebuild_disk, resume,
+                        done](const DiskOpResult& r, bool) mutable {
     if (r.status != IoStatus::kOk && !drives().failed(SlotId(loc.disk))) {
       // Transient failure of the copy write: retry after backoff. The write
       // itself repairs any latent error at the target (firmware remap).
@@ -1297,7 +1231,7 @@ void ArrayController::EnqueueRebuildWrite(ReplicaLocation loc, uint32_t len,
         EnqueueRebuildWrite(loc, len, writes_left, rebuild_disk, resume,
                             std::move(done));
       });
-      return;
+      return FaultResolution::kRetried;
     }
     if (r.status != IoStatus::kOk) {
       ++fstats().rebuild_fragments_lost;  // target slot died mid-copy
@@ -1307,6 +1241,7 @@ void ArrayController::EnqueueRebuildWrite(ReplicaLocation loc, uint32_t len,
     if (--*writes_left == 0) {
       RebuildNextFragment(rebuild_disk, resume, std::move(done));
     }
+    return FaultResolution::kAbandoned;  // read only when the target died
   };
   drives().EnqueueDelayed(SlotId(loc.disk), std::move(w));
   drives().MaybeDispatch(SlotId(loc.disk));
@@ -1324,6 +1259,18 @@ void ArrayController::ScheduleRecalibration(uint32_t disk) {
       entry.candidate_lbas = {BlockAddr(hp->reference_lba())};
       entry.arrival_us = sim_->Now();
       entry.maintenance = true;
+      maintenance_[entry.id] = [this, disk](const DiskOpResult& r, bool ran) {
+        // A failed reference read has nothing to recover: the observation is
+        // simply missed and the next timer issues a fresh one.
+        if (ran && r.ok()) {
+          ++stats_.maintenance_reads;
+          if (auto* predictor = dynamic_cast<HeadPositionPredictor*>(
+                  drives().predictor(SlotId(disk)))) {
+            predictor->AddReferenceObservation(r.completion_us);
+          }
+        }
+        return FaultResolution::kSurfaced;
+      };
       drives().EnqueueFg(SlotId(disk), std::move(entry));
       drives().MaybeDispatch(SlotId(disk));
     }

@@ -124,9 +124,7 @@ class ArrayController : public ArrayBackend {
   // Dm >= 2.
   void Rebuild(SlotId disk, DoneFn done) override;
   uint64_t rebuild_copied_fragments() const { return rebuild_copied_; }
-  bool RebuildInProgress() const override {
-    return !rebuild_read_done_.empty() || !rebuild_write_done_.empty();
-  }
+  bool RebuildInProgress() const override { return rebuild_chains_ > 0; }
 
   // Publishes "fault.*" and "array.*" counters.
   void ExportStats(StatsRegistry* registry) const override;
@@ -156,7 +154,6 @@ class ArrayController : public ArrayBackend {
     DiskOp op = DiskOp::kRead;
     uint32_t fragments_remaining = 0;
     DoneFn done;
-    SimTime issue_us;
     IoStatus status = IoStatus::kOk;  // worst status over fragments
     uint32_t recovery_attempts = 0;   // retries/failovers spent on this op
   };
@@ -232,17 +229,17 @@ class ArrayController : public ArrayBackend {
                           uint64_t chosen_lba, const DiskOpResult& result);
   void HandleDelayedFailure(uint32_t disk, const QueuedRequest& entry,
                             uint64_t chosen_lba, const DiskOpResult& result);
-  void HandleMaintenanceFailure(uint32_t disk, const QueuedRequest& entry,
-                                uint64_t chosen_lba,
-                                const DiskOpResult& result);
   void AbandonDelayedQueue(uint32_t disk);
   void RerouteQueuedEntries(uint32_t disk);
   // Disposes of a background entry (propagation, rebuild copy, scrub or
-  // recalibration read) that was queued on `disk` when the slot failed:
-  // rebuild hooks get a synthetic kDiskFailed result so their chains reroute
-  // or end, propagations are abandoned. Returns false for a foreground
-  // fragment entry, which the caller must reroute.
+  // recalibration read) whose slot failed: a maintenance entry's hook runs
+  // with `ran` false and a synthetic kDiskFailed result, so rebuild chains
+  // reroute or end; a propagation is abandoned. Returns false for a
+  // foreground fragment entry, which the caller must reroute.
   bool DropDeadSlotEntry(uint32_t disk, const QueuedRequest& entry);
+  // Removes and runs the hook of maintenance entry `id`.
+  FaultResolution RunMaintenanceHook(uint64_t id, const DiskOpResult& result,
+                                     bool ran);
   void NoteOpRecoveryAttempt(uint64_t op_id);
   void CompleteFragmentUnrecoverable(uint64_t frag_key, FragState& frag);
   // A foreground-propagation replica write was lost (its disk failed);
@@ -273,26 +270,21 @@ class ArrayController : public ArrayBackend {
   std::vector<ParkedRequest> parked_;
 
   uint64_t rebuild_copied_ = 0;
-  // Rebuild plumbing: completion hooks for the maintenance-tagged copy ops.
-  // Both receive the DiskOpResult so the failure path can reroute (pick a
-  // new source / retry the write) instead of silently dropping the copy.
-  std::unordered_map<uint64_t, std::function<void(const DiskOpResult&)>>
-      rebuild_read_done_;
-  std::unordered_map<uint64_t, std::function<void(const DiskOpResult&)>>
-      rebuild_write_done_;
+  // Rebuild streams started and not yet reported done.
+  uint32_t rebuild_chains_ = 0;
+  // Completion hooks of the maintenance entries (rebuild copies, scrub and
+  // recalibration reads), keyed by entry id. A hook runs once: with
+  // `ran` true when its entry completes, or false (and a kDiskFailed result)
+  // when the entry is dropped unrun from a failed slot. It returns how a
+  // failed result was resolved.
+  using MaintenanceHook =
+      std::function<FaultResolution(const DiskOpResult&, bool ran)>;
+  std::unordered_map<uint64_t, MaintenanceHook> maintenance_;
   // Replica sources that returned a media error during rebuild/scrub
   // sourcing; never picked again (keyed by ReplicaKey).
   std::unordered_set<uint64_t> bad_sources_;
 
-  // --- Background scrubbing state ---
   uint64_t scrub_cursor_ = 0;  // next logical LBA to sweep
-  // In-flight scrub reads: entry id -> target replica.
-  struct ScrubTarget {
-    uint32_t disk = 0;
-    uint64_t lba = 0;
-    uint32_t sectors = 0;
-  };
-  std::unordered_map<uint64_t, ScrubTarget> scrub_reads_;
 
   ArrayStats stats_;
 };

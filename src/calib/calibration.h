@@ -35,13 +35,6 @@ struct CalibrationOptions {
   bool extract_seek_profile = true;
   bool probe_layout = false;  // full address-map extraction (expensive)
   SeekExtractionOptions seek;
-
-  // Cheap settings for per-disk calibration when the seek profile is shared.
-  static CalibrationOptions PhaseOnly() {
-    CalibrationOptions o;
-    o.extract_seek_profile = false;
-    return o;
-  }
 };
 
 struct CalibrationResult {

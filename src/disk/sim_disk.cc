@@ -159,8 +159,6 @@ void SimDisk::CompleteInflight() {
   busy_ = false;
   if (result.status == IoStatus::kOk) {
     ++ops_completed_;
-  } else {
-    ++ops_failed_;
   }
   if (auditor_ != nullptr) {
     auditor_->OnDiskOpComplete(inflight_audit_);

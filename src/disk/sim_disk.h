@@ -154,8 +154,6 @@ class SimDisk {
   }
   TraceCollector* trace_collector() const { return collector_; }
 
-  uint64_t ops_failed() const { return ops_failed_; }
-
   // --- Introspection for tests and oracle experiments only. ---
   // Production components (calibration, schedulers) must treat the drive as a
   // black box and work from completion timestamps.
@@ -183,7 +181,6 @@ class SimDisk {
   HeadState head_;
   bool busy_ = false;
   uint64_t ops_completed_ = 0;
-  uint64_t ops_failed_ = 0;
   InvariantAuditor* auditor_ = nullptr;
   FaultInjector* fault_injector_ = nullptr;
   uint32_t audit_disk_index_ = 0;

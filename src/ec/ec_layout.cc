@@ -45,16 +45,4 @@ std::vector<EcFragment> EcLayout::Map(uint64_t lba, uint32_t sectors) const {
   return out;
 }
 
-std::vector<uint32_t> EcLayout::RowPeers(uint32_t row,
-                                         uint32_t excluding_disk) const {
-  (void)row;  // every disk participates in every row (data or parity)
-  std::vector<uint32_t> peers;
-  for (uint32_t d = 0; d < num_disks_; ++d) {
-    if (d != excluding_disk) {
-      peers.push_back(d);
-    }
-  }
-  return peers;
-}
-
 }  // namespace mimdraid

@@ -1,11 +1,13 @@
 // Rotated (k+m) erasure-coded layout.
 //
-// Generalizes the left-symmetric RAID-5 geometry to m parity shards: each
-// stripe row holds k data units and m parity units, and the whole
-// (data..parity) position pattern rotates by one disk per row so parity
-// traffic spreads evenly across the array. k+1 reproduces the RAID-5 shape;
-// k+2 is RAID-6; larger m buys deeper fault tolerance at k/(k+m) capacity
-// efficiency — the frontier points bench_abl_capacity plots.
+// Generalizes rotated-parity RAID-5 to m parity shards: each stripe row
+// holds k data units and m parity units, and the whole (data..parity)
+// position pattern rotates right by one disk per row (position p of row r
+// sits on disk (p + r) mod n), so parity traffic spreads evenly across the
+// array. This is not the classic left-symmetric order, which rotates the
+// other way. k+1 is the RAID-5 shape; k+2 is RAID-6; larger m buys deeper
+// fault tolerance at k/(k+m) capacity efficiency — the frontier points
+// bench_abl_capacity plots.
 #ifndef MIMDRAID_SRC_EC_EC_LAYOUT_H_
 #define MIMDRAID_SRC_EC_EC_LAYOUT_H_
 
@@ -64,10 +66,6 @@ class EcLayout {
 
   // Splits a logical request into per-unit fragments.
   std::vector<EcFragment> Map(uint64_t lba, uint32_t sectors) const;
-
-  // Disks holding the other units of `row` (the superset a reconstruction
-  // chooses its k decode columns from).
-  std::vector<uint32_t> RowPeers(uint32_t row, uint32_t excluding_disk) const;
 
  private:
   uint32_t num_disks_;

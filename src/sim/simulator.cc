@@ -1,7 +1,6 @@
 #include "src/sim/simulator.h"
 
 #include <algorithm>
-#include <bit>
 #include <utility>
 
 #include "src/sim/auditor.h"
@@ -11,11 +10,11 @@ namespace mimdraid {
 
 namespace {
 
-// Compaction trigger: sweep overflow tombstones once they outnumber the live
+// Compaction trigger: sweep heap tombstones once they outnumber the live
 // entries by this margin. The margin keeps tiny queues from compacting on
 // every other cancel; the proportional part bounds the vector at
-// 2*live + kOverflowSlack entries.
-constexpr size_t kOverflowSlack = 64;
+// 2*live + kTombstoneSlack entries.
+constexpr size_t kTombstoneSlack = 64;
 
 }  // namespace
 
@@ -33,7 +32,7 @@ uint32_t Simulator::AllocSlot() {
 void Simulator::RetireSlot(uint32_t slot) {
   Event& ev = pool_[slot];
   ev.fn.reset();
-  ev.state = SlotState::kFree;
+  ev.seq = 0;
   // Bumping the generation invalidates every EventId minted for this
   // incarnation; gen never revisits 0, so EventId() stays unambiguous.
   ++ev.gen;
@@ -43,48 +42,28 @@ void Simulator::RetireSlot(uint32_t slot) {
   free_slots_.push_back(slot);
 }
 
-void Simulator::InsertIntoRing(uint32_t slot, int64_t bucket_abs) {
-  const auto idx = static_cast<uint32_t>(bucket_abs) & kBucketMask;
-  std::vector<uint32_t>& bucket = ring_[idx];
-  pool_[slot].state = SlotState::kInRing;
-  pool_[slot].ring_pos = static_cast<uint32_t>(bucket.size());
-  bucket.push_back(slot);
-  occupied_[idx >> 6] |= uint64_t{1} << (idx & 63);
-  ++ring_count_;
-}
-
-void Simulator::RemoveFromRing(uint32_t slot) {
-  const Event& ev = pool_[slot];
-  const auto idx = static_cast<uint32_t>(BucketOf(ev.at)) & kBucketMask;
-  std::vector<uint32_t>& bucket = ring_[idx];
-  const uint32_t pos = ev.ring_pos;
-  // Swap-with-back removal; patch the moved event's back-pointer.
-  bucket[pos] = bucket.back();
-  pool_[bucket[pos]].ring_pos = pos;
-  bucket.pop_back();
-  if (bucket.empty()) {
-    occupied_[idx >> 6] &= ~(uint64_t{1} << (idx & 63));
+bool Simulator::DropDeadTop() {
+  while (!heap_.empty()) {
+    if (IsLive(heap_.front())) {
+      return true;
+    }
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    heap_.pop_back();
+    --dead_;
   }
-  --ring_count_;
+  return false;
 }
 
-void Simulator::PopOverflowTop() {
-  std::pop_heap(overflow_.begin(), overflow_.end(), OverflowLater{});
-  overflow_.pop_back();
-}
-
-void Simulator::CompactOverflowIfStale() {
-  if (overflow_dead_ <= overflow_.size() / 2 || overflow_dead_ <= kOverflowSlack) {
+void Simulator::CompactIfStale() {
+  if (dead_ <= heap_.size() / 2 || dead_ <= kTombstoneSlack) {
     return;
   }
   auto live_end = std::remove_if(
-      overflow_.begin(), overflow_.end(), [this](const OverflowEntry& e) {
-        return pool_[e.slot].state != SlotState::kInOverflow ||
-               pool_[e.slot].seq != e.seq;
-      });
-  overflow_.erase(live_end, overflow_.end());
-  std::make_heap(overflow_.begin(), overflow_.end(), OverflowLater{});
-  overflow_dead_ = 0;
+      heap_.begin(), heap_.end(),
+      [this](const HeapEntry& e) { return !IsLive(e); });
+  heap_.erase(live_end, heap_.end());
+  std::make_heap(heap_.begin(), heap_.end(), Later{});
+  dead_ = 0;
 }
 
 EventId Simulator::ScheduleAt(SimTime at, EventFn fn) {
@@ -96,28 +75,10 @@ EventId Simulator::ScheduleAt(SimTime at, EventFn fn) {
   const uint64_t seq = next_seq_++;
   const uint32_t slot = AllocSlot();
   Event& ev = pool_[slot];
-  ev.at = at;
   ev.seq = seq;
   ev.fn = std::move(fn);
-
-  // Cursor invariant: cur_bucket_ tracks BucketOf(now_), so no pending event
-  // is ever behind it (pending at >= now_ implies bucket >= BucketOf(now_)).
-  // Advancing it here is always safe for the same reason, and keeps the ring
-  // window anchored at the present after a long idle gap (e.g. RunUntil
-  // jumping the clock) so near-future inserts keep taking the O(1) route.
-  const int64_t now_bucket = BucketOf(now_);
-  if (cur_bucket_ < now_bucket) {
-    cur_bucket_ = now_bucket;
-  }
-  const int64_t bucket_abs = BucketOf(at);
-  if (bucket_abs < cur_bucket_ + static_cast<int64_t>(kNumBuckets)) {
-    InsertIntoRing(slot, bucket_abs);
-  } else {
-    ev.state = SlotState::kInOverflow;
-    overflow_.push_back(OverflowEntry{at, seq, slot});
-    std::push_heap(overflow_.begin(), overflow_.end(), OverflowLater{});
-  }
-  ++pending_;
+  heap_.push_back(HeapEntry{at, seq, slot});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
   return IdFor(slot, ev.gen);
 }
 
@@ -131,117 +92,35 @@ bool Simulator::Cancel(EventId id) {
   const auto gen = static_cast<uint32_t>(id.raw() >> 32);
   // A fired, already-cancelled, or never-issued id no longer matches its
   // slot's generation (or names no slot at all): harmless no-op.
-  if (slot >= pool_.size() || pool_[slot].gen != gen ||
-      pool_[slot].state == SlotState::kFree) {
+  if (slot >= pool_.size() || pool_[slot].gen != gen || pool_[slot].seq == 0) {
     return false;
   }
-  if (pool_[slot].state == SlotState::kInRing) {
-    RemoveFromRing(slot);
-  } else {
-    // The heap entry stays behind as a tombstone (detected by seq mismatch
-    // once the slot retires); the closure dies right now regardless.
-    ++overflow_dead_;
-  }
+  // The heap entry stays behind as a tombstone (its seq no longer matches the
+  // retired slot); the closure dies right now regardless.
+  ++dead_;
   RetireSlot(slot);
-  --pending_;
-  CompactOverflowIfStale();
+  CompactIfStale();
   return true;
 }
 
-uint32_t Simulator::FindEarliest() {
-  // Peek-only: nothing here moves the cursor or relocates events, so RunUntil
-  // can probe the queue head without perturbing engine state. The cursor is
-  // only committed by Step(), in lockstep with now_ — that keeps the ring
-  // invariant (every ring event's bucket inside [cur_bucket_, cur_bucket_ +
-  // kNumBuckets)) immune to deadline-bounded runs that stop short.
-  //
-  // Drop dead heap tops so overflow_.front() is a live event (or gone).
-  while (!overflow_.empty()) {
-    const OverflowEntry& top = overflow_.front();
-    if (pool_[top.slot].state == SlotState::kInOverflow &&
-        pool_[top.slot].seq == top.seq) {
-      break;
-    }
-    PopOverflowTop();
-    --overflow_dead_;
-  }
-  uint32_t best = kNpos;
-  if (ring_count_ > 0) {
-    // First occupied bucket at/after the cursor via the occupancy bitmap
-    // (one countr_zero per 64 buckets, cyclic). Every ring event sits inside
-    // the window, so the first occupied bucket is the minimum bucket, and
-    // bucket times are monotone in bucket index — the global ring minimum
-    // lives there. Buckets are small (64 µs of events), so the linear
-    // (at, seq) min scan inside is cheap and reproduces the old binary
-    // heap's deterministic total order exactly.
-    const auto start = static_cast<uint32_t>(cur_bucket_) & kBucketMask;
-    uint32_t found = kNpos;
-    uint32_t word = start >> 6;
-    uint64_t bits = occupied_[word] & (~uint64_t{0} << (start & 63));
-    for (uint32_t scanned = 0; scanned <= kNumBuckets / 64; ++scanned) {
-      if (bits != 0) {
-        found = (word << 6) + static_cast<uint32_t>(std::countr_zero(bits));
-        break;
-      }
-      word = (word + 1) & ((kNumBuckets / 64) - 1);
-      bits = occupied_[word];
-    }
-    MIMDRAID_CHECK(found != kNpos);
-    const std::vector<uint32_t>& bucket = ring_[found];
-    best = bucket[0];
-    for (size_t i = 1; i < bucket.size(); ++i) {
-      const Event& cand = pool_[bucket[i]];
-      const Event& cur = pool_[best];
-      if (cand.at < cur.at || (cand.at == cur.at && cand.seq < cur.seq)) {
-        best = bucket[i];
-      }
-    }
-  }
-  if (!overflow_.empty()) {
-    // The overflow top competes directly with the ring minimum; no draining.
-    // (An overflow event whose bucket has drifted inside the window just
-    // keeps firing from the heap — correct either way.)
-    const OverflowEntry& top = overflow_.front();
-    if (best == kNpos || top.at < pool_[best].at ||
-        (top.at == pool_[best].at && top.seq < pool_[best].seq)) {
-      best = top.slot;
-    }
-  }
-  return best;
-}
-
 bool Simulator::Step() {
-  const uint32_t slot = FindEarliest();
-  if (slot == kNpos) {
+  if (!DropDeadTop()) {
     return false;
   }
-  Event& ev = pool_[slot];
-  const SimTime at = ev.at;
-  // Detach before invoking: move the closure out (no copy — the old engine
-  // copied the whole std::function off the heap top per event), unlink, and
-  // retire the slot so the callback can freely schedule new events into it
-  // and a self-Cancel from inside the callback is a clean no-op.
-  EventFn fn = std::move(ev.fn);
-  if (ev.state == SlotState::kInRing) {
-    RemoveFromRing(slot);
-  } else {
-    // FindEarliest only ever surfaces the overflow *top*.
-    PopOverflowTop();
-  }
-  RetireSlot(slot);
-  --pending_;
+  const HeapEntry top = heap_.front();
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  heap_.pop_back();
+  // Detach before invoking: move the closure out and retire the slot, so the
+  // callback can freely schedule new events into it and a self-Cancel from
+  // inside the callback is a clean no-op.
+  EventFn fn = std::move(pool_[top.slot].fn);
+  RetireSlot(top.slot);
   if (auditor_ != nullptr) {
-    auditor_->OnEventFired(now_, at);
+    auditor_->OnEventFired(now_, top.at);
   } else {
-    MIMDRAID_CHECK_GE(at, now_);
+    MIMDRAID_CHECK_GE(top.at, now_);
   }
-  now_ = at;
-  // Commit the cursor in lockstep with the clock: every still-pending event
-  // has at >= now_, hence bucket >= BucketOf(now_).
-  const int64_t now_bucket = BucketOf(now_);
-  if (cur_bucket_ < now_bucket) {
-    cur_bucket_ = now_bucket;
-  }
+  now_ = top.at;
   ++events_fired_;
   fn();
   return true;
@@ -254,18 +133,12 @@ void Simulator::Run() {
 
 void Simulator::RunUntil(SimTime deadline) {
   MIMDRAID_CHECK_GE(deadline, now_);
-  for (;;) {
-    // Peek: FindEarliest skips cancelled work entirely (Cancel unlinks
-    // eagerly), so a cancelled event exactly at `deadline` can never drag
-    // now_ forward — the old DropCancelledTop hazard class is structurally
-    // gone, and the pinning test watches it stays that way.
-    const uint32_t slot = FindEarliest();
-    if (slot == kNpos || pool_[slot].at > deadline) {
-      now_ = deadline;
-      return;
-    }
+  // Tombstones are dropped before peeking, so a cancelled event exactly at
+  // `deadline` can never drag now_ forward (the pinning test watches it).
+  while (DropDeadTop() && heap_.front().at <= deadline) {
     Step();
   }
+  now_ = deadline;
 }
 
 }  // namespace mimdraid

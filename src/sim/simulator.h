@@ -10,17 +10,15 @@
 // events at the same instant fire in scheduling order and runs are
 // deterministic.
 //
-// Engine layout (ISSUE 8, fleet-scale overhaul). Events live in a pooled
-// slab and are indexed by a calendar queue: a ring of fixed-width time
-// buckets covering a sliding near-future window, with a binary-heap overflow
-// for events beyond the horizon. The steady path — schedule, fire — is a
-// pool-slot reuse plus a bucket append/scan: no allocation (the callback
-// lives in the event's inline buffer, see src/util/inline_fn.h) and no
-// rebalancing. Cancel is eager: a ring event is unlinked from its bucket and
-// its slot recycled immediately; an overflow event has its callback (and
-// everything the closure kept alive) destroyed on the spot, leaving only a
-// 24-byte tombstone that compaction sweeps once tombstones outnumber live
-// entries. PendingEvents() is an exact counter throughout.
+// Engine layout. Events live in a pooled slab of generation-tagged slots and
+// are ordered by one binary min-heap of (at, seq, slot) entries. The steady
+// path — schedule, fire — is a pool-slot reuse plus a push_heap/pop_heap: no
+// allocation (the callback lives in the event's inline buffer, see
+// src/util/inline_fn.h). Cancel destroys the callback (and everything the
+// closure kept alive) on the spot and leaves a 24-byte tombstone in the heap,
+// which compaction sweeps once tombstones outnumber live entries. Measured
+// queues are small (no bench holds more than a few dozen pending events), so
+// a single heap is all the index the engine needs.
 #ifndef MIMDRAID_SRC_SIM_SIMULATOR_H_
 #define MIMDRAID_SRC_SIM_SIMULATOR_H_
 
@@ -76,7 +74,7 @@ class Simulator {
   bool Step();
 
   // Number of pending (non-cancelled, non-fired) events.
-  size_t PendingEvents() const { return pending_; }
+  size_t PendingEvents() const { return heap_.size() - dead_; }
 
   // Total events fired since construction (for tests / sanity checks).
   uint64_t events_fired() const { return events_fired_; }
@@ -97,41 +95,27 @@ class Simulator {
   // Event slots ever allocated (live + free-listed). Bounded by the peak
   // number of simultaneously pending events, not by throughput.
   size_t EventSlotsForTest() const { return pool_.size(); }
-  // Far-future heap entries, live + tombstones. Compaction keeps this within
-  // a small multiple of the live count.
-  size_t OverflowEntriesForTest() const { return overflow_.size(); }
+  // Heap entries, live + tombstones. Compaction keeps this within a small
+  // multiple of the live count.
+  size_t HeapEntriesForTest() const { return heap_.size(); }
 
  private:
-  // Calendar ring geometry: kNumBuckets buckets of 2^kBucketShift µs each.
-  // With 64 µs buckets the ring spans a 65.5 ms near-future window — several
-  // disk service times — so virtually every I/O-path event takes the O(1)
-  // ring route; only long timers (scrub ticks, watchdogs, reliability-scale
-  // events) touch the overflow heap.
-  static constexpr int kBucketShift = 6;
-  static constexpr uint32_t kNumBuckets = 1024;  // power of two
-  static constexpr uint32_t kBucketMask = kNumBuckets - 1;
-  static constexpr uint32_t kNpos = UINT32_MAX;
-
-  enum class SlotState : uint8_t { kFree, kInRing, kInOverflow };
-
   struct Event {
-    SimTime at;
-    uint64_t seq = 0;   // global tie-break: FIFO among same-time events
-    uint32_t gen = 1;   // id generation; bumped every time the slot retires
-    SlotState state = SlotState::kFree;
-    uint32_t ring_pos = 0;  // index within its bucket while kInRing
+    uint64_t seq = 0;  // the pending incarnation's seq; 0 marks a free slot
+    uint32_t gen = 1;  // id generation; bumped every time the slot retires
     EventFn fn;
   };
 
-  // Overflow heap entry. (at, seq) orders it; `slot`+`seq` identify the pool
-  // event, and a mismatch (slot retired or reused) marks a tombstone.
-  struct OverflowEntry {
+  // Heap entry. (at, seq) orders it: seq is a global tie-break, so same-time
+  // events fire FIFO. `slot`+`seq` identify the pool event, and a mismatch
+  // (slot retired or reused) marks a tombstone.
+  struct HeapEntry {
     SimTime at;
     uint64_t seq;
     uint32_t slot;
   };
-  struct OverflowLater {
-    bool operator()(const OverflowEntry& a, const OverflowEntry& b) const {
+  struct Later {
+    bool operator()(const HeapEntry& a, const HeapEntry& b) const {
       if (a.at != b.at) {
         return a.at > b.at;
       }
@@ -139,41 +123,28 @@ class Simulator {
     }
   };
 
-  static int64_t BucketOf(SimTime at) { return at.us() >> kBucketShift; }
   static EventId IdFor(uint32_t slot, uint32_t gen) {
     return EventId((static_cast<uint64_t>(gen) << 32) | slot);
   }
 
+  bool IsLive(const HeapEntry& e) const { return pool_[e.slot].seq == e.seq; }
   uint32_t AllocSlot();
   void RetireSlot(uint32_t slot);
-  void InsertIntoRing(uint32_t slot, int64_t bucket_abs);
-  void RemoveFromRing(uint32_t slot);
-  void PopOverflowTop();
-  void CompactOverflowIfStale();
-  // Earliest live event (ring minimum vs overflow top); kNpos when no event
-  // is pending. Peek-only: the event stays queued and the cursor does not
-  // move — Step() detaches the event and commits the cursor with the clock.
-  uint32_t FindEarliest();
+  // Pops tombstones off the top; returns false when no live event is left.
+  bool DropDeadTop();
+  void CompactIfStale();
 
   SimTime now_;
   InvariantAuditor* auditor_ = nullptr;
   uint64_t next_seq_ = 1;
-  size_t pending_ = 0;
   uint64_t events_fired_ = 0;
 
   std::vector<Event> pool_;
   std::vector<uint32_t> free_slots_;
 
-  // Calendar ring: bucket i holds events with BucketOf(at) ≡ i (mod
-  // kNumBuckets) inside the window [cur_bucket_, cur_bucket_ + kNumBuckets).
-  std::vector<uint32_t> ring_[kNumBuckets];
-  uint64_t occupied_[kNumBuckets / 64] = {};
-  int64_t cur_bucket_ = 0;
-  size_t ring_count_ = 0;
-
-  // Beyond-horizon events: min-heap over (at, seq) via std::push_heap.
-  std::vector<OverflowEntry> overflow_;
-  size_t overflow_dead_ = 0;
+  // Min-heap over (at, seq) via std::push_heap; `dead_` counts tombstones.
+  std::vector<HeapEntry> heap_;
+  size_t dead_ = 0;
 };
 
 }  // namespace mimdraid

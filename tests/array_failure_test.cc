@@ -205,5 +205,34 @@ TEST(ArrayFailure, RebuildFinishesWhenForcedOutCopyTargetFailStops) {
   EXPECT_EQ(rebuild.status, IoStatus::kDiskFailed);
 }
 
+TEST(ArrayFailure, RebuildInProgressWhileCopyWriteRetryBacksOff) {
+  // A transiently failed rebuild copy write waits out a recovery backoff
+  // with no copy entry queued anywhere; the rebuild is still running.
+  FaultInjector injector(FaultInjectorOptions{});
+  ArrayControllerOptions copts;
+  copts.drives.fault_injector = &injector;
+  Rig rig(1, 1, 2, /*dataset=*/3000, copts);
+  ASSERT_TRUE(rig.controller->FailDisk(SlotId(0)));
+  IoResult rebuild;
+  bool rebuilt = false;
+  rig.controller->Rebuild(SlotId(0), [&](const IoResult& r) {
+    rebuild = r;
+    rebuilt = true;
+  });
+  injector.InjectTransientErrors(0, 1);
+  while (rig.controller->fault_stats().retries_issued == 0) {
+    ASSERT_TRUE(rig.sim.Step());
+  }
+  ASSERT_FALSE(rebuilt);
+  EXPECT_TRUE(rig.controller->RebuildInProgress());
+  uint64_t steps = 0;
+  while (!rebuilt && rig.sim.Step()) {
+    ASSERT_LT(++steps, 10'000'000u) << "rebuild wedged";
+  }
+  ASSERT_TRUE(rebuilt);
+  EXPECT_EQ(rebuild.status, IoStatus::kOk);
+  EXPECT_FALSE(rig.controller->RebuildInProgress());
+}
+
 }  // namespace
 }  // namespace mimdraid

@@ -222,13 +222,6 @@ TEST(EcLayoutTest, RotationInverseAndMapGeometry) {
               static_cast<uint64_t>(f.row) * 16 + f.logical_lba % 16);
   }
   EXPECT_EQ(covered, 16u);
-
-  // RowPeers excludes exactly the named disk.
-  const std::vector<uint32_t> peers = layout.RowPeers(3, 2);
-  EXPECT_EQ(peers.size(), 5u);
-  for (const uint32_t p : peers) {
-    EXPECT_NE(p, 2u);
-  }
 }
 
 // RAID-5 is the k+1 EcLayout: one parity shard per row, N-1 data shards.

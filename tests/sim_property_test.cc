@@ -1,9 +1,9 @@
-// Property test for the calendar-queue event engine: a reference model (a
-// plain binary heap with lazy deletion, the engine's previous implementation)
-// must agree with the engine on the exact fire order — time, FIFO tiebreak,
-// and clock — over randomized schedule/cancel/reschedule churn, including
-// far-future events that exercise the overflow heap and deadlines that park
-// the clock between buckets. PendingEvents() is checked exactly throughout.
+// Property test for the event engine: a reference model (a plain binary
+// heap with lazy deletion and a separate live set) must agree with the
+// engine's pooled, tombstoned heap on the exact fire order — time, FIFO
+// tiebreak, and clock — over randomized schedule/cancel/reschedule churn,
+// including far-future events and deadlines that park the clock between
+// events. PendingEvents() is checked exactly throughout.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -96,8 +96,8 @@ TEST(SimulatorProperty, MatchesReferenceHeapOverRandomChurn) {
   while (scheduled < kEvents || model.Pending() > 0) {
     const double roll = rng.UniformDouble();
     if (scheduled < kEvents && roll < 0.45) {
-      // Schedule: mostly near-future (in the calendar ring), sometimes far
-      // enough out to land in the overflow heap, sometimes exactly at now.
+      // Schedule: mostly near-future, sometimes far future (long timers),
+      // sometimes exactly at now.
       int64_t delta;
       const double kind = rng.UniformDouble();
       if (kind < 0.70) {

@@ -215,26 +215,27 @@ TEST(Simulator, CancelReleasesCallbackEagerly) {
 // Regression: a schedule-far/cancel churn loop (the watchdog-per-op pattern)
 // used to grow the heap and the lazy-deletion set without bound within a
 // quiet period. With slot recycling and tombstone compaction both the pool
-// and the overflow stay bounded by the live event count, not the churn count.
+// and the heap stay bounded by the live event count, not the churn count.
 TEST(Simulator, CancelChurnBoundsQueue) {
   Simulator sim;
   for (int i = 0; i < 100'000; ++i) {
-    // Far future: always lands in the overflow heap, the worst case for
-    // tombstone accumulation.
+    // Far future: the tombstone sinks below every later insert and never
+    // surfaces at the top, the worst case for tombstone accumulation.
     const EventId id =
         sim.ScheduleAfter(SimDuration(500'000'000 + i), [] {});
     EXPECT_TRUE(sim.Cancel(id));
   }
   EXPECT_EQ(sim.PendingEvents(), 0u);
   EXPECT_LE(sim.EventSlotsForTest(), 16u);
-  EXPECT_LE(sim.OverflowEntriesForTest(), 256u);
-  // Near-future churn exercises the ring path the same way.
+  EXPECT_LE(sim.HeapEntriesForTest(), 256u);
+  // Near-future churn leaves tombstones in the same heap.
   for (int i = 0; i < 100'000; ++i) {
     const EventId id = sim.ScheduleAfter(SimDuration(1 + (i % 100)), [] {});
     EXPECT_TRUE(sim.Cancel(id));
   }
   EXPECT_EQ(sim.PendingEvents(), 0u);
   EXPECT_LE(sim.EventSlotsForTest(), 16u);
+  EXPECT_LE(sim.HeapEntriesForTest(), 256u);
 }
 
 // A cancelled event sitting exactly at the deadline must not drag the clock

@@ -3,7 +3,9 @@
 # (BENCH_sim.json) and fails if any benchmark regressed by more than the
 # threshold (default 15%). Used by the `perf` CI job as a coarse tripwire
 # against accidental hot-path regressions; benchmarks present on only one
-# side (added or retired) are reported but never fail the check.
+# side (added or retired) are reported but never fail the check. It prints
+# the baseline's CMAKE_BUILD_TYPE (machine.build_type, written by
+# tools/record_bench.sh) next to this build's, and warns when they differ.
 #
 # Usage: tools/check_bench.sh [build-dir] [baseline.json] [threshold-pct]
 #        (defaults: build BENCH_sim.json 15)
@@ -14,6 +16,8 @@ threshold="${3:-15}"
 repo="$(cd "$(dirname "$0")/.." && pwd)"
 baseline="$repo/$baseline_name"
 bench="$repo/$build_dir/bench/bench_micro_core"
+build_type=$(sed -n 's/^CMAKE_BUILD_TYPE:[A-Z]*=//p' \
+    "$repo/$build_dir/CMakeCache.txt" 2>/dev/null || true)
 
 if [ ! -f "$baseline" ]; then
   echo "check_bench: no baseline at $baseline" >&2
@@ -30,7 +34,7 @@ trap 'rm -f "$raw"' EXIT
 "$bench" --benchmark_format=json --benchmark_out="$raw" \
     --benchmark_out_format=json --benchmark_repetitions=3 >&2
 
-python3 - "$raw" "$baseline" "$threshold" <<'EOF'
+python3 - "$raw" "$baseline" "$threshold" "$build_type" <<'EOF'
 import json
 import sys
 
@@ -39,6 +43,13 @@ with open(sys.argv[1]) as f:
 with open(sys.argv[2]) as f:
     base = json.load(f)
 threshold = float(sys.argv[3])
+
+base_type = base.get("machine", {}).get("build_type") or "unrecorded"
+cur_type = sys.argv[4] or "unset"
+print(f"  build type: baseline {base_type}, current {cur_type}")
+if base_type != cur_type:
+    print(f"check_bench: warning: baseline build type {base_type} differs from "
+          f"current {cur_type}; timings may not be comparable", file=sys.stderr)
 
 # Median-of-repetitions where present, plain runs otherwise. BigO/RMS
 # aggregates are fit parameters, not timings; skip them.

@@ -8,6 +8,11 @@
 # the diff so reviewers see the before/after. Numbers from other machines are
 # for local comparison only — don't commit them.
 #
+# Only a Release build may be recorded: the script reads CMAKE_BUILD_TYPE
+# from <build-dir>/CMakeCache.txt, refuses anything else, and stores it as
+# machine.build_type so tools/check_bench.sh can tell which build a baseline
+# came from.
+#
 # Usage: tools/record_bench.sh [build-dir] [output.json]
 #        (defaults: build BENCH_sim.json)
 set -e
@@ -15,6 +20,14 @@ build_dir="${1:-build}"
 out_name="${2:-BENCH_sim.json}"
 repo="$(cd "$(dirname "$0")/.." && pwd)"
 bench="$repo/$build_dir/bench/bench_micro_core"
+cache="$repo/$build_dir/CMakeCache.txt"
+
+build_type=$(sed -n 's/^CMAKE_BUILD_TYPE:[A-Z]*=//p' "$cache" 2>/dev/null || true)
+if [ "$build_type" != "Release" ]; then
+  echo "record_bench: $build_dir has build type '${build_type:-unset}';" \
+       "record only from a -DCMAKE_BUILD_TYPE=Release build" >&2
+  exit 1
+fi
 
 if [ ! -x "$bench" ]; then
   echo "building bench_micro_core..." >&2
@@ -26,7 +39,7 @@ trap 'rm -f "$raw"' EXIT
 "$bench" --benchmark_format=json --benchmark_out="$raw" \
     --benchmark_out_format=json >&2
 
-python3 - "$raw" "$repo/$out_name" <<'EOF'
+python3 - "$raw" "$repo/$out_name" "$build_type" <<'EOF'
 import json
 import platform
 import sys
@@ -54,6 +67,7 @@ out = {
         "mhz_per_cpu": ctx.get("mhz_per_cpu"),
         "cpu_scaling_enabled": ctx.get("cpu_scaling_enabled"),
         "library_build_type": ctx.get("library_build_type"),
+        "build_type": sys.argv[3],
     },
     "benchmarks": benchmarks,
 }
