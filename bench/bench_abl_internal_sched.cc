@@ -9,14 +9,17 @@
 //   firmware SATF            — drive schedules internally with perfect
 //                              knowledge of its own head and spindle.
 // Firmware SATF is the upper bound; the software predictor's job is to get
-// close to it without any hardware support.
+// close to it without any hardware support. A firmware queue is modelled as
+// the same host loop driven by an OraclePredictor with no slack: the drive's
+// ground-truth timing from its exact head and spindle state, and no
+// calibration run. A 32-tag scan cap would never bind at a queue of 16.
 #include <cstdio>
+#include <memory>
 #include <unordered_map>
 
 #include "bench/bench_common.h"
 #include "src/calib/calibration.h"
 #include "src/calib/predictor.h"
-#include "src/disk/queued_disk.h"
 #include "src/sched/scheduler.h"
 
 using namespace mimdraid;
@@ -68,15 +71,21 @@ Outcome RunClosed(Simulator* sim, SubmitOne submit) {
   return out;
 }
 
-// Host-side scheduling: external queue + scheduler + software predictor,
-// one command outstanding (the prototype's structure).
-Outcome RunHost(SchedulerKind kind) {
+// External queue + scheduler + predictor, one command outstanding (the
+// prototype's structure). `firmware` swaps the calibrated software predictor
+// for the drive's own perfect knowledge.
+Outcome RunHost(SchedulerKind kind, bool firmware = false) {
   Simulator sim;
   auto drive_ptr = MakeDrive(&sim);
   SimDisk& disk = *drive_ptr;
-  CalibrationOptions copt;
-  copt.seek.num_distances = 14;
-  auto predictor = MakeCalibratedPredictor(&sim, &disk, copt);
+  std::unique_ptr<AccessPredictor> predictor;
+  if (firmware) {
+    predictor = std::make_unique<OraclePredictor>(&disk, 0.0);
+  } else {
+    CalibrationOptions copt;
+    copt.seek.num_distances = 14;
+    predictor = MakeCalibratedPredictor(&sim, &disk, copt);
+  }
   auto sched = MakeScheduler(kind);
   std::vector<QueuedRequest> queue;
   uint64_t next_id = 1;
@@ -126,19 +135,6 @@ Outcome RunHost(SchedulerKind kind) {
   });
 }
 
-Outcome RunFirmware(FirmwarePolicy policy) {
-  Simulator sim;
-  auto drive_ptr = MakeDrive(&sim);
-  SimDisk& disk = *drive_ptr;
-  InternalQueueDisk drive(&disk, policy);
-  return RunClosed(&sim, [&](Rng& rng, std::function<void(SimTime)> cb) {
-    drive.Submit(DiskOp::kRead, BlockAddr(rng.UniformU64(disk.num_sectors())), 1,
-                 [cb = std::move(cb)](const DiskOpResult& r) {
-                   cb(r.completion_us);
-                 });
-  });
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -149,8 +145,8 @@ int main(int argc, char** argv) {
   sweep.Defer([] { return RunHost(SchedulerKind::kFcfs); });
   sweep.Defer([] { return RunHost(SchedulerKind::kLook); });
   sweep.Defer([] { return RunHost(SchedulerKind::kSatf); });
-  sweep.Defer([] { return RunFirmware(FirmwarePolicy::kFcfs); });
-  sweep.Defer([] { return RunFirmware(FirmwarePolicy::kSatf); });
+  sweep.Defer([] { return RunHost(SchedulerKind::kFcfs, /*firmware=*/true); });
+  sweep.Defer([] { return RunHost(SchedulerKind::kSatf, /*firmware=*/true); });
   sweep.Run();
 
   std::printf("%-32s %-10s %s\n", "scheduler", "IOPS", "mean latency");

@@ -2,19 +2,11 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 
 #include "src/util/check.h"
 
 namespace mimdraid {
-
-namespace {
-// Status severity follows declaration order; an op surfaces the worst
-// unabsorbed status of its fragments.
-IoStatus Worse(IoStatus a, IoStatus b) {
-  return static_cast<uint8_t>(a) >= static_cast<uint8_t>(b) ? a : b;
-}
-
-}  // namespace
 
 ArrayController::ArrayController(Simulator* sim, std::vector<SimDisk*> disks,
                                  std::vector<AccessPredictor*> predictors,
@@ -25,8 +17,7 @@ ArrayController::ArrayController(Simulator* sim, std::vector<SimDisk*> disks,
       sim_(sim),
       layout_(layout),
       options_(options),
-      auditor_(options.drives.auditor),
-      collector_(options.drives.collector) {
+      auditor_(options.drives.auditor) {
   MIMDRAID_CHECK(layout != nullptr);
   MIMDRAID_CHECK_EQ(drives().num_slots(), layout->num_disks());
   const size_t n = drives().num_slots();
@@ -60,7 +51,8 @@ void ArrayController::AuditQuiescent() const {
 }
 
 bool ArrayController::Idle() const {
-  if (!ops_.empty() || !parked_.empty() || drives().pending_recovery() > 0) {
+  if (OpsOutstanding() > 0 || !parked_.empty() ||
+      drives().pending_recovery() > 0) {
     return false;
   }
   return drives().AllDrivesQuiet();
@@ -83,22 +75,16 @@ void ArrayController::SubmitInternal(DiskOp op, uint64_t lba, uint32_t sectors,
     return;
   }
 
-  const uint64_t op_id = next_op_id_++;
-  // Parked reads are recorded only on resubmission (the early return above),
-  // with their original issue time, so parked waiting shows up in queue_us'
-  // complement: the e2e latency counts it, the final leg does not.
-  if (collector_ != nullptr) {
-    collector_->OnRequestArrival(op_id, op == DiskOp::kWrite, lba, sectors,
-                                 issue_us);
-  }
   std::vector<ArrayFragment> fragments = layout_->Map(lba, sectors);
   if (auditor_ != nullptr) {
     AuditMappedFragments(lba, sectors, fragments);
   }
-  OpState& opstate = ops_[op_id];
-  opstate.op = op;
-  opstate.fragments_remaining = static_cast<uint32_t>(fragments.size());
-  opstate.done = std::move(done);
+  // Parked reads are recorded only on resubmission (the early return above),
+  // with their original issue time, so parked waiting shows up in queue_us'
+  // complement: the e2e latency counts it, the final leg does not.
+  const uint64_t op_id =
+      BeginOp(op, lba, sectors, static_cast<uint32_t>(fragments.size()),
+              std::move(done), issue_us);
 
   if (op == DiskOp::kWrite) {
     MarkInflightWrite(lba, sectors, +1);
@@ -167,7 +153,7 @@ bool ArrayController::SubmitReadFragment(FragState& frag, uint64_t frag_key) {
     for (ReplicaLocation& loc : tail.bad_replicas) {
       loc.lba += best_prefix;
     }
-    ++ops_[frag.op_id].fragments_remaining;
+    AddOpParts(frag.op_id, 1);
     // `frag` may have been invalidated by the map insertion above.
     FragState& head = frags_[frag_key];
     head.sectors = best_prefix;
@@ -364,34 +350,16 @@ void ArrayController::AuditMappedFragments(
 
 void ArrayController::OnEntryDispatched(SlotId slot,
                                         const QueuedRequest& entry) {
-  const uint32_t disk = slot.value();
-  if (!entry.delayed && !entry.maintenance) {
-    CancelSiblings(entry.tag, disk, entry.id);
+  if (entry.delayed || entry.maintenance) {
+    return;
   }
-}
-
-void ArrayController::CancelSiblings(uint64_t frag_key, uint32_t winner_disk,
-                                     uint64_t winner_entry) {
-  auto it = frags_.find(frag_key);
+  auto it = frags_.find(entry.tag);
   MIMDRAID_CHECK(it != frags_.end());
   FragState& frag = it->second;
   for (const auto& [disk, entry_id] : frag.queued) {
-    if (disk == winner_disk && entry_id == winner_entry) {
-      continue;
-    }
-    auto& q = drives().fg(SlotId(disk));
-    for (size_t i = 0; i < q.size(); ++i) {
-      if (q[i].id == entry_id) {
-        q.erase(q.begin() + static_cast<ptrdiff_t>(i));
-        ++stats_.read_duplicates_cancelled;
-        if (auditor_ != nullptr) {
-          auditor_->OnEntryCancelled(disk, entry_id);
-        }
-        if (collector_ != nullptr) {
-          collector_->OnQueueDepth(disk, sim_->Now(), q.size());
-        }
-        break;
-      }
+    if ((disk != slot.value() || entry_id != entry.id) &&
+        drives().Cancel(SlotId(disk), entry_id)) {
+      ++stats_.read_duplicates_cancelled;
     }
   }
   frag.queued.clear();
@@ -400,33 +368,55 @@ void ArrayController::CancelSiblings(uint64_t frag_key, uint32_t winner_disk,
 void ArrayController::OnEntryComplete(SlotId slot,
                                       const QueuedRequest& entry,
                                       BlockAddr chosen_addr,
-                                      const DiskOpResult& result) {
+                                      const DiskOpResult& result, bool ran) {
   const uint32_t disk = slot.value();
   const uint64_t chosen_lba = chosen_addr.value();
-  // The engine has already reported the completion to the auditor and, for
-  // failures, opened the fault record and run the fault counters (possibly
-  // auto-failing the slot). Only the mirror policy's bookkeeping runs here.
-  if (!result.ok()) {
-    HandleEntryFailure(disk, entry, chosen_lba, result);
-    return;
-  }
+  // The engine has already reported the entry to the auditor and, for a
+  // failure it ran, opened the fault record and run the fault counters
+  // (possibly auto-failing the slot). Only the mirror policy's bookkeeping
+  // runs here.
   if (entry.maintenance) {
-    RunMaintenanceHook(entry.id, result, /*ran=*/true);
+    auto it = maintenance_.find(entry.id);
+    MIMDRAID_CHECK(it != maintenance_.end());
+    MaintenanceHook hook = std::move(it->second);
+    maintenance_.erase(it);
+    const FaultResolution resolution = hook(result, ran);
+    if (ran && !result.ok()) {
+      drives().ResolveFault(entry.id, resolution, drives().failed(slot));
+    }
     return;
   }
   if (entry.delayed) {
-    // Background propagation landed: the replica is now clean — unless a
-    // newer propagation to the same location was queued while this one was in
-    // flight (the index then points at the newer entry).
-    if (nvram_.EraseIfOwner(disk, chosen_lba, entry.id)) {
-      if (auditor_ != nullptr) {
-        auditor_->OnNvramErase(disk, chosen_lba);
+    if (!ran) {
+      AbandonPropagation(disk, entry);
+    } else if (!result.ok()) {
+      HandleDelayedFailure(disk, entry, chosen_lba);
+    } else {
+      // Background propagation landed: the replica is now clean — unless a
+      // newer propagation to the same location was queued while this one was
+      // in flight (the index then points at the newer entry).
+      if (nvram_.EraseIfOwner(disk, chosen_lba, entry.id)) {
+        if (auditor_ != nullptr) {
+          auditor_->OnNvramErase(disk, chosen_lba);
+        }
+        for (uint32_t s = 0; s < entry.sectors; ++s) {
+          stale_sectors_.erase(ReplicaKey(disk, chosen_lba + s));
+        }
       }
-      for (uint32_t s = 0; s < entry.sectors; ++s) {
-        stale_sectors_.erase(ReplicaKey(disk, chosen_lba + s));
-      }
+      ++stats_.delayed_writes_completed;
     }
-    ++stats_.delayed_writes_completed;
+    return;
+  }
+  if (!ran) {
+    RerouteDroppedEntry(disk, entry);
+    return;
+  }
+  if (!result.ok()) {
+    if (entry.op == DiskOp::kRead) {
+      HandleReadFailure(disk, entry, chosen_lba, result);
+    } else {
+      HandleWriteFailure(disk, entry, chosen_lba);
+    }
     return;
   }
 
@@ -438,22 +428,14 @@ void ArrayController::OnEntryComplete(SlotId slot,
     ++frag.successes;
   }
   if (--frag.entries_remaining == 0) {
-    FinalLeg leg;
-    leg.entry_arrival_us = entry.arrival_us;
-    leg.disk_start_us = result.start_us;
-    leg.overhead_us = result.overhead_us;
-    leg.seek_us = result.seek_us;
-    leg.rotational_us = result.rotational_us;
-    leg.transfer_us = result.transfer_us;
-    CompleteFragment(entry.tag, frag, disk, chosen_lba, result.completion_us,
-                     &leg);
+    const FinalLeg leg = LegOf(result, entry.arrival_us);
+    CompleteFragment(entry.tag, frag, disk, chosen_lba, &leg);
   }
 }
 
 void ArrayController::CompleteFragment(uint64_t frag_key, FragState& frag,
                                        uint32_t chosen_disk,
                                        uint64_t chosen_lba,
-                                       SimTime completion_us,
                                        const FinalLeg* leg) {
   const uint64_t op_id = frag.op_id;
   const DiskOp op = frag.op;
@@ -497,36 +479,7 @@ void ArrayController::CompleteFragment(uint64_t frag_key, FragState& frag,
   }
 
   frags_.erase(frag_key);
-
-  auto oit = ops_.find(op_id);
-  MIMDRAID_CHECK(oit != ops_.end());
-  OpState& opstate = oit->second;
-  opstate.status = Worse(opstate.status, frag_status);
-  MIMDRAID_CHECK_GT(opstate.fragments_remaining, 0u);
-  if (--opstate.fragments_remaining == 0) {
-    if (opstate.status == IoStatus::kOk) {
-      if (op == DiskOp::kRead) {
-        ++stats_.reads_completed;
-      } else {
-        ++stats_.writes_completed;
-      }
-    } else {
-      ++fstats().unrecoverable_completions;
-    }
-    IoResult io;
-    io.status = opstate.status;
-    io.completion_us = completion_us;
-    io.recovery_attempts = opstate.recovery_attempts;
-    if (collector_ != nullptr) {
-      collector_->OnRequestComplete(op_id, io.status, io.completion_us,
-                                    io.recovery_attempts, leg);
-    }
-    DoneFn done = std::move(opstate.done);
-    ops_.erase(oit);
-    if (done) {
-      done(io);
-    }
-  }
+  FinishOpPart(op_id, frag_status, leg);
   if (op == DiskOp::kWrite) {
     WakeParked();
   }
@@ -534,36 +487,11 @@ void ArrayController::CompleteFragment(uint64_t frag_key, FragState& frag,
 
 void ArrayController::CompleteFragmentUnrecoverable(uint64_t frag_key,
                                                     FragState& frag) {
-  frag.status = Worse(frag.status, IoStatus::kUnrecoverable);
-  CompleteFragment(frag_key, frag, /*chosen_disk=*/0, /*chosen_lba=*/0,
-                   sim_->Now());
+  frag.status = IoStatus::kUnrecoverable;
+  CompleteFragment(frag_key, frag, /*chosen_disk=*/0, /*chosen_lba=*/0);
 }
 
 // --- Fault recovery -------------------------------------------------------
-
-void ArrayController::NoteOpRecoveryAttempt(uint64_t op_id) {
-  auto it = ops_.find(op_id);
-  if (it != ops_.end()) {
-    ++it->second.recovery_attempts;
-  }
-}
-
-void ArrayController::HandleEntryFailure(uint32_t disk,
-                                         const QueuedRequest& entry,
-                                         uint64_t chosen_lba,
-                                         const DiskOpResult& result) {
-  if (entry.maintenance) {
-    const FaultResolution resolution =
-        RunMaintenanceHook(entry.id, result, /*ran=*/true);
-    drives().ResolveFault(entry.id, resolution, drives().failed(SlotId(disk)));
-  } else if (entry.delayed) {
-    HandleDelayedFailure(disk, entry, chosen_lba, result);
-  } else if (entry.op == DiskOp::kRead) {
-    HandleReadFailure(disk, entry, chosen_lba, result);
-  } else {
-    HandleWriteFailure(disk, entry, chosen_lba, result);
-  }
-}
 
 void ArrayController::HandleReadFailure(uint32_t disk,
                                         const QueuedRequest& entry,
@@ -572,7 +500,7 @@ void ArrayController::HandleReadFailure(uint32_t disk,
   auto it = frags_.find(entry.tag);
   MIMDRAID_CHECK(it != frags_.end());
   FragState& frag = it->second;
-  NoteOpRecoveryAttempt(frag.op_id);
+  NoteOpRecovery(frag.op_id);
 
   // A timeout says nothing about the media; retry in place (bounded, with
   // backoff) before writing the path off.
@@ -620,13 +548,11 @@ void ArrayController::HandleReadFailure(uint32_t disk,
 
 void ArrayController::HandleWriteFailure(uint32_t disk,
                                          const QueuedRequest& entry,
-                                         uint64_t chosen_lba,
-                                         const DiskOpResult& result) {
-  (void)result;
+                                         uint64_t chosen_lba) {
   auto it = frags_.find(entry.tag);
   MIMDRAID_CHECK(it != frags_.end());
   FragState& frag = it->second;
-  NoteOpRecoveryAttempt(frag.op_id);
+  NoteOpRecovery(frag.op_id);
   const uint64_t frag_key = entry.tag;
 
   if (!options_.foreground_write_propagation) {
@@ -694,20 +620,17 @@ void ArrayController::LoseWriteReplica(uint64_t frag_key) {
   MIMDRAID_CHECK_GT(frag.entries_remaining, 0u);
   if (--frag.entries_remaining == 0) {
     if (frag.successes == 0) {
-      frag.status = Worse(frag.status, IoStatus::kUnrecoverable);
+      frag.status = IoStatus::kUnrecoverable;
     }
-    CompleteFragment(frag_key, frag, /*chosen_disk=*/0, /*chosen_lba=*/0,
-                     sim_->Now());
+    CompleteFragment(frag_key, frag, /*chosen_disk=*/0, /*chosen_lba=*/0);
   }
 }
 
 void ArrayController::HandleDelayedFailure(uint32_t disk,
                                            const QueuedRequest& entry,
-                                           uint64_t chosen_lba,
-                                           const DiskOpResult& result) {
-  (void)result;
+                                           uint64_t chosen_lba) {
   if (drives().failed(SlotId(disk))) {
-    DropDeadSlotEntry(disk, entry);
+    AbandonPropagation(disk, entry);
     drives().ResolveFault(entry.id, FaultResolution::kAbandoned, true);
     return;
   }
@@ -742,86 +665,33 @@ void ArrayController::HandleDelayedFailure(uint32_t disk,
       });
 }
 
-void ArrayController::OnSlotFailed(SlotId slot) {
-  const uint32_t disk = slot.value();
-  AbandonDelayedQueue(disk);
-  RerouteQueuedEntries(disk);
-}
-
-void ArrayController::AbandonDelayedQueue(uint32_t disk) {
-  std::vector<QueuedRequest> drained =
-      std::move(drives().delayed(SlotId(disk)));
-  drives().delayed(SlotId(disk)).clear();
-  for (const QueuedRequest& e : drained) {
-    if (auditor_ != nullptr) {
-      auditor_->OnEntryCancelled(disk, e.id);
-    }
-    // The delayed queue carries only background entries.
-    MIMDRAID_CHECK(DropDeadSlotEntry(disk, e));
+void ArrayController::RerouteDroppedEntry(uint32_t disk,
+                                          const QueuedRequest& entry) {
+  auto fit = frags_.find(entry.tag);
+  MIMDRAID_CHECK(fit != frags_.end());
+  FragState& frag = fit->second;
+  std::erase(frag.queued, std::pair(disk, entry.id));
+  if (entry.op == DiskOp::kWrite && options_.foreground_write_propagation) {
+    // Foreground-propagation replica on the dead disk: this copy is lost.
+    LoseWriteReplica(entry.tag);
+    return;
+  }
+  // Duplicate-style entry: a sibling on a live disk still carries the
+  // fragment; only a now-orphaned fragment needs resubmission.
+  if (!frag.queued.empty()) {
+    return;
+  }
+  ++fstats().failovers;
+  NoteOpRecovery(frag.op_id);
+  if (entry.op == DiskOp::kRead) {
+    SubmitReadFragment(frag, entry.tag);
+  } else {
+    SubmitWriteFragment(frag, entry.tag);
   }
 }
 
-void ArrayController::RerouteQueuedEntries(uint32_t disk) {
-  std::vector<QueuedRequest> moved = std::move(drives().fg(SlotId(disk)));
-  drives().fg(SlotId(disk)).clear();
-  if (collector_ != nullptr && !moved.empty()) {
-    collector_->OnQueueDepth(disk, sim_->Now(), 0);
-  }
-  for (const QueuedRequest& e : moved) {
-    if (auditor_ != nullptr) {
-      auditor_->OnEntryCancelled(disk, e.id);
-    }
-    // Background entries land here when the table limit forced them out of
-    // the delayed queue, or (recalibration reads) were queued here directly.
-    if (DropDeadSlotEntry(disk, e)) {
-      continue;
-    }
-    auto fit = frags_.find(e.tag);
-    MIMDRAID_CHECK(fit != frags_.end());
-    FragState& frag = fit->second;
-    for (size_t i = 0; i < frag.queued.size(); ++i) {
-      if (frag.queued[i].first == disk && frag.queued[i].second == e.id) {
-        frag.queued.erase(frag.queued.begin() + static_cast<ptrdiff_t>(i));
-        break;
-      }
-    }
-    if (e.op == DiskOp::kRead || !options_.foreground_write_propagation) {
-      // Duplicate-style entry: a sibling on a live disk still carries the
-      // fragment; only a now-orphaned fragment needs resubmission.
-      if (!frag.queued.empty()) {
-        continue;
-      }
-      ++fstats().failovers;
-      NoteOpRecoveryAttempt(frag.op_id);
-      if (e.op == DiskOp::kRead) {
-        SubmitReadFragment(frag, e.tag);
-      } else {
-        SubmitWriteFragment(frag, e.tag);
-      }
-    } else {
-      // Foreground-propagation replica on the dead disk: this copy is lost.
-      LoseWriteReplica(e.tag);
-    }
-  }
-}
-
-bool ArrayController::DropDeadSlotEntry(uint32_t disk,
-                                        const QueuedRequest& entry) {
-  if (entry.maintenance) {
-    // Rebuild copy hooks see the synthetic disk-failed result and reroute or
-    // end their chain. Scrub and recalibration hooks do nothing; the next
-    // sweep or timer re-issues the read.
-    DiskOpResult dead;
-    dead.status = IoStatus::kDiskFailed;
-    dead.start_us = sim_->Now();
-    dead.completion_us = sim_->Now();
-    RunMaintenanceHook(entry.id, dead, /*ran=*/false);
-    return true;
-  }
-  if (!entry.delayed) {
-    return false;
-  }
-  // Pending propagation (or repair rewrite) to a dead disk: meaningless now.
+void ArrayController::AbandonPropagation(uint32_t disk,
+                                         const QueuedRequest& entry) {
   const uint64_t lba = entry.candidate_lbas.front().value();
   if (nvram_.EraseIfOwner(disk, lba, entry.id) && auditor_ != nullptr) {
     auditor_->OnNvramErase(disk, lba);
@@ -830,17 +700,6 @@ bool ArrayController::DropDeadSlotEntry(uint32_t disk,
     stale_sectors_.erase(ReplicaKey(disk, lba + s));
   }
   ++fstats().propagations_abandoned;
-  return true;
-}
-
-FaultResolution ArrayController::RunMaintenanceHook(uint64_t id,
-                                                    const DiskOpResult& result,
-                                                    bool ran) {
-  auto it = maintenance_.find(id);
-  MIMDRAID_CHECK(it != maintenance_.end());
-  MaintenanceHook hook = std::move(it->second);
-  maintenance_.erase(it);
-  return hook(result, ran);
 }
 
 bool ArrayController::SparePromotionAllowed(SlotId slot) {
@@ -869,7 +728,7 @@ void ArrayController::OnSparePromoted(SlotId slot) {
 bool ArrayController::ScrubEligible() const {
   // The engine has already checked its own half of the gate (recovery
   // timers, live-drive quiescence).
-  return ops_.empty() && parked_.empty() && !RebuildInProgress();
+  return OpsOutstanding() == 0 && parked_.empty() && !RebuildInProgress();
 }
 
 void ArrayController::ScrubStep() {
@@ -971,35 +830,22 @@ void ArrayController::AddDelayedWrite(uint32_t disk, uint64_t lba,
 }
 
 void ArrayController::CancelPendingDelayed(uint32_t disk, uint64_t lba) {
-  const std::optional<uint64_t> owner = nvram_.OwnerOf(disk, lba);
-  if (!owner.has_value()) {
+  const std::optional<NvramEntry> record = nvram_.EntryOf(disk, lba);
+  if (!record.has_value()) {
     return;
   }
-  const std::optional<NvramEntry> record = nvram_.EntryOf(disk, lba);
+  ++stats_.delayed_writes_discarded;
+  // The owner may sit in the delayed queue or (if forced out) the FG queue.
+  // Once dispatched it completes and clears its own state.
+  if (!drives().Cancel(SlotId(disk), *nvram_.OwnerOf(disk, lba))) {
+    return;
+  }
   nvram_.Erase(disk, lba);
   if (auditor_ != nullptr) {
     auditor_->OnNvramErase(disk, lba);
   }
-  ++stats_.delayed_writes_discarded;
-  // The entry may sit in the delayed queue or (if forced out) the FG queue.
-  for (auto* q : {&drives().delayed(SlotId(disk)), &drives().fg(SlotId(disk))}) {
-    for (size_t i = 0; i < q->size(); ++i) {
-      if ((*q)[i].id == *owner) {
-        for (uint32_t s = 0; s < (*q)[i].sectors; ++s) {
-          stale_sectors_.erase(ReplicaKey(disk, lba + s));
-        }
-        q->erase(q->begin() + static_cast<ptrdiff_t>(i));
-        if (auditor_ != nullptr) {
-          auditor_->OnEntryCancelled(disk, *owner);
-        }
-        return;
-      }
-    }
-  }
-  // Entry already dispatched: it will complete and clear its own state.
-  nvram_.Put(*record, *owner);
-  if (auditor_ != nullptr) {
-    auditor_->OnNvramPut(disk, lba, *owner);
+  for (uint32_t s = 0; s < record->sectors; ++s) {
+    stale_sectors_.erase(ReplicaKey(disk, lba + s));
   }
 }
 
@@ -1009,18 +855,16 @@ void ArrayController::EnforceDelayedTableLimit() {
     uint32_t best_disk = 0;
     uint64_t best_id = UINT64_MAX;
     for (uint32_t d = 0; d < drives().num_slots(); ++d) {
-      if (!drives().delayed(SlotId(d)).empty() &&
-          drives().delayed(SlotId(d)).front().id < best_id) {
-        best_id = drives().delayed(SlotId(d)).front().id;
+      const std::vector<QueuedRequest>& delayed = drives().delayed(SlotId(d));
+      if (!delayed.empty() && delayed.front().id < best_id) {
+        best_id = delayed.front().id;
         best_disk = d;
       }
     }
     if (best_id == UINT64_MAX) {
       return;  // everything pending is already in flight or forced
     }
-    QueuedRequest entry = std::move(drives().delayed(SlotId(best_disk)).front());
-    drives().delayed(SlotId(best_disk)).erase(drives().delayed(SlotId(best_disk)).begin());
-    drives().fg(SlotId(best_disk)).push_back(std::move(entry));
+    drives().ForceOutDelayed(SlotId(best_disk));
     ++stats_.delayed_writes_forced;
     drives().MaybeDispatch(SlotId(best_disk));
   }
@@ -1090,16 +934,15 @@ bool ArrayController::FailDisk(SlotId slot) {
     // loses data (the paper's Section 2.5 reliability tradeoff).
     return false;
   }
+  // Pending propagations to the failed disk are abandoned by the drain.
   drives().MarkFailed(SlotId(disk));
-  // Pending propagations to the failed disk are meaningless now.
-  AbandonDelayedQueue(disk);
   return true;
 }
 
 void ArrayController::Rebuild(SlotId disk, DoneFn done) {
   MIMDRAID_CHECK(drives().failed(disk));
   MIMDRAID_CHECK_GE(layout_->aspect().dm, 2);
-  drives().MarkReplaced(disk);  // replacement drive in the slot
+  drives().MarkReplaced(disk);
   ++rebuild_chains_;
   RebuildNextFragment(disk.value(), 0, std::move(done));
 }
@@ -1294,9 +1137,9 @@ bool ArrayController::ReplicaIsStale(uint32_t disk, uint64_t lba,
 void ArrayController::ExportStats(StatsRegistry* registry) const {
   ExportFaultStats(fault_stats(), registry);
   registry->Set("array.reads_completed",
-                static_cast<double>(stats_.reads_completed));
+                static_cast<double>(op_stats().reads_completed));
   registry->Set("array.writes_completed",
-                static_cast<double>(stats_.writes_completed));
+                static_cast<double>(op_stats().writes_completed));
   registry->Set("array.delayed_writes_completed",
                 static_cast<double>(stats_.delayed_writes_completed));
   registry->Set("array.delayed_writes_forced",

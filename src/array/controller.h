@@ -55,8 +55,6 @@ struct ArrayControllerOptions {
 };
 
 struct ArrayStats {
-  uint64_t reads_completed = 0;
-  uint64_t writes_completed = 0;
   uint64_t delayed_writes_completed = 0;
   uint64_t delayed_writes_forced = 0;   // moved to FG by the table limit
   uint64_t delayed_writes_discarded = 0;  // superseded by a newer write
@@ -147,15 +145,7 @@ class ArrayController : public ArrayBackend {
     std::vector<ReplicaLocation> bad_replicas;
     // Replicas that landed (foreground propagation mode only).
     uint32_t successes = 0;
-    IoStatus status = IoStatus::kOk;  // worst unabsorbed status
-  };
-
-  struct OpState {
-    DiskOp op = DiskOp::kRead;
-    uint32_t fragments_remaining = 0;
-    DoneFn done;
-    IoStatus status = IoStatus::kOk;  // worst status over fragments
-    uint32_t recovery_attempts = 0;   // retries/failovers spent on this op
+    IoStatus status = IoStatus::kOk;  // kOk or kUnrecoverable
   };
 
   struct ParkedRequest {
@@ -171,13 +161,13 @@ class ArrayController : public ArrayBackend {
   }
 
   // --- DriveSetClient hooks ---
+  // A dispatched fragment entry cancels its duplicates on the other disks.
   void OnEntryDispatched(SlotId slot, const QueuedRequest& entry) override;
+  // The mirror's one switch over its entry kinds: maintenance (runs the
+  // entry's hook), propagation, and fragment.
   void OnEntryComplete(SlotId slot, const QueuedRequest& entry,
-                       BlockAddr chosen_addr,
-                       const DiskOpResult& result) override;
-  // Engine fail-stopped the slot: abandon its propagations and reroute its
-  // queued foreground entries before any spare promotion.
-  void OnSlotFailed(SlotId slot) override;
+                       BlockAddr chosen_addr, const DiskOpResult& result,
+                       bool ran) override;
   bool SparePromotionAllowed(SlotId slot) override;
   // Physical span the slot's column occupies through its drive's placement —
   // the extent a promoted spare must resolve.
@@ -201,9 +191,7 @@ class ArrayController : public ArrayBackend {
   // lost foreground-propagation replicas).
   void CompleteFragment(uint64_t frag_key, FragState& frag,
                         uint32_t chosen_disk, uint64_t chosen_lba,
-                        SimTime completion_us, const FinalLeg* leg = nullptr);
-  void CancelSiblings(uint64_t frag_key, uint32_t winner_disk,
-                      uint64_t winner_entry);
+                        const FinalLeg* leg = nullptr);
   void AddDelayedWrite(uint32_t disk, uint64_t lba, uint32_t sectors,
                        uint32_t attempts = 0);
   void CancelPendingDelayed(uint32_t disk, uint64_t lba);
@@ -219,28 +207,21 @@ class ArrayController : public ArrayBackend {
   bool ReplicaIsStale(uint32_t disk, uint64_t lba, uint32_t sectors) const;
 
   // --- Fault recovery ---
-  // Dispatches a failed entry's recovery; called from OnEntryComplete for
-  // every non-kOk completion after the engine has the fault on record.
-  void HandleEntryFailure(uint32_t disk, const QueuedRequest& entry,
-                          uint64_t chosen_lba, const DiskOpResult& result);
+  // Recovery for a fragment or propagation entry the drive ran and failed;
+  // the engine has the fault on record.
   void HandleReadFailure(uint32_t disk, const QueuedRequest& entry,
                          uint64_t chosen_lba, const DiskOpResult& result);
   void HandleWriteFailure(uint32_t disk, const QueuedRequest& entry,
-                          uint64_t chosen_lba, const DiskOpResult& result);
+                          uint64_t chosen_lba);
   void HandleDelayedFailure(uint32_t disk, const QueuedRequest& entry,
-                            uint64_t chosen_lba, const DiskOpResult& result);
-  void AbandonDelayedQueue(uint32_t disk);
-  void RerouteQueuedEntries(uint32_t disk);
-  // Disposes of a background entry (propagation, rebuild copy, scrub or
-  // recalibration read) whose slot failed: a maintenance entry's hook runs
-  // with `ran` false and a synthetic kDiskFailed result, so rebuild chains
-  // reroute or end; a propagation is abandoned. Returns false for a
-  // foreground fragment entry, which the caller must reroute.
-  bool DropDeadSlotEntry(uint32_t disk, const QueuedRequest& entry);
-  // Removes and runs the hook of maintenance entry `id`.
-  FaultResolution RunMaintenanceHook(uint64_t id, const DiskOpResult& result,
-                                     bool ran);
-  void NoteOpRecoveryAttempt(uint64_t op_id);
+                            uint64_t chosen_lba);
+  // A fragment entry was drained unrun from a failed slot: resubmit the
+  // fragment unless a duplicate on a live disk still carries it, or lose the
+  // replica (foreground propagation).
+  void RerouteDroppedEntry(uint32_t disk, const QueuedRequest& entry);
+  // A pending propagation (or repair rewrite) targets a failed slot: drop
+  // its NVRAM record and stale markers.
+  void AbandonPropagation(uint32_t disk, const QueuedRequest& entry);
   void CompleteFragmentUnrecoverable(uint64_t frag_key, FragState& frag);
   // A foreground-propagation replica write was lost (its disk failed);
   // accounts it and completes the fragment when all entries are in.
@@ -250,13 +231,10 @@ class ArrayController : public ArrayBackend {
   const ArrayLayout* layout_;
   ArrayControllerOptions options_;
   InvariantAuditor* auditor_ = nullptr;
-  TraceCollector* collector_ = nullptr;
 
   std::vector<EventId> recalibration_events_;
 
-  uint64_t next_op_id_ = 1;
   uint64_t next_frag_key_ = 1;
-  std::unordered_map<uint64_t, OpState> ops_;
   std::unordered_map<uint64_t, FragState> frags_;
 
   // Pending background propagation, keyed by replica location (the NVRAM
@@ -273,10 +251,10 @@ class ArrayController : public ArrayBackend {
   // Rebuild streams started and not yet reported done.
   uint32_t rebuild_chains_ = 0;
   // Completion hooks of the maintenance entries (rebuild copies, scrub and
-  // recalibration reads), keyed by entry id. A hook runs once: with
-  // `ran` true when its entry completes, or false (and a kDiskFailed result)
-  // when the entry is dropped unrun from a failed slot. It returns how a
-  // failed result was resolved.
+  // recalibration reads), keyed by entry id. A hook runs once, from
+  // OnEntryComplete with the engine's `ran` flag: true when its entry
+  // completed, false (and a kDiskFailed result) when the entry was drained
+  // unrun from a failed slot. It returns how a failed result was resolved.
   using MaintenanceHook =
       std::function<FaultResolution(const DiskOpResult&, bool ran)>;
   std::unordered_map<uint64_t, MaintenanceHook> maintenance_;

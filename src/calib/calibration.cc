@@ -6,15 +6,6 @@
 
 namespace mimdraid {
 
-double SpindlePhaseFromLattice(const DiskLayout& layout, uint64_t reference_lba,
-                               double lattice_phase_us, double rotation_us) {
-  const Chs ref = layout.ToChs(reference_lba);
-  const uint32_t spt = layout.geometry().SectorsPerTrack(ref.cylinder);
-  const double end_angle =
-      static_cast<double>((layout.SlotOf(ref) + 1) % spt) / spt;
-  return lattice_phase_us - end_angle * rotation_us;
-}
-
 CalibrationResult CalibrateDisk(Simulator* sim, SimDisk* disk,
                                 const CalibrationOptions& options) {
   MIMDRAID_CHECK(sim != nullptr);

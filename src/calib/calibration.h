@@ -48,11 +48,6 @@ struct CalibrationResult {
   SimDuration calibration_time_us;
 };
 
-// Lattice phase (reference-read completion lattice) -> spindle phase usable
-// by DiskTimingModel, anchored at the reference sector's end angle.
-double SpindlePhaseFromLattice(const DiskLayout& layout, uint64_t reference_lba,
-                               double lattice_phase_us, double rotation_us);
-
 CalibrationResult CalibrateDisk(Simulator* sim, SimDisk* disk,
                                 const CalibrationOptions& options = {});
 

@@ -6,6 +6,15 @@
 
 namespace mimdraid {
 
+double SpindlePhaseFromLattice(const DiskLayout& layout, uint64_t reference_lba,
+                               double lattice_phase_us, double rotation_us) {
+  const Chs ref = layout.ToChs(reference_lba);
+  const uint32_t spt = layout.geometry().SectorsPerTrack(ref.cylinder);
+  const double end_angle =
+      static_cast<double>((layout.SlotOf(ref) + 1) % spt) / spt;
+  return lattice_phase_us - end_angle * rotation_us;
+}
+
 double PredictorStats::DemeritUs() const {
   return predictions == 0
              ? 0.0
@@ -22,15 +31,11 @@ HeadPositionPredictor::HeadPositionPredictor(
       slack_options_(slack_options),
       slack_us_(slack_options.initial_slack_us) {
   MIMDRAID_CHECK(layout != nullptr);
-  // Translate the reference-read completion lattice into a spindle phase: at
-  // a lattice point the reference sector's slot has just finished passing.
-  const Chs ref = layout_->ToChs(reference_lba_);
-  const uint32_t spt = layout_->geometry().SectorsPerTrack(ref.cylinder);
-  const double end_angle =
-      static_cast<double>((layout_->SlotOf(ref) + 1) % spt) / spt;
-  const double spindle_phase = lattice_phase_us - end_angle * rotation_us;
-  timing_ = std::make_unique<DiskTimingModel>(layout_, profile, spindle_phase,
-                                              rotation_us);
+  timing_ = std::make_unique<DiskTimingModel>(
+      layout_, profile,
+      SpindlePhaseFromLattice(*layout_, reference_lba_, lattice_phase_us,
+                              rotation_us),
+      rotation_us);
   head_.cylinder = layout_->first_data_cylinder();
   head_.head = 0;
 }
@@ -105,13 +110,10 @@ void HeadPositionPredictor::AddReferenceObservation(SimTime completion_us) {
 }
 
 void HeadPositionPredictor::RefreshModelFromEstimator() {
-  const Chs ref = layout_->ToChs(reference_lba_);
-  const uint32_t spt = layout_->geometry().SectorsPerTrack(ref.cylinder);
-  const double end_angle =
-      static_cast<double>((layout_->SlotOf(ref) + 1) % spt) / spt;
   timing_->set_rotation_us(estimator_.rotation_us());
-  timing_->set_spindle_phase_us(estimator_.phase_us() -
-                                end_angle * estimator_.rotation_us());
+  timing_->set_spindle_phase_us(
+      SpindlePhaseFromLattice(*layout_, reference_lba_, estimator_.phase_us(),
+                              estimator_.rotation_us()));
 }
 
 OraclePredictor::OraclePredictor(const SimDisk* disk, double slack_us)

@@ -55,6 +55,12 @@ struct SlackFeedbackOptions {
   double decrease_us = 25.0;
 };
 
+// Lattice phase (reference-read completion lattice) -> spindle phase usable
+// by DiskTimingModel: at a lattice point the reference sector's slot has just
+// finished passing, so the phase is anchored at that slot's end angle.
+double SpindlePhaseFromLattice(const DiskLayout& layout, uint64_t reference_lba,
+                               double lattice_phase_us, double rotation_us);
+
 class HeadPositionPredictor : public AccessPredictor {
  public:
   // `lattice_phase_us` is the RotationEstimator's phase: reference-read

@@ -83,9 +83,8 @@ struct DiskOpResult {
 };
 
 // Completion callback: move-only, invoked exactly once. The inline capacity
-// covers the engine's two big closures — DriveSet's dispatch completion
-// (carries a QueuedRequest) and InternalQueueDisk's firmware wrapper (carries
-// a nested DiskCompletionFn) — so the steady I/O path never heap-allocates a
+// covers the engine's biggest closure — DriveSet's dispatch completion, which
+// carries a QueuedRequest — so the steady I/O path never heap-allocates a
 // callback.
 using DiskCompletionFn = InlineFn<void(const DiskOpResult&), 144>;
 

@@ -52,22 +52,6 @@ double DiskTimingModel::TimeUntilAngle(double t_us, double angle) const {
   return delta * rotation_us_;
 }
 
-double DiskTimingModel::SeekLowerBoundUs(const HeadState& from, uint64_t lba,
-                                         uint32_t sectors,
-                                         bool is_write) const {
-  const Chs chs = layout_->ToChs(lba);
-  double seek = 0.0;
-  if (chs.cylinder != from.cylinder) {
-    const uint32_t dist = chs.cylinder > from.cylinder
-                              ? chs.cylinder - from.cylinder
-                              : from.cylinder - chs.cylinder;
-    seek = profile_.SeekUs(dist, is_write);
-  }
-  // Same rounding margin as AccessLowerBoundUs: Plan() accumulates the
-  // transfer run by run, which can round an ulp below sectors * min_slot.
-  return seek + sectors * min_slot_time_us_ - 1e-3;
-}
-
 double DiskTimingModel::AccessLowerBoundUs(const HeadState& from,
                                            double start_us, uint64_t lba,
                                            uint32_t sectors,

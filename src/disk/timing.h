@@ -52,15 +52,10 @@ class DiskTimingModel {
   AccessPlan Plan(const HeadState& from, double start_us, uint64_t lba,
                   uint32_t sectors, bool is_write) const;
 
-  // --- Cheap lower bounds on Plan(...).total_us, for scheduler pruning. ---
-  // Both avoid the run-splitting walk (and its per-sector remap probes), so
-  // they cost a ToChs + table lookup instead of a full timeline build.
+  // --- Cheap lower bound on Plan(...).total_us, for scheduler pruning. ---
+  // It avoids the run-splitting walk (and its per-sector remap probes), so
+  // it costs a ToChs + table lookup instead of a full timeline build.
   //
-  // Phase-oblivious bound: first-run seek plus minimum transfer. Valid for
-  // every candidate replica on `lba`'s cylinder (the seek term depends only
-  // on the cylinder, the transfer term only on the sector count).
-  double SeekLowerBoundUs(const HeadState& from, uint64_t lba,
-                          uint32_t sectors, bool is_write) const;
   // Phase-aware bound for one candidate:
   //   max(seek, rotational wait from start_us) + sectors * MinSlotTimeUs().
   // Validity: Plan >= seek + wait(start+seek) + transfer, and

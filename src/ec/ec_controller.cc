@@ -8,14 +8,6 @@
 
 namespace mimdraid {
 
-namespace {
-
-// Status severity follows enum declaration order.
-IoStatus Worse(IoStatus a, IoStatus b) {
-  return static_cast<int>(a) >= static_cast<int>(b) ? a : b;
-}
-}  // namespace
-
 EcController::EcController(Simulator* sim, std::vector<SimDisk*> disks,
                            std::vector<AccessPredictor*> predictors,
                            const EcLayout* layout, const EcCodec* codec,
@@ -24,8 +16,7 @@ EcController::EcController(Simulator* sim, std::vector<SimDisk*> disks,
       sim_(sim),
       layout_(layout),
       codec_(codec),
-      auditor_(options.auditor),
-      collector_(options.collector) {
+      auditor_(options.auditor) {
   MIMDRAID_CHECK(layout != nullptr);
   MIMDRAID_CHECK(codec != nullptr);
   MIMDRAID_CHECK_EQ(drives().num_slots(), layout->num_disks());
@@ -35,8 +26,8 @@ EcController::EcController(Simulator* sim, std::vector<SimDisk*> disks,
 }
 
 bool EcController::Idle() const {
-  if (!ops_.empty() || rebuilding_disk_ >= 0 || !rebuild_queue_.empty() ||
-      drives().pending_recovery() > 0) {
+  if (OpsOutstanding() > 0 || rebuilding_disk_ >= 0 ||
+      !rebuild_queue_.empty() || drives().pending_recovery() > 0) {
     return false;
   }
   return drives().AllDrivesQuiet();
@@ -56,9 +47,9 @@ void EcController::ExportStats(StatsRegistry* registry) const {
   MIMDRAID_CHECK(registry != nullptr);
   ExportFaultStats(fault_stats(), registry);
   registry->Set("ec.reads_completed",
-                static_cast<double>(stats_.reads_completed));
+                static_cast<double>(op_stats().reads_completed));
   registry->Set("ec.writes_completed",
-                static_cast<double>(stats_.writes_completed));
+                static_cast<double>(op_stats().writes_completed));
   registry->Set("ec.rmw_writes", static_cast<double>(stats_.rmw_writes));
   registry->Set("ec.reconstruct_writes",
                 static_cast<double>(stats_.reconstruct_writes));
@@ -75,25 +66,18 @@ bool EcController::FailDisk(SlotId disk) {
     return true;
   }
   drives().MarkFailed(disk);
-  if (drives().fault_injector() != nullptr) {
-    drives().fault_injector()->FailStop(disk.value());
-  }
-  drives().FailQueuedCommands(disk);
   return true;
 }
 
 void EcController::OnEntryComplete(SlotId /*disk*/,
                                    const QueuedRequest& /*entry*/,
                                    BlockAddr /*chosen_lba*/,
-                                   const DiskOpResult& /*result*/) {
+                                   const DiskOpResult& /*result*/,
+                                   bool /*ran*/) {
   // Every erasure sub-op registers a command callback with the engine; a
   // completion falling through to the raw-entry hook means the command table
   // lost an entry.
   MIMDRAID_CHECK(false);
-}
-
-void EcController::OnSlotFailed(SlotId disk) {
-  drives().FailQueuedCommands(disk);
 }
 
 uint64_t EcController::UsedSpanSectors(SlotId /*disk*/) const {
@@ -117,7 +101,8 @@ void EcController::OnSparePromoted(SlotId disk) {
 }
 
 bool EcController::ScrubEligible() const {
-  return ops_.empty() && rebuilding_disk_ < 0 && rebuild_queue_.empty();
+  return OpsOutstanding() == 0 && rebuilding_disk_ < 0 &&
+         rebuild_queue_.empty();
 }
 
 void EcController::ScrubStep() {
@@ -202,16 +187,10 @@ std::vector<uint32_t> EcController::ReadableColumns(
 void EcController::Submit(DiskOp op, uint64_t lba, uint32_t sectors,
                           DoneFn done) {
   MIMDRAID_CHECK_GT(sectors, 0u);
-  const uint64_t op_id = next_op_id_++;
-  if (collector_ != nullptr) {
-    collector_->OnRequestArrival(op_id, op == DiskOp::kWrite, lba, sectors,
-                                 sim_->Now());
-  }
   const std::vector<EcFragment> frags = layout_->Map(lba, sectors);
-  PendingOp& pending = ops_[op_id];
-  pending.remaining = static_cast<uint32_t>(frags.size());
-  pending.done = std::move(done);
-  pending.op = op;
+  const uint64_t op_id =
+      BeginOp(op, lba, sectors, static_cast<uint32_t>(frags.size()),
+              std::move(done), sim_->Now());
   for (const EcFragment& frag : frags) {
     if (op == DiskOp::kRead) {
       SubmitReadFragment(op_id, frag);
@@ -244,7 +223,7 @@ void EcController::SubmitReadFragment(uint64_t op_id, const EcFragment& frag,
             return;
           }
           if (r.ok()) {
-            FragmentPhaseDone(work, r.completion_us, &r);
+            FragmentPhaseDone(work, &r);
             return;
           }
           // Direct read failed past the retry budget: fail over to decode
@@ -272,7 +251,7 @@ void EcController::SubmitReadFragment(uint64_t op_id, const EcFragment& frag,
   if (cols.size() < codec_->k()) {
     // More than m row members are gone: the data is lost. Finish the
     // fragment gracefully instead of crashing.
-    CompleteFragmentFailed(op_id, IoStatus::kUnrecoverable);
+    CompleteFragmentFailed(op_id);
     return;
   }
   cols.resize(codec_->k());
@@ -299,10 +278,9 @@ void EcController::SubmitReadFragment(uint64_t op_id, const EcFragment& frag,
                       return;
                     }
                     if (!r.ok()) {
-                      work->status =
-                          Worse(work->status, IoStatus::kUnrecoverable);
+                      work->status = IoStatus::kUnrecoverable;
                     }
-                    FragmentPhaseDone(work, r.completion_us, &r);
+                    FragmentPhaseDone(work, &r);
                   });
   }
 }
@@ -328,7 +306,7 @@ void EcController::SubmitWriteFragment(uint64_t op_id, const EcFragment& frag,
   if (!data_writable && live_parities == 0) {
     // Neither the data unit nor any parity can record the write: the
     // fragment's contents cannot be persisted anywhere.
-    CompleteFragmentFailed(op_id, IoStatus::kUnrecoverable);
+    CompleteFragmentFailed(op_id);
     return;
   }
   const bool degraded =
@@ -341,7 +319,7 @@ void EcController::SubmitWriteFragment(uint64_t op_id, const EcFragment& frag,
   if (live_parities == 0) {
     // No parity to maintain: just write the data.
     work->phase_remaining = 1;
-    FragmentPhaseDone(work, sim_->Now());
+    FragmentPhaseDone(work);
     return;
   }
 
@@ -401,7 +379,7 @@ void EcController::SubmitWriteFragment(uint64_t op_id, const EcFragment& frag,
   if (!rmw_valid && !rcw_valid) {
     // Fewer than k readable columns and no old data to delta against: the
     // new parity cannot be computed.
-    CompleteFragmentFailed(op_id, IoStatus::kUnrecoverable);
+    CompleteFragmentFailed(op_id);
     return;
   }
   const bool use_rmw =
@@ -440,11 +418,11 @@ void EcController::SubmitWriteFragment(uint64_t op_id, const EcFragment& frag,
       }
       // Already on the fallback plan and a decode column is unreadable: the
       // new parity cannot be computed.
-      work->status = Worse(work->status, IoStatus::kUnrecoverable);
+      work->status = IoStatus::kUnrecoverable;
       drives().ResolveFault(id, FaultResolution::kSurfaced,
                           /*target_disk_failed=*/false);
     }
-    FragmentPhaseDone(work, r.completion_us, &r);
+    FragmentPhaseDone(work, &r);
   };
 
   if (use_rmw) {
@@ -466,7 +444,7 @@ void EcController::SubmitWriteFragment(uint64_t op_id, const EcFragment& frag,
   if (work->phase_remaining == 0) {
     // k == 1: the new data alone determines every parity.
     work->phase_remaining = 1;
-    FragmentPhaseDone(work, sim_->Now());
+    FragmentPhaseDone(work);
     return;
   }
   for (uint32_t d : rcw_reads) {
@@ -475,7 +453,6 @@ void EcController::SubmitWriteFragment(uint64_t op_id, const EcFragment& frag,
 }
 
 void EcController::FragmentPhaseDone(const std::shared_ptr<FragWork>& work,
-                                     SimTime completion,
                                      const DiskOpResult* last) {
   MIMDRAID_CHECK_GT(work->phase_remaining, 0);
   if (--work->phase_remaining > 0) {
@@ -498,14 +475,14 @@ void EcController::FragmentPhaseDone(const std::shared_ptr<FragWork>& work,
                       }
                     });
     }
-    OpPartDone(work->op_id, completion, work->status, last);
+    FinishFragment(work->op_id, work->status, last);
     return;
   }
 
   // Write: the read phase (if any) is done.
   if (work->status != IoStatus::kOk) {
     // A pre-image or decode read failed; the new parity cannot be computed.
-    OpPartDone(work->op_id, completion, work->status, last);
+    FinishFragment(work->op_id, work->status, last);
     return;
   }
   // Each target is counted as it is enqueued: command completions always
@@ -530,13 +507,13 @@ void EcController::FragmentPhaseDone(const std::shared_ptr<FragWork>& work,
         SubmitWriteFragment(work->op_id, work->frag, work->force_degraded);
         return;
       }
-      work->status = Worse(work->status, IoStatus::kUnrecoverable);
+      work->status = IoStatus::kUnrecoverable;
       drives().ResolveFault(id, FaultResolution::kSurfaced,
                           /*target_disk_failed=*/false);
     }
     MIMDRAID_CHECK_GT(*writes, 0);
     if (--*writes == 0) {
-      OpPartDone(work->op_id, r.completion_us, work->status, &r);
+      FinishFragment(work->op_id, work->status, &r);
     }
   };
   if (DiskUsable(frag.data_disk, frag.row)) {
@@ -553,66 +530,24 @@ void EcController::FragmentPhaseDone(const std::shared_ptr<FragWork>& work,
   }
   if (*writes == 0) {
     // Every target died while the reads were in flight.
-    CompleteFragmentFailed(work->op_id, IoStatus::kUnrecoverable);
+    CompleteFragmentFailed(work->op_id);
   }
 }
 
-void EcController::OpPartDone(uint64_t op_id, SimTime completion,
-                              IoStatus status, const DiskOpResult* last) {
-  auto it = ops_.find(op_id);
-  MIMDRAID_CHECK(it != ops_.end());
-  PendingOp& pending = it->second;
-  if (collector_ != nullptr && last != nullptr &&
-      completion >= pending.last_completion) {
-    pending.has_leg = true;
-    pending.leg.entry_arrival_us = last->start_us;
-    pending.leg.disk_start_us = last->start_us;
-    pending.leg.overhead_us = last->overhead_us;
-    pending.leg.seek_us = last->seek_us;
-    pending.leg.rotational_us = last->rotational_us;
-    pending.leg.transfer_us = last->transfer_us;
+void EcController::FinishFragment(uint64_t op_id, IoStatus status,
+                                  const DiskOpResult* last) {
+  if (last == nullptr) {
+    FinishOpPart(op_id, status, nullptr);
+    return;
   }
-  pending.last_completion = std::max(pending.last_completion, completion);
-  pending.status = Worse(pending.status, status);
-  MIMDRAID_CHECK_GT(pending.remaining, 0u);
-  if (--pending.remaining == 0) {
-    IoResult out;
-    out.status = pending.status == IoStatus::kOk ? IoStatus::kOk
-                                                 : IoStatus::kUnrecoverable;
-    out.completion_us = pending.last_completion;
-    out.recovery_attempts = pending.recovery_attempts;
-    if (out.status == IoStatus::kOk) {
-      if (pending.op == DiskOp::kRead) {
-        ++stats_.reads_completed;
-      } else {
-        ++stats_.writes_completed;
-      }
-    } else {
-      ++fstats().unrecoverable_completions;
-    }
-    if (collector_ != nullptr) {
-      collector_->OnRequestComplete(op_id, out.status, out.completion_us,
-                                    out.recovery_attempts,
-                                    pending.has_leg ? &pending.leg : nullptr);
-    }
-    DoneFn done = std::move(pending.done);
-    ops_.erase(it);
-    if (done) {
-      done(out);
-    }
-  }
+  const FinalLeg leg = LegOf(*last, last->start_us);
+  FinishOpPart(op_id, status, &leg);
 }
 
-void EcController::CompleteFragmentFailed(uint64_t op_id, IoStatus status) {
-  drives().CompleteDeferred(
-      [this, op_id, status] { OpPartDone(op_id, sim_->Now(), status); });
-}
-
-void EcController::NoteOpRecovery(uint64_t op_id) {
-  auto it = ops_.find(op_id);
-  if (it != ops_.end()) {
-    ++it->second.recovery_attempts;
-  }
+void EcController::CompleteFragmentFailed(uint64_t op_id) {
+  drives().CompleteDeferred([this, op_id] {
+    FinishOpPart(op_id, IoStatus::kUnrecoverable, nullptr);
+  });
 }
 
 void EcController::EnqueueDiskOp(uint32_t disk, DiskOp op, uint64_t lba,
@@ -636,10 +571,7 @@ void EcController::Rebuild(SlotId disk, DoneFn done) {
 void EcController::StartRebuild(SlotId disk, DoneFn done) {
   MIMDRAID_CHECK(drives().failed(disk));
   MIMDRAID_CHECK_LT(rebuilding_disk_, 0);
-  drives().MarkReplaced(disk);  // the replacement drive is in the slot
-  if (drives().fault_injector() != nullptr) {
-    drives().fault_injector()->ReplaceDisk(disk.value());
-  }
+  drives().MarkReplaced(disk);
   rebuilding_disk_ = static_cast<int>(disk.value());
   rebuilt_rows_ = 0;
   rebuild_rows_lost_ = 0;

@@ -34,7 +34,6 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "src/disk/access_predictor.h"
@@ -54,8 +53,6 @@
 namespace mimdraid {
 
 struct EcControllerStats {
-  uint64_t reads_completed = 0;
-  uint64_t writes_completed = 0;
   // Strategy counts (every write fragment lands in exactly one):
   uint64_t rmw_writes = 0;          // parity delta from old data + old parity
   uint64_t reconstruct_writes = 0;  // parity recomputed from the data columns
@@ -110,24 +107,6 @@ class EcController : public ArrayBackend {
   void AuditQuiescent() const override;
 
  private:
-  struct PendingOp {
-    uint32_t remaining = 0;
-    DoneFn done;
-    SimTime last_completion;
-    DiskOp op = DiskOp::kRead;
-    // Worst status across the op's fragments; only kOk or kUnrecoverable is
-    // surfaced to the submitter.
-    IoStatus status = IoStatus::kOk;
-    uint32_t recovery_attempts = 0;
-    // Decomposition of the sub-op whose completion is last_completion (the
-    // one that completes the request). Parity sub-ops have no single queue
-    // timestamp for the logical request, so entry_arrival_us is the disk
-    // start: queue_us reads 0 and everything before the final leg (RMW read
-    // phases, decode reads, queueing) lands in the recovery residual.
-    bool has_leg = false;
-    FinalLeg leg;
-  };
-
   // One logical fragment moving through its phases (reads, then writes).
   // Owned by shared_ptr because several disk sub-ops reference it.
   struct FragWork {
@@ -145,7 +124,7 @@ class EcController : public ArrayBackend {
     // After a media-error read is served via reconstruction, rewrite the bad
     // sectors so the drive reallocates them.
     bool repair_pending = false;
-    // Worst verdict across the fragment's sub-operations.
+    // kUnrecoverable once any sub-operation's loss could not be absorbed.
     IoStatus status = IoStatus::kOk;
   };
 
@@ -157,9 +136,8 @@ class EcController : public ArrayBackend {
   // --- DriveSetClient hooks ---
   // Every sub-op is an engine command; raw entries never reach the policy.
   void OnEntryComplete(SlotId disk, const QueuedRequest& entry,
-                       BlockAddr chosen_lba,
-                       const DiskOpResult& result) override;
-  void OnSlotFailed(SlotId disk) override;
+                       BlockAddr chosen_lba, const DiskOpResult& result,
+                       bool ran) override;
   uint64_t UsedSpanSectors(SlotId disk) const override;
   // Promotion is always allowed (the engine's default): a spare promoted
   // while another slot rebuilds queues behind it instead of clobbering the
@@ -176,12 +154,19 @@ class EcController : public ArrayBackend {
                            bool force_degraded = false);
   void EnqueueDiskOp(uint32_t disk, DiskOp op, uint64_t lba, uint32_t sectors,
                      DriveSet::CommandDoneFn done);
+  // `last` is the sub-op whose completion ended the phase (nullptr when
+  // none did).
   void FragmentPhaseDone(const std::shared_ptr<FragWork>& work,
-                         SimTime completion, const DiskOpResult* last = nullptr);
-  void OpPartDone(uint64_t op_id, SimTime completion, IoStatus status,
-                  const DiskOpResult* last = nullptr);
-  void CompleteFragmentFailed(uint64_t op_id, IoStatus status);
-  void NoteOpRecovery(uint64_t op_id);
+                         const DiskOpResult* last = nullptr);
+  // Ends one fragment of op `op_id`. Parity sub-ops have no single queue
+  // timestamp for the logical request, so the final leg reported to the
+  // collector starts at `last`'s disk start: queue_us reads 0 and everything
+  // before it (RMW read phases, decode reads, queueing) lands in the recovery
+  // residual.
+  void FinishFragment(uint64_t op_id, IoStatus status,
+                      const DiskOpResult* last);
+  // Ends a fragment as kUnrecoverable from the next event-queue turn.
+  void CompleteFragmentFailed(uint64_t op_id);
 
   void StartRebuild(SlotId disk, DoneFn done);
   void FinishRebuild(IoStatus status);
@@ -203,10 +188,6 @@ class EcController : public ArrayBackend {
   const EcLayout* layout_;
   const EcCodec* codec_;
   InvariantAuditor* auditor_ = nullptr;
-  TraceCollector* collector_ = nullptr;
-
-  std::unordered_map<uint64_t, PendingOp> ops_;
-  uint64_t next_op_id_ = 1;
 
   // Active rebuild: rows < rebuilt_rows_ of rebuilding_disk_ are valid.
   int rebuilding_disk_ = -1;

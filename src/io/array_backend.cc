@@ -1,6 +1,70 @@
 #include "src/io/array_backend.h"
 
+#include <utility>
+
+#include "src/util/check.h"
+
 namespace mimdraid {
+
+uint64_t ArrayBackend::BeginOp(DiskOp op, uint64_t lba, uint32_t sectors,
+                               uint32_t parts, DoneFn done, SimTime issue_us) {
+  const uint64_t op_id = next_op_id_++;
+  if (drives_.collector() != nullptr) {
+    drives_.collector()->OnRequestArrival(op_id, op == DiskOp::kWrite, lba,
+                                          sectors, issue_us);
+  }
+  LogicalOp& o = ops_[op_id];
+  o.op = op;
+  o.parts_remaining = parts;
+  o.done = std::move(done);
+  return op_id;
+}
+
+void ArrayBackend::AddOpParts(uint64_t op_id, uint32_t parts) {
+  auto it = ops_.find(op_id);
+  MIMDRAID_CHECK(it != ops_.end());
+  it->second.parts_remaining += parts;
+}
+
+void ArrayBackend::NoteOpRecovery(uint64_t op_id) {
+  auto it = ops_.find(op_id);
+  if (it != ops_.end()) {
+    ++it->second.recovery_attempts;
+  }
+}
+
+void ArrayBackend::FinishOpPart(uint64_t op_id, IoStatus status,
+                                const FinalLeg* leg) {
+  MIMDRAID_DCHECK(status == IoStatus::kOk ||
+                  status == IoStatus::kUnrecoverable);
+  auto it = ops_.find(op_id);
+  MIMDRAID_CHECK(it != ops_.end());
+  LogicalOp& o = it->second;
+  if (status != IoStatus::kOk) {
+    o.status = status;
+  }
+  MIMDRAID_CHECK_GT(o.parts_remaining, 0u);
+  if (--o.parts_remaining > 0) {
+    return;
+  }
+  const IoResult io{o.status, drives_.sim()->Now(), o.recovery_attempts};
+  if (io.status != IoStatus::kOk) {
+    ++fstats().unrecoverable_completions;
+  } else if (o.op == DiskOp::kRead) {
+    ++op_stats_.reads_completed;
+  } else {
+    ++op_stats_.writes_completed;
+  }
+  if (drives_.collector() != nullptr) {
+    drives_.collector()->OnRequestComplete(op_id, io.status, io.completion_us,
+                                           io.recovery_attempts, leg);
+  }
+  DoneFn done = std::move(o.done);
+  ops_.erase(it);
+  if (done) {
+    done(io);
+  }
+}
 
 void ExportFaultStats(const FaultRecoveryStats& stats,
                       StatsRegistry* registry) {

@@ -3,14 +3,16 @@
 // (mirroring, erasure coding) layered over the shared DriveSet engine, which
 // this base class owns. The drive-pool operations — failed-slot queries, the
 // hot-spare pool, the scrub timer, fault counters — are the engine's and are
-// written here once; a policy supplies only what differs: logical I/O
-// submission, explicit failure/rebuild control, idle/quiescence queries,
+// written here once, as is the lifecycle of a logical op (BeginOp ..
+// FinishOpPart); a policy supplies only what differs: how an op splits into
+// disk work, explicit failure/rebuild control, idle/quiescence queries,
 // stats export, and the DriveSetClient hooks.
 #ifndef MIMDRAID_SRC_IO_ARRAY_BACKEND_H_
 #define MIMDRAID_SRC_IO_ARRAY_BACKEND_H_
 
 #include <cstdint>
 #include <functional>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -18,6 +20,7 @@
 #include "src/disk/sim_disk.h"
 #include "src/io/drive_set.h"
 #include "src/obs/stats_registry.h"
+#include "src/obs/trace_collector.h"
 #include "src/sim/io_status.h"
 #include "src/sim/simulator.h"
 #include "src/stats/fault_stats.h"
@@ -37,6 +40,12 @@ inline uint32_t ParityShardsFor(ArrayBackendKind kind,
                                 uint32_t parity_shards) {
   return kind == ArrayBackendKind::kRaid5 ? 1 : parity_shards;
 }
+
+// Logical ops a backend completed with kOk, by direction.
+struct OpStats {
+  uint64_t reads_completed = 0;
+  uint64_t writes_completed = 0;
+};
 
 class ArrayBackend : protected DriveSetClient {
  public:
@@ -91,6 +100,7 @@ class ArrayBackend : protected DriveSetClient {
 
   // --- Stats ---
   const FaultRecoveryStats& fault_stats() const { return drives_.fstats(); }
+  const OpStats& op_stats() const { return op_stats_; }
   // Publishes the backend's counters under stable names ("fault.*" plus a
   // backend-specific prefix) so traced runs carry backend stats.
   virtual void ExportStats(StatsRegistry* registry) const = 0;
@@ -109,8 +119,42 @@ class ArrayBackend : protected DriveSetClient {
   const DriveSet& drives() const { return drives_; }
   FaultRecoveryStats& fstats() { return drives_.fstats(); }
 
+  // --- Logical ops ---
+  // An op is a submitted logical I/O split into `parts` independently
+  // completing pieces (fragments). BeginOp records its arrival (issued at
+  // `issue_us`) with the trace collector and returns its id.
+  uint64_t BeginOp(DiskOp op, uint64_t lba, uint32_t sectors, uint32_t parts,
+                   DoneFn done, SimTime issue_us);
+  // The op gained `parts` more pieces (a fragment split in two).
+  void AddOpParts(uint64_t op_id, uint32_t parts);
+  // A retry or failover was spent on the op's behalf (no-op once it is done).
+  void NoteOpRecovery(uint64_t op_id);
+  // One piece ended now with `status`, kOk or kUnrecoverable. `leg` is the
+  // disk op that ended it, or nullptr when none did; the collector is given
+  // the leg of the piece that completes the op. The last piece counts the op
+  // and fires its DoneFn with kUnrecoverable if any piece was unrecoverable.
+  void FinishOpPart(uint64_t op_id, IoStatus status, const FinalLeg* leg);
+  size_t OpsOutstanding() const { return ops_.size(); }
+  // The final leg of disk op `r`, whose queue entry arrived at
+  // `entry_arrival`.
+  static FinalLeg LegOf(const DiskOpResult& r, SimTime entry_arrival) {
+    return FinalLeg{entry_arrival, r.start_us,     r.overhead_us,
+                    r.seek_us,     r.rotational_us, r.transfer_us};
+  }
+
  private:
+  struct LogicalOp {
+    DiskOp op = DiskOp::kRead;
+    uint32_t parts_remaining = 0;
+    IoStatus status = IoStatus::kOk;
+    uint32_t recovery_attempts = 0;
+    DoneFn done;
+  };
+
   DriveSet drives_;
+  std::unordered_map<uint64_t, LogicalOp> ops_;
+  uint64_t next_op_id_ = 1;
+  OpStats op_stats_;
 };
 
 // Publishes every FaultRecoveryStats counter under "fault.<field>".

@@ -1,5 +1,6 @@
 #include "src/io/drive_set.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "src/util/check.h"
@@ -122,6 +123,38 @@ void DriveSet::EnqueueDelayed(SlotId slot, QueuedRequest entry) {
   delayed_[slot.value()].push_back(std::move(entry));
 }
 
+bool DriveSet::Cancel(SlotId slot, uint64_t id) {
+  for (std::vector<QueuedRequest>* queue :
+       {&fg_[slot.value()], &delayed_[slot.value()]}) {
+    auto it = std::find_if(queue->begin(), queue->end(),
+                           [id](const QueuedRequest& e) { return e.id == id; });
+    if (it == queue->end()) {
+      continue;
+    }
+    queue->erase(it);
+    if (options_.auditor != nullptr) {
+      options_.auditor->OnEntryCancelled(slot.value(), id);
+    }
+    if (options_.collector != nullptr && queue == &fg_[slot.value()]) {
+      options_.collector->OnQueueDepth(slot.value(), sim_->Now(),
+                                       queue->size());
+    }
+    return true;
+  }
+  return false;
+}
+
+void DriveSet::ForceOutDelayed(SlotId slot) {
+  std::vector<QueuedRequest>& delayed = delayed_[slot.value()];
+  MIMDRAID_CHECK(!delayed.empty());
+  fg_[slot.value()].push_back(std::move(delayed.front()));
+  delayed.erase(delayed.begin());
+  if (options_.collector != nullptr) {
+    options_.collector->OnQueueDepth(slot.value(), sim_->Now(),
+                                     fg_[slot.value()].size());
+  }
+}
+
 void DriveSet::MaybeDispatch(SlotId slot) {
   if (failed_[slot.value()] || disks_[slot.value()]->busy()) {
     return;
@@ -197,7 +230,7 @@ void DriveSet::HandleCompletion(SlotId slot, const QueuedRequest& entry,
 
   auto cit = command_done_.find(entry.id);
   if (cit == command_done_.end()) {
-    client_->OnEntryComplete(slot, entry, chosen_lba, result);
+    client_->OnEntryComplete(slot, entry, chosen_lba, result, /*ran=*/true);
     return;
   }
   CommandDoneFn done = std::move(cit->second);
@@ -256,27 +289,33 @@ uint64_t DriveSet::EnqueueCommand(SlotId slot, DiskOp op, BlockAddr lba,
   return id;
 }
 
-void DriveSet::FailQueuedCommands(SlotId slot) {
-  std::vector<QueuedRequest> drained;
-  drained.swap(fg_[slot.value()]);
-  if (options_.collector != nullptr && !drained.empty()) {
-    options_.collector->OnQueueDepth(slot.value(), sim_->Now(), 0);
-  }
+void DriveSet::FailQueued(SlotId slot) {
   DiskOpResult failure;
   failure.status = IoStatus::kDiskFailed;
   failure.start_us = sim_->Now();
   failure.completion_us = sim_->Now();
-  for (QueuedRequest& entry : drained) {
-    if (options_.auditor != nullptr) {
-      options_.auditor->OnEntryCancelled(slot.value(), entry.id);
+  for (std::vector<QueuedRequest>* queue :
+       {&delayed_[slot.value()], &fg_[slot.value()]}) {
+    std::vector<QueuedRequest> drained;
+    drained.swap(*queue);
+    if (options_.collector != nullptr && queue == &fg_[slot.value()] &&
+        !drained.empty()) {
+      options_.collector->OnQueueDepth(slot.value(), sim_->Now(), 0);
     }
-    auto it = command_done_.find(entry.id);
-    if (it == command_done_.end()) {
-      continue;
+    for (const QueuedRequest& entry : drained) {
+      if (options_.auditor != nullptr) {
+        options_.auditor->OnEntryCancelled(slot.value(), entry.id);
+      }
+      auto it = command_done_.find(entry.id);
+      if (it == command_done_.end()) {
+        client_->OnEntryComplete(slot, entry, entry.candidate_lbas.front(),
+                                 failure, /*ran=*/false);
+        continue;
+      }
+      CommandDoneFn done = std::move(it->second);
+      command_done_.erase(it);
+      done(failure, 0);
     }
-    auto done = std::move(it->second);
-    command_done_.erase(it);
-    done(failure, 0);
   }
 }
 
@@ -308,18 +347,27 @@ void DriveSet::CountFault(SlotId slot, IoStatus status) {
   }
 }
 
+void DriveSet::MarkFailed(SlotId slot) {
+  failed_[slot.value()] = true;
+  if (options_.fault_injector != nullptr) {
+    options_.fault_injector->FailStop(slot.value());
+  }
+  FailQueued(slot);
+}
+
+void DriveSet::MarkReplaced(SlotId slot) {
+  failed_[slot.value()] = false;
+  if (options_.fault_injector != nullptr) {
+    options_.fault_injector->ReplaceDisk(slot.value());
+  }
+}
+
 void DriveSet::AutoFail(SlotId slot) {
   if (failed_[slot.value()]) {
     return;
   }
-  failed_[slot.value()] = true;
   ++fstats_.auto_disk_failures;
-  if (options_.fault_injector != nullptr) {
-    // Threshold-triggered failures: make the verdict binding so the drive
-    // cannot half-work its way back into the array.
-    options_.fault_injector->FailStop(slot.value());
-  }
-  client_->OnSlotFailed(slot);
+  MarkFailed(slot);
   PromoteSpareIfAvailable(slot);
 }
 

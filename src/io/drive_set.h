@@ -18,6 +18,15 @@
 //    engine runs bounded retry with backoff for transient statuses itself,
 //    delivering only terminal results. The erasure controller works this
 //    way: its retry unit is the *disk command*.
+//
+// The engine is the only code that takes an entry out of a queue: dispatch,
+// Cancel (a policy withdrawing work it no longer needs), ForceOutDelayed
+// (delayed -> foreground), and the drain that runs when a slot fails
+// (MarkFailed, AutoFail). Each reports the removal to the observers. A
+// drained entry still reaches its owner exactly once: a command completes
+// with a synthetic kDiskFailed and id 0, and a raw entry goes to
+// OnEntryComplete with `ran` false. So every raw entry a policy enqueues
+// comes back through OnEntryComplete unless the policy cancelled it.
 #ifndef MIMDRAID_SRC_IO_DRIVE_SET_H_
 #define MIMDRAID_SRC_IO_DRIVE_SET_H_
 
@@ -97,19 +106,17 @@ class DriveSetClient {
   virtual void OnEntryDispatched(SlotId /*disk*/,
                                  const QueuedRequest& /*entry*/) {}
 
-  // A raw (non-command) entry completed. The engine has already run the
-  // observer bookkeeping and fault accounting (including a possible
-  // auto-fail); recovery policy for the entry is the client's.
+  // A raw (non-command) entry left the engine. With `ran` true the drive
+  // executed it at `chosen_lba`; the engine has already run the observer
+  // bookkeeping and fault accounting (including a possible auto-fail), and a
+  // non-kOk result has an open fault record the client must resolve once
+  // (DriveSet::ResolveFault). With `ran` false the entry was drained unrun
+  // from a failed slot: `result` is a synthetic kDiskFailed, `chosen_lba` the
+  // first candidate, and no fault record is open. Recovery policy for the
+  // entry is the client's either way.
   virtual void OnEntryComplete(SlotId disk, const QueuedRequest& entry,
-                               BlockAddr chosen_lba,
-                               const DiskOpResult& result) = 0;
-
-  // The engine fail-stopped `disk` (explicit kDiskFailed verdict or the
-  // consecutive-error threshold). The policy must dispose of the work it
-  // still has queued there (abandon propagations, reroute or fail entries);
-  // the engine touches no queue on this path. Called before any spare
-  // promotion.
-  virtual void OnSlotFailed(SlotId disk) = 0;
+                               BlockAddr chosen_lba, const DiskOpResult& result,
+                               bool ran) = 0;
 
   // May the engine promote a hot spare into the failed slot right now? A
   // policy with no redundancy to rebuild from says no.
@@ -166,11 +173,16 @@ class DriveSet {
   const SimDisk* disk(SlotId slot) const { return disks_[slot.value()]; }
   AccessPredictor* predictor(SlotId slot) { return predictors_[slot.value()]; }
   bool failed(SlotId slot) const { return failed_[slot.value()]; }
-  // Manual failure/replacement bookkeeping for policy-initiated transitions
-  // (FailDisk / Rebuild): flips the flag without stats, injector fail-stop,
-  // client hooks, or spare promotion.
-  void MarkFailed(SlotId slot) { failed_[slot.value()] = true; }
-  void MarkReplaced(SlotId slot) { failed_[slot.value()] = false; }
+  // Declares `slot` failed: flags it, makes the fault injector's verdict
+  // binding (FailStop) so the drive cannot half-work its way back, and
+  // drains its queues — delayed first, then foreground (see the header
+  // comment). No stats and no spare promotion: a policy's FailDisk calls it
+  // directly; AutoFail adds both.
+  void MarkFailed(SlotId slot);
+  // A replacement drive now holds `slot`'s data path: clears the flag and
+  // the injector's fault state for the slot (ReplaceDisk). A policy's
+  // rebuild calls it when it starts repopulating the slot.
+  void MarkReplaced(SlotId slot);
 
   InvariantAuditor* auditor() { return options_.auditor; }
   FaultInjector* fault_injector() { return options_.fault_injector; }
@@ -182,14 +194,9 @@ class DriveSet {
   // --- Queues ---
   // Queue conservation: every entry id comes from AllocEntryId, is reported
   // queued once (EnqueueFg/EnqueueDelayed), and leaves exactly once — by
-  // dispatch or by a policy-side cancellation the policy reports to the
-  // auditor itself (the mutable refs exist for those paths: sibling
-  // cancellation, reroute-on-failure, delayed-table force-out).
+  // dispatch, Cancel, or a failed-slot drain, all of which the engine
+  // reports to the auditor.
   [[nodiscard]] uint64_t AllocEntryId() { return next_entry_id_++; }
-  std::vector<QueuedRequest>& fg(SlotId slot) { return fg_[slot.value()]; }
-  std::vector<QueuedRequest>& delayed(SlotId slot) {
-    return delayed_[slot.value()];
-  }
   const std::vector<QueuedRequest>& fg(SlotId slot) const {
     return fg_[slot.value()];
   }
@@ -198,6 +205,14 @@ class DriveSet {
   }
   void EnqueueFg(SlotId slot, QueuedRequest entry);
   void EnqueueDelayed(SlotId slot, QueuedRequest entry);
+  // Removes entry `id` from `slot`'s foreground or delayed queue without
+  // running it; the owner is not called back. Returns false when the entry
+  // is not queued there (already dispatched).
+  bool Cancel(SlotId slot, uint64_t id);
+  // Moves the oldest entry of `slot`'s non-empty delayed queue to the back
+  // of its foreground queue (the NVRAM table's force-out). Does not
+  // dispatch.
+  void ForceOutDelayed(SlotId slot);
   // Picks and starts the next entry on `slot` if the drive is live and idle.
   // Foreground entries always outrank delayed ones.
   void MaybeDispatch(SlotId slot);
@@ -220,17 +235,11 @@ class DriveSet {
   [[nodiscard]] uint64_t EnqueueCommand(SlotId slot, DiskOp op, BlockAddr lba,
                           uint32_t sectors, CommandDoneFn done,
                           uint32_t attempts = 0);
-  // Drains `slot`'s foreground queue, completing every still-queued command
-  // with a synthetic kDiskFailed (id 0). Non-command entries are cancelled
-  // with the auditor and dropped — policies that mix raw entries with
-  // commands must reroute their raw entries themselves.
-  void FailQueuedCommands(SlotId slot);
 
   // --- Failure response ---
-  // Declares `slot` failed in response to an error verdict: marks it, counts
-  // it, makes the injector verdict binding (FailStop), lets the policy
-  // dispose of queued work (OnSlotFailed), then promotes a hot spare if one
-  // is registered and the policy allows it. Idempotent.
+  // Declares `slot` failed in response to an error verdict: counts it,
+  // MarkFailed (fail-stop and drain), then promotes a hot spare if one is
+  // registered and the policy allows it. Idempotent.
   void AutoFail(SlotId slot);
   // Registers a standby drive + predictor (borrowed). Wired to the observers
   // only on promotion. Compatibility with a failed slot is checked at
@@ -278,6 +287,9 @@ class DriveSet {
  private:
   void HandleCompletion(SlotId slot, const QueuedRequest& entry,
                         BlockAddr chosen_lba, const DiskOpResult& result);
+  // Empties `slot`'s delayed, then foreground queue, handing each entry back
+  // to its owner unrun (see the header comment).
+  void FailQueued(SlotId slot);
   void CountFault(SlotId slot, IoStatus status);
   void PromoteSpareIfAvailable(SlotId slot);
   void ScheduleScrubTick();

@@ -75,7 +75,7 @@ TEST(ArrayFailure, MirrorServesReadsAfterFailure) {
     rig.Do(DiskOp::kRead, rng.UniformU64(3000 - 8), 8);
   }
   rig.Drain();
-  EXPECT_EQ(rig.controller->stats().reads_completed, 30u);
+  EXPECT_EQ(rig.controller->op_stats().reads_completed, 30u);
   EXPECT_EQ(rig.disks[0]->ops_completed(), 0u);  // nothing touches the corpse
 }
 
@@ -86,7 +86,7 @@ TEST(ArrayFailure, MirrorWritesSkipFailedDisk) {
     rig.Do(DiskOp::kWrite, static_cast<uint64_t>(i) * 16, 8);
   }
   rig.Drain();
-  EXPECT_EQ(rig.controller->stats().writes_completed, 10u);
+  EXPECT_EQ(rig.controller->op_stats().writes_completed, 10u);
   EXPECT_EQ(rig.disks[1]->ops_completed(), 0u);
   // No propagation is queued to the failed disk.
   EXPECT_EQ(rig.controller->DelayedBacklog(), 0u);
@@ -157,7 +157,7 @@ TEST(ArrayFailure, ForegroundTrafficContinuesDuringRebuild) {
     ASSERT_TRUE(rig.sim.Step());
   }
   rig.Drain();
-  EXPECT_EQ(rig.controller->stats().reads_completed,
+  EXPECT_EQ(rig.controller->op_stats().reads_completed,
             static_cast<uint64_t>(kOps));
 }
 

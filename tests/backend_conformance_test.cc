@@ -16,6 +16,7 @@
 //   * redundancy exhaustion surfaces kUnrecoverable — never a hang, never an
 //     intermediate status;
 //   * a detected fail-stop promotes a hot spare and auto-rebuilds onto it;
+//     without a spare, Rebuild() onto a replacement drive restores the slot;
 //   * the idle scrub sweeper finds and repairs planted latent errors;
 //   * ExportStats publishes fault.* plus a backend-specific prefix.
 #include <gtest/gtest.h>
@@ -305,6 +306,41 @@ TEST_P(BackendConformance, DetectedFailStopPromotesSpareAndRebuilds) {
   EXPECT_EQ(array->backend().spares_available(), 0u);
   EXPECT_FALSE(array->backend().IsFailed(SlotId(0)))
       << "auto-rebuild onto the promoted spare must clear the failed flag";
+  array->backend().AuditQuiescent();
+  EXPECT_EQ(auditor.violations(), 0u);
+}
+
+TEST_P(BackendConformance, RebuildAfterDetectedFailStopWithoutSpare) {
+  InvariantAuditor auditor;
+  RigConfig rig;
+  rig.auditor = &auditor;
+  rig.faults = true;
+  auto array = MakeArray(GetParam(), rig);
+  array->fault_injector()->FailStop(0);
+  IoTally tally;
+  RunMix(array.get(), 150, 53, 0.0, &tally);
+  DrainAll(array.get());
+  EXPECT_EQ(tally.intermediate, 0);
+  ASSERT_TRUE(array->backend().IsFailed(SlotId(0)))
+      << "no spare: the detected fail-stop must leave the slot failed";
+
+  // A replacement drive goes into the slot: the rebuild must write to it,
+  // not to the fail-stopped drive it replaced.
+  bool rebuilt = false;
+  IoResult rebuild_result;
+  array->backend().Rebuild(SlotId(0), [&](const IoResult& r) {
+    rebuild_result = r;
+    rebuilt = true;
+  });
+  uint64_t steps = 0;
+  while (!rebuilt) {
+    ASSERT_TRUE(array->sim().Step());
+    ASSERT_LT(++steps, kStepBudget) << "rebuild wedged";
+  }
+  EXPECT_EQ(rebuild_result.status, IoStatus::kOk)
+      << IoStatusName(rebuild_result.status);
+  EXPECT_FALSE(array->backend().IsFailed(SlotId(0)));
+  DrainAll(array.get());
   array->backend().AuditQuiescent();
   EXPECT_EQ(auditor.violations(), 0u);
 }

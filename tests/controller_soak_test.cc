@@ -96,7 +96,8 @@ TEST_P(ControllerSoak, AllOpsCompleteAndDrain) {
   EXPECT_EQ(auditor.violations(), 0u);
   EXPECT_GT(auditor.checks_run(), 0u);
   const ArrayStats& stats = controller.stats();
-  EXPECT_EQ(stats.reads_completed + stats.writes_completed,
+  EXPECT_EQ(controller.op_stats().reads_completed +
+                controller.op_stats().writes_completed,
             static_cast<uint64_t>(kOps));
   if (param.foreground || aspect.ReplicasPerBlock() == 1) {
     EXPECT_EQ(stats.delayed_writes_completed + stats.delayed_writes_forced, 0u);

@@ -68,7 +68,7 @@ TEST(Controller, SingleReadCompletes) {
   Rig rig(1, 1, 1);
   const SimTime c = rig.Do(DiskOp::kRead, 0, 8);
   EXPECT_GT(c, SimTime(0));
-  EXPECT_EQ(rig.controller->stats().reads_completed, 1u);
+  EXPECT_EQ(rig.controller->op_stats().reads_completed, 1u);
 }
 
 TEST(Controller, StripedReadTouchesCorrectDisk) {
@@ -146,7 +146,7 @@ TEST(Controller, ReadIgnoresStaleReplica) {
   for (int i = 0; i < 4; ++i) {
     rig.Do(DiskOp::kRead, 0, 8);
   }
-  EXPECT_EQ(rig.controller->stats().reads_completed, 4u);
+  EXPECT_EQ(rig.controller->op_stats().reads_completed, 4u);
 }
 
 TEST(Controller, DelayedWritesWaitForIdle) {
@@ -234,8 +234,8 @@ TEST(Controller, ManyConcurrentOpsAllComplete) {
   }
   rig.Drain();
   EXPECT_TRUE(rig.controller->Idle());
-  EXPECT_EQ(rig.controller->stats().reads_completed +
-                rig.controller->stats().writes_completed,
+  EXPECT_EQ(rig.controller->op_stats().reads_completed +
+                rig.controller->op_stats().writes_completed,
             static_cast<uint64_t>(kOps));
 }
 

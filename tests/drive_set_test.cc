@@ -1,0 +1,211 @@
+// DriveSet queue contract, driven directly through a recording client over
+// two noise-free test drives with the invariant auditor attached: the engine
+// alone removes queue entries (Cancel, the failed-slot drain), every raw
+// entry it drains comes back unrun, commands run bounded retry, and the
+// manual failure transitions carry the fault injector's verdict.
+#include <gtest/gtest.h>
+
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "src/calib/predictor.h"
+#include "src/disk/sim_disk.h"
+#include "src/io/drive_set.h"
+#include "src/sim/auditor.h"
+#include "src/sim/fault_injector.h"
+#include "src/sim/simulator.h"
+
+namespace mimdraid {
+namespace {
+
+// Logs every hand-back from the engine, raw entries and commands alike, in
+// the order the engine makes them.
+class RecordingClient : public DriveSetClient {
+ public:
+  void OnEntryComplete(SlotId /*disk*/, const QueuedRequest& entry,
+                       BlockAddr chosen_lba, const DiskOpResult& result,
+                       bool ran) override {
+    log.push_back("raw " + std::to_string(entry.id) +
+                  (ran ? " ran " : " unrun ") + IoStatusName(result.status) +
+                  " @" + std::to_string(chosen_lba.value()));
+  }
+  void OnSparePromoted(SlotId /*disk*/) override {}
+
+  std::vector<std::string> log;
+};
+
+class DriveSetTest : public ::testing::Test {
+ protected:
+  void Build(DriveSetOptions options = {}) {
+    options.auditor = &auditor_;
+    options.fault_injector = &injector_;
+    std::vector<SimDisk*> disks;
+    std::vector<AccessPredictor*> predictors;
+    for (int i = 0; i < 2; ++i) {
+      disks_.push_back(std::make_unique<SimDisk>(
+          &sim_, MakeTestGeometry(), MakeTestSeekProfile(),
+          DiskNoiseModel::None(), /*seed=*/1 + i, /*spindle_phase_us=*/0.0));
+      predictors_.push_back(
+          std::make_unique<OraclePredictor>(disks_.back().get(), 0.0));
+      disks.push_back(disks_.back().get());
+      predictors.push_back(predictors_.back().get());
+    }
+    drives_ = std::make_unique<DriveSet>(&sim_, disks, predictors, &client_,
+                                         options);
+  }
+
+  // Queues a raw single-candidate read (foreground unless `delayed`).
+  uint64_t EnqueueRaw(SlotId slot, uint64_t lba, bool delayed = false) {
+    QueuedRequest entry;
+    entry.id = drives_->AllocEntryId();
+    entry.op = DiskOp::kRead;
+    entry.sectors = 1;
+    entry.candidate_lbas = {BlockAddr(lba)};
+    entry.arrival_us = sim_.Now();
+    entry.delayed = delayed;
+    const uint64_t id = entry.id;
+    if (delayed) {
+      drives_->EnqueueDelayed(slot, std::move(entry));
+    } else {
+      drives_->EnqueueFg(slot, std::move(entry));
+    }
+    return id;
+  }
+
+  void RunDry() {
+    while (sim_.Step()) {
+    }
+  }
+
+  Simulator sim_;
+  InvariantAuditor auditor_;
+  FaultInjector injector_{FaultInjectorOptions{}};
+  std::vector<std::unique_ptr<SimDisk>> disks_;
+  std::vector<std::unique_ptr<OraclePredictor>> predictors_;
+  RecordingClient client_;
+  std::unique_ptr<DriveSet> drives_;
+};
+
+TEST_F(DriveSetTest, CancelRemovesQueuedEntryButNotDispatchedOne) {
+  Build(DriveSetOptions{.scheduler = SchedulerKind::kFcfs});
+  const SlotId slot(0);
+  const uint64_t running = EnqueueRaw(slot, 10);
+  const uint64_t cancelled = EnqueueRaw(slot, 20);
+  const uint64_t kept = EnqueueRaw(slot, 30);
+  drives_->MaybeDispatch(slot);
+  ASSERT_TRUE(drives_->disk(slot)->busy());
+  ASSERT_EQ(drives_->fg(slot).size(), 2u);
+
+  EXPECT_TRUE(drives_->Cancel(slot, cancelled));
+  EXPECT_EQ(drives_->fg(slot).size(), 1u);
+  EXPECT_FALSE(drives_->Cancel(slot, running)) << "already on the drive";
+  EXPECT_FALSE(drives_->Cancel(slot, cancelled)) << "cancelled twice";
+  EXPECT_FALSE(drives_->Cancel(SlotId(1), kept)) << "queued on another slot";
+
+  RunDry();
+  EXPECT_EQ(client_.log,
+            (std::vector<std::string>{
+                "raw " + std::to_string(running) + " ran ok @10",
+                "raw " + std::to_string(kept) + " ran ok @30"}));
+  EXPECT_TRUE(drives_->AllDrivesQuiet());
+  EXPECT_EQ(auditor_.violations(), 0u);
+}
+
+TEST_F(DriveSetTest, AutoFailDrainsDelayedBeforeForeground) {
+  Build(DriveSetOptions{.scheduler = SchedulerKind::kFcfs});
+  const SlotId slot(0);
+  const uint64_t running = EnqueueRaw(slot, 10);
+  drives_->MaybeDispatch(slot);
+  ASSERT_TRUE(drives_->disk(slot)->busy());
+  const uint64_t fg_raw = EnqueueRaw(slot, 20);
+  uint64_t command_id = 0;
+  const uint64_t queued_command = drives_->EnqueueCommand(
+      slot, DiskOp::kWrite, BlockAddr(40), 1,
+      [&](const DiskOpResult& r, uint64_t id) {
+        client_.log.push_back(std::string("command ") + IoStatusName(r.status));
+        command_id = id;
+      });
+  ASSERT_NE(queued_command, 0u);
+  const uint64_t delayed_raw = EnqueueRaw(slot, 30, /*delayed=*/true);
+
+  drives_->AutoFail(slot);
+  EXPECT_TRUE(drives_->failed(slot));
+  EXPECT_TRUE(injector_.IsFailStopped(slot.value()));
+  EXPECT_EQ(drives_->fstats().auto_disk_failures, 1u);
+  EXPECT_TRUE(drives_->fg(slot).empty());
+  EXPECT_TRUE(drives_->delayed(slot).empty());
+  // The drain hands everything back synchronously: the delayed queue first,
+  // then the foreground queue in order; the command with id 0.
+  EXPECT_EQ(client_.log,
+            (std::vector<std::string>{
+                "raw " + std::to_string(delayed_raw) + " unrun disk-failed @30",
+                "raw " + std::to_string(fg_raw) + " unrun disk-failed @20",
+                "command disk-failed"}));
+  EXPECT_EQ(command_id, 0u);
+
+  // The op already on the drive finishes normally.
+  RunDry();
+  ASSERT_EQ(client_.log.size(), 4u);
+  EXPECT_EQ(client_.log.back(),
+            "raw " + std::to_string(running) + " ran ok @10");
+  EXPECT_EQ(auditor_.violations(), 0u);
+}
+
+TEST_F(DriveSetTest, CommandRetriesTransientErrorThenSurfacesIt) {
+  DriveSetOptions options;
+  options.retry.max_attempts = 3;
+  Build(options);
+  const SlotId slot(1);
+  injector_.InjectTransientErrors(slot.value(), 100);
+  int calls = 0;
+  DiskOpResult seen;
+  uint64_t seen_id = 0;
+  const uint64_t first_id = drives_->EnqueueCommand(
+      slot, DiskOp::kRead, BlockAddr(50), 4,
+      [&](const DiskOpResult& r, uint64_t id) {
+        ++calls;
+        seen = r;
+        seen_id = id;
+      });
+  RunDry();
+  ASSERT_EQ(calls, 1);
+  EXPECT_EQ(seen.status, IoStatus::kMediaError);
+  EXPECT_NE(seen_id, 0u);
+  EXPECT_NE(seen_id, first_id) << "each retry runs as a fresh queue entry";
+  EXPECT_EQ(drives_->fstats().retries_issued, 2u);
+  EXPECT_EQ(drives_->fstats().media_errors_seen, 3u) << "one per attempt";
+  EXPECT_FALSE(drives_->failed(slot)) << "transients never fail the slot";
+  EXPECT_TRUE(client_.log.empty()) << "commands never reach the raw hook";
+  // The surfaced fault is the caller's to resolve, exactly once.
+  drives_->ResolveFault(seen_id, FaultResolution::kSurfaced, false);
+  EXPECT_EQ(auditor_.violations(), 0u);
+}
+
+TEST_F(DriveSetTest, MarkFailedAndMarkReplacedCarryTheInjectorVerdict) {
+  Build();
+  const SlotId slot(1);
+  const uint64_t delayed_raw = EnqueueRaw(slot, 70, /*delayed=*/true);
+  drives_->MarkFailed(slot);
+  EXPECT_TRUE(drives_->failed(slot));
+  EXPECT_TRUE(injector_.IsFailStopped(slot.value()));
+  EXPECT_FALSE(injector_.IsFailStopped(0));
+  EXPECT_EQ(drives_->fstats().auto_disk_failures, 0u)
+      << "a policy-initiated failure is not an automatic one";
+  EXPECT_EQ(client_.log,
+            (std::vector<std::string>{"raw " + std::to_string(delayed_raw) +
+                                      " unrun disk-failed @70"}));
+
+  drives_->MarkReplaced(slot);
+  EXPECT_FALSE(drives_->failed(slot));
+  EXPECT_FALSE(injector_.IsFailStopped(slot.value()));
+  // The replacement drive serves I/O again.
+  const uint64_t id = EnqueueRaw(slot, 80);
+  drives_->MaybeDispatch(slot);
+  RunDry();
+  EXPECT_EQ(client_.log.back(), "raw " + std::to_string(id) + " ran ok @80");
+  EXPECT_EQ(auditor_.violations(), 0u);
+}
+
+}  // namespace
+}  // namespace mimdraid

@@ -544,7 +544,7 @@ TEST(EcRaid5Test, ReadTouchesOnlyDataDisk) {
   auto array = MakeRaid5();
   EXPECT_EQ(DoOne(array.get(), DiskOp::kRead, 0, 8).status, IoStatus::kOk);
   EXPECT_EQ(TotalDiskOps(array.get()), 1u);
-  EXPECT_EQ(array->ec().stats().reads_completed, 1u);
+  EXPECT_EQ(array->ec().op_stats().reads_completed, 1u);
 }
 
 TEST(EcRaid5Test, SmallWriteIsFourAccesses) {
@@ -647,7 +647,8 @@ TEST(EcRaid5Test, TrafficDuringRebuildStaysCorrect) {
     ASSERT_TRUE(array->sim().Step());
   }
   Drain(array.get());
-  EXPECT_EQ(array->ec().stats().reads_completed, static_cast<uint64_t>(kOps));
+  EXPECT_EQ(array->ec().op_stats().reads_completed,
+            static_cast<uint64_t>(kOps));
 }
 
 TEST(EcRaid5Test, RandomMixAllCompletes) {
@@ -669,8 +670,8 @@ TEST(EcRaid5Test, RandomMixAllCompletes) {
     ASSERT_TRUE(array->sim().Step());
   }
   Drain(array.get());
-  EXPECT_EQ(array->ec().stats().reads_completed +
-                array->ec().stats().writes_completed,
+  EXPECT_EQ(array->ec().op_stats().reads_completed +
+                array->ec().op_stats().writes_completed,
             static_cast<uint64_t>(kOps));
 }
 

@@ -137,7 +137,7 @@ TEST(Recovery, RecoveredArrayServesReadsConsistently) {
   }
   while (!fresh.controller->Idle() && fresh.sim.Step()) {
   }
-  EXPECT_EQ(fresh.controller->stats().reads_completed, 6u);
+  EXPECT_EQ(fresh.controller->op_stats().reads_completed, 6u);
   EXPECT_EQ(fresh.controller->DelayedBacklog(), 0u);
 }
 
