@@ -46,8 +46,7 @@ void ArrayController::AuditQuiescent() const {
   }
   auditor_->CheckQuiescent(drives().TotalFgQueued(),
                            drives().TotalDelayedQueued(), nvram_.size(),
-                           stale_sectors_.size(), inflight_writes_.size(),
-                           parked_.size());
+                           stale_.size(), inflight_.size(), parked_.size());
 }
 
 bool ArrayController::Idle() const {
@@ -69,7 +68,7 @@ void ArrayController::SubmitInternal(DiskOp op, uint64_t lba, uint32_t sectors,
   // Read-after-write ordering: a read of data with an in-flight foreground
   // write waits for the write (all replicas are potentially stale until one
   // lands).
-  if (op == DiskOp::kRead && RangeHasInflightWrite(lba, sectors)) {
+  if (op == DiskOp::kRead && inflight_.ZeroPrefix(lba, sectors) < sectors) {
     ++stats_.parked_reads;
     parked_.push_back(ParkedRequest{op, lba, sectors, std::move(done), issue_us});
     return;
@@ -87,7 +86,7 @@ void ArrayController::SubmitInternal(DiskOp op, uint64_t lba, uint32_t sectors,
               std::move(done), issue_us);
 
   if (op == DiskOp::kWrite) {
-    MarkInflightWrite(lba, sectors, +1);
+    inflight_.Add(lba, sectors, +1);
   }
 
   for (ArrayFragment& f : fragments) {
@@ -117,12 +116,9 @@ bool ArrayController::SubmitReadFragment(FragState& frag, uint64_t frag_key) {
   // resubmit the tail as its own fragment.
   uint32_t best_prefix = 0;
   for (const ReplicaLocation& loc : frag.replicas) {
-    uint32_t clean = 0;
-    while (clean < frag.sectors &&
-           !stale_sectors_.contains(ReplicaKey(loc.disk, loc.lba + clean))) {
-      ++clean;
-    }
-    best_prefix = std::max(best_prefix, clean);
+    const uint64_t clean =
+        stale_.ZeroPrefix(ReplicaKey(loc.disk, loc.lba), frag.sectors);
+    best_prefix = std::max(best_prefix, static_cast<uint32_t>(clean));
     if (best_prefix == frag.sectors) {
       break;
     }
@@ -186,7 +182,9 @@ bool ArrayController::SubmitReadFragment(FragState& frag, uint64_t frag_key) {
       if (known_bad) {
         continue;
       }
-      if (ignore_stale || !ReplicaIsStale(loc.disk, loc.lba, frag.sectors)) {
+      if (ignore_stale ||
+          stale_.ZeroPrefix(ReplicaKey(loc.disk, loc.lba), frag.sectors) ==
+              frag.sectors) {
         dc.lbas.push_back(BlockAddr(loc.lba));
       }
     }
@@ -399,9 +397,7 @@ void ArrayController::OnEntryComplete(SlotId slot,
         if (auditor_ != nullptr) {
           auditor_->OnNvramErase(disk, chosen_lba);
         }
-        for (uint32_t s = 0; s < entry.sectors; ++s) {
-          stale_sectors_.erase(ReplicaKey(disk, chosen_lba + s));
-        }
+        stale_.Set(ReplicaKey(disk, chosen_lba), entry.sectors, 0);
       }
       ++stats_.delayed_writes_completed;
     }
@@ -449,9 +445,7 @@ void ArrayController::CompleteFragment(uint64_t frag_key, FragState& frag,
       // on the just-written sectors (from older, partially overlapping
       // propagations) are cleared.
       CancelPendingDelayed(chosen_disk, chosen_lba);
-      for (uint32_t s = 0; s < frag.sectors; ++s) {
-        stale_sectors_.erase(ReplicaKey(chosen_disk, chosen_lba + s));
-      }
+      stale_.Set(ReplicaKey(chosen_disk, chosen_lba), frag.sectors, 0);
       for (const ReplicaLocation& loc : frag.replicas) {
         if ((loc.disk == chosen_disk && loc.lba == chosen_lba) ||
             drives().failed(SlotId(loc.disk))) {
@@ -461,7 +455,7 @@ void ArrayController::CompleteFragment(uint64_t frag_key, FragState& frag,
       }
       EnforceDelayedTableLimit();
     }
-    MarkInflightWrite(frag.logical_lba, frag.sectors, -1);
+    inflight_.Add(frag.logical_lba, frag.sectors, -1);
   }
   if (op == DiskOp::kRead && frag_status == IoStatus::kOk &&
       !frag.bad_replicas.empty()) {
@@ -655,9 +649,7 @@ void ArrayController::HandleDelayedFailure(uint32_t disk,
   drives().ScheduleRecovery(
       attempts, [this, disk, chosen_lba, sectors, attempts]() {
         if (drives().failed(SlotId(disk))) {
-          for (uint32_t s = 0; s < sectors; ++s) {
-            stale_sectors_.erase(ReplicaKey(disk, chosen_lba + s));
-          }
+          stale_.Set(ReplicaKey(disk, chosen_lba), sectors, 0);
           ++fstats().propagations_abandoned;
           return;
         }
@@ -696,9 +688,7 @@ void ArrayController::AbandonPropagation(uint32_t disk,
   if (nvram_.EraseIfOwner(disk, lba, entry.id) && auditor_ != nullptr) {
     auditor_->OnNvramErase(disk, lba);
   }
-  for (uint32_t s = 0; s < entry.sectors; ++s) {
-    stale_sectors_.erase(ReplicaKey(disk, lba + s));
-  }
+  stale_.Set(ReplicaKey(disk, lba), entry.sectors, 0);
   ++fstats().propagations_abandoned;
 }
 
@@ -823,9 +813,7 @@ void ArrayController::AddDelayedWrite(uint32_t disk, uint64_t lba,
   if (auditor_ != nullptr) {
     auditor_->OnNvramPut(disk, lba, owner_id);
   }
-  for (uint32_t s = 0; s < sectors; ++s) {
-    stale_sectors_.insert(ReplicaKey(disk, lba + s));
-  }
+  stale_.Set(ReplicaKey(disk, lba), sectors, 1);
   drives().MaybeDispatch(SlotId(disk));
 }
 
@@ -844,9 +832,7 @@ void ArrayController::CancelPendingDelayed(uint32_t disk, uint64_t lba) {
   if (auditor_ != nullptr) {
     auditor_->OnNvramErase(disk, lba);
   }
-  for (uint32_t s = 0; s < record->sectors; ++s) {
-    stale_sectors_.erase(ReplicaKey(disk, lba + s));
-  }
+  stale_.Set(ReplicaKey(disk, lba), record->sectors, 0);
 }
 
 void ArrayController::EnforceDelayedTableLimit() {
@@ -879,31 +865,6 @@ void ArrayController::RestorePropagations(
   EnforceDelayedTableLimit();
 }
 
-bool ArrayController::RangeHasInflightWrite(uint64_t lba,
-                                            uint32_t sectors) const {
-  if (inflight_writes_.empty()) {
-    return false;
-  }
-  for (uint32_t s = 0; s < sectors; ++s) {
-    if (inflight_writes_.contains(lba + s)) {
-      return true;
-    }
-  }
-  return false;
-}
-
-void ArrayController::MarkInflightWrite(uint64_t lba, uint32_t sectors,
-                                        int delta) {
-  for (uint32_t s = 0; s < sectors; ++s) {
-    auto [it, inserted] = inflight_writes_.try_emplace(lba + s, 0);
-    it->second += delta;
-    MIMDRAID_CHECK_GE(it->second, 0);
-    if (it->second == 0) {
-      inflight_writes_.erase(it);
-    }
-  }
-}
-
 void ArrayController::WakeParked() {
   if (parked_.empty()) {
     return;
@@ -911,7 +872,7 @@ void ArrayController::WakeParked() {
   std::vector<ParkedRequest> still_parked;
   std::vector<ParkedRequest> ready;
   for (ParkedRequest& p : parked_) {
-    if (RangeHasInflightWrite(p.lba, p.sectors)) {
+    if (inflight_.ZeroPrefix(p.lba, p.sectors) < p.sectors) {
       still_parked.push_back(std::move(p));
     } else {
       ready.push_back(std::move(p));
@@ -1119,19 +1080,6 @@ void ArrayController::ScheduleRecalibration(uint32_t disk) {
     }
     ScheduleRecalibration(disk);
   });
-}
-
-bool ArrayController::ReplicaIsStale(uint32_t disk, uint64_t lba,
-                                     uint32_t sectors) const {
-  if (stale_sectors_.empty()) {
-    return false;
-  }
-  for (uint32_t s = 0; s < sectors; ++s) {
-    if (stale_sectors_.contains(ReplicaKey(disk, lba + s))) {
-      return true;
-    }
-  }
-  return false;
 }
 
 void ArrayController::ExportStats(StatsRegistry* registry) const {

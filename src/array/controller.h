@@ -34,6 +34,7 @@
 #include "src/sim/io_status.h"
 #include "src/sim/simulator.h"
 #include "src/stats/fault_stats.h"
+#include "src/util/extent_map.h"
 
 namespace mimdraid {
 
@@ -196,15 +197,12 @@ class ArrayController : public ArrayBackend {
                        uint32_t attempts = 0);
   void CancelPendingDelayed(uint32_t disk, uint64_t lba);
   void EnforceDelayedTableLimit();
-  bool RangeHasInflightWrite(uint64_t lba, uint32_t sectors) const;
-  void MarkInflightWrite(uint64_t lba, uint32_t sectors, int delta);
   void WakeParked();
   void ScheduleRecalibration(uint32_t disk);
   void RebuildNextFragment(uint32_t disk, uint64_t next_lba, DoneFn done);
   void EnqueueRebuildWrite(ReplicaLocation loc, uint32_t len,
                            std::shared_ptr<size_t> writes_left,
                            uint32_t rebuild_disk, uint64_t resume, DoneFn done);
-  bool ReplicaIsStale(uint32_t disk, uint64_t lba, uint32_t sectors) const;
 
   // --- Fault recovery ---
   // Recovery for a fragment or propagation entry the drive ran and failed;
@@ -241,10 +239,13 @@ class ArrayController : public ArrayBackend {
   // metadata table). The owning queue entry may live in the delayed queue or,
   // if forced out, the FG queue.
   NvramTable nvram_;
-  // Physical sectors whose content is stale until propagation completes.
-  std::unordered_set<uint64_t> stale_sectors_;
-  // Logical sectors with an in-flight foreground write (ordering barrier).
-  std::unordered_map<uint64_t, int> inflight_writes_;
+  // Replica state. Physical sectors, keyed by ReplicaKey, count 1 while a
+  // propagation to them is pending and 0 once it lands, is cancelled or
+  // abandoned, or a winning write covers them (set, never decremented).
+  ExtentMap stale_;
+  // Logical sectors count their in-flight foreground writes: a read that
+  // overlaps any nonzero count parks behind them (ordering barrier).
+  ExtentMap inflight_;
   std::vector<ParkedRequest> parked_;
 
   uint64_t rebuild_copied_ = 0;

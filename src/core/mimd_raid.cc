@@ -141,10 +141,8 @@ void MimdRaid::BuildBackend() {
       .auditor = options_.auditor,
       .fault_injector = injector_.get(),
       .collector = options_.collector,
-      .retry = options_.retry,
       .disk_error_fail_threshold = options_.disk_error_fail_threshold,
       .scrub_interval_us = options_.scrub_interval_us,
-      .scrub_gating = options_.scrub_gating,
   };
   if (options_.backend == ArrayBackendKind::kMirror) {
     // Every slot maps through its own drive's layout; mixed generations get

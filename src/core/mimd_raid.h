@@ -85,15 +85,11 @@ struct MimdRaidOptions {
   // when enable_fault_injection is true or hot_spares > 0.
   bool enable_fault_injection = false;
   FaultInjectorOptions fault;
-  RetryPolicy retry;
   // Consecutive-error count at which the controller fail-stops a disk
   // (0 disables auto-failing on error count; kDiskFailed always fail-stops).
   uint32_t disk_error_fail_threshold = 0;
   // Idle-time background scrub period (0 disables scrubbing).
   SimDuration scrub_interval_us;
-  // kIdleGated (default) defers scrub ticks to foreground activity;
-  // kAlways fires a scrub step every period regardless of engine load.
-  ScrubGating scrub_gating = ScrubGating::kIdleGated;
   // Extra drives kept spinning; promoted automatically when a disk
   // fail-stops, followed by an automatic rebuild.
   uint32_t hot_spares = 0;

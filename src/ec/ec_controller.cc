@@ -170,17 +170,21 @@ bool EcController::DiskUsable(uint32_t disk, uint32_t row) const {
   return true;
 }
 
-std::vector<uint32_t> EcController::ReadableColumns(
+std::vector<uint32_t> EcController::DecodeSet(
     uint32_t row, uint32_t excluding_disk, uint32_t unreadable_disk) const {
   std::vector<uint32_t> cols;
-  for (uint32_t d = 0; d < layout_->num_disks(); ++d) {
-    if (d == excluding_disk || d == unreadable_disk) {
-      continue;
-    }
-    if (DiskUsable(d, row)) {
+  std::vector<uint32_t> positions;
+  for (uint32_t d = 0; d < layout_->num_disks() && cols.size() < codec_->k();
+       ++d) {
+    if (d != excluding_disk && d != unreadable_disk && DiskUsable(d, row)) {
       cols.push_back(d);
+      positions.push_back(layout_->PositionOfDisk(row, d));
     }
   }
+  if (cols.size() < codec_->k()) {
+    return {};
+  }
+  MIMDRAID_CHECK(codec_->CanDecodeFrom(positions));
   return cols;
 }
 
@@ -246,21 +250,14 @@ void EcController::SubmitReadFragment(uint64_t op_id, const EcFragment& frag,
   // Degraded read: decode the missing data unit through any k readable
   // columns. Columns are taken in ascending disk order — deterministic, and
   // Cauchy generators make every k-subset invertible.
-  std::vector<uint32_t> cols =
-      ReadableColumns(frag.row, frag.data_disk, layout_->num_disks());
-  if (cols.size() < codec_->k()) {
+  const std::vector<uint32_t> cols =
+      DecodeSet(frag.row, frag.data_disk, layout_->num_disks());
+  if (cols.empty()) {
     // More than m row members are gone: the data is lost. Finish the
     // fragment gracefully instead of crashing.
     CompleteFragmentFailed(op_id);
     return;
   }
-  cols.resize(codec_->k());
-  std::vector<uint32_t> positions;
-  positions.reserve(cols.size());
-  for (uint32_t d : cols) {
-    positions.push_back(layout_->PositionOfDisk(frag.row, d));
-  }
-  MIMDRAID_CHECK(codec_->CanDecodeFrom(positions));
   work->degraded = true;
   work->phase_remaining = static_cast<int>(cols.size());
   ++stats_.degraded_reads;
@@ -359,20 +356,10 @@ void EcController::SubmitWriteFragment(uint64_t op_id, const EcFragment& frag,
       // A sibling data column is down: reconstruct it (and the rest) through
       // an arbitrary decode set. The target's own old unit is a valid decode
       // column unless its contents are what we failed to read.
-      std::vector<uint32_t> cols = ReadableColumns(
+      rcw_reads = DecodeSet(
           frag.row, layout_->num_disks(),
           force_degraded ? frag.data_disk : layout_->num_disks());
-      if (cols.size() >= k) {
-        cols.resize(k);
-        std::vector<uint32_t> positions;
-        positions.reserve(cols.size());
-        for (uint32_t d : cols) {
-          positions.push_back(layout_->PositionOfDisk(frag.row, d));
-        }
-        MIMDRAID_CHECK(codec_->CanDecodeFrom(positions));
-        rcw_reads = std::move(cols);
-        rcw_valid = true;
-      }
+      rcw_valid = !rcw_reads.empty();
     }
   }
 
@@ -617,9 +604,9 @@ void EcController::RebuildNextRow() {
     const uint64_t lba = static_cast<uint64_t>(row) * unit;
     // The target's unit — data or parity alike — is recomputed from any k
     // readable columns of the row.
-    std::vector<uint32_t> cols =
-        ReadableColumns(row, disk, layout_->num_disks());
-    if (cols.size() < codec_->k()) {
+    const std::vector<uint32_t> cols =
+        DecodeSet(row, disk, layout_->num_disks());
+    if (cols.empty()) {
       // Too many concurrent losses: this row cannot be reconstructed. Note
       // the loss and keep going — later faults must not wedge the rebuild.
       ++fstats().rebuild_fragments_lost;
@@ -627,13 +614,6 @@ void EcController::RebuildNextRow() {
       ++rebuilt_rows_;
       continue;
     }
-    cols.resize(codec_->k());
-    std::vector<uint32_t> positions;
-    positions.reserve(cols.size());
-    for (uint32_t d : cols) {
-      positions.push_back(layout_->PositionOfDisk(row, d));
-    }
-    MIMDRAID_CHECK(codec_->CanDecodeFrom(positions));
     auto remaining = std::make_shared<int>(static_cast<int>(cols.size()));
     auto lost = std::make_shared<bool>(false);
     auto column_died = std::make_shared<bool>(false);

@@ -177,12 +177,13 @@ class EcController : public ArrayBackend {
   // the rebuild queue, and — when it is the active rebuild target — already
   // rebuilt past the row).
   bool DiskUsable(uint32_t disk, uint32_t row) const;
-  // Columns of `row` whose old contents are readable for decode purposes,
-  // in ascending disk order, excluding `excluding_disk` (pass num_disks()
-  // to exclude none). `unreadable_disk` marks a disk whose drive is alive
-  // but whose unit for this row cannot be read (media-error fallback).
-  std::vector<uint32_t> ReadableColumns(uint32_t row, uint32_t excluding_disk,
-                                        uint32_t unreadable_disk) const;
+  // The decode set for `row`: the first k columns, in ascending disk order,
+  // whose old contents are readable, excluding `excluding_disk` (pass
+  // num_disks() to exclude none). `unreadable_disk` marks a disk whose drive
+  // is alive but whose unit for this row cannot be read (media-error
+  // fallback). Empty when fewer than k columns are readable.
+  std::vector<uint32_t> DecodeSet(uint32_t row, uint32_t excluding_disk,
+                                  uint32_t unreadable_disk) const;
 
   Simulator* sim_;
   const EcLayout* layout_;

@@ -466,16 +466,13 @@ void DriveSet::ScheduleScrubTick() {
 }
 
 void DriveSet::ScrubTick() {
-  // The policy gate applies under either gating mode (a backend mid-rebuild
-  // or with logical ops outstanding must not sweep).
+  // A backend mid-rebuild or with logical ops outstanding must not sweep.
   if (!client_->ScrubEligible()) {
     return;
   }
   // Idle-gating is the rate limit: a tick that finds any foreground or
-  // recovery work simply skips its turn. kAlways (the fixed-period policy)
-  // admits the step regardless of drive business.
-  if (options_.scrub_gating == ScrubGating::kIdleGated &&
-      (pending_recovery_ > 0 || !LiveDrivesQuiet())) {
+  // recovery work simply skips its turn.
+  if (pending_recovery_ > 0 || !LiveDrivesQuiet()) {
     return;
   }
   client_->ScrubStep();

@@ -50,22 +50,6 @@
 
 namespace mimdraid {
 
-// Engine-side scrub admission policy: how a scrub timer tick decides whether
-// to run a policy ScrubStep. The policy-side gate (DriveSetClient::
-// ScrubEligible — no rebuild in flight, no outstanding logical ops) applies
-// under either mode; gating here only controls whether scrubbing must wait
-// for the drives themselves to go quiet.
-enum class ScrubGating {
-  // A tick runs only when every live drive is idle with empty queues and no
-  // recovery timer is armed — scrubbing never competes with foreground or
-  // background I/O (the utilization-gated policy; the historical behavior).
-  kIdleGated,
-  // A tick runs whenever the policy gate allows, even with delayed-queue
-  // backlog or busy drives — the fixed-period policy, which trades foreground
-  // interference for a guaranteed sweep cadence.
-  kAlways,
-};
-
 struct DriveSetOptions {
   SchedulerKind scheduler = SchedulerKind::kSatf;
   // Cap on SATF-class scan depth per dispatch (0 = whole queue).
@@ -89,9 +73,6 @@ struct DriveSetOptions {
   // Idle-gating is the rate limit: scrubbing never competes with foreground
   // work.
   SimDuration scrub_interval_us{};
-  // Engine-side scrub admission (see ScrubGating above). The default keeps
-  // the historical idle-gated behavior.
-  ScrubGating scrub_gating = ScrubGating::kIdleGated;
 };
 
 // Policy hooks a backend implements on top of the engine. Calls arrive

@@ -48,10 +48,10 @@
 namespace mimdraid {
 namespace rel {
 
-// When the scrubber visits the fleet. Mirrors the engine-level ScrubGating
-// policy at lifetime scale: kUtilizationGated stretches the nominal period
-// by the fraction of time foreground load keeps the idle-gated scrubber off
-// the disks.
+// When the scrubber visits the fleet. kUtilizationGated is the lifetime-scale
+// image of the engine's idle-gated scrubber (DriveSet::ScrubTick): it
+// stretches the nominal period by the fraction of time foreground load keeps
+// the scrubber off the disks.
 enum class ScrubPolicy {
   kOff,               // never scrub; LSEs persist until a rebuild rewrites them
   kFixedPeriod,       // all disks swept together every period

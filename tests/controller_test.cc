@@ -149,6 +149,37 @@ TEST(Controller, ReadIgnoresStaleReplica) {
   EXPECT_EQ(rig.controller->op_stats().reads_completed, 4u);
 }
 
+// Two overlapping unaligned writes leave no replica of the read's range wholly
+// clean, though every sector has a clean copy: the read (parked behind both
+// writes) splits into a head and a tail, each served from a clean replica.
+TEST(Controller, ReadSplitsAtStalePrefix) {
+  for (uint32_t off = 1; off <= 7; ++off) {
+    SCOPED_TRACE(off);
+    Rig rig(1, 2, 1);
+    int writes_done = 0;
+    bool read_done = false;
+    IoStatus read_status = IoStatus::kUnrecoverable;
+    const auto on_write = [&](const IoResult&) { ++writes_done; };
+    rig.controller->Submit(DiskOp::kWrite, 0, 8, on_write);
+    rig.controller->Submit(DiskOp::kWrite, off, 8, on_write);
+    rig.controller->Submit(DiskOp::kRead, 0, 8 + off, [&](const IoResult& r) {
+      read_status = r.status;
+      read_done = true;
+    });
+    while (!read_done) {
+      ASSERT_TRUE(rig.sim.Step());
+    }
+    EXPECT_EQ(writes_done, 2);
+    EXPECT_EQ(read_status, IoStatus::kOk);
+    EXPECT_EQ(rig.controller->stats().parked_reads, 1u);
+    EXPECT_EQ(rig.controller->stats().stale_fallback_reads, 0u);
+    // Two writes, one propagation, then the read's head and tail.
+    EXPECT_EQ(rig.disks[0]->ops_completed(), 5u);
+    rig.Drain();
+    EXPECT_EQ(rig.controller->DelayedBacklog(), 0u);
+  }
+}
+
 TEST(Controller, DelayedWritesWaitForIdle) {
   Rig rig(1, 2, 1);
   // Queue a burst of reads; delayed propagation must not jump ahead of them.

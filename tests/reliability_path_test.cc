@@ -2,8 +2,8 @@
 // (StopScrub drains mid-flight work cleanly, StartScrub resumes the sweep),
 // per-sweep coverage accounting, spare exhaustion (degraded service forever,
 // with controller recovery stats reconciling against injector counters), and
-// the ScrubGating policy split — kIdleGated yields to delayed-propagation
-// backlog, kAlways scrubs through it.
+// idle-gated scrub admission — the scrubber yields to delayed-propagation
+// backlog.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -22,7 +22,6 @@ struct RigConfig {
   FaultInjectorOptions fault;
   uint32_t hot_spares = 0;
   SimDuration scrub_interval_us;
-  ScrubGating scrub_gating = ScrubGating::kIdleGated;
   bool foreground_write_propagation = false;
   uint64_t seed = 5;
 };
@@ -53,7 +52,6 @@ std::unique_ptr<MimdRaid> MakeArray(ArrayBackendKind kind,
   options.fault.seed = rig.seed;
   options.hot_spares = rig.hot_spares;
   options.scrub_interval_us = rig.scrub_interval_us;
-  options.scrub_gating = rig.scrub_gating;
   options.foreground_write_propagation = rig.foreground_write_propagation;
   return std::make_unique<MimdRaid>(options);
 }
@@ -269,11 +267,10 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------------
-// ScrubGating: the mirror's delayed-propagation backlog keeps the engine
-// non-quiet after writes complete (replicas still propagating from NVRAM).
-// kIdleGated defers scrubbing until the backlog drains; kAlways scrubs
-// through it. The observable split is *when* the first scrub read lands
-// relative to the backlog draining.
+// Scrub admission: the mirror's delayed-propagation backlog keeps the engine
+// non-quiet after writes complete (replicas still propagating from NVRAM),
+// and the idle-gated scrubber defers its sweep until the backlog drains. The
+// observable is *when* the first scrub read lands relative to the drain.
 // ---------------------------------------------------------------------------
 
 struct GatingTimes {
@@ -281,10 +278,9 @@ struct GatingTimes {
   SimTime backlog_drained;
 };
 
-GatingTimes MeasureGating(ScrubGating gating) {
+GatingTimes MeasureGating() {
   RigConfig rig;
   rig.scrub_interval_us = SimDuration(2'000);
-  rig.scrub_gating = gating;
   auto array = MakeArray(ArrayBackendKind::kMirror, rig);
 
   // A burst of distinct-LBA writes: each completes into NVRAM after its
@@ -335,17 +331,12 @@ GatingTimes MeasureGating(ScrubGating gating) {
   return t;
 }
 
-TEST(ScrubGatingPolicy, IdleGatedYieldsToDelayedBacklogAlwaysDoesNot) {
-  const GatingTimes gated = MeasureGating(ScrubGating::kIdleGated);
-  const GatingTimes always = MeasureGating(ScrubGating::kAlways);
-  // kIdleGated: LiveDrivesQuiet() is false while any delayed-propagation
-  // queue is non-empty, so the first scrub read waits for the drain.
+TEST(ScrubAdmission, IdleGatedYieldsToDelayedBacklog) {
+  const GatingTimes gated = MeasureGating();
+  // LiveDrivesQuiet() is false while any delayed-propagation queue is
+  // non-empty, so the first scrub read waits for the drain.
   EXPECT_GE(gated.first_scrub_read, gated.backlog_drained)
       << "idle-gated scrub ran while delayed writes were still propagating";
-  // kAlways: the tick fires on schedule and scrubs straight through the
-  // propagation backlog.
-  EXPECT_LT(always.first_scrub_read, always.backlog_drained)
-      << "kAlways scrub failed to run under delayed-propagation backlog";
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "src/util/check.h"
+#include "src/util/extent_map.h"
 #include "src/util/rng.h"
 #include "src/util/summary.h"
 #include "src/util/time.h"
@@ -259,6 +260,84 @@ TEST(CheckDeath, DcheckActiveExactlyInDebugBuilds) {
 #else
   EXPECT_DEATH(MIMDRAID_DCHECK_EQ(1, -1), "1 == -1 \\(1 vs -1\\)");
 #endif
+}
+
+TEST(ExtentMap, EmptyMapIsAllZero) {
+  ExtentMap m;
+  EXPECT_EQ(m.size(), 0u);
+  EXPECT_EQ(m.ZeroPrefix(0, 8), 8u);
+  EXPECT_EQ(m.ZeroPrefix(1u << 20, 3), 3u);
+}
+
+TEST(ExtentMap, ZeroPrefixBeforeAtAndInsideARange) {
+  ExtentMap m;
+  m.Set(10, 5, 1);  // [10, 15)
+  EXPECT_EQ(m.size(), 5u);
+  EXPECT_EQ(m.ZeroPrefix(0, 8), 8u);    // wholly before
+  EXPECT_EQ(m.ZeroPrefix(4, 10), 6u);   // runs into the range
+  EXPECT_EQ(m.ZeroPrefix(9, 1), 1u);    // ends just before it
+  EXPECT_EQ(m.ZeroPrefix(10, 4), 0u);   // at its start
+  EXPECT_EQ(m.ZeroPrefix(12, 8), 0u);   // inside it
+  EXPECT_EQ(m.ZeroPrefix(14, 1), 0u);   // its last key
+  EXPECT_EQ(m.ZeroPrefix(15, 4), 4u);   // just past its end
+}
+
+TEST(ExtentMap, SetSplitsRangesAndFillsGaps) {
+  ExtentMap m;
+  m.Set(0, 4, 1);
+  m.Set(8, 4, 1);
+  m.Set(2, 8, 1);  // overlaps both and fills the gap [4, 8)
+  EXPECT_EQ(m.size(), 12u);
+  EXPECT_EQ(m.ZeroPrefix(0, 12), 0u);
+  m.Set(3, 6, 0);  // clears the middle: [0, 3) and [9, 12) remain
+  EXPECT_EQ(m.size(), 6u);
+  EXPECT_EQ(m.ZeroPrefix(3, 10), 6u);
+  EXPECT_EQ(m.ZeroPrefix(2, 1), 0u);
+  EXPECT_EQ(m.ZeroPrefix(9, 1), 0u);
+  m.Set(0, 12, 0);
+  EXPECT_EQ(m.size(), 0u);
+  EXPECT_EQ(m.ZeroPrefix(0, 12), 12u);
+}
+
+TEST(ExtentMap, SetOverwritesCountsInsteadOfAdding) {
+  ExtentMap m;
+  m.Add(0, 4, 3);
+  m.Set(1, 2, 1);
+  m.Set(1, 1, 0);
+  EXPECT_EQ(m.size(), 3u);  // [0, 1) at 3, [2, 3) at 1, [3, 4) at 3
+  EXPECT_EQ(m.ZeroPrefix(1, 3), 1u);
+  m.Add(2, 1, -1);  // [2, 3) reaches 0 and is dropped
+  EXPECT_EQ(m.size(), 2u);
+  EXPECT_EQ(m.ZeroPrefix(1, 3), 2u);
+}
+
+TEST(ExtentMap, AddCountsOverlapsAcrossEdges) {
+  ExtentMap m;
+  m.Add(0, 8, 1);
+  m.Add(4, 8, 1);  // [0, 4) = 1, [4, 8) = 2, [8, 12) = 1
+  EXPECT_EQ(m.size(), 12u);
+  m.Add(0, 8, -1);  // [4, 8) = 1, [8, 12) = 1
+  EXPECT_EQ(m.size(), 8u);
+  EXPECT_EQ(m.ZeroPrefix(0, 8), 4u);
+  m.Add(4, 8, -1);
+  EXPECT_EQ(m.size(), 0u);
+  EXPECT_EQ(m.ZeroPrefix(0, 12), 12u);
+}
+
+TEST(ExtentMap, AddInsideARangeSplitsIt) {
+  ExtentMap m;
+  m.Add(0, 10, 1);
+  m.Add(3, 2, 1);
+  m.Add(0, 10, -1);  // only [3, 5) still counts
+  EXPECT_EQ(m.size(), 2u);
+  EXPECT_EQ(m.ZeroPrefix(0, 10), 3u);
+  EXPECT_EQ(m.ZeroPrefix(5, 5), 5u);
+}
+
+TEST(ExtentMapDeath, CountBelowZeroChecks) {
+  ExtentMap m;
+  m.Add(0, 4, 1);
+  EXPECT_DEATH(m.Add(2, 4, -1), "count >= 0");
 }
 
 TEST(TimeHelpers, Conversions) {
