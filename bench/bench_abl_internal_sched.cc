@@ -95,10 +95,10 @@ Outcome RunHost(SchedulerKind kind, bool firmware = false) {
     if (disk.busy() || queue.empty()) {
       return;
     }
+    RefreshPositions(queue, disk.layout());
     ScheduleContext ctx;
     ctx.now = sim.Now();
     ctx.predictor = predictor.get();
-    ctx.layout = &disk.layout();
     const SchedulerPick pick = sched->Pick(queue, ctx);
     QueuedRequest entry = std::move(queue[pick.queue_index]);
     queue.erase(queue.begin() + static_cast<ptrdiff_t>(pick.queue_index));
@@ -127,7 +127,7 @@ Outcome RunHost(SchedulerKind kind, bool firmware = false) {
     entry.id = next_id++;
     entry.op = DiskOp::kRead;
     entry.sectors = 1;
-    entry.candidate_lbas = {BlockAddr(rng.UniformU64(disk.num_sectors()))};
+    entry.candidates = {QueueCandidate(BlockAddr(rng.UniformU64(disk.num_sectors())))};
     entry.arrival_us = sim.Now();
     done_map[entry.id] = std::move(cb);
     queue.push_back(std::move(entry));

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <span>
 #include <utility>
 
 #include "src/util/check.h"
@@ -161,7 +162,7 @@ bool ArrayController::SubmitReadFragment(FragState& frag, uint64_t frag_key) {
   // Per-disk candidate sets, stale replicas excluded.
   struct DiskCandidates {
     uint32_t disk;
-    std::vector<BlockAddr> lbas;
+    std::vector<QueueCandidate> replicas;
   };
   std::vector<DiskCandidates> candidates;
   for (int m = 0; m < dm; ++m) {
@@ -185,10 +186,10 @@ bool ArrayController::SubmitReadFragment(FragState& frag, uint64_t frag_key) {
       if (ignore_stale ||
           stale_.ZeroPrefix(ReplicaKey(loc.disk, loc.lba), frag.sectors) ==
               frag.sectors) {
-        dc.lbas.push_back(BlockAddr(loc.lba));
+        dc.replicas.push_back(QueueCandidate(BlockAddr(loc.lba)));
       }
     }
-    if (!dc.lbas.empty()) {
+    if (!dc.replicas.empty()) {
       candidates.push_back(std::move(dc));
     }
   }
@@ -209,9 +210,9 @@ bool ArrayController::SubmitReadFragment(FragState& frag, uint64_t frag_key) {
       if (drives().disk(SlotId(dc.disk))->busy() || !drives().fg(SlotId(dc.disk)).empty()) {
         continue;
       }
-      for (BlockAddr cand : dc.lbas) {
+      for (const QueueCandidate& cand : dc.replicas) {
         const AccessPlan plan = drives().predictor(SlotId(dc.disk))->Predict(
-            sim_->Now(), cand, frag.sectors, /*is_write=*/false);
+            sim_->Now(), cand.lba, frag.sectors, /*is_write=*/false);
         const double cost = drives().predictor(SlotId(dc.disk))->EffectiveServiceUs(plan);
         if (cost < best_cost) {
           best_cost = cost;
@@ -235,7 +236,7 @@ bool ArrayController::SubmitReadFragment(FragState& frag, uint64_t frag_key) {
     entry.id = drives().AllocEntryId();
     entry.op = DiskOp::kRead;
     entry.sectors = frag.sectors;
-    entry.candidate_lbas = dc->lbas;
+    entry.candidates = dc->replicas;
     entry.arrival_us = sim_->Now();
     entry.tag = frag_key;
     frag.queued.emplace_back(dc->disk, entry.id);
@@ -277,7 +278,7 @@ bool ArrayController::SubmitWriteFragment(FragState& frag, uint64_t frag_key) {
       entry.id = drives().AllocEntryId();
       entry.op = DiskOp::kWrite;
       entry.sectors = frag.sectors;
-      entry.candidate_lbas = {BlockAddr(loc.lba)};
+      entry.candidates = {QueueCandidate(BlockAddr(loc.lba))};
       entry.arrival_us = sim_->Now();
       entry.tag = frag_key;
       drives().EnqueueFg(SlotId(loc.disk), std::move(entry));
@@ -306,8 +307,8 @@ bool ArrayController::SubmitWriteFragment(FragState& frag, uint64_t frag_key) {
     entry.arrival_us = sim_->Now();
     entry.tag = frag_key;
     for (int r = 0; r < dr; ++r) {
-      entry.candidate_lbas.push_back(
-          BlockAddr(frag.replicas[static_cast<size_t>(m) * dr + r].lba));
+      entry.candidates.push_back(QueueCandidate(
+          BlockAddr(frag.replicas[static_cast<size_t>(m) * dr + r].lba)));
     }
     frag.queued.emplace_back(disk, entry.id);
     drives().EnqueueFg(SlotId(disk), std::move(entry));
@@ -589,7 +590,7 @@ void ArrayController::HandleWriteFailure(uint32_t disk,
   retry.id = drives().AllocEntryId();
   retry.op = DiskOp::kWrite;
   retry.sectors = entry.sectors;
-  retry.candidate_lbas = {BlockAddr(chosen_lba)};
+  retry.candidates = {QueueCandidate(BlockAddr(chosen_lba))};
   retry.tag = frag_key;
   retry.attempts = entry.attempts + 1;
   ++fstats().retries_issued;
@@ -684,7 +685,7 @@ void ArrayController::RerouteDroppedEntry(uint32_t disk,
 
 void ArrayController::AbandonPropagation(uint32_t disk,
                                          const QueuedRequest& entry) {
-  const uint64_t lba = entry.candidate_lbas.front().value();
+  const uint64_t lba = entry.primary().value();
   if (nvram_.EraseIfOwner(disk, lba, entry.id) && auditor_ != nullptr) {
     auditor_->OnNvramErase(disk, lba);
   }
@@ -743,7 +744,7 @@ void ArrayController::ScrubStep() {
       e.id = drives().AllocEntryId();
       e.op = DiskOp::kRead;
       e.sectors = f.sectors;
-      e.candidate_lbas = {BlockAddr(loc.lba)};
+      e.candidates = {QueueCandidate(BlockAddr(loc.lba))};
       e.arrival_us = sim_->Now();
       e.maintenance = true;
       const uint32_t d = loc.disk;
@@ -785,8 +786,9 @@ void ArrayController::AddDelayedWrite(uint32_t disk, uint64_t lba,
     // If the superseded entry is still queued, it simply carries the newer
     // data ("data dies young", Section 3.4) — nothing more to do. If it is
     // already in flight, a fresh propagation must follow it.
-    for (const auto* q : {&drives().delayed(SlotId(disk)), &drives().fg(SlotId(disk))}) {
-      for (const QueuedRequest& e : *q) {
+    for (const std::span<const QueuedRequest> q :
+         {drives().delayed(SlotId(disk)), drives().fg(SlotId(disk))}) {
+      for (const QueuedRequest& e : q) {
         if (e.id == *existing_owner) {
           return;  // still queued; superseded in place
         }
@@ -801,7 +803,7 @@ void ArrayController::AddDelayedWrite(uint32_t disk, uint64_t lba,
   entry.id = drives().AllocEntryId();
   entry.op = DiskOp::kWrite;
   entry.sectors = sectors;
-  entry.candidate_lbas = {BlockAddr(lba)};
+  entry.candidates = {QueueCandidate(BlockAddr(lba))};
   entry.arrival_us = sim_->Now();
   entry.delayed = true;
   entry.attempts = attempts;
@@ -841,7 +843,7 @@ void ArrayController::EnforceDelayedTableLimit() {
     uint32_t best_disk = 0;
     uint64_t best_id = UINT64_MAX;
     for (uint32_t d = 0; d < drives().num_slots(); ++d) {
-      const std::vector<QueuedRequest>& delayed = drives().delayed(SlotId(d));
+      const std::span<const QueuedRequest> delayed = drives().delayed(SlotId(d));
       if (!delayed.empty() && delayed.front().id < best_id) {
         best_id = delayed.front().id;
         best_disk = d;
@@ -957,7 +959,7 @@ void ArrayController::RebuildNextFragment(uint32_t disk, uint64_t next_lba,
       read_entry.id = drives().AllocEntryId();
       read_entry.op = DiskOp::kRead;
       read_entry.sectors = len;
-      read_entry.candidate_lbas = {BlockAddr(source_lba)};
+      read_entry.candidates = {QueueCandidate(BlockAddr(source_lba))};
       read_entry.arrival_us = sim_->Now();
       read_entry.maintenance = true;
       maintenance_[read_entry.id] =
@@ -1014,7 +1016,7 @@ void ArrayController::EnqueueRebuildWrite(ReplicaLocation loc, uint32_t len,
   w.id = drives().AllocEntryId();
   w.op = DiskOp::kWrite;
   w.sectors = len;
-  w.candidate_lbas = {BlockAddr(loc.lba)};
+  w.candidates = {QueueCandidate(BlockAddr(loc.lba))};
   w.arrival_us = sim_->Now();
   w.maintenance = true;
   maintenance_[w.id] = [this, loc, len, writes_left, rebuild_disk, resume,
@@ -1060,7 +1062,7 @@ void ArrayController::ScheduleRecalibration(uint32_t disk) {
       entry.id = drives().AllocEntryId();
       entry.op = DiskOp::kRead;
       entry.sectors = 1;
-      entry.candidate_lbas = {BlockAddr(hp->reference_lba())};
+      entry.candidates = {QueueCandidate(BlockAddr(hp->reference_lba()))};
       entry.arrival_us = sim_->Now();
       entry.maintenance = true;
       maintenance_[entry.id] = [this, disk](const DiskOpResult& r, bool ran) {

@@ -142,12 +142,12 @@ double OraclePredictor::RotationUs() const {
   return disk_->DebugTimingModel().rotation_us();
 }
 
-double OraclePredictor::AccessBoundUs(SimTime now, BlockAddr lba,
+double OraclePredictor::AccessBoundUs(SimTime now, SectorPos pos,
                                       uint32_t sectors, bool is_write) const {
   const double pre = disk_->noise().overhead_mean_us;
   return disk_->DebugTimingModel().AccessLowerBoundUs(
              disk_->DebugHeadState(), static_cast<double>(now.us()) + pre,
-             lba.value(), sectors, is_write) +
+             pos, sectors, is_write) +
          overhead_mean_us_;
 }
 

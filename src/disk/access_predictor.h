@@ -40,19 +40,20 @@ class AccessPredictor {
   // The predictor's belief about the current arm position.
   virtual HeadState Head() const = 0;
 
-  // Cheap lower bound on Predict(now, lba, ...).total_us, for scheduler
-  // pruning: max(seek to the candidate's cylinder, rotational wait from
-  // `now`) plus the minimum media transfer. A scheduler may skip the full
-  // Predict for a candidate whose bound already exceeds the best cost found
-  // so far (EffectiveServiceUs only ever adds to total_us, so a total_us
-  // bound also bounds the effective cost). The default returns 0 — always
-  // valid, prunes nothing — so custom predictors (including test doubles
-  // with synthetic cost functions) keep byte-exact scheduler behavior
-  // without implementing it.
-  virtual double AccessBoundUs(SimTime now, BlockAddr lba, uint32_t sectors,
+  // Cheap lower bound on Predict(now, lba, ...).total_us for the LBA whose
+  // position is `pos` (DiskLayout::PositionOf), for scheduler pruning:
+  // max(seek to the candidate's cylinder, rotational wait from `now`) plus
+  // the minimum media transfer. A scheduler may skip the full Predict for a
+  // candidate whose bound already exceeds the best cost found so far
+  // (EffectiveServiceUs only ever adds to total_us, so a total_us bound also
+  // bounds the effective cost). The default returns 0 — always valid, prunes
+  // nothing — so custom predictors (including test doubles with synthetic
+  // cost functions) keep byte-exact scheduler behavior without implementing
+  // it.
+  virtual double AccessBoundUs(SimTime now, SectorPos pos, uint32_t sectors,
                                bool is_write) const {
     (void)now;
-    (void)lba;
+    (void)pos;
     (void)sectors;
     (void)is_write;
     return 0.0;

@@ -28,6 +28,9 @@ DiskLayout::DiskLayout(const DiskGeometry* geometry, uint32_t reserved_tracks,
     lba += static_cast<uint64_t>(e.num_data_tracks) * z.sectors_per_track;
   }
   num_data_sectors_ = lba;
+  for (const Zone& z : geometry->zones) {
+    MIMDRAID_CHECK_LE(z.sectors_per_track, uint32_t{UINT16_MAX});  // SectorPos::spt
+  }
   first_data_cylinder_ = extents_[0].first_track / heads;
 }
 
@@ -87,6 +90,13 @@ Chs DiskLayout::ToChs(uint64_t lba) const {
   chs.head = global_track % geometry_->num_heads;
   chs.sector = static_cast<uint32_t>(off % z.sectors_per_track);
   return chs;
+}
+
+SectorPos DiskLayout::PositionOf(uint64_t lba) const {
+  const Chs chs = ToChs(lba);
+  const Zone& z = geometry_->ZoneOf(chs.cylinder);
+  return SectorPos{chs.cylinder, static_cast<uint16_t>(SlotOf(chs, z)),
+                   static_cast<uint16_t>(z.sectors_per_track)};
 }
 
 uint64_t DiskLayout::ToLba(const Chs& chs) const {

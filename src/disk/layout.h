@@ -34,6 +34,15 @@ struct Chs {
   bool operator==(const Chs&) const = default;
 };
 
+// What the scheduler bound needs to know about a sector, packed to 8 bytes so
+// a queue entry can cache it per candidate: the sector's cylinder and the
+// rotational slot its track holds it in, out of the track's `spt` slots.
+struct SectorPos {
+  uint32_t cylinder = 0;
+  uint16_t slot = 0;
+  uint16_t spt = 0;
+};
+
 class DiskLayout {
  public:
   // `reserved_tracks` are removed from the front of zone 0 (drive-internal
@@ -61,6 +70,8 @@ class DiskLayout {
 
   // Physical location of an LBA (following any remap). lba < num_data_sectors.
   Chs ToChs(uint64_t lba) const;
+  // The same location as cylinder and rotational slot.
+  SectorPos PositionOf(uint64_t lba) const;
 
   // Inverse mapping. Returns kInvalidLba for reserved/spare tracks or
   // positions whose *natural* LBA has been remapped away.

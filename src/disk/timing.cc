@@ -53,21 +53,18 @@ double DiskTimingModel::TimeUntilAngle(double t_us, double angle) const {
 }
 
 double DiskTimingModel::AccessLowerBoundUs(const HeadState& from,
-                                           double start_us, uint64_t lba,
+                                           double start_us, SectorPos pos,
                                            uint32_t sectors,
                                            bool is_write) const {
-  const Chs chs = layout_->ToChs(lba);
   double seek = 0.0;
-  if (chs.cylinder != from.cylinder) {
-    const uint32_t dist = chs.cylinder > from.cylinder
-                              ? chs.cylinder - from.cylinder
-                              : from.cylinder - chs.cylinder;
+  if (pos.cylinder != from.cylinder) {
+    const uint32_t dist = pos.cylinder > from.cylinder
+                              ? pos.cylinder - from.cylinder
+                              : from.cylinder - pos.cylinder;
     seek = profile_.SeekUs(dist, is_write);
   }
-  const Zone& z = layout_->geometry().ZoneOf(chs.cylinder);
-  const double wait = TimeUntilAngle(
-      start_us, static_cast<double>(layout_->SlotOf(chs, z)) /
-                    z.sectors_per_track);
+  const double wait =
+      TimeUntilAngle(start_us, static_cast<double>(pos.slot) / pos.spt);
   // Rounding margin: the bound and Plan() evaluate the same exact-arithmetic
   // quantities through different association orders, so the bound can land a
   // few ulps (~1e-11 us in practice) above the true total. One nanosecond of

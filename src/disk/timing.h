@@ -53,8 +53,9 @@ class DiskTimingModel {
                   uint32_t sectors, bool is_write) const;
 
   // --- Cheap lower bound on Plan(...).total_us, for scheduler pruning. ---
-  // It avoids the run-splitting walk (and its per-sector remap probes), so
-  // it costs a ToChs + table lookup instead of a full timeline build.
+  // It takes the first sector's position (DiskLayout::PositionOf, cached per
+  // queued candidate) instead of its LBA, so it costs one seek-table lookup
+  // and one angle: no address mapping and no run-splitting walk.
   //
   // Phase-aware bound for one candidate:
   //   max(seek, rotational wait from start_us) + sectors * MinSlotTimeUs().
@@ -64,7 +65,7 @@ class DiskTimingModel {
   // tolerance shifts both passages identically, so the inequality survives
   // it).
   double AccessLowerBoundUs(const HeadState& from, double start_us,
-                            uint64_t lba, uint32_t sectors,
+                            SectorPos pos, uint32_t sectors,
                             bool is_write) const;
   // Fastest per-sector media transfer anywhere on the disk (outermost zone).
   double MinSlotTimeUs() const { return min_slot_time_us_; }

@@ -33,6 +33,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -178,11 +179,11 @@ class DriveSet {
   // dispatch, Cancel, or a failed-slot drain, all of which the engine
   // reports to the auditor.
   [[nodiscard]] uint64_t AllocEntryId() { return next_entry_id_++; }
-  const std::vector<QueuedRequest>& fg(SlotId slot) const {
-    return fg_[slot.value()];
+  std::span<const QueuedRequest> fg(SlotId slot) const {
+    return fg_[slot.value()].live();
   }
-  const std::vector<QueuedRequest>& delayed(SlotId slot) const {
-    return delayed_[slot.value()];
+  std::span<const QueuedRequest> delayed(SlotId slot) const {
+    return delayed_[slot.value()].live();
   }
   void EnqueueFg(SlotId slot, QueuedRequest entry);
   void EnqueueDelayed(SlotId slot, QueuedRequest entry);
@@ -191,11 +192,14 @@ class DriveSet {
   // is not queued there (already dispatched).
   bool Cancel(SlotId slot, uint64_t id);
   // Moves the oldest entry of `slot`'s non-empty delayed queue to the back
-  // of its foreground queue (the NVRAM table's force-out). Does not
-  // dispatch.
+  // of its foreground queue (the NVRAM table's force-out), in amortized O(1).
+  // Does not dispatch.
   void ForceOutDelayed(SlotId slot);
   // Picks and starts the next entry on `slot` if the drive is live and idle.
-  // Foreground entries always outrank delayed ones.
+  // Foreground entries always outrank delayed ones. The queue's candidate
+  // positions are refreshed (RefreshPositions) right before the pick, so an
+  // entry's positions are computed the first time it is ranked and again
+  // only after a remap on the drive.
   void MaybeDispatch(SlotId slot);
   size_t TotalFgQueued() const;
   size_t TotalDelayedQueued() const;
@@ -266,6 +270,32 @@ class DriveSet {
   void EndScrubSweep();
 
  private:
+  // One drive queue, in scan order (the order decides scheduler ties).
+  // Dispatch and Cancel take entries out of the middle. Taking the front only
+  // advances `head_` past a moved-from slot; the dead prefix is compacted
+  // away once it reaches a sixteenth of the vector, so a front pop costs
+  // amortized O(1) and the vector stays within 1/16 of the live size.
+  class EntryQueue {
+   public:
+    std::span<QueuedRequest> live() {
+      return std::span<QueuedRequest>(slots_).subspan(head_);
+    }
+    std::span<const QueuedRequest> live() const {
+      return std::span<const QueuedRequest>(slots_).subspan(head_);
+    }
+    size_t size() const { return slots_.size() - head_; }
+    bool empty() const { return head_ == slots_.size(); }
+    void Push(QueuedRequest entry) { slots_.push_back(std::move(entry)); }
+    // Removes and returns live()[i].
+    QueuedRequest Take(size_t i);
+    // Removes and returns every live entry, in order.
+    std::vector<QueuedRequest> Drain();
+
+   private:
+    std::vector<QueuedRequest> slots_;
+    size_t head_ = 0;
+  };
+
   void HandleCompletion(SlotId slot, const QueuedRequest& entry,
                         BlockAddr chosen_lba, const DiskOpResult& result);
   // Empties `slot`'s delayed, then foreground queue, handing each entry back
@@ -283,8 +313,8 @@ class DriveSet {
   DriveSetOptions options_;
 
   std::vector<std::unique_ptr<Scheduler>> schedulers_;
-  std::vector<std::vector<QueuedRequest>> fg_;
-  std::vector<std::vector<QueuedRequest>> delayed_;
+  std::vector<EntryQueue> fg_;
+  std::vector<EntryQueue> delayed_;
   uint64_t next_entry_id_ = 1;
 
   // Registered command callbacks, keyed by entry id.

@@ -8,13 +8,13 @@
 namespace mimdraid {
 namespace {
 
-uint32_t CylinderOf(const ScheduleContext& ctx, BlockAddr lba) {
-  return ctx.layout->ToChs(lba.value()).cylinder;
+uint32_t PrimaryCylinder(const QueuedRequest& req) {
+  return req.candidates.front().pos.cylinder;
 }
 
 }  // namespace
 
-SchedulerPick FcfsScheduler::Pick(const std::vector<QueuedRequest>& queue,
+SchedulerPick FcfsScheduler::Pick(std::span<const QueuedRequest> queue,
                                   const ScheduleContext& ctx) {
   (void)ctx;
   MIMDRAID_CHECK(!queue.empty());
@@ -24,33 +24,32 @@ SchedulerPick FcfsScheduler::Pick(const std::vector<QueuedRequest>& queue,
       best = i;
     }
   }
-  return SchedulerPick{best, queue[best].candidate_lbas.front(), 0.0};
+  return SchedulerPick{best, queue[best].primary(), 0.0};
 }
 
-SchedulerPick SstfScheduler::Pick(const std::vector<QueuedRequest>& queue,
+SchedulerPick SstfScheduler::Pick(std::span<const QueuedRequest> queue,
                                   const ScheduleContext& ctx) {
   MIMDRAID_CHECK(!queue.empty());
   MIMDRAID_CHECK(ctx.predictor != nullptr);
   const uint32_t head_cyl = ctx.predictor->Head().cylinder;
   size_t best = 0;
-  BlockAddr best_lba = queue[0].candidate_lbas.front();
+  BlockAddr best_lba = queue[0].primary();
   uint32_t best_dist = std::numeric_limits<uint32_t>::max();
   for (size_t i = 0; i < queue.size(); ++i) {
-    for (BlockAddr lba : queue[i].candidate_lbas) {
-      const uint32_t cyl = CylinderOf(ctx, lba);
+    for (const QueueCandidate& c : queue[i].candidates) {
+      const uint32_t cyl = c.pos.cylinder;
       const uint32_t dist = cyl > head_cyl ? cyl - head_cyl : head_cyl - cyl;
       if (dist < best_dist) {
         best_dist = dist;
         best = i;
-        best_lba = lba;
+        best_lba = c.lba;
       }
     }
   }
   return SchedulerPick{best, best_lba, 0.0};
 }
 
-size_t LookScheduler::PickIndex(const std::vector<QueuedRequest>& queue,
-                                const ScheduleContext& ctx) {
+size_t LookScheduler::PickIndex(std::span<const QueuedRequest> queue) {
   MIMDRAID_CHECK(!queue.empty());
   // Two passes at most: current direction, then the reverse.
   for (int attempt = 0; attempt < 2; ++attempt) {
@@ -58,7 +57,7 @@ size_t LookScheduler::PickIndex(const std::vector<QueuedRequest>& queue,
     uint32_t best_cyl = 0;
     SimTime best_arrival;
     for (size_t i = 0; i < queue.size(); ++i) {
-      const uint32_t cyl = CylinderOf(ctx, queue[i].candidate_lbas.front());
+      const uint32_t cyl = PrimaryCylinder(queue[i]);
       const bool eligible = direction_ > 0 ? cyl >= current_cylinder_
                                            : cyl <= current_cylinder_;
       if (!eligible) {
@@ -81,14 +80,16 @@ size_t LookScheduler::PickIndex(const std::vector<QueuedRequest>& queue,
   MIMDRAID_CHECK(false);  // queue non-empty: one direction must have a request
 }
 
-SchedulerPick LookScheduler::Pick(const std::vector<QueuedRequest>& queue,
+SchedulerPick LookScheduler::Pick(std::span<const QueuedRequest> queue,
                                   const ScheduleContext& ctx) {
-  const size_t i = PickIndex(queue, ctx);
-  return SchedulerPick{i, queue[i].candidate_lbas.front(), 0.0};
+  (void)ctx;
+  const size_t i = PickIndex(queue);
+  return SchedulerPick{i, queue[i].primary(), 0.0};
 }
 
-SchedulerPick ClookScheduler::Pick(const std::vector<QueuedRequest>& queue,
+SchedulerPick ClookScheduler::Pick(std::span<const QueuedRequest> queue,
                                    const ScheduleContext& ctx) {
+  (void)ctx;
   MIMDRAID_CHECK(!queue.empty());
   // Forward sweep; wrap to the smallest outstanding cylinder.
   size_t best = queue.size();
@@ -96,7 +97,7 @@ SchedulerPick ClookScheduler::Pick(const std::vector<QueuedRequest>& queue,
   size_t wrap_best = 0;
   uint32_t wrap_cyl = std::numeric_limits<uint32_t>::max();
   for (size_t i = 0; i < queue.size(); ++i) {
-    const uint32_t cyl = CylinderOf(ctx, queue[i].candidate_lbas.front());
+    const uint32_t cyl = PrimaryCylinder(queue[i]);
     if (cyl >= current_cylinder_ && (best == queue.size() || cyl < best_cyl)) {
       best = i;
       best_cyl = cyl;
@@ -111,7 +112,7 @@ SchedulerPick ClookScheduler::Pick(const std::vector<QueuedRequest>& queue,
     best_cyl = wrap_cyl;
   }
   current_cylinder_ = best_cyl;
-  return SchedulerPick{best, queue[best].candidate_lbas.front(), 0.0};
+  return SchedulerPick{best, queue[best].primary(), 0.0};
 }
 
 }  // namespace mimdraid

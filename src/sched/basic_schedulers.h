@@ -9,7 +9,7 @@ namespace mimdraid {
 // First-come first-served: dispatch in arrival order.
 class FcfsScheduler : public Scheduler {
  public:
-  SchedulerPick Pick(const std::vector<QueuedRequest>& queue,
+  SchedulerPick Pick(std::span<const QueuedRequest> queue,
                      const ScheduleContext& ctx) override;
   std::string name() const override { return "FCFS"; }
 };
@@ -18,7 +18,7 @@ class FcfsScheduler : public Scheduler {
 // position; considers all replicas of an entry.
 class SstfScheduler : public Scheduler {
  public:
-  SchedulerPick Pick(const std::vector<QueuedRequest>& queue,
+  SchedulerPick Pick(std::span<const QueuedRequest> queue,
                      const ScheduleContext& ctx) override;
   std::string name() const override { return "SSTF"; }
 };
@@ -28,14 +28,13 @@ class SstfScheduler : public Scheduler {
 // is exhausted.
 class LookScheduler : public Scheduler {
  public:
-  SchedulerPick Pick(const std::vector<QueuedRequest>& queue,
+  SchedulerPick Pick(std::span<const QueuedRequest> queue,
                      const ScheduleContext& ctx) override;
   std::string name() const override { return "LOOK"; }
 
  protected:
   // Picks the queue index by the LOOK sweep over primary-candidate cylinders.
-  size_t PickIndex(const std::vector<QueuedRequest>& queue,
-                   const ScheduleContext& ctx);
+  size_t PickIndex(std::span<const QueuedRequest> queue);
 
  private:
   int direction_ = +1;
@@ -46,7 +45,7 @@ class LookScheduler : public Scheduler {
 // outstanding cylinder at the end.
 class ClookScheduler : public Scheduler {
  public:
-  SchedulerPick Pick(const std::vector<QueuedRequest>& queue,
+  SchedulerPick Pick(std::span<const QueuedRequest> queue,
                      const ScheduleContext& ctx) override;
   std::string name() const override { return "CLOOK"; }
 

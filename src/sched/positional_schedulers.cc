@@ -45,14 +45,14 @@ SatfScheduler::SatfScheduler(SchedulerKind kind, size_t max_scan)
                  kind == SchedulerKind::kAsatf);
 }
 
-SchedulerPick SatfScheduler::Pick(const std::vector<QueuedRequest>& queue,
+SchedulerPick SatfScheduler::Pick(std::span<const QueuedRequest> queue,
                                   const ScheduleContext& ctx) {
   MIMDRAID_CHECK(!queue.empty());
   MIMDRAID_CHECK(ctx.predictor != nullptr);
   const size_t scan = max_scan_ == 0 ? queue.size()
                                      : std::min(max_scan_, queue.size());
   size_t best = 0;
-  BlockAddr best_lba = queue[0].candidate_lbas.front();
+  BlockAddr best_lba = queue[0].primary();
   double best_aged = std::numeric_limits<double>::infinity();
   double best_predicted = 0.0;
   uint64_t examined = 0;
@@ -63,26 +63,27 @@ SchedulerPick SatfScheduler::Pick(const std::vector<QueuedRequest>& queue,
     // SATF and RSATF rank by the plain slack-adjusted cost.
     const double age_credit =
         age_weight_ * static_cast<double>((ctx.now - req.arrival_us).us());
-    const size_t candidates = all_replicas_ ? req.candidate_lbas.size() : 1;
+    const size_t candidates = all_replicas_ ? req.candidates.size() : 1;
     for (size_t c = 0; c < candidates; ++c) {
-      const BlockAddr lba = req.candidate_lbas[c];
+      const QueueCandidate& cand = req.candidates[c];
       // The bound is evaluated per replica, not once per entry: replicas
       // normally share a cylinder, but a latent-bad-sector remap can move one
       // to spare space on a different cylinder. Aged cost >= bound - credit,
       // so a bound beaten by best_aged even after the credit cannot win.
-      if (ctx.predictor->AccessBoundUs(ctx.now, lba, req.sectors, is_write) -
+      if (ctx.predictor->AccessBoundUs(ctx.now, cand.pos, req.sectors,
+                                       is_write) -
               age_credit >
           best_aged) {
         continue;
       }
-      const CandidateCost cost = CostOf(ctx, req, lba);
+      const CandidateCost cost = CostOf(ctx, req, cand.lba);
       ++examined;
       const double aged = cost.effective_us - age_credit;
       if (aged < best_aged) {
         best_aged = aged;
         best_predicted = cost.predicted_us;
         best = i;
-        best_lba = lba;
+        best_lba = cand.lba;
       }
     }
   }
@@ -92,27 +93,27 @@ SchedulerPick SatfScheduler::Pick(const std::vector<QueuedRequest>& queue,
   return SchedulerPick{best, best_lba, best_predicted};
 }
 
-SchedulerPick RlookScheduler::Pick(const std::vector<QueuedRequest>& queue,
+SchedulerPick RlookScheduler::Pick(std::span<const QueuedRequest> queue,
                                    const ScheduleContext& ctx) {
   MIMDRAID_CHECK(ctx.predictor != nullptr);
   // LOOK chooses the request (all replicas of an entry share a cylinder);
   // the rotationally closest replica is then taken.
-  const size_t i = PickIndex(queue, ctx);
+  const size_t i = PickIndex(queue);
   const QueuedRequest& req = queue[i];
   const bool is_write = req.op == DiskOp::kWrite;
-  BlockAddr best_lba = req.candidate_lbas.front();
+  BlockAddr best_lba = req.primary();
   CandidateCost best_cost{std::numeric_limits<double>::infinity(), 0.0};
   uint64_t examined = 0;
-  for (BlockAddr lba : req.candidate_lbas) {
-    if (ctx.predictor->AccessBoundUs(ctx.now, lba, req.sectors, is_write) >
-        best_cost.effective_us) {
+  for (const QueueCandidate& cand : req.candidates) {
+    if (ctx.predictor->AccessBoundUs(ctx.now, cand.pos, req.sectors,
+                                     is_write) > best_cost.effective_us) {
       continue;
     }
-    const CandidateCost cost = CostOf(ctx, req, lba);
+    const CandidateCost cost = CostOf(ctx, req, cand.lba);
     ++examined;
     if (cost.effective_us < best_cost.effective_us) {
       best_cost = cost;
-      best_lba = lba;
+      best_lba = cand.lba;
     }
   }
   if (ctx.collector != nullptr) {

@@ -35,7 +35,7 @@ class SatfScheduler : public Scheduler {
   // examined per pick (0 = the whole queue).
   explicit SatfScheduler(SchedulerKind kind, size_t max_scan = 0);
 
-  SchedulerPick Pick(const std::vector<QueuedRequest>& queue,
+  SchedulerPick Pick(std::span<const QueuedRequest> queue,
                      const ScheduleContext& ctx) override;
   std::string name() const override { return SchedulerKindName(kind_); }
 
@@ -48,7 +48,7 @@ class SatfScheduler : public Scheduler {
 
 class RlookScheduler : public LookScheduler {
  public:
-  SchedulerPick Pick(const std::vector<QueuedRequest>& queue,
+  SchedulerPick Pick(std::span<const QueuedRequest> queue,
                      const ScheduleContext& ctx) override;
   std::string name() const override { return "RLOOK"; }
 };

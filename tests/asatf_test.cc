@@ -19,9 +19,9 @@ class AsatfTest : public ::testing::Test {
               DiskNoiseModel::None(), 1, 0.0),
         predictor_(&disk_, 0.0) {
     ctx_.predictor = &predictor_;
-    ctx_.layout = &disk_.layout();
   }
 
+  // Stamped with its position, as DriveSet does before a pick.
   QueuedRequest Req(uint64_t id, uint32_t cylinder, SimTime arrival) {
     QueuedRequest r;
     r.id = id;
@@ -31,8 +31,9 @@ class AsatfTest : public ::testing::Test {
     for (uint32_t h = 0; h < 12 && lba == kInvalidLba; ++h) {
       lba = disk_.layout().ToLba(Chs{cylinder, h, 0});
     }
-    r.candidate_lbas = {BlockAddr(lba)};
+    r.candidates = {QueueCandidate(BlockAddr(lba))};
     r.arrival_us = arrival;
+    RefreshPositions(std::span(&r, 1), disk_.layout());
     return r;
   }
 

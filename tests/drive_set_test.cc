@@ -61,7 +61,7 @@ class DriveSetTest : public ::testing::Test {
     entry.id = drives_->AllocEntryId();
     entry.op = DiskOp::kRead;
     entry.sectors = 1;
-    entry.candidate_lbas = {BlockAddr(lba)};
+    entry.candidates = {QueueCandidate(BlockAddr(lba))};
     entry.arrival_us = sim_.Now();
     entry.delayed = delayed;
     const uint64_t id = entry.id;

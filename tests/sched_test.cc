@@ -18,7 +18,12 @@ class SchedTest : public ::testing::Test {
         predictor_(&disk_, 0.0) {
     ctx_.now = SimTime(0);
     ctx_.predictor = &predictor_;
-    ctx_.layout = &disk_.layout();
+  }
+
+  // Picks from `q` the way DriveSet does: positions refreshed first.
+  SchedulerPick PickFrom(Scheduler& sched, std::vector<QueuedRequest>& q) {
+    RefreshPositions(q, disk_.layout());
+    return sched.Pick(q, ctx_);
   }
 
   // Queue entry whose primary candidate lies on the given cylinder.
@@ -32,7 +37,7 @@ class SchedTest : public ::testing::Test {
       lba = disk_.layout().ToLba(Chs{cylinder, h, 0});
     }
     EXPECT_NE(lba, kInvalidLba);
-    r.candidate_lbas = {BlockAddr(lba)};
+    r.candidates = {QueueCandidate(BlockAddr(lba))};
     r.arrival_us = arrival;
     return r;
   }
@@ -50,7 +55,7 @@ TEST_F(SchedTest, FcfsPicksEarliestArrival) {
   q.push_back(ReqAtCylinder(10, SimTime(300)));
   q.push_back(ReqAtCylinder(20, SimTime(100)));
   q.push_back(ReqAtCylinder(30, SimTime(200)));
-  EXPECT_EQ(sched.Pick(q, ctx_).queue_index, 1u);
+  EXPECT_EQ(PickFrom(sched, q).queue_index, 1u);
 }
 
 TEST_F(SchedTest, SstfPicksNearestCylinder) {
@@ -60,17 +65,18 @@ TEST_F(SchedTest, SstfPicksNearestCylinder) {
   q.push_back(ReqAtCylinder(40));
   q.push_back(ReqAtCylinder(3));
   q.push_back(ReqAtCylinder(25));
-  EXPECT_EQ(sched.Pick(q, ctx_).queue_index, 1u);
+  EXPECT_EQ(PickFrom(sched, q).queue_index, 1u);
 }
 
 TEST_F(SchedTest, SstfConsidersAllReplicas) {
   SstfScheduler sched;
   std::vector<QueuedRequest> q;
   QueuedRequest multi = ReqAtCylinder(50);
-  multi.candidate_lbas.push_back(BlockAddr(disk_.layout().ToLba(Chs{1, 0, 0})));
+  multi.candidates.push_back(
+      QueueCandidate(BlockAddr(disk_.layout().ToLba(Chs{1, 0, 0}))));
   q.push_back(ReqAtCylinder(10));
   q.push_back(multi);
-  const SchedulerPick pick = sched.Pick(q, ctx_);
+  const SchedulerPick pick = PickFrom(sched, q);
   EXPECT_EQ(pick.queue_index, 1u);  // cylinder-1 replica wins
   EXPECT_EQ(disk_.layout().ToChs(pick.lba.value()).cylinder, 1u);
 }
@@ -82,19 +88,19 @@ TEST_F(SchedTest, LookSweepsUpThenDown) {
   q.push_back(ReqAtCylinder(10));
   q.push_back(ReqAtCylinder(20));
   // Sweep starts upward from cylinder 0: order 10, 20, 30.
-  SchedulerPick p = sched.Pick(q, ctx_);
+  SchedulerPick p = PickFrom(sched, q);
   EXPECT_EQ(disk_.layout().ToChs(p.lba.value()).cylinder, 10u);
   q.erase(q.begin() + static_cast<ptrdiff_t>(p.queue_index));
-  p = sched.Pick(q, ctx_);
+  p = PickFrom(sched, q);
   EXPECT_EQ(disk_.layout().ToChs(p.lba.value()).cylinder, 20u);
   q.erase(q.begin() + static_cast<ptrdiff_t>(p.queue_index));
   // Now a request below the current position arrives: direction reverses
   // only once the sweep is exhausted.
   q.push_back(ReqAtCylinder(5));
-  p = sched.Pick(q, ctx_);
+  p = PickFrom(sched, q);
   EXPECT_EQ(disk_.layout().ToChs(p.lba.value()).cylinder, 30u);
   q.erase(q.begin() + static_cast<ptrdiff_t>(p.queue_index));
-  p = sched.Pick(q, ctx_);
+  p = PickFrom(sched, q);
   EXPECT_EQ(disk_.layout().ToChs(p.lba.value()).cylinder, 5u);
 }
 
@@ -103,7 +109,7 @@ TEST_F(SchedTest, LookServicesEqualCylinderByArrival) {
   std::vector<QueuedRequest> q;
   q.push_back(ReqAtCylinder(10, SimTime(500)));
   q.push_back(ReqAtCylinder(10, SimTime(100)));
-  EXPECT_EQ(sched.Pick(q, ctx_).queue_index, 1u);
+  EXPECT_EQ(PickFrom(sched, q).queue_index, 1u);
 }
 
 TEST_F(SchedTest, ClookWrapsToLowestCylinder) {
@@ -111,16 +117,16 @@ TEST_F(SchedTest, ClookWrapsToLowestCylinder) {
   std::vector<QueuedRequest> q;
   q.push_back(ReqAtCylinder(30));
   q.push_back(ReqAtCylinder(50));
-  SchedulerPick p = sched.Pick(q, ctx_);
+  SchedulerPick p = PickFrom(sched, q);
   EXPECT_EQ(disk_.layout().ToChs(p.lba.value()).cylinder, 30u);
   q.erase(q.begin() + static_cast<ptrdiff_t>(p.queue_index));
-  p = sched.Pick(q, ctx_);
+  p = PickFrom(sched, q);
   EXPECT_EQ(disk_.layout().ToChs(p.lba.value()).cylinder, 50u);
   q.erase(q.begin() + static_cast<ptrdiff_t>(p.queue_index));
   // Below current position: C-LOOK wraps instead of reversing.
   q.push_back(ReqAtCylinder(5));
   q.push_back(ReqAtCylinder(2));
-  p = sched.Pick(q, ctx_);
+  p = PickFrom(sched, q);
   EXPECT_EQ(disk_.layout().ToChs(p.lba.value()).cylinder, 2u);
 }
 
@@ -130,7 +136,7 @@ TEST_F(SchedTest, SatfPicksShortestPredictedAccess) {
   // Far cylinder vs near cylinder: the near one has a much smaller seek.
   q.push_back(ReqAtCylinder(55));
   q.push_back(ReqAtCylinder(1));
-  const SchedulerPick pick = sched.Pick(q, ctx_);
+  const SchedulerPick pick = PickFrom(sched, q);
   EXPECT_EQ(pick.queue_index, 1u);
   EXPECT_GT(pick.predicted_service_us, 0.0);
 }
@@ -141,7 +147,7 @@ TEST_F(SchedTest, SatfRespectsMaxScan) {
   q.push_back(ReqAtCylinder(55));
   q.push_back(ReqAtCylinder(1));
   // Only the first entry is examined.
-  EXPECT_EQ(sched.Pick(q, ctx_).queue_index, 0u);
+  EXPECT_EQ(PickFrom(sched, q).queue_index, 0u);
 }
 
 TEST_F(SchedTest, RsatfChoosesMinimumCostReplica) {
@@ -150,13 +156,13 @@ TEST_F(SchedTest, RsatfChoosesMinimumCostReplica) {
   QueuedRequest r = ReqAtCylinder(40);
   const uint64_t near_lba = disk_.layout().ToLba(Chs{2, 0, 0});
   ASSERT_NE(near_lba, kInvalidLba);
-  r.candidate_lbas.push_back(BlockAddr(near_lba));
+  r.candidates.push_back(QueueCandidate(BlockAddr(near_lba)));
   q.push_back(r);
-  const SchedulerPick pick = sched.Pick(q, ctx_);
+  const SchedulerPick pick = PickFrom(sched, q);
   // Whichever replica it picks must have the minimal predicted service time.
   double best = std::numeric_limits<double>::infinity();
-  for (BlockAddr cand : r.candidate_lbas) {
-    const AccessPlan plan = predictor_.Predict(ctx_.now, cand, 1, false);
+  for (const QueueCandidate& cand : r.candidates) {
+    const AccessPlan plan = predictor_.Predict(ctx_.now, cand.lba, 1, false);
     best = std::min(best, predictor_.EffectiveServiceUs(plan));
   }
   EXPECT_DOUBLE_EQ(pick.predicted_service_us, best);
@@ -173,10 +179,10 @@ TEST_F(SchedTest, RlookFollowsLookOrderThenBestReplica) {
   QueuedRequest near = ReqAtCylinder(5);
   const uint64_t replica2 = disk_.layout().ToLba(Chs{5, 1, 20});
   ASSERT_NE(replica2, kInvalidLba);
-  near.candidate_lbas.push_back(BlockAddr(replica2));
+  near.candidates.push_back(QueueCandidate(BlockAddr(replica2)));
   q.push_back(ReqAtCylinder(50));
   q.push_back(near);
-  const SchedulerPick pick = sched.Pick(q, ctx_);
+  const SchedulerPick pick = PickFrom(sched, q);
   EXPECT_EQ(pick.queue_index, 1u);
   EXPECT_EQ(disk_.layout().ToChs(pick.lba.value()).cylinder, 5u);
 }
@@ -192,7 +198,7 @@ TEST_F(SchedTest, RsatfReplicaChoiceReducesPredictedCost) {
   for (uint32_t s = 0; s < 30; s += 3) {
     std::vector<QueuedRequest> q;
     QueuedRequest r = ReqAtCylinder(7);
-    const Chs base = disk_.layout().ToChs(r.candidate_lbas[0].value());
+    const Chs base = disk_.layout().ToChs(r.primary().value());
     // Opposite-angle replica on the next head.
     const double angle = disk_.layout().AngleOf(base);
     double opposite = angle + 0.5 + static_cast<double>(s) / 60.0;
@@ -201,8 +207,9 @@ TEST_F(SchedTest, RsatfReplicaChoiceReducesPredictedCost) {
     }
     const uint64_t rep = disk_.layout().LbaForAngle(7, base.head + 1, opposite);
     ASSERT_NE(rep, kInvalidLba);
-    r.candidate_lbas.push_back(BlockAddr(rep));
+    r.candidates.push_back(QueueCandidate(BlockAddr(rep)));
     q.push_back(r);
+    RefreshPositions(q, disk_.layout());
     ScheduleContext ctx = ctx_;
     ctx.now = SimTime(static_cast<int64_t>(s) * 137);
     rsatf_total += rsatf.Pick(q, ctx).predicted_service_us;

@@ -147,7 +147,8 @@ TEST_P(TimingProperty, LowerBoundsNeverExceedPlanTotal) {
           rng_.UniformU64(layout_.num_data_sectors() - sectors);
       const bool is_write = rng_.Bernoulli(0.5);
       const AccessPlan p = model_.Plan(head, start, lba, sectors, is_write);
-      ASSERT_LE(model_.AccessLowerBoundUs(head, start, lba, sectors, is_write),
+      ASSERT_LE(model_.AccessLowerBoundUs(head, start, layout_.PositionOf(lba),
+                                          sectors, is_write),
                 p.total_us)
           << "round=" << round << " lba=" << lba << " sectors=" << sectors
           << " start=" << start;
