@@ -116,12 +116,18 @@ void InvariantAuditor::OnDiskOpComplete(const DiskOpAudit& op) {
 }
 
 void InvariantAuditor::OnSchedulerPick(const std::string& scheduler_name,
-                                       size_t queue_size, size_t picked_index,
+                                       size_t queue_size, size_t stale_entries,
+                                       size_t picked_index,
                                        BlockAddr chosen_lba,
                                        const std::vector<BlockAddr>& candidates,
                                        double predicted_service_us) {
   AUDIT_EXPECT(queue_size > 0, scheduler_name << ": picked from an empty "
                                                  "queue");
+  AUDIT_EXPECT(stale_entries == 0,
+               scheduler_name << ": " << stale_entries << " of " << queue_size
+                              << " queued entries carry positions stamped "
+                                 "at another remap count (queue not "
+                                 "refreshed before the pick)");
   AUDIT_EXPECT(picked_index < queue_size,
                scheduler_name << ": pick index " << picked_index
                               << " out of range (queue size " << queue_size

@@ -14,7 +14,8 @@
 //     phase and rotation period are physical constants, the arm always parks
 //     on a valid (cylinder, head), operations on one spindle never overlap,
 //     and the reported service-time decomposition sums to the service time;
-//   * scheduler-pick validity — a scheduler returns an index inside the
+//   * scheduler-pick validity — a scheduler ranks a queue whose cached
+//     candidate positions are current and returns an index inside the
 //     queue and a replica LBA the picked entry actually offers;
 //   * queue conservation — every per-drive queue entry follows
 //     queued -> dispatched -> completed (or queued -> cancelled), with no
@@ -129,8 +130,11 @@ class InvariantAuditor {
   void OnDiskOpComplete(const DiskOpAudit& op);
 
   // --- Scheduler hooks ---
+  // `stale_entries` counts queued entries whose cached candidate positions
+  // did not match the drive's remap count when the pick began.
   void OnSchedulerPick(const std::string& scheduler_name, size_t queue_size,
-                       size_t picked_index, BlockAddr chosen_lba,
+                       size_t stale_entries, size_t picked_index,
+                       BlockAddr chosen_lba,
                        const std::vector<BlockAddr>& candidates,
                        double predicted_service_us);
 

@@ -165,7 +165,8 @@ TEST(AuditorTest, CatchesServiceDecompositionMismatch) {
 
 TEST(AuditorTest, CatchesPickIndexOutsideQueue) {
   RecordingAuditor rec;
-  rec.auditor().OnSchedulerPick("RSATF", /*queue_size=*/3, /*picked_index=*/3,
+  rec.auditor().OnSchedulerPick("RSATF", /*queue_size=*/3,
+                                /*stale_entries=*/0, /*picked_index=*/3,
                                 /*chosen_lba=*/BlockAddr(42), {BlockAddr(42)},
                                 100.0);
   EXPECT_EQ(rec.auditor().violations(), 1u);
@@ -173,7 +174,8 @@ TEST(AuditorTest, CatchesPickIndexOutsideQueue) {
 
 TEST(AuditorTest, CatchesPickOfLbaTheEntryDoesNotOffer) {
   RecordingAuditor rec;
-  rec.auditor().OnSchedulerPick("RSATF", /*queue_size=*/2, /*picked_index=*/0,
+  rec.auditor().OnSchedulerPick("RSATF", /*queue_size=*/2,
+                                /*stale_entries=*/0, /*picked_index=*/0,
                                 /*chosen_lba=*/BlockAddr(999),
                                 {BlockAddr(10), BlockAddr(20), BlockAddr(30)},
                                 100.0);
