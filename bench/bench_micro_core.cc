@@ -100,7 +100,11 @@ void BM_SimDiskOp(benchmark::State& state) {
 }
 BENCHMARK(BM_SimDiskOp);
 
-void BM_RsatfPick(benchmark::State& state) {
+// One pick per iteration over a fixed queue of `state.range(0)` 8-sector
+// reads, with the clock moving 1 ms per pick. `replicated` draws each entry's
+// candidates from a Dr = 3 SR-Array placement (the RSATF shape); otherwise
+// each entry has one candidate anywhere on the disk.
+void RunPick(benchmark::State& state, SchedulerKind kind, bool replicated) {
   const size_t queue_len = static_cast<size_t>(state.range(0));
   Simulator sim;
   SimDisk disk(&sim, F().geometry, F().profile, DiskNoiseModel::None(), 1,
@@ -114,13 +118,18 @@ void BM_RsatfPick(benchmark::State& state) {
     req.id = i + 1;
     req.op = DiskOp::kRead;
     req.sectors = 8;
-    const uint64_t s = rng.UniformU64(placement.capacity_sectors() - 8);
-    for (const uint64_t cand : placement.AllReplicas(s)) {
-      req.candidates.push_back(QueueCandidate(BlockAddr(cand)));
+    if (replicated) {
+      const uint64_t s = rng.UniformU64(placement.capacity_sectors() - 8);
+      for (const uint64_t cand : placement.AllReplicas(s)) {
+        req.candidates.push_back(QueueCandidate(BlockAddr(cand)));
+      }
+    } else {
+      req.candidates.push_back(QueueCandidate(BlockAddr(
+          rng.UniformU64(disk.layout().num_data_sectors() - 8))));
     }
     queue.push_back(std::move(req));
   }
-  SatfScheduler sched(SchedulerKind::kRsatf);
+  SatfScheduler sched(kind);
   ScheduleContext ctx;
   ctx.predictor = &predictor;
   SimTime now;
@@ -134,6 +143,10 @@ void BM_RsatfPick(benchmark::State& state) {
   }
   state.SetComplexityN(static_cast<int64_t>(queue_len));
 }
+
+void BM_RsatfPick(benchmark::State& state) {
+  RunPick(state, SchedulerKind::kRsatf, /*replicated=*/true);
+}
 BENCHMARK(BM_RsatfPick)
     ->Arg(8)
     ->Arg(32)
@@ -141,6 +154,13 @@ BENCHMARK(BM_RsatfPick)
     ->Arg(128)
     ->Arg(256)
     ->Complexity();
+
+// The shallow SATF queue of the parity workloads: per-pick overhead, not the
+// candidate scan, dominates at this depth.
+void BM_SatfPick(benchmark::State& state) {
+  RunPick(state, SchedulerKind::kSatf, /*replicated=*/false);
+}
+BENCHMARK(BM_SatfPick)->Arg(4);
 
 // Closed-loop fleet: N independent disks on one simulator, each immediately
 // re-issuing on completion, so the event engine holds N pending completions

@@ -142,13 +142,11 @@ double OraclePredictor::RotationUs() const {
   return disk_->DebugTimingModel().rotation_us();
 }
 
-double OraclePredictor::AccessBoundUs(SimTime now, SectorPos pos,
-                                      uint32_t sectors, bool is_write) const {
+AccessBound OraclePredictor::PickBound(SimTime now) const {
   const double pre = disk_->noise().overhead_mean_us;
-  return disk_->DebugTimingModel().AccessLowerBoundUs(
-             disk_->DebugHeadState(), static_cast<double>(now.us()) + pre,
-             pos, sectors, is_write) +
-         overhead_mean_us_;
+  return disk_->DebugTimingModel().BoundFrom(
+      disk_->DebugHeadState(), static_cast<double>(now.us()) + pre,
+      overhead_mean_us_);
 }
 
 void OraclePredictor::OnDispatch(SimTime now, BlockAddr lba, uint32_t sectors,

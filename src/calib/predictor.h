@@ -77,10 +77,9 @@ class HeadPositionPredictor : public AccessPredictor {
   double SlackUs() const override { return slack_us_; }
   double RotationUs() const override { return timing_->rotation_us(); }
   HeadState Head() const override { return head_; }
-  double AccessBoundUs(SimTime now, SectorPos pos, uint32_t sectors,
-                       bool is_write) const override {
-    return timing_->AccessLowerBoundUs(head_, static_cast<double>(now.us()),
-                                       pos, sectors, is_write);
+  AccessBound PickBound(SimTime now) const override {
+    return timing_->BoundFrom(head_, static_cast<double>(now.us()),
+                              /*offset_us=*/0.0);
   }
   void OnDispatch(SimTime now, BlockAddr lba, uint32_t sectors, bool is_write,
                   double predicted_service_us) override;
@@ -133,9 +132,8 @@ class OraclePredictor : public AccessPredictor {
   HeadState Head() const override { return disk_->DebugHeadState(); }
   // The bound mirrors Predict exactly: the mechanical timeline starts after
   // the mean pre-access overhead, and the mean overheads are folded into the
-  // predicted total, so they must be folded into its lower bound too.
-  double AccessBoundUs(SimTime now, SectorPos pos, uint32_t sectors,
-                       bool is_write) const override;
+  // predicted total, so they are the bound's start shift and offset too.
+  AccessBound PickBound(SimTime now) const override;
   void OnDispatch(SimTime now, BlockAddr lba, uint32_t sectors, bool is_write,
                   double predicted_service_us) override;
   void OnCompletion(SimTime completion_us, BlockAddr lba,

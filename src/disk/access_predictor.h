@@ -40,23 +40,21 @@ class AccessPredictor {
   // The predictor's belief about the current arm position.
   virtual HeadState Head() const = 0;
 
-  // Cheap lower bound on Predict(now, lba, ...).total_us for the LBA whose
-  // position is `pos` (DiskLayout::PositionOf), for scheduler pruning:
-  // max(seek to the candidate's cylinder, rotational wait from `now`) plus
-  // the minimum media transfer. A scheduler may skip the full Predict for a
-  // candidate whose bound already exceeds the best cost found so far
-  // (EffectiveServiceUs only ever adds to total_us, so a total_us bound also
-  // bounds the effective cost). The default returns 0 — always valid, prunes
-  // nothing — so custom predictors (including test doubles with synthetic
-  // cost functions) keep byte-exact scheduler behavior without implementing
-  // it.
-  virtual double AccessBoundUs(SimTime now, SectorPos pos, uint32_t sectors,
-                               bool is_write) const {
+  // Lower bound on Predict(now, lba, ...).total_us for every access a
+  // scheduler ranks in one pick at `now`, for pruning: max(seek to the
+  // candidate's cylinder, rotational wait from `now`) plus the minimum media
+  // transfer, plus whatever fixed offset Predict adds (see AccessBound). A
+  // scheduler builds it once per pick, with this one virtual call, and may
+  // skip the full Predict for a candidate whose bound already exceeds the
+  // best cost found so far (EffectiveServiceUs only ever adds to total_us,
+  // so a total_us bound also bounds the effective cost). It is a snapshot:
+  // build a new one after OnCompletion or any re-calibration. The default
+  // bound is 0 for every access — always valid, prunes nothing — so custom
+  // predictors (including test doubles with synthetic cost functions) keep
+  // byte-exact scheduler behavior without implementing it.
+  virtual AccessBound PickBound(SimTime now) const {
     (void)now;
-    (void)pos;
-    (void)sectors;
-    (void)is_write;
-    return 0.0;
+    return AccessBound();
   }
 
   // Called when a request is dispatched to the (idle) disk.

@@ -63,11 +63,14 @@ bool DiskLayout::AddBadSector(uint64_t lba) {
   return true;
 }
 
-Chs DiskLayout::ToChs(uint64_t lba) const {
+Chs DiskLayout::ToChs(uint64_t lba, const Zone** zone) const {
   MIMDRAID_CHECK_LT(lba, num_data_sectors_);
   if (has_remaps()) {
     auto it = remap_.find(lba);
     if (it != remap_.end()) {
+      // The zone of the spare track the sector now lives on (AddBadSector
+      // remaps within a zone, so it is also the LBA's zone).
+      *zone = &geometry_->ZoneOf(it->second.cylinder);
       return it->second;
     }
   }
@@ -81,6 +84,7 @@ Chs DiskLayout::ToChs(uint64_t lba) const {
   }
   const ZoneExtent& e = extents_[zi];
   const Zone& z = geometry_->zones[zi];
+  *zone = &z;
   const uint64_t off = lba - e.first_lba;
   const uint32_t track_in_zone = static_cast<uint32_t>(off / z.sectors_per_track);
   MIMDRAID_CHECK_LT(track_in_zone, e.num_data_tracks);
@@ -93,10 +97,10 @@ Chs DiskLayout::ToChs(uint64_t lba) const {
 }
 
 SectorPos DiskLayout::PositionOf(uint64_t lba) const {
-  const Chs chs = ToChs(lba);
-  const Zone& z = geometry_->ZoneOf(chs.cylinder);
-  return SectorPos{chs.cylinder, static_cast<uint16_t>(SlotOf(chs, z)),
-                   static_cast<uint16_t>(z.sectors_per_track)};
+  const Zone* z = nullptr;
+  const Chs chs = ToChs(lba, &z);
+  return SectorPos{chs.cylinder, static_cast<uint16_t>(SlotOf(chs, *z)),
+                   static_cast<uint16_t>(z->sectors_per_track)};
 }
 
 uint64_t DiskLayout::ToLba(const Chs& chs) const {

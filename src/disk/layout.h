@@ -69,7 +69,13 @@ class DiskLayout {
   }
 
   // Physical location of an LBA (following any remap). lba < num_data_sectors.
-  Chs ToChs(uint64_t lba) const;
+  Chs ToChs(uint64_t lba) const {
+    const Zone* zone = nullptr;
+    return ToChs(lba, &zone);
+  }
+  // The same, also setting `*zone` to the zone holding that location, so the
+  // caller does not resolve it a second time.
+  Chs ToChs(uint64_t lba, const Zone** zone) const;
   // The same location as cylinder and rotational slot.
   SectorPos PositionOf(uint64_t lba) const;
 

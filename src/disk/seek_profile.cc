@@ -6,22 +6,6 @@
 
 namespace mimdraid {
 
-double SeekProfile::SeekUs(uint32_t distance, bool is_write) const {
-  if (distance == 0) {
-    return 0.0;
-  }
-  double t;
-  if (distance < boundary_cylinders) {
-    t = short_a_us + short_b_us * std::sqrt(static_cast<double>(distance));
-  } else {
-    t = long_a_us + long_b_us * static_cast<double>(distance);
-  }
-  if (is_write) {
-    t += write_settle_us;
-  }
-  return t;
-}
-
 double SeekProfile::MaxSeekUs(uint32_t num_cylinders) const {
   MIMDRAID_CHECK_GT(num_cylinders, 1u);
   return SeekUs(num_cylinders - 1, /*is_write=*/false);

@@ -9,6 +9,7 @@
 #ifndef MIMDRAID_SRC_DISK_SEEK_PROFILE_H_
 #define MIMDRAID_SRC_DISK_SEEK_PROFILE_H_
 
+#include <cmath>
 #include <cstdint>
 
 namespace mimdraid {
@@ -30,7 +31,22 @@ struct SeekProfile {
 
   // Seek time for the given cylinder distance. Zero distance costs nothing
   // (head-switch cost, if any, is charged separately by the timing model).
-  double SeekUs(uint32_t distance, bool is_write) const;
+  // Inline: the scheduler bound evaluates it for every queued candidate.
+  double SeekUs(uint32_t distance, bool is_write) const {
+    if (distance == 0) {
+      return 0.0;
+    }
+    double t;
+    if (distance < boundary_cylinders) {
+      t = short_a_us + short_b_us * std::sqrt(static_cast<double>(distance));
+    } else {
+      t = long_a_us + long_b_us * static_cast<double>(distance);
+    }
+    if (is_write) {
+      t += write_settle_us;
+    }
+    return t;
+  }
 
   // Largest seek this profile will ever report for a disk with
   // `num_cylinders` cylinders (the full-stroke read seek).

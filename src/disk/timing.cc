@@ -34,51 +34,29 @@ double DiskTimingModel::SpindleAngleAt(double t_us) const {
   return frac;
 }
 
-double DiskTimingModel::TimeUntilAngle(double t_us, double angle) const {
-  double delta = angle - SpindleAngleAt(t_us);
-  delta -= std::floor(delta);
-  if (delta >= 1.0) {
-    delta -= 1.0;
-  }
-  // Catch tolerance: if the target slot started passing within the last
-  // couple of microseconds (sector preamble/tolerance on a real drive, and
-  // integer-microsecond timestamp rounding here), the access still makes it.
-  // Without this, a perfectly chained sequential handoff can round past the
-  // slot edge and be charged a full spurious rotation.
-  const double catch_frac = 2.0 / rotation_us_;
-  if (delta > 1.0 - catch_frac) {
-    delta = 0.0;
-  }
-  return delta * rotation_us_;
-}
-
-double DiskTimingModel::AccessLowerBoundUs(const HeadState& from,
-                                           double start_us, SectorPos pos,
-                                           uint32_t sectors,
-                                           bool is_write) const {
-  double seek = 0.0;
-  if (pos.cylinder != from.cylinder) {
-    const uint32_t dist = pos.cylinder > from.cylinder
-                              ? pos.cylinder - from.cylinder
-                              : from.cylinder - pos.cylinder;
-    seek = profile_.SeekUs(dist, is_write);
-  }
-  const double wait =
-      TimeUntilAngle(start_us, static_cast<double>(pos.slot) / pos.spt);
+AccessBound DiskTimingModel::BoundFrom(const HeadState& from, double start_us,
+                                       double offset_us) const {
+  AccessBound bound;
+  bound.seek_ = profile_;
+  bound.head_cylinder_ = from.cylinder;
+  bound.start_angle_ = SpindleAngleAt(start_us);
+  bound.rotation_us_ = rotation_us_;
+  bound.catch_frac_ = CatchFraction();
+  bound.min_slot_us_ = min_slot_time_us_;
   // Rounding margin: the bound and Plan() evaluate the same exact-arithmetic
   // quantities through different association orders, so the bound can land a
   // few ulps (~1e-11 us in practice) above the true total. One nanosecond of
   // slack keeps this a certain lower bound; the only cost is a spare full
   // prediction when a candidate's bound is within 1 ns of the running best.
-  constexpr double kRoundingMarginUs = 1e-3;
-  return std::max(seek, wait) + sectors * min_slot_time_us_ - kRoundingMarginUs;
+  bound.margin_us_ = 1e-3;
+  bound.offset_us_ = offset_us;
+  return bound;
 }
 
 AccessPlan DiskTimingModel::Plan(const HeadState& from, double start_us,
                                  uint64_t lba, uint32_t sectors,
                                  bool is_write) const {
   MIMDRAID_CHECK_GT(sectors, 0u);
-  const DiskGeometry& geo = layout_->geometry();
   AccessPlan plan;
   double t = start_us;
   HeadState cur = from;
@@ -86,9 +64,9 @@ AccessPlan DiskTimingModel::Plan(const HeadState& from, double start_us,
   uint32_t remaining = sectors;
 
   while (remaining > 0) {
-    const Chs chs = layout_->ToChs(next_lba);
-    const Zone& zone = geo.ZoneOf(chs.cylinder);
-    const uint32_t spt = zone.sectors_per_track;
+    const Zone* zone = nullptr;
+    const Chs chs = layout_->ToChs(next_lba, &zone);
+    const uint32_t spt = zone->sectors_per_track;
     const double slot_time = rotation_us_ / spt;
 
     // Length of the physically contiguous run on this track: LBAs advance one
@@ -126,7 +104,7 @@ AccessPlan DiskTimingModel::Plan(const HeadState& from, double start_us,
     cur.head = chs.head;
 
     // Rotational wait until the run's first slot comes under the head.
-    const uint32_t slot = layout_->SlotOf(chs, zone);
+    const uint32_t slot = layout_->SlotOf(chs, *zone);
     const double wait = TimeUntilAngle(t, static_cast<double>(slot) / spt);
     plan.rotational_us += wait;
     t += wait;

@@ -13,6 +13,8 @@
 #ifndef MIMDRAID_SRC_DISK_TIMING_H_
 #define MIMDRAID_SRC_DISK_TIMING_H_
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 
 #include "src/disk/layout.h"
@@ -35,6 +37,91 @@ struct AccessPlan {
   HeadState end_state;
 };
 
+// Delay for the platter to turn from `from_angle` to `to_angle` (fractions
+// of a revolution in [0, 1)), for a rotation period of `rotation_us`.
+// Catch tolerance: if the target slot started passing within the last
+// `catch_frac` of a revolution (sector preamble/tolerance on a real drive,
+// and integer-microsecond timestamp rounding here), the access still makes
+// it. Without this, a perfectly chained sequential handoff can round past
+// the slot edge and be charged a full spurious rotation.
+inline double RotationalWaitUs(double from_angle, double to_angle,
+                               double rotation_us, double catch_frac) {
+  double delta = to_angle - from_angle;
+  delta -= std::floor(delta);
+  if (delta >= 1.0) {
+    delta -= 1.0;
+  }
+  if (delta > 1.0 - catch_frac) {
+    delta = 0.0;
+  }
+  return delta * rotation_us;
+}
+
+// Cheap lower bound on Plan(...).total_us for every access a scheduler ranks
+// in one pick, for pruning. Everything but the candidate's position is the
+// same for the whole pick (head cylinder, spindle angle at the start time,
+// rotation period, transfer floor, the predictor's additive offset), so
+// DiskTimingModel::BoundFrom snapshots it once and each candidate pays only
+// for its own seek and angle: no address mapping, no run-splitting walk and
+// no virtual call.
+//
+// Bound for one candidate at `pos` (DiskLayout::PositionOf, cached per
+// queued candidate):
+//   max(seek, rotational wait from start) + sectors * min_slot + offset.
+// Validity: Plan >= seek + wait(start+seek) + transfer, and
+// wait(start) <= seek + wait(start+seek) because the first slot passage
+// after start+seek is never earlier than the first after start (the catch
+// tolerance shifts both passages identically, so the inequality survives it).
+//
+// Us(SeekUs(...), sectors) is the seek-only term; it never exceeds the full
+// bound (max(seek, wait) >= seek, and rounded addition is monotone), so a
+// scheduler can test it first and compute the wait only for candidates it
+// keeps.
+class AccessBound {
+ public:
+  // Every term is zero: the bound is 0 for any access, so it prunes nothing.
+  AccessBound() = default;
+
+  // Seek time from the head's cylinder to `pos`'s.
+  double SeekUs(SectorPos pos, bool is_write) const {
+    const uint32_t dist = pos.cylinder > head_cylinder_
+                              ? pos.cylinder - head_cylinder_
+                              : head_cylinder_ - pos.cylinder;
+    return seek_.SeekUs(dist, is_write);
+  }
+  // Rotational wait from the pick's start time until `pos`'s slot arrives.
+  double WaitUs(SectorPos pos) const {
+    return RotationalWaitUs(start_angle_,
+                            static_cast<double>(pos.slot) / pos.spt,
+                            rotation_us_, catch_frac_);
+  }
+  // The bound for a positioning time (the seek alone, or max(seek, wait)).
+  double Us(double positioning_us, uint32_t sectors) const {
+    return positioning_us + sectors * min_slot_us_ - margin_us_ + offset_us_;
+  }
+  // The full bound for an access of `sectors` sectors starting at `pos`.
+  double Us(SectorPos pos, uint32_t sectors, bool is_write) const {
+    return Us(std::max(SeekUs(pos, is_write), WaitUs(pos)), sectors);
+  }
+
+ private:
+  friend class DiskTimingModel;
+
+  // Zero everywhere, so a default bound's seek is 0 at any distance.
+  SeekProfile seek_{.short_a_us = 0.0,
+                    .short_b_us = 0.0,
+                    .long_a_us = 0.0,
+                    .long_b_us = 0.0,
+                    .write_settle_us = 0.0};
+  uint32_t head_cylinder_ = 0;
+  double start_angle_ = 0.0;
+  double rotation_us_ = 0.0;
+  double catch_frac_ = 0.0;
+  double min_slot_us_ = 0.0;
+  double margin_us_ = 0.0;
+  double offset_us_ = 0.0;
+};
+
 class DiskTimingModel {
  public:
   // `spindle_phase_us` is the time of a (virtual) index-mark passage: slot 0
@@ -52,21 +139,11 @@ class DiskTimingModel {
   AccessPlan Plan(const HeadState& from, double start_us, uint64_t lba,
                   uint32_t sectors, bool is_write) const;
 
-  // --- Cheap lower bound on Plan(...).total_us, for scheduler pruning. ---
-  // It takes the first sector's position (DiskLayout::PositionOf, cached per
-  // queued candidate) instead of its LBA, so it costs one seek-table lookup
-  // and one angle: no address mapping and no run-splitting walk.
-  //
-  // Phase-aware bound for one candidate:
-  //   max(seek, rotational wait from start_us) + sectors * MinSlotTimeUs().
-  // Validity: Plan >= seek + wait(start+seek) + transfer, and
-  // wait(start) <= seek + wait(start+seek) because the first slot passage
-  // after start+seek is never earlier than the first after start (the catch
-  // tolerance shifts both passages identically, so the inequality survives
-  // it).
-  double AccessLowerBoundUs(const HeadState& from, double start_us,
-                            SectorPos pos, uint32_t sectors,
-                            bool is_write) const;
+  // Lower bound on Plan(from, start_us, ...).total_us + offset_us for any
+  // access, snapshotted from the model's current state: build it once per
+  // pick, and again after any change to the model or the head.
+  AccessBound BoundFrom(const HeadState& from, double start_us,
+                        double offset_us) const;
   // Fastest per-sector media transfer anywhere on the disk (outermost zone).
   double MinSlotTimeUs() const { return min_slot_time_us_; }
 
@@ -75,7 +152,10 @@ class DiskTimingModel {
   double SpindleAngleAt(double t_us) const;
 
   // Delay from t until the platter reaches `angle` (fraction in [0, 1)).
-  double TimeUntilAngle(double t_us, double angle) const;
+  double TimeUntilAngle(double t_us, double angle) const {
+    return RotationalWaitUs(SpindleAngleAt(t_us), angle, rotation_us_,
+                            CatchFraction());
+  }
 
   const DiskLayout& layout() const { return *layout_; }
   const SeekProfile& seek_profile() const { return profile_; }
@@ -92,6 +172,9 @@ class DiskTimingModel {
   }
 
  private:
+  // Catch tolerance of RotationalWaitUs: two microseconds of a revolution.
+  double CatchFraction() const { return 2.0 / rotation_us_; }
+
   const DiskLayout* layout_;
   SeekProfile profile_;
   double rotation_us_;

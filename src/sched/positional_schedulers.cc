@@ -1,5 +1,6 @@
 #include "src/sched/positional_schedulers.h"
 
+#include <algorithm>
 #include <limits>
 
 #include "src/obs/trace_collector.h"
@@ -25,6 +26,21 @@ CandidateCost CostOf(const ScheduleContext& ctx, const QueuedRequest& req,
   return CandidateCost{ctx.predictor->EffectiveServiceUs(plan), plan.total_us};
 }
 
+// True when the candidate's cost bound, less `credit`, exceeds `best`, so it
+// can neither win nor retie. The seek term is tested first: it decides most
+// candidates, and the rotational wait is computed only for those it keeps.
+// It never prunes a candidate the full bound would keep, because
+// max(seek, wait) >= seek and rounded addition and subtraction are monotone,
+// so the decision is the full bound's.
+bool BoundExceeds(const AccessBound& bound, const QueueCandidate& cand,
+                  uint32_t sectors, bool is_write, double credit,
+                  double best) {
+  const double seek = bound.SeekUs(cand.pos, is_write);
+  return bound.Us(seek, sectors) - credit > best ||
+         bound.Us(std::max(seek, bound.WaitUs(cand.pos)), sectors) - credit >
+             best;
+}
+
 }  // namespace
 
 // Pruning in the Pick loops below must be *exact*: the figure goldens lock
@@ -33,7 +49,8 @@ CandidateCost CostOf(const ScheduleContext& ctx, const QueuedRequest& req,
 // best use strict `<` ("first strictly smaller wins"), so a candidate whose
 // cost lower bound exceeds the current best can neither win nor retie —
 // skipping its full prediction leaves the scan's result bit-identical. The
-// scan order itself is never reordered.
+// scan order itself is never reordered. Each Pick builds the predictor's
+// bound once (one virtual call); candidates evaluate it inline.
 
 SatfScheduler::SatfScheduler(SchedulerKind kind, size_t max_scan)
     : kind_(kind),
@@ -56,6 +73,7 @@ SchedulerPick SatfScheduler::Pick(std::span<const QueuedRequest> queue,
   double best_aged = std::numeric_limits<double>::infinity();
   double best_predicted = 0.0;
   uint64_t examined = 0;
+  const AccessBound bound = ctx.predictor->PickBound(ctx.now);
   for (size_t i = 0; i < scan; ++i) {
     const QueuedRequest& req = queue[i];
     const bool is_write = req.op == DiskOp::kWrite;
@@ -70,10 +88,8 @@ SchedulerPick SatfScheduler::Pick(std::span<const QueuedRequest> queue,
       // normally share a cylinder, but a latent-bad-sector remap can move one
       // to spare space on a different cylinder. Aged cost >= bound - credit,
       // so a bound beaten by best_aged even after the credit cannot win.
-      if (ctx.predictor->AccessBoundUs(ctx.now, cand.pos, req.sectors,
-                                       is_write) -
-              age_credit >
-          best_aged) {
+      if (BoundExceeds(bound, cand, req.sectors, is_write, age_credit,
+                       best_aged)) {
         continue;
       }
       const CandidateCost cost = CostOf(ctx, req, cand.lba);
@@ -104,9 +120,10 @@ SchedulerPick RlookScheduler::Pick(std::span<const QueuedRequest> queue,
   BlockAddr best_lba = req.primary();
   CandidateCost best_cost{std::numeric_limits<double>::infinity(), 0.0};
   uint64_t examined = 0;
+  const AccessBound bound = ctx.predictor->PickBound(ctx.now);
   for (const QueueCandidate& cand : req.candidates) {
-    if (ctx.predictor->AccessBoundUs(ctx.now, cand.pos, req.sectors,
-                                     is_write) > best_cost.effective_us) {
+    if (BoundExceeds(bound, cand, req.sectors, is_write, /*credit=*/0.0,
+                     best_cost.effective_us)) {
       continue;
     }
     const CandidateCost cost = CostOf(ctx, req, cand.lba);

@@ -65,6 +65,59 @@ TEST(OraclePredictor, NoisyDiskHasBoundedErrors) {
   EXPECT_LT(std::abs(stats.error_us.mean()), 80.0);
 }
 
+// The oracle's pick bound folds in the same mean overheads as its
+// predictions: the pre-access overhead delays the start, and both overheads
+// add to the total. The bound must stay below every prediction. For a
+// one-sector read on the head's own track (no seek, no head switch) it must
+// also come within the transfer-floor gap of the prediction, which a bound
+// without the overheads would miss by their whole sum.
+TEST(OraclePredictor, PickBoundFoldsInOverheadsAndStaysBelowPredictions) {
+  Simulator sim;
+  SimDisk disk(&sim, MakeTestGeometry(), MakeTestSeekProfile(),
+               DiskNoiseModel::None(), /*seed=*/1, /*spindle_phase_us=*/500.0);
+  OraclePredictor predictor(&disk, 0.0);
+  const DiskLayout& layout = disk.layout();
+  const double overheads =
+      disk.noise().overhead_mean_us + disk.noise().post_overhead_mean_us;
+  ASSERT_GT(overheads, 0.0);
+  Rng rng(23);
+  int near_checks = 0;
+  for (int i = 0; i < 200; ++i) {
+    const SimTime now =
+        sim.Now() + SimDuration(static_cast<int64_t>(rng.UniformU64(7000)));
+    const AccessBound bound = predictor.PickBound(now);
+    for (int c = 0; c < 20; ++c) {
+      const uint32_t sectors = 1 + static_cast<uint32_t>(rng.UniformU64(32));
+      const uint64_t lba = rng.UniformU64(layout.num_data_sectors() - sectors);
+      const bool is_write = rng.Bernoulli(0.5);
+      ASSERT_LE(bound.Us(layout.PositionOf(lba), sectors, is_write),
+                predictor.Predict(now, BlockAddr(lba), sectors, is_write)
+                    .total_us)
+          << "lba=" << lba << " sectors=" << sectors;
+    }
+    const HeadState head = predictor.Head();
+    const uint64_t near =
+        layout.LbaForAngle(head.cylinder, head.head, rng.UniformDouble(0, 1));
+    if (near != kInvalidLba) {
+      const double gap =
+          predictor.Predict(now, BlockAddr(near), 1, false).total_us -
+          bound.Us(layout.PositionOf(near), 1, false);
+      EXPECT_GE(gap, 0.0);
+      EXPECT_LT(gap, overheads);
+      ++near_checks;
+    }
+    // Move the head with one random read.
+    bool done = false;
+    disk.Start(DiskOp::kRead,
+               BlockAddr(rng.UniformU64(layout.num_data_sectors() - 8)), 8,
+               [&done](const DiskOpResult&) { done = true; });
+    while (!done) {
+      sim.Step();
+    }
+  }
+  EXPECT_GT(near_checks, 100);
+}
+
 class CalibratedPredictorTest : public ::testing::Test {
  protected:
   CalibratedPredictorTest()

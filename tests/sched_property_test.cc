@@ -379,8 +379,8 @@ TEST_F(RsatfMaxScan, ZeroAndOversizeWindowsScanTheWholeQueue) {
 
 // --- Exact pruning: the cached-position bound never changes a pick. ---
 
-// Forwards everything to `inner` except AccessBoundUs, which keeps the
-// default 0: a scheduler driven through it prunes nothing and reads no
+// Forwards everything to `inner` except PickBound, which keeps the default
+// zero bound: a scheduler driven through it prunes nothing and reads no
 // cached position.
 class UnprunedPredictor : public AccessPredictor {
  public:
@@ -403,24 +403,37 @@ class UnprunedPredictor : public AccessPredictor {
 class ExactPruning : public ::testing::TestWithParam<SchedulerKind> {};
 
 // Drains random queues the way DriveSet does (refresh positions, pick, run
-// the pick on the drive) while latent-bad-sector remaps move replicas of
-// entries that were already stamped. Every pick must equal the pick of an
-// unpruned scan over freshly derived positions: same entry, same replica,
-// same prediction. A stale cached position would bound a remapped replica
-// by where it used to be (SATF family) or sweep it by its old cylinder
-// (RLOOK).
-TEST_P(ExactPruning, PicksMatchUnprunedScanAcrossRemaps) {
+// the pick on the drive, report it to the predictor) while
+// latent-bad-sector remaps move replicas of entries that were already
+// stamped. Every pick must equal the pick of an unpruned scan over freshly
+// derived positions: same entry, same replica, same prediction. A stale
+// cached position would bound a remapped replica by where it used to be
+// (SATF family) or sweep it by its old cylinder (RLOOK).
+//
+// With `calibrated`, the picks run under a HeadPositionPredictor that tracks
+// the arm from completions and re-estimates rotation and phase from a
+// reference observation after every one, so a bound kept from an earlier
+// pick would bound from the wrong head, angle and transfer floor.
+void ExpectPicksMatchUnprunedScan(SchedulerKind kind, bool calibrated) {
   Rng rng(2024);
   uint64_t remaps = 0;
   uint64_t picks = 0;
+  std::set<double> rotations;
+  std::set<double> phases;
   for (int trial = 0; trial < 12; ++trial) {
     Simulator sim;
     SimDisk disk(&sim, MakeTestGeometry(), MakeTestSeekProfile(),
                  DiskNoiseModel::None(), 1, 0.0);
-    OraclePredictor predictor(&disk, /*slack_us=*/150.0);
+    OraclePredictor oracle(&disk, /*slack_us=*/150.0);
+    HeadPositionPredictor calib(&disk.layout(), MakeTestSeekProfile(),
+                                /*rotation_us=*/6000.0,
+                                /*lattice_phase_us=*/0.0,
+                                /*reference_lba=*/0);
+    AccessPredictor& predictor =
+        calibrated ? static_cast<AccessPredictor&>(calib) : oracle;
     UnprunedPredictor unpruned(&predictor);
-    auto pruned_sched = MakeScheduler(GetParam());
-    auto reference_sched = MakeScheduler(GetParam());
+    auto pruned_sched = MakeScheduler(kind);
+    auto reference_sched = MakeScheduler(kind);
     const DiskLayout& layout = disk.layout();
 
     std::vector<QueuedRequest> queue;
@@ -484,18 +497,41 @@ TEST_P(ExactPruning, PicksMatchUnprunedScanAcrossRemaps) {
 
       const QueuedRequest entry = queue[got.queue_index];
       queue.erase(queue.begin() + static_cast<ptrdiff_t>(got.queue_index));
+      predictor.OnDispatch(sim.Now(), got.lba, entry.sectors,
+                           entry.op == DiskOp::kWrite,
+                           got.predicted_service_us);
       bool done = false;
       disk.Start(entry.op, got.lba, entry.sectors,
                  [&done](const DiskOpResult&) { done = true; });
       while (!done) {
         sim.Step();
       }
+      predictor.OnCompletion(sim.Now(), got.lba, entry.sectors);
+      if (calibrated) {
+        calib.AddReferenceObservation(sim.Now());
+        rotations.insert(calib.timing().rotation_us());
+        phases.insert(calib.timing().spindle_phase_us());
+      }
     }
   }
   // The remaps must actually have landed under queued entries.
   EXPECT_GT(remaps, 100u);
   EXPECT_GT(picks, 300u);
+  if (calibrated) {
+    // The estimate must actually have moved between picks.
+    EXPECT_GT(rotations.size(), 10u);
+    EXPECT_GT(phases.size(), 50u);
+  }
 }
+
+TEST_P(ExactPruning, PicksMatchUnprunedScanAcrossRemaps) {
+  ExpectPicksMatchUnprunedScan(GetParam(), /*calibrated=*/false);
+}
+
+TEST_P(ExactPruning, PicksMatchUnprunedScanUnderCalibratedPredictor) {
+  ExpectPicksMatchUnprunedScan(GetParam(), /*calibrated=*/true);
+}
+
 
 INSTANTIATE_TEST_SUITE_P(
     PositionalSchedulers, ExactPruning,

@@ -125,10 +125,11 @@ TEST_P(TimingProperty, WriteNeverFasterThanReadFromSameState) {
 
 // The scheduler-pruning lower bound must never exceed the full plan's
 // total: a violation would let a scheduler skip a candidate that could have
-// won the scan, silently changing dispatch order. Checked with and without
-// bad-sector remaps (a remap relocates an LBA to zone spare space, possibly
-// on another cylinder) and after a rotation re-estimate (which moves the
-// per-slot transfer floor).
+// won the scan, silently changing dispatch order. Its seek-only term, which
+// schedulers test first, must never exceed the full bound. Checked with and
+// without bad-sector remaps (a remap relocates an LBA to zone spare space,
+// possibly on another cylinder) and after a rotation re-estimate (which moves
+// the per-slot transfer floor).
 TEST_P(TimingProperty, LowerBoundsNeverExceedPlanTotal) {
   for (int round = 0; round < 3; ++round) {
     if (round == 1) {
@@ -147,11 +148,14 @@ TEST_P(TimingProperty, LowerBoundsNeverExceedPlanTotal) {
           rng_.UniformU64(layout_.num_data_sectors() - sectors);
       const bool is_write = rng_.Bernoulli(0.5);
       const AccessPlan p = model_.Plan(head, start, lba, sectors, is_write);
-      ASSERT_LE(model_.AccessLowerBoundUs(head, start, layout_.PositionOf(lba),
-                                          sectors, is_write),
-                p.total_us)
+      const AccessBound bound = model_.BoundFrom(head, start, 0.0);
+      const SectorPos pos = layout_.PositionOf(lba);
+      const double full = bound.Us(pos, sectors, is_write);
+      ASSERT_LE(full, p.total_us)
           << "round=" << round << " lba=" << lba << " sectors=" << sectors
           << " start=" << start;
+      ASSERT_LE(bound.Us(bound.SeekUs(pos, is_write), sectors), full)
+          << "round=" << round << " lba=" << lba << " sectors=" << sectors;
     }
   }
 }
@@ -160,6 +164,23 @@ TEST_P(TimingProperty, MinSlotTimeTracksRotationRefresh) {
   const double before = model_.MinSlotTimeUs();
   model_.set_rotation_us(model_.rotation_us() * 0.5);
   EXPECT_DOUBLE_EQ(model_.MinSlotTimeUs(), before * 0.5);
+}
+
+// A default bound has every term zero, so it bounds any access by 0 and a
+// scheduler driven by it prunes nothing.
+TEST(AccessBound, DefaultBoundIsZero) {
+  const DiskGeometry geo = MakeSt39133Geometry();
+  const DiskLayout layout(&geo);
+  Rng rng(9);
+  const AccessBound bound;
+  for (int i = 0; i < 1000; ++i) {
+    const uint32_t sectors = 1 + static_cast<uint32_t>(rng.UniformU64(64));
+    const SectorPos pos =
+        layout.PositionOf(rng.UniformU64(layout.num_data_sectors()));
+    const bool is_write = rng.Bernoulli(0.5);
+    ASSERT_EQ(bound.Us(pos, sectors, is_write), 0.0);
+    ASSERT_EQ(bound.Us(bound.SeekUs(pos, is_write), sectors), 0.0);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -4,14 +4,17 @@
 # Exports BASE and HEAD (default: the working tree, uncommitted edits
 # included) into a scratch directory, builds each in Release, then runs N
 # alternating pairs: every perfbench workload (`perfbench/run.py ... --trace
-# 0`) and the serial bench, with the first side of each pair alternating
-# between BASE and HEAD. It prints, per workload and metric, both sides'
+# 0`), the serial bench and the scheduler-pick micro-benchmarks, with the
+# first side of each pair alternating between BASE and HEAD. It prints, per workload and metric, both sides'
 # medians and interquartile ranges, the HEAD/BASE ratio of the medians, and
 # how many pairs HEAD won (ties count for neither side).
 #
 # Every A/B uses the same fixed runs, so results from different changes
-# compare: 8 s perfbench runs at seed 1 on all four workloads, and the serial
-# bench_abl_stripe_unit timed wall-clock.
+# compare: 8 s perfbench runs at seed 1 on all four workloads, the serial
+# bench_abl_stripe_unit timed wall-clock, and the bench_micro_core rows
+# BM_RsatfPick/256 (deep RSATF queue) and BM_SatfPick/4 (shallow SATF queue),
+# per-pick real time in microseconds. A row that one revision does not have
+# prints as absent.
 #
 # Usage: ab_bench.sh [-n N] [--scratch DIR] BASE [HEAD]
 #   -n N            pairs per workload (default 10)
@@ -27,6 +30,8 @@ SECONDS_PER_RUN=8
 SEED=1
 WORKLOADS=cello_sr,deepq_mixed,raid5_rmw,ec_degraded
 BENCH=bench_abl_stripe_unit
+MICRO=bench_micro_core
+MICRO_FILTER='^BM_(RsatfPick/256|SatfPick/4)$'
 # Build parallelism, as perfbench/run.py chooses it.
 JOBS=$(python3 -c 'import os; print(min(4, os.cpu_count() or 1))')
 usage() {
@@ -79,11 +84,11 @@ export_tree() {
   echo "$dir"
 }
 
-# Builds the Release serial bench of one exported tree (perfbench builds
-# itself on its first run).
+# Builds the Release serial bench and micro-benchmarks of one exported tree
+# (perfbench builds itself on its first run).
 build_tree() {
   cmake -S "$1" -B "$1/build-release" -DCMAKE_BUILD_TYPE=Release >&2
-  cmake --build "$1/build-release" --target "$BENCH" -j "$JOBS" >&2
+  cmake --build "$1/build-release" --target "$BENCH" "$MICRO" -j "$JOBS" >&2
 }
 
 BASE_DIR=$(export_tree "$1")
@@ -94,18 +99,21 @@ build_tree "$BASE_DIR"
 build_tree "$HEAD_DIR"
 
 exec python3 - "$BASE_DIR" "$HEAD_DIR" "$PAIRS" "$SECONDS_PER_RUN" "$SEED" \
-  "$WORKLOADS" "$BENCH" <<'EOF'
+  "$WORKLOADS" "$BENCH" "$MICRO" "$MICRO_FILTER" <<'EOF'
 import json
 import statistics
 import subprocess
 import sys
 import time
 
-base_dir, head_dir, pairs, seconds, seed, workloads, bench = sys.argv[1:]
+(base_dir, head_dir, pairs, seconds, seed, workloads, bench, micro,
+ micro_filter) = sys.argv[1:]
 pairs = int(pairs)
 workloads = workloads.split(",")
 # metric -> True when higher is better
 PERFBENCH_METRICS = {"req_per_s": True, "setup_s": False, "peak_rss_mb": False}
+MICRO_METRICS = {"BM_RsatfPick/256": False, "BM_SatfPick/4": False}
+US_PER_UNIT = {"ns": 1e-3, "us": 1.0, "ms": 1e3, "s": 1e6}
 
 
 def run_perfbench(tree, workload):
@@ -128,6 +136,16 @@ def run_bench(tree, bench):
     return {"wall_s": time.perf_counter() - start}
 
 
+def run_micro(tree, micro):
+    cmd = [f"{tree}/build-release/bench/{micro}",
+           f"--benchmark_filter={micro_filter}", "--benchmark_format=json"]
+    done = subprocess.run(cmd, capture_output=True, text=True)
+    if done.returncode != 0:
+        sys.exit(f"ab_bench: {' '.join(cmd)} failed:\n{done.stderr}")
+    return {b["name"]: b["real_time"] * US_PER_UNIT[b["time_unit"]]
+            for b in json.loads(done.stdout)["benchmarks"]}
+
+
 def quartiles(xs):
     if len(xs) < 2:
         return xs[0], xs[0]
@@ -138,6 +156,7 @@ def quartiles(xs):
 rows = []
 jobs = [(w, run_perfbench, PERFBENCH_METRICS) for w in workloads]
 jobs.append((bench, run_bench, {"wall_s": False}))
+jobs.append((micro, run_micro, MICRO_METRICS))
 for name, runner, metrics in jobs:
     samples = {"base": [], "head": []}
     for i in range(pairs):
@@ -147,22 +166,33 @@ for name, runner, metrics in jobs:
             samples[side].append(runner(tree, name))
         print(f"  {name} pair {i + 1}/{pairs}", file=sys.stderr, flush=True)
     for metric, higher in metrics.items():
-        base = [s[metric] for s in samples["base"]]
-        head = [s[metric] for s in samples["head"]]
+        base = [s[metric] for s in samples["base"] if metric in s]
+        head = [s[metric] for s in samples["head"] if metric in s]
         wins = sum((h > b) if higher else (h < b) for b, h in zip(base, head))
         rows.append((name, metric, base, head, wins))
 
 print(f"A/B: {pairs} alternating pairs per row; perfbench {seconds} s runs, "
       f"seed {seed}; wins = pairs where head beat base (ties count for neither)")
 width = max([len("workload")] + [len(row[0]) for row in rows])
-print(f"{'workload':<{width}} {'metric':<12} {'base median [q1, q3]':>30} "
-      f"{'head median [q1, q3]':>30} {'head/base':>9} {'wins':>6}")
+mwidth = max([len("metric")] + [len(row[1]) for row in rows])
+
+
+def summary(xs):
+    if not xs:
+        return "absent"
+    q = quartiles(xs)
+    return f"{statistics.median(xs):.4g} [{q[0]:.4g}, {q[1]:.4g}]"
+
+
+print(f"{'workload':<{width}} {'metric':<{mwidth}} "
+      f"{'base median [q1, q3]':>30} {'head median [q1, q3]':>30} "
+      f"{'head/base':>9} {'wins':>6}")
 for name, metric, base, head, wins in rows:
-    bq, hq = quartiles(base), quartiles(head)
-    bm, hm = statistics.median(base), statistics.median(head)
-    ratio = hm / bm if bm else float("nan")
-    print(f"{name:<{width}} {metric:<12} "
-          f"{f'{bm:.4g} [{bq[0]:.4g}, {bq[1]:.4g}]':>30} "
-          f"{f'{hm:.4g} [{hq[0]:.4g}, {hq[1]:.4g}]':>30} "
-          f"{ratio:>9.3f} {f'{wins}/{len(base)}':>6}")
+    ratio, won = "", ""
+    if base and head:
+        bm, hm = statistics.median(base), statistics.median(head)
+        ratio = f"{hm / bm:.3f}" if bm else "nan"
+        won = f"{wins}/{len(base)}"
+    print(f"{name:<{width}} {metric:<{mwidth}} {summary(base):>30} "
+          f"{summary(head):>30} {ratio:>9} {won:>6}")
 EOF
