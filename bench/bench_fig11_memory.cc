@@ -49,7 +49,7 @@ double RunCache(const Trace& trace, int disks, uint64_t cache_mb, double scale,
   popt.rate_scale = scale;
   popt.max_outstanding = 2500;
   const RunResult r =
-      RunTraceWithCache(array, trace, cache_mb << 20, 50.0, popt);
+      RunTraceWithCache(array, trace, cache_mb << 20, popt);
   return r.saturated ? -1.0 : r.latency.MeanMs();
 }
 

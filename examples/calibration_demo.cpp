@@ -67,7 +67,7 @@ int main() {
   std::printf("\n== Phase 4: prediction accuracy (Table 2 style) ==\n");
   HeadPositionPredictor predictor(&disk.layout(), cal.profile,
                                   cal.rotation_us, cal.lattice_phase_us,
-                                  options.reference_lba);
+                                  kCalibrationReferenceLba);
   Rng rng(7);
   const int kOps = 4000;
   for (int i = 0; i < kOps; ++i) {

@@ -500,7 +500,7 @@ void ArrayController::HandleReadFailure(uint32_t disk,
   // A timeout says nothing about the media; retry in place (bounded, with
   // backoff) before writing the path off.
   if (result.status == IoStatus::kTimeout && !drives().failed(SlotId(disk)) &&
-      frag.attempts + 1 < drives().options().retry.max_attempts) {
+      frag.attempts + 1 < kMaxRecoveryAttempts) {
     ++frag.attempts;
     ++fstats().retries_issued;
     drives().ResolveFault(entry.id, FaultResolution::kRetried, false);
@@ -1057,7 +1057,9 @@ void ArrayController::ScheduleRecalibration(uint32_t disk) {
   recalibration_events_[disk] =
       sim_->ScheduleAfter(options_.recalibration_interval_us, [this, disk]() {
     auto* hp = dynamic_cast<HeadPositionPredictor*>(drives().predictor(SlotId(disk)));
-    if (hp != nullptr) {
+    // A failed slot never dispatches: skip its read rather than strand it in
+    // the queue, and keep the timer armed for after the rebuild.
+    if (hp != nullptr && !drives().failed(SlotId(disk))) {
       QueuedRequest entry;
       entry.id = drives().AllocEntryId();
       entry.op = DiskOp::kRead;

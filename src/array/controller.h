@@ -39,7 +39,7 @@
 namespace mimdraid {
 
 struct ArrayControllerOptions {
-  // The drive-pool engine's settings (scheduler, observers, retry, auto-fail,
+  // The drive-pool engine's settings (scheduler, observers, auto-fail,
   // scrub); the mirror schedules with RSATF unless told otherwise.
   DriveSetOptions drives{.scheduler = SchedulerKind::kRsatf};
   // NVRAM delayed-write metadata table capacity; above this, pending delayed
@@ -101,9 +101,6 @@ class ArrayController : public ArrayBackend {
   // recorded in a surviving NVRAM snapshot. Call on a freshly constructed
   // controller before offering load.
   void RestorePropagations(const std::vector<NvramEntry>& entries);
-  size_t QueueDepth(uint32_t disk) const {
-    return drives().fg(SlotId(disk)).size();
-  }
   bool Idle() const override;
 
   // Runs the auditor's terminal consistency check (queues, NVRAM table,

@@ -5,6 +5,17 @@
 #include "src/util/check.h"
 
 namespace mimdraid {
+namespace {
+
+// Reference reads for the rotation fit: 40 of them, sleeping 20 ms after the
+// first and 1.6x longer after each later one (capped at 4 s), so the fit
+// spans a wide range of revolutions.
+constexpr int kReferenceReads = 40;
+constexpr double kInitialIntervalUs = 20'000.0;
+constexpr double kIntervalGrowth = 1.6;
+constexpr double kMaxIntervalUs = 4e6;
+
+}  // namespace
 
 CalibrationResult CalibrateDisk(Simulator* sim, SimDisk* disk,
                                 const CalibrationOptions& options) {
@@ -17,13 +28,12 @@ CalibrationResult CalibrateDisk(Simulator* sim, SimDisk* disk,
   // --- 1. Rotation period and phase from reference reads. ---
   RotationEstimator estimator(
       static_cast<double>(disk->geometry().RotationUs().us()));
-  double interval = options.initial_interval_us;
-  for (int i = 0; i < options.reference_reads; ++i) {
-    const DiskOpResult res = sync.Read(options.reference_lba, 1);
+  double interval = kInitialIntervalUs;
+  for (int i = 0; i < kReferenceReads; ++i) {
+    const DiskOpResult res = sync.Read(kCalibrationReferenceLba, 1);
     estimator.AddObservation(res.completion_us);
     sync.Sleep(SimDuration(static_cast<int64_t>(interval)));
-    interval = std::min(interval * options.interval_growth,
-                        options.max_interval_us);
+    interval = std::min(interval * kIntervalGrowth, kMaxIntervalUs);
   }
   MIMDRAID_CHECK(estimator.Ready());
   result.rotation_us = estimator.rotation_us();
@@ -31,7 +41,7 @@ CalibrationResult CalibrateDisk(Simulator* sim, SimDisk* disk,
   result.residual_rms_us = estimator.ResidualRmsUs();
 
   const double spindle_phase =
-      SpindlePhaseFromLattice(disk->layout(), options.reference_lba,
+      SpindlePhaseFromLattice(disk->layout(), kCalibrationReferenceLba,
                               result.lattice_phase_us, result.rotation_us);
 
   // --- 2. Address-map extraction. ---
@@ -68,7 +78,7 @@ std::unique_ptr<HeadPositionPredictor> MakeCalibratedPredictor(
       shared_profile != nullptr ? *shared_profile : cal.profile;
   return std::make_unique<HeadPositionPredictor>(
       &disk->layout(), profile, cal.rotation_us, cal.lattice_phase_us,
-      opts.reference_lba, slack);
+      kCalibrationReferenceLba, slack);
 }
 
 }  // namespace mimdraid

@@ -26,12 +26,11 @@
 
 namespace mimdraid {
 
+// The sector whose read completions CalibrateDisk times to estimate the
+// rotation period and phase.
+inline constexpr uint64_t kCalibrationReferenceLba = 0;
+
 struct CalibrationOptions {
-  int reference_reads = 40;
-  double initial_interval_us = 20'000.0;
-  double interval_growth = 1.6;
-  double max_interval_us = 4e6;
-  uint64_t reference_lba = 0;
   bool extract_seek_profile = true;
   bool probe_layout = false;  // full address-map extraction (expensive)
   SeekExtractionOptions seek;

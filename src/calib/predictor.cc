@@ -5,6 +5,14 @@
 #include "src/util/check.h"
 
 namespace mimdraid {
+namespace {
+
+// Slack feedback constants (see SlackFeedbackOptions).
+constexpr double kSlackTargetMissRate = 0.01;
+constexpr double kSlackIncreaseFactor = 1.4;
+constexpr double kSlackDecreaseUs = 25.0;
+
+}  // namespace
 
 double SpindlePhaseFromLattice(const DiskLayout& layout, uint64_t reference_lba,
                                double lattice_phase_us, double rotation_us) {
@@ -81,7 +89,7 @@ void HeadPositionPredictor::OnCompletion(SimTime completion_us, BlockAddr lba,
     stats_.error_us.Add(error);
   }
 
-  // Slack feedback: keep the on-target rate above (1 - target_miss_rate).
+  // Slack feedback: keep the on-target rate above (1 - kSlackTargetMissRate).
   ++window_predictions_;
   if (miss) {
     ++window_misses_;
@@ -89,11 +97,11 @@ void HeadPositionPredictor::OnCompletion(SimTime completion_us, BlockAddr lba,
   if (window_predictions_ >= static_cast<uint64_t>(slack_options_.window)) {
     const double rate = static_cast<double>(window_misses_) /
                         static_cast<double>(window_predictions_);
-    if (rate > slack_options_.target_miss_rate) {
-      slack_us_ = std::min(slack_us_ * slack_options_.increase_factor,
+    if (rate > kSlackTargetMissRate) {
+      slack_us_ = std::min(slack_us_ * kSlackIncreaseFactor,
                            slack_options_.max_slack_us);
-    } else if (rate < slack_options_.target_miss_rate / 4.0) {
-      slack_us_ = std::max(slack_us_ - slack_options_.decrease_us,
+    } else if (rate < kSlackTargetMissRate / 4.0) {
+      slack_us_ = std::max(slack_us_ - kSlackDecreaseUs,
                            slack_options_.min_slack_us);
     }
     window_predictions_ = 0;

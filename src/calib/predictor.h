@@ -45,14 +45,14 @@ struct PredictorStats {
   double DemeritUs() const;
 };
 
+// Every `window` predictions the slack grows 1.4x while more than 1% of them
+// missed (paper: >99% of requests on target) and shrinks by 25 us while
+// fewer than 0.25% did, within [min_slack_us, max_slack_us].
 struct SlackFeedbackOptions {
   double initial_slack_us = 450.0;
   double min_slack_us = 100.0;
   double max_slack_us = 2000.0;
-  double target_miss_rate = 0.01;  // paper: >99% of requests on target
-  int window = 400;                // requests between adjustments
-  double increase_factor = 1.4;
-  double decrease_us = 25.0;
+  int window = 400;  // requests between adjustments
 };
 
 // Lattice phase (reference-read completion lattice) -> spindle phase usable

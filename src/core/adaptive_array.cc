@@ -5,6 +5,14 @@
 #include "src/util/check.h"
 
 namespace mimdraid {
+namespace {
+
+// Copy bandwidth available for a re-layout.
+constexpr double kMigrationMbPerS = 20.0;
+// Reconfigurations whose migration would take longer than this are refused.
+constexpr double kMaxMigrationSeconds = 24 * 3600.0;
+
+}  // namespace
 
 AdaptiveArray::AdaptiveArray(const AdaptiveArrayOptions& options)
     : options_(options),
@@ -42,8 +50,8 @@ Advice AdaptiveArray::Adapt() {
   }
   const MigrationEstimate est =
       EstimateMigration(advice, array_->options().dataset_sectors,
-                        rough.io_per_s, options_.migration_mb_per_s);
-  if (est.migration_seconds > options_.max_migration_seconds) {
+                        rough.io_per_s, kMigrationMbPerS);
+  if (est.migration_seconds > kMaxMigrationSeconds) {
     Advice declined = advice;
     declined.reconfigure = false;
     return declined;

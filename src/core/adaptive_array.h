@@ -21,13 +21,9 @@ namespace mimdraid {
 struct AdaptiveArrayOptions {
   MimdRaidOptions base;
   AdvisorOptions advisor;
-  // Copy bandwidth available for a re-layout.
-  double migration_mb_per_s = 20.0;
   // Requests the monitor's profile window covers; smaller windows react to
   // phase changes faster.
   size_t monitor_window = 4096;
-  // Refuse reconfigurations whose migration would take longer than this.
-  double max_migration_seconds = 24 * 3600.0;
 };
 
 struct ReshapeEvent {

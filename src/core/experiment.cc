@@ -37,17 +37,18 @@ RunResult RunClosedLoopOnArray(MimdRaid& array, ClosedLoopOptions options) {
 }
 
 RunResult RunTraceWithCache(MimdRaid& array, const Trace& trace,
-                            uint64_t cache_bytes, double hit_latency_us,
+                            uint64_t cache_bytes,
                             const TracePlayerOptions& options) {
+  constexpr SimDuration kHitLatencyUs(50);
   auto cache = std::make_shared<LruBlockCache>(cache_bytes,
                                                /*block_sectors=*/16);
   Simulator* sim = &array.sim();
   SubmitFn backend = array.Submitter();
-  SubmitFn cached = [sim, cache, backend, hit_latency_us](
+  SubmitFn cached = [sim, cache, backend](
                         DiskOp op, uint64_t lba, uint32_t sectors,
                         IoDoneFn done) {
     if (op == DiskOp::kRead && cache->Lookup(lba, sectors)) {
-      sim->ScheduleAfter(SimDuration(static_cast<int64_t>(hit_latency_us)),
+      sim->ScheduleAfter(kHitLatencyUs,
                          [sim, done = std::move(done)]() {
                            IoResult hit;
                            hit.completion_us = sim->Now();

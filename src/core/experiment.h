@@ -24,9 +24,9 @@ RunResult RunTraceOnArray(MimdRaid& array, const Trace& trace,
 RunResult RunClosedLoopOnArray(MimdRaid& array, ClosedLoopOptions options);
 
 // Replays `trace` with an LRU memory cache in front of the array (Figure 11).
-// Cache hits cost `hit_latency_us`; misses and all writes go to the array.
+// Cache hits cost 50 us; misses and all writes go to the array.
 RunResult RunTraceWithCache(MimdRaid& array, const Trace& trace,
-                            uint64_t cache_bytes, double hit_latency_us = 50.0,
+                            uint64_t cache_bytes,
                             const TracePlayerOptions& options = {});
 
 }  // namespace mimdraid

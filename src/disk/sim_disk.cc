@@ -103,7 +103,7 @@ void SimDisk::Start(DiskOp op, BlockAddr addr, uint32_t sectors,
   }
   if (fault.status == IoStatus::kMediaError) {
     // The drive burns revolutions on internal re-reads before giving up.
-    overhead += fault_injector_->options().media_retry_penalty_us;
+    overhead += kMediaRetryPenaltyUs;
   }
 
   const AccessPlan plan =

@@ -69,15 +69,35 @@ bool EcController::FailDisk(SlotId disk) {
   return true;
 }
 
-void EcController::OnEntryComplete(SlotId /*disk*/,
-                                   const QueuedRequest& /*entry*/,
-                                   BlockAddr /*chosen_lba*/,
-                                   const DiskOpResult& /*result*/,
-                                   bool /*ran*/) {
-  // Every erasure sub-op registers a command callback with the engine; a
-  // completion falling through to the raw-entry hook means the command table
-  // lost an entry.
-  MIMDRAID_CHECK(false);
+void EcController::OnEntryComplete(SlotId disk, const QueuedRequest& entry,
+                                   BlockAddr chosen_lba,
+                                   const DiskOpResult& result, bool ran) {
+  auto it = commands_.find(entry.id);
+  MIMDRAID_CHECK(it != commands_.end());
+  CommandDoneFn done = std::move(it->second);
+  commands_.erase(it);
+  if (!ran) {
+    done(result, 0);
+    return;
+  }
+  if (!result.ok() && result.status != IoStatus::kDiskFailed &&
+      entry.attempts + 1 < kMaxRecoveryAttempts && !drives().failed(disk)) {
+    // Transient error or timeout: retry the command after backoff with a
+    // fresh queue entry; `done` keeps the command's identity.
+    ++fstats().retries_issued;
+    drives().ResolveFault(entry.id, FaultResolution::kRetried, false);
+    const DiskOp op = entry.op;
+    const uint32_t sectors = entry.sectors;
+    const uint32_t attempts = entry.attempts;
+    drives().ScheduleRecovery(
+        attempts, [this, disk, op, chosen_lba, sectors, attempts,
+                   done = std::move(done)]() mutable {
+          EnqueueDiskOp(disk.value(), op, chosen_lba.value(), sectors,
+                        std::move(done), attempts + 1);
+        });
+    return;
+  }
+  done(result, entry.id);
 }
 
 uint64_t EcController::UsedSpanSectors(SlotId /*disk*/) const {
@@ -538,12 +558,29 @@ void EcController::CompleteFragmentFailed(uint64_t op_id) {
 }
 
 void EcController::EnqueueDiskOp(uint32_t disk, DiskOp op, uint64_t lba,
-                                 uint32_t sectors,
-                                 DriveSet::CommandDoneFn done) {
-  // The controller tracks its stripe ops by its own op ids; the engine entry
-  // id is only meaningful to the DriveSet retry machinery.
-  (void)drives().EnqueueCommand(  // mdl-ok(MDL002): engine id unused by policy
-      SlotId(disk), op, BlockAddr(lba), sectors, std::move(done));
+                                 uint32_t sectors, CommandDoneFn done,
+                                 uint32_t attempts) {
+  const SlotId slot(disk);
+  if (drives().failed(slot)) {
+    drives().CompleteDeferred([this, done = std::move(done)] {
+      DiskOpResult failure;
+      failure.status = IoStatus::kDiskFailed;
+      failure.start_us = sim_->Now();
+      failure.completion_us = sim_->Now();
+      done(failure, 0);
+    });
+    return;
+  }
+  QueuedRequest entry;
+  entry.id = drives().AllocEntryId();
+  entry.op = op;
+  entry.sectors = sectors;
+  entry.candidates = {QueueCandidate(BlockAddr(lba))};
+  entry.arrival_us = sim_->Now();
+  entry.attempts = attempts;
+  commands_.emplace(entry.id, std::move(done));
+  drives().EnqueueFg(slot, std::move(entry));
+  drives().MaybeDispatch(slot);
 }
 
 void EcController::Rebuild(SlotId disk, DoneFn done) {

@@ -7,10 +7,13 @@
 // This is the parity ArrayBackend and the capacity-efficient end of the
 // paper's frontier: k+1 is RAID-5 (what ArrayBackendKind::kRaid5 runs), k+2
 // is RAID-6, larger m buys tolerance of m concurrent failures at k/(k+m)
-// capacity efficiency. Like ArrayController it is a pure policy layer: the
-// per-drive machinery — scheduler queues, dispatch, bounded retry, fault
+// capacity efficiency. Like ArrayController it is a policy layer: the
+// per-drive machinery — scheduler queues, dispatch, recovery timers, fault
 // counting, auto-fail, hot-spare promotion, the scrub timer, observer
-// wiring — lives in the shared DriveSet engine that ArrayBackend owns.
+// wiring — lives in the shared DriveSet engine that ArrayBackend owns. Its
+// retry unit is the single-disk command: a transient failure is retried in
+// place up to kMaxRecoveryAttempts times before the command's callback sees
+// it.
 //
 // Write planning: for a fragment targeting data shard D with p <= m live
 // parity columns, read-modify-write costs (1 + p) reads + (1 + p) writes
@@ -34,6 +37,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <unordered_map>
 #include <vector>
 
 #include "src/disk/access_predictor.h"
@@ -133,8 +137,16 @@ class EcController : public ArrayBackend {
     DoneFn done;
   };
 
+  // Terminal result of a disk command, plus the id of the queue entry that
+  // carried it (0 for synthetic completions that never ran — enqueue on an
+  // already-failed slot, or a drain). A non-kOk result with a non-zero id has
+  // an open auditor fault record the callback must resolve exactly once
+  // (DriveSet::ResolveFault); the controller resolves the faults it retries.
+  using CommandDoneFn = std::function<void(const DiskOpResult&, uint64_t)>;
+
   // --- DriveSetClient hooks ---
-  // Every sub-op is an engine command; raw entries never reach the policy.
+  // Ends a command: retries a transient failure on a live slot while
+  // attempts remain, otherwise hands the result to the command's callback.
   void OnEntryComplete(SlotId disk, const QueuedRequest& entry,
                        BlockAddr chosen_lba, const DiskOpResult& result,
                        bool ran) override;
@@ -152,8 +164,12 @@ class EcController : public ArrayBackend {
                           bool repair_on_success = false);
   void SubmitWriteFragment(uint64_t op_id, const EcFragment& frag,
                            bool force_degraded = false);
+  // Queues one single-disk command whose terminal result goes to `done`
+  // (kOk, a transient failure that exhausted its retries, or kDiskFailed).
+  // On an already-failed slot `done` gets a synthetic kDiskFailed from the
+  // next event-queue turn, so callers re-plan from a clean stack.
   void EnqueueDiskOp(uint32_t disk, DiskOp op, uint64_t lba, uint32_t sectors,
-                     DriveSet::CommandDoneFn done);
+                     CommandDoneFn done, uint32_t attempts = 0);
   // `last` is the sub-op whose completion ended the phase (nullptr when
   // none did).
   void FragmentPhaseDone(const std::shared_ptr<FragWork>& work,
@@ -201,6 +217,9 @@ class EcController : public ArrayBackend {
   std::deque<QueuedRebuild> rebuild_queue_;
 
   uint32_t scrub_cursor_ = 0;  // next stripe row to sweep
+
+  // Callbacks of the commands in the engine's queues, keyed by entry id.
+  std::unordered_map<uint64_t, CommandDoneFn> commands_;
 
   EcControllerStats stats_;
 };

@@ -241,74 +241,15 @@ void DriveSet::HandleCompletion(SlotId slot, const QueuedRequest& entry,
     options_.auditor->OnEntryCompleted(slot.value(), entry.id);
   }
   if (!result.ok()) {
-    // Open a fault record before any recovery: whoever retires the fault
-    // (engine-level command retry or the policy) must close it with exactly
-    // one resolution.
+    // Open a fault record before any recovery: the policy that retires the
+    // fault must close it with exactly one resolution.
     if (options_.auditor != nullptr) {
       options_.auditor->OnIoFault(slot.value(), entry.id);
     }
     CountFault(slot, result.status);
   }
 
-  auto cit = command_done_.find(entry.id);
-  if (cit == command_done_.end()) {
-    client_->OnEntryComplete(slot, entry, chosen_lba, result, /*ran=*/true);
-    return;
-  }
-  CommandDoneFn done = std::move(cit->second);
-  command_done_.erase(cit);
-  if (!result.ok() && result.status != IoStatus::kDiskFailed &&
-      entry.attempts + 1 < options_.retry.max_attempts && !failed_[slot.value()]) {
-    // Transient error or timeout: retry the command after backoff with a
-    // fresh queue entry.
-    ++fstats_.retries_issued;
-    ResolveFault(entry.id, FaultResolution::kRetried, false);
-    ++pending_recovery_;
-    const DiskOp op = entry.op;
-    const uint32_t sectors = entry.sectors;
-    const uint32_t attempts = entry.attempts;
-    sim_->ScheduleAfter(options_.retry.BackoffUs(attempts),
-                        [this, slot, op, chosen_lba, sectors, attempts,
-                         done = std::move(done)]() mutable {
-                          --pending_recovery_;
-                          // The retry keeps the original entry's identity in
-                          // `done`; the fresh queue id is engine-internal.
-                          (void)EnqueueCommand(  // mdl-ok(MDL002): retry id unused
-                              slot, op, chosen_lba, sectors, std::move(done),
-                              attempts + 1);
-                        });
-    return;
-  }
-  done(result, entry.id);
-}
-
-uint64_t DriveSet::EnqueueCommand(SlotId slot, DiskOp op, BlockAddr lba,
-                                  uint32_t sectors, CommandDoneFn done,
-                                  uint32_t attempts) {
-  if (failed_[slot.value()]) {
-    // The slot died between planning and enqueue: complete with kDiskFailed
-    // through the event queue so callers re-plan from a clean stack.
-    CompleteDeferred([this, done = std::move(done)] {
-      DiskOpResult failure;
-      failure.status = IoStatus::kDiskFailed;
-      failure.start_us = sim_->Now();
-      failure.completion_us = sim_->Now();
-      done(failure, 0);
-    });
-    return 0;
-  }
-  QueuedRequest entry;
-  entry.id = next_entry_id_++;
-  entry.op = op;
-  entry.sectors = sectors;
-  entry.candidates = {QueueCandidate(lba)};
-  entry.arrival_us = sim_->Now();
-  entry.attempts = attempts;
-  const uint64_t id = entry.id;
-  command_done_[id] = std::move(done);
-  EnqueueFg(slot, std::move(entry));
-  MaybeDispatch(slot);
-  return id;
+  client_->OnEntryComplete(slot, entry, chosen_lba, result, /*ran=*/true);
 }
 
 void DriveSet::FailQueued(SlotId slot) {
@@ -326,15 +267,8 @@ void DriveSet::FailQueued(SlotId slot) {
       if (options_.auditor != nullptr) {
         options_.auditor->OnEntryCancelled(slot.value(), entry.id);
       }
-      auto it = command_done_.find(entry.id);
-      if (it == command_done_.end()) {
-        client_->OnEntryComplete(slot, entry, entry.primary(), failure,
-                                 /*ran=*/false);
-        continue;
-      }
-      CommandDoneFn done = std::move(it->second);
-      command_done_.erase(it);
-      done(failure, 0);
+      client_->OnEntryComplete(slot, entry, entry.primary(), failure,
+                               /*ran=*/false);
     }
   }
 }
@@ -443,7 +377,7 @@ void DriveSet::PromoteSpareIfAvailable(SlotId slot) {
 
 void DriveSet::ScheduleRecovery(uint32_t attempt, std::function<void()> fn) {
   ++pending_recovery_;
-  sim_->ScheduleAfter(options_.retry.BackoffUs(attempt),
+  sim_->ScheduleAfter(RecoveryBackoffUs(attempt),
                       [this, fn = std::move(fn)]() {
                         --pending_recovery_;
                         fn();

@@ -1,32 +1,27 @@
 // The shared drive-pool engine underneath every array backend: per-drive
-// scheduler queues, the dispatch loop, bounded retry with backoff,
-// consecutive-error auto-fail, fail-stop response, hot-spare promotion, the
-// idle-gated scrub timer with its sweep-coverage tally, and the wiring of the
-// three observer layers (InvariantAuditor, FaultInjector, TraceCollector).
+// scheduler queues, the dispatch loop, recovery timers, consecutive-error
+// auto-fail, fail-stop response, hot-spare promotion, the idle-gated scrub
+// timer with its sweep-coverage tally, and the wiring of the three observer
+// layers (InvariantAuditor, FaultInjector, TraceCollector).
 // ArrayBackend (src/io/array_backend.h) owns one DriveSet and is its
 // DriveSetClient; a redundancy policy (mirror heuristics + delayed
 // propagation, or erasure-code geometry + RMW planning) speaks to the engine
 // through the hooks below.
 //
-// The engine runs disk work in two styles, one per retry unit:
-//  * Raw entries: the policy allocates ids (AllocEntryId), builds
-//    QueuedRequest values, enqueues them (EnqueueFg/EnqueueDelayed), and gets
-//    every completion through DriveSetClient::OnEntryComplete. The engine does
-//    the observer bookkeeping and fault counting; recovery is entirely the
-//    policy's. The mirror works this way: its retry unit is the *fragment*.
-//  * Commands: EnqueueCommand registers a per-entry done callback and the
-//    engine runs bounded retry with backoff for transient statuses itself,
-//    delivering only terminal results. The erasure controller works this
-//    way: its retry unit is the *disk command*.
+// The policy allocates entry ids (AllocEntryId), builds QueuedRequest
+// values, enqueues them (EnqueueFg/EnqueueDelayed), and gets every completion
+// back through DriveSetClient::OnEntryComplete. The engine does the observer
+// bookkeeping and fault counting; recovery is entirely the policy's, which
+// picks its own retry unit (the mirror retries a fragment, the erasure
+// controller a disk command) and re-enqueues through ScheduleRecovery.
 //
 // The engine is the only code that takes an entry out of a queue: dispatch,
 // Cancel (a policy withdrawing work it no longer needs), ForceOutDelayed
 // (delayed -> foreground), and the drain that runs when a slot fails
 // (MarkFailed, AutoFail). Each reports the removal to the observers. A
-// drained entry still reaches its owner exactly once: a command completes
-// with a synthetic kDiskFailed and id 0, and a raw entry goes to
-// OnEntryComplete with `ran` false. So every raw entry a policy enqueues
-// comes back through OnEntryComplete unless the policy cancelled it.
+// drained entry still reaches its owner exactly once: it goes to
+// OnEntryComplete with `ran` false. So every entry a policy enqueues comes
+// back through OnEntryComplete unless the policy cancelled it.
 #ifndef MIMDRAID_SRC_IO_DRIVE_SET_H_
 #define MIMDRAID_SRC_IO_DRIVE_SET_H_
 
@@ -34,7 +29,6 @@
 #include <functional>
 #include <memory>
 #include <span>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -61,9 +55,6 @@ struct DriveSetOptions {
   InvariantAuditor* auditor = nullptr;
   FaultInjector* fault_injector = nullptr;
   TraceCollector* collector = nullptr;
-  // Bounded retry with exponential backoff, used by the engine for command
-  // execution and by policies for their own recovery timers.
-  RetryPolicy retry{};
   // Consecutive-error budget per slot before the engine declares the drive
   // failed and promotes a hot spare (0 = never auto-fail on error count; an
   // explicit kDiskFailed verdict always auto-fails).
@@ -88,10 +79,10 @@ class DriveSetClient {
   virtual void OnEntryDispatched(SlotId /*disk*/,
                                  const QueuedRequest& /*entry*/) {}
 
-  // A raw (non-command) entry left the engine. With `ran` true the drive
-  // executed it at `chosen_lba`; the engine has already run the observer
-  // bookkeeping and fault accounting (including a possible auto-fail), and a
-  // non-kOk result has an open fault record the client must resolve once
+  // An entry left the engine. With `ran` true the drive executed it at
+  // `chosen_lba`; the engine has already run the observer bookkeeping and
+  // fault accounting (including a possible auto-fail), and a non-kOk result
+  // has an open fault record the client must resolve once
   // (DriveSet::ResolveFault). With `ran` false the entry was drained unrun
   // from a failed slot: `result` is a synthetic kDiskFailed, `chosen_lba` the
   // first candidate, and no fault record is open. Recovery policy for the
@@ -126,14 +117,6 @@ class DriveSetClient {
 
 class DriveSet {
  public:
-  // Terminal result of a command, plus the id of the queue entry that carried
-  // it (0 for synthetic completions that never held a queue slot — enqueue on
-  // an already-failed drive, or a drain). A non-kOk result with a non-zero id
-  // has an open auditor fault record the policy must resolve exactly once
-  // (ResolveFault); the engine resolves the faults it retires itself
-  // (engine-level retries).
-  using CommandDoneFn = std::function<void(const DiskOpResult&, uint64_t)>;
-
   // `disks` and `predictors` are parallel, same-size, borrowed. `client` is
   // borrowed and must outlive the DriveSet; no hook is called from the
   // constructor.
@@ -209,18 +192,6 @@ class DriveSet {
   // Like AllDrivesQuiet but failed slots are skipped (scrub gating).
   bool LiveDrivesQuiet() const;
 
-  // --- Command execution (engine-run bounded retry) ---
-  // Queues one single-disk command. Transient failures (media error, timeout)
-  // are retried by the engine up to retry.max_attempts with backoff; `done`
-  // sees only kOk, a terminal transient failure, or kDiskFailed (after the
-  // engine has fail-stopped the slot). Enqueueing on an already-failed slot
-  // completes with a synthetic kDiskFailed through the event queue so callers
-  // re-plan from a clean stack. Returns the entry id (0 for that synthetic
-  // path).
-  [[nodiscard]] uint64_t EnqueueCommand(SlotId slot, DiskOp op, BlockAddr lba,
-                          uint32_t sectors, CommandDoneFn done,
-                          uint32_t attempts = 0);
-
   // --- Failure response ---
   // Declares `slot` failed in response to an error verdict: counts it,
   // MarkFailed (fail-stop and drain), then promotes a hot spare if one is
@@ -236,7 +207,7 @@ class DriveSet {
   size_t spares_available() const { return spares_.size(); }
 
   // --- Recovery timers ---
-  // Runs `fn` after the retry backoff for `attempt`; pending_recovery() stays
+  // Runs `fn` after RecoveryBackoffUs(attempt); pending_recovery() stays
   // non-zero until every such timer has fired (backends fold it into Idle()).
   void ScheduleRecovery(uint32_t attempt, std::function<void()> fn);
   // Runs `fn` at the next event-queue turn (synthetic completions that must
@@ -245,7 +216,7 @@ class DriveSet {
   size_t pending_recovery() const { return pending_recovery_; }
 
   // Closes an open auditor fault record; a no-op without an auditor and for
-  // id 0 (a synthetic command completion that never opened a record).
+  // id 0 (a synthetic completion that never opened a record).
   void ResolveFault(uint64_t entry_id, FaultResolution resolution,
                     bool target_disk_failed);
 
@@ -316,9 +287,6 @@ class DriveSet {
   std::vector<EntryQueue> fg_;
   std::vector<EntryQueue> delayed_;
   uint64_t next_entry_id_ = 1;
-
-  // Registered command callbacks, keyed by entry id.
-  std::unordered_map<uint64_t, CommandDoneFn> command_done_;
 
   struct SpareEntry {
     SimDisk* disk = nullptr;

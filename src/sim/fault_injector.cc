@@ -19,7 +19,6 @@ FaultInjector::FaultInjector(const FaultInjectorOptions& options)
   MIMDRAID_CHECK_GE(options.transient_error_prob, 0.0);
   MIMDRAID_CHECK_GE(options.timeout_prob, 0.0);
   MIMDRAID_CHECK_GT(options.watchdog_timeout_us, SimDuration(0));
-  MIMDRAID_CHECK_GE(options.media_retry_penalty_us, 0.0);
 }
 
 FaultInjector::DiskFaultState& FaultInjector::StateFor(uint32_t disk) {

@@ -85,10 +85,11 @@ struct FaultInjectorOptions {
   // Host command watchdog: a hung command is aborted (and completes with
   // IoStatus::kTimeout) this long after dispatch.
   SimDuration watchdog_timeout_us = SimDuration(250'000);
-  // Extra service time a drive spends in internal retries before reporting a
-  // media error (a handful of revolutions of re-reads).
-  double media_retry_penalty_us = 25'000.0;
 };
+
+// Extra service time a drive spends in internal retries before reporting a
+// media error (a handful of revolutions of re-reads).
+inline constexpr double kMediaRetryPenaltyUs = 25'000.0;
 
 // Aggregate counters for everything the injector did (by fault class) and
 // everything the drives repaired. Exposed so chaos tests and CI artifacts can

@@ -61,22 +61,18 @@ struct IoResult {
   uint32_t recovery_attempts = 0;
 };
 
-// Bounded retry with exponential backoff in simulated time. Attempt k
-// (0-based) that fails is retried after backoff_base_us * multiplier^k,
-// until max_attempts recovery steps have been spent on the sub-operation.
-struct RetryPolicy {
-  uint32_t max_attempts = 3;
-  SimDuration backoff_base_us = SimDuration(1'000);
-  double backoff_multiplier = 2.0;
+// Bounded retry with exponential backoff in simulated time. A sub-operation
+// gets at most kMaxRecoveryAttempts tries; attempt k (0-based) that fails is
+// retried after RecoveryBackoffUs(k) = 1 ms * 2^k.
+inline constexpr uint32_t kMaxRecoveryAttempts = 3;
 
-  SimDuration BackoffUs(uint32_t attempt) const {
-    double b = static_cast<double>(backoff_base_us.us());
-    for (uint32_t i = 0; i < attempt; ++i) {
-      b *= backoff_multiplier;
-    }
-    return SimDuration(static_cast<int64_t>(b));
+inline SimDuration RecoveryBackoffUs(uint32_t attempt) {
+  double b = 1000.0;
+  for (uint32_t i = 0; i < attempt; ++i) {
+    b *= 2.0;
   }
-};
+  return SimDuration(static_cast<int64_t>(b));
+}
 
 }  // namespace mimdraid
 

@@ -35,9 +35,9 @@ class InvariantAuditor;
 
 class Simulator {
  public:
-  // Inline capacity of an event callback. Sized for the engine's largest
-  // steady-state closure (DriveSet's command-retry lambda, which carries a
-  // CommandDoneFn); bigger captures still work via InlineFn's heap fallback.
+  // Inline capacity of an event callback: room for a std::function
+  // completion plus a few scalars of context; bigger captures still work via
+  // InlineFn's heap fallback.
   using EventFn = InlineFn<void(), 120>;
 
   Simulator() = default;

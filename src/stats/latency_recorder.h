@@ -22,17 +22,10 @@ class LatencyRecorder {
   uint64_t count() const { return summary_.count(); }
   double MeanUs() const { return summary_.mean(); }
   double MeanMs() const { return summary_.mean() / 1000.0; }
-  double StddevUs() const { return summary_.stddev(); }
   double MaxUs() const { return summary_.max(); }
 
   // q in [0, 1]; e.g. 0.5 = median, 0.99 = P99.
   double PercentileUs(double q) const;
-
-  void Reset() {
-    summary_ = Summary();
-    samples_.clear();
-    sorted_ = false;
-  }
 
  private:
   Summary summary_;

@@ -12,7 +12,7 @@
 //   * a tolerated explicit failure degrades service but never surfaces an
 //     intermediate status;
 //   * Rebuild() restores redundancy (IsFailed clears, service recovers);
-//   * transient faults are absorbed by the engine's retry machinery;
+//   * transient faults are absorbed by each policy's retry and failover;
 //   * redundancy exhaustion surfaces kUnrecoverable — never a hang, never an
 //     intermediate status;
 //   * a detected fail-stop promotes a hot spare and auto-rebuilds onto it;

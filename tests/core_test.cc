@@ -3,6 +3,7 @@
 #include "src/core/experiment.h"
 #include "src/core/mimd_raid.h"
 #include "src/model/analytic.h"
+#include "src/obs/trace_collector.h"
 #include "src/workload/synthetic.h"
 
 namespace mimdraid {
@@ -177,6 +178,52 @@ TEST(MimdRaid, CalibratedPredictorEndToEnd) {
             0.05);
 }
 
+TEST(MimdRaid, RecalibrationSkipsFailedSlotAndResumesAfterRebuild) {
+  // A failed slot never dispatches, so a reference read queued on it would
+  // sit there for good and keep the array from ever going idle.
+  MimdRaidOptions options = BaseOptions(1, 1, 2);
+  options.dataset_sectors = 20'000;
+  options.use_oracle_predictor = false;
+  options.recalibration_interval_us = SimDuration(50'000);
+  options.calibration.seek.num_distances = 10;
+  TraceCollector collector;
+  options.collector = &collector;
+  MimdRaid array(options);
+  // The timers tick at t0 + k * 50 ms; check idleness halfway between ticks,
+  // when the live slot's reference read has long finished.
+  const SimTime t0 = array.sim().Now();
+  const auto between_ticks = [t0](SimTime after) {
+    const int64_t k = (after - t0).us() / 50'000 + 1;
+    return t0 + SimDuration(k * 50'000 + 25'000);
+  };
+  ASSERT_TRUE(array.backend().FailDisk(SlotId(1)));
+  array.sim().RunUntil(between_ticks(t0 + SimDuration(500'000)));
+  EXPECT_TRUE(array.backend().Idle()) << "reads stranded on the failed slot";
+
+  bool rebuilt = false;
+  array.backend().Rebuild(SlotId(1), [&rebuilt](const IoResult& r) {
+    EXPECT_EQ(r.status, IoStatus::kOk);
+    rebuilt = true;
+  });
+  while (!rebuilt) {
+    ASSERT_TRUE(array.sim().Step());
+  }
+  const SimTime rebuilt_at = array.sim().Now();
+  array.sim().RunUntil(between_ticks(rebuilt_at + SimDuration(500'000)));
+  // The timer stayed armed: the slot takes a reference read every tick again.
+  const uint64_t reference_lba =
+      dynamic_cast<HeadPositionPredictor&>(array.predictor(1)).reference_lba();
+  int reference_reads = 0;
+  for (const DiskOpRecord& op : collector.disk_ops()) {
+    if (op.slot == 1 && !op.is_write && op.lba == reference_lba &&
+        op.start_us >= rebuilt_at) {
+      ++reference_reads;
+    }
+  }
+  EXPECT_GE(reference_reads, 9);
+  EXPECT_TRUE(array.backend().Idle());
+}
+
 TEST(Experiment, ModelParamsReflectFootprint) {
   const DiskGeometry geo = MakeSt39133Geometry();
   const SeekProfile profile = MakeSt39133SeekProfile();
@@ -213,7 +260,7 @@ TEST(Experiment, CacheAbsorbsHotReads) {
   popt.warmup_ios = 20;
   const RunResult uncached = RunTraceOnArray(cold, trace, popt);
   const RunResult cached =
-      RunTraceWithCache(warm, trace, /*cache_bytes=*/256ull << 20, 50.0, popt);
+      RunTraceWithCache(warm, trace, /*cache_bytes=*/256ull << 20, popt);
   EXPECT_LT(cached.latency.MeanUs(), uncached.latency.MeanUs());
 }
 

@@ -1,8 +1,9 @@
 // DriveSet queue contract, driven directly through a recording client over
 // two noise-free test drives with the invariant auditor attached: the engine
-// alone removes queue entries (Cancel, the failed-slot drain), every raw
-// entry it drains comes back unrun, commands run bounded retry, and the
-// manual failure transitions carry the fault injector's verdict.
+// alone removes queue entries (Cancel, the failed-slot drain), every entry
+// comes back through OnEntryComplete exactly once — run, failed or drained —
+// with no retry of the engine's own, and the manual failure transitions carry
+// the fault injector's verdict.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -19,8 +20,7 @@
 namespace mimdraid {
 namespace {
 
-// Logs every hand-back from the engine, raw entries and commands alike, in
-// the order the engine makes them.
+// Logs every hand-back from the engine, in the order the engine makes them.
 class RecordingClient : public DriveSetClient {
  public:
   void OnEntryComplete(SlotId /*disk*/, const QueuedRequest& entry,
@@ -119,14 +119,7 @@ TEST_F(DriveSetTest, AutoFailDrainsDelayedBeforeForeground) {
   drives_->MaybeDispatch(slot);
   ASSERT_TRUE(drives_->disk(slot)->busy());
   const uint64_t fg_raw = EnqueueRaw(slot, 20);
-  uint64_t command_id = 0;
-  const uint64_t queued_command = drives_->EnqueueCommand(
-      slot, DiskOp::kWrite, BlockAddr(40), 1,
-      [&](const DiskOpResult& r, uint64_t id) {
-        client_.log.push_back(std::string("command ") + IoStatusName(r.status));
-        command_id = id;
-      });
-  ASSERT_NE(queued_command, 0u);
+  const uint64_t fg_raw2 = EnqueueRaw(slot, 40);
   const uint64_t delayed_raw = EnqueueRaw(slot, 30, /*delayed=*/true);
 
   drives_->AutoFail(slot);
@@ -136,13 +129,12 @@ TEST_F(DriveSetTest, AutoFailDrainsDelayedBeforeForeground) {
   EXPECT_TRUE(drives_->fg(slot).empty());
   EXPECT_TRUE(drives_->delayed(slot).empty());
   // The drain hands everything back synchronously: the delayed queue first,
-  // then the foreground queue in order; the command with id 0.
+  // then the foreground queue in order.
   EXPECT_EQ(client_.log,
             (std::vector<std::string>{
                 "raw " + std::to_string(delayed_raw) + " unrun disk-failed @30",
                 "raw " + std::to_string(fg_raw) + " unrun disk-failed @20",
-                "command disk-failed"}));
-  EXPECT_EQ(command_id, 0u);
+                "raw " + std::to_string(fg_raw2) + " unrun disk-failed @40"}));
 
   // The op already on the drive finishes normally.
   RunDry();
@@ -152,33 +144,25 @@ TEST_F(DriveSetTest, AutoFailDrainsDelayedBeforeForeground) {
   EXPECT_EQ(auditor_.violations(), 0u);
 }
 
-TEST_F(DriveSetTest, CommandRetriesTransientErrorThenSurfacesIt) {
-  DriveSetOptions options;
-  options.retry.max_attempts = 3;
-  Build(options);
+TEST_F(DriveSetTest, FailedEntryComesBackOnceWithoutEngineRetry) {
+  Build();
   const SlotId slot(1);
   injector_.InjectTransientErrors(slot.value(), 100);
-  int calls = 0;
-  DiskOpResult seen;
-  uint64_t seen_id = 0;
-  const uint64_t first_id = drives_->EnqueueCommand(
-      slot, DiskOp::kRead, BlockAddr(50), 4,
-      [&](const DiskOpResult& r, uint64_t id) {
-        ++calls;
-        seen = r;
-        seen_id = id;
-      });
+  const uint64_t id = EnqueueRaw(slot, 50);
+  drives_->MaybeDispatch(slot);
   RunDry();
-  ASSERT_EQ(calls, 1);
-  EXPECT_EQ(seen.status, IoStatus::kMediaError);
-  EXPECT_NE(seen_id, 0u);
-  EXPECT_NE(seen_id, first_id) << "each retry runs as a fresh queue entry";
-  EXPECT_EQ(drives_->fstats().retries_issued, 2u);
-  EXPECT_EQ(drives_->fstats().media_errors_seen, 3u) << "one per attempt";
+  // Recovery is the policy's: the engine counts the fault, opens its record
+  // and hands the entry back once, without retrying it.
+  EXPECT_EQ(client_.log,
+            (std::vector<std::string>{"raw " + std::to_string(id) +
+                                      " ran media-error @50"}));
+  EXPECT_EQ(drives_->fstats().retries_issued, 0u);
+  EXPECT_EQ(drives_->fstats().media_errors_seen, 1u);
   EXPECT_FALSE(drives_->failed(slot)) << "transients never fail the slot";
-  EXPECT_TRUE(client_.log.empty()) << "commands never reach the raw hook";
-  // The surfaced fault is the caller's to resolve, exactly once.
-  drives_->ResolveFault(seen_id, FaultResolution::kSurfaced, false);
+  EXPECT_EQ(auditor_.open_faults(), 1u);
+  drives_->ResolveFault(id, FaultResolution::kSurfaced, false);
+  EXPECT_EQ(auditor_.open_faults(), 0u);
+  EXPECT_TRUE(drives_->AllDrivesQuiet());
   EXPECT_EQ(auditor_.violations(), 0u);
 }
 

@@ -20,6 +20,7 @@
 
 #include "src/core/mimd_raid.h"
 #include "src/obs/stats_registry.h"
+#include "src/obs/trace_collector.h"
 #include "src/util/rng.h"
 
 namespace mimdraid {
@@ -289,6 +290,7 @@ struct EcRig {
   bool faults = false;
   uint32_t hot_spares = 0;
   InvariantAuditor* auditor = nullptr;
+  TraceCollector* collector = nullptr;
   uint64_t seed = 5;
 };
 
@@ -309,6 +311,7 @@ std::unique_ptr<MimdRaid> MakeEc(const EcRig& rig) {
   options.fault.seed = rig.seed;
   options.hot_spares = rig.hot_spares;
   options.auditor = rig.auditor;
+  options.collector = rig.collector;
   return std::make_unique<MimdRaid>(options);
 }
 
@@ -456,6 +459,51 @@ TEST(EcControllerTest, TwoFailedSlotsRebuildThroughQueuedSparePromotions) {
   RunReadsExpecting(array.get(), 60, IoStatus::kOk);
   Drain(array.get());
   EXPECT_EQ(array->ec().stats().degraded_reads, degraded_before);
+  array->backend().AuditQuiescent();
+  EXPECT_EQ(auditor.violations(), 0u);
+}
+
+TEST(EcControllerTest, CommandRetriesTransientErrorThenDecodes) {
+  // The controller's retry unit is the disk command: a transient media error
+  // is retried in place, each try as a fresh queue entry, until the attempt
+  // budget runs out; only then does the read decode from its peers.
+  InvariantAuditor auditor;
+  TraceCollector collector;
+  EcRig rig;
+  rig.auditor = &auditor;
+  rig.collector = &collector;
+  rig.faults = true;
+  auto array = MakeEc(rig);
+  const EcFragment frag = array->ec().layout().Map(0, 8).front();
+  array->fault_injector()->InjectTransientErrors(frag.data_disk,
+                                                 kMaxRecoveryAttempts);
+  int calls = 0;
+  IoResult seen;
+  array->backend().Submit(DiskOp::kRead, 0, 8, [&](const IoResult& r) {
+    ++calls;
+    seen = r;
+  });
+  Drain(array.get());
+
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(seen.status, IoStatus::kOk);
+  const FaultRecoveryStats& fs = array->backend().fault_stats();
+  EXPECT_EQ(fs.retries_issued, 2u);
+  EXPECT_EQ(fs.media_errors_seen, 3u) << "one per attempt";
+  EXPECT_FALSE(array->backend().IsFailed(SlotId(frag.data_disk)))
+      << "transients never fail the slot";
+  EXPECT_EQ(array->ec().stats().degraded_reads, 1u);
+  int failed_reads = 0;
+  for (const DiskOpRecord& op : collector.disk_ops()) {
+    if (op.slot == frag.data_disk && !op.is_write) {
+      EXPECT_EQ(op.lba, frag.disk_lba);
+      EXPECT_EQ(op.status, IoStatus::kMediaError);
+      ++failed_reads;
+    }
+  }
+  EXPECT_EQ(failed_reads, 3);
+  // A reused entry id or a fault resolved twice (or never) is a violation.
+  EXPECT_EQ(auditor.open_faults(), 0u);
   array->backend().AuditQuiescent();
   EXPECT_EQ(auditor.violations(), 0u);
 }

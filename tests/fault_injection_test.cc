@@ -347,7 +347,7 @@ TEST(ArrayRecovery, ReadTimeoutsRetryThenSurfaceUnrecoverable) {
   const IoResult r = rig.Do(DiskOp::kRead, 0, 8);
   EXPECT_EQ(r.status, IoStatus::kUnrecoverable);
   const FaultRecoveryStats& fs = rig.controller->fault_stats();
-  // RetryPolicy{max_attempts = 3}: initial try + 2 in-place retries, then the
+  // kMaxRecoveryAttempts = 3: initial try + 2 in-place retries, then the
   // single-copy failover finds no live replica and surfaces the loss.
   EXPECT_EQ(fs.timeouts_seen, 3u);
   EXPECT_EQ(fs.retries_issued, 2u);

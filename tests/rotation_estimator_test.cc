@@ -87,7 +87,7 @@ TEST(RotationEstimatorEndToEnd, CalibratesSimulatedDrive) {
   // The recovered spindle phase must predict sector passage times: compare
   // against the drive's true timing model at a probe point.
   const double spindle_phase = SpindlePhaseFromLattice(
-      disk.layout(), options.reference_lba, cal.lattice_phase_us,
+      disk.layout(), kCalibrationReferenceLba, cal.lattice_phase_us,
       cal.rotation_us);
   const DiskTimingModel& truth = disk.DebugTimingModel();
   const double t_probe = static_cast<double>(sim.Now().us()) + 12345.0;

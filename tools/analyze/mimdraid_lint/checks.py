@@ -31,7 +31,7 @@ CHECKS = {
               "forwarded exactly once on every path; a dropped callback "
               "hangs the request, a double invoke corrupts caller state.",
     "MDL002": "Results of Simulator::Cancel and [[nodiscard]] I/O APIs "
-              "(Lookup, AllocEntryId, EnqueueCommand) must not be silently "
+              "(Lookup, AllocEntryId) must not be silently "
               "dropped; a swallowed status hides lost events and data loss.",
     "MDL003": "Microsecond quantities (*_us) must not mix with bare numeric "
               "literals in arithmetic or comparisons; wrap literals in "
@@ -56,7 +56,7 @@ CHECKS = {
 # MDL001: parameter types that denote a completion callback.
 _CALLBACK_TYPES = {"DoneFn", "IoDoneFn", "CommandDoneFn"}
 # MDL002: must-use call names (Simulator::Cancel + [[nodiscard]] APIs).
-_MUST_USE_CALLS = {"Cancel", "Lookup", "AllocEntryId", "EnqueueCommand"}
+_MUST_USE_CALLS = {"Cancel", "Lookup", "AllocEntryId"}
 # MDL003: operators where a raw literal next to *_us loses the dimension.
 _US_OPS = {"+", "-", "<", ">", "<=", ">=", "==", "!=", "+=", "-="}
 # MDL005: borrowed observer types.
