@@ -1,7 +1,7 @@
 // Microbenchmarks (google-benchmark) for the hot paths of the simulator:
-// LBA mapping, access planning, replica placement, scheduler picks, and the
-// GF(2^8) erasure codec. These bound the cost of simulated I/O, of
-// position-sensitive scheduling (a SATF-class dispatch is
+// LBA mapping, access planning, replica placement, scheduler picks, array
+// construction, and the GF(2^8) erasure codec. These bound the cost of
+// simulated I/O, of position-sensitive scheduling (a SATF-class dispatch is
 // O(queue x replicas) Plan() calls), and of byte-level coding per stripe.
 #include <benchmark/benchmark.h>
 
@@ -12,6 +12,7 @@
 
 #include "src/array/placement.h"
 #include "src/calib/predictor.h"
+#include "src/core/mimd_raid.h"
 #include "src/disk/sim_disk.h"
 #include "src/ec/gf256.h"
 #include "src/sched/positional_schedulers.h"
@@ -161,6 +162,26 @@ void BM_SatfPick(benchmark::State& state) {
   RunPick(state, SchedulerKind::kSatf, /*replicated=*/false);
 }
 BENCHMARK(BM_SatfPick)->Arg(4);
+
+// Array build: one MimdRaid construction per iteration (disks, per-slot
+// placements, controller), as perfbench's setup does it. Args are Ds and Dr
+// of a Ds x Dr x 1 mirror: 2 x 3 is perfbench's mirror shape, 12 x 3 a
+// 36-disk array.
+void BM_ArrayBuild(benchmark::State& state) {
+  MimdRaidOptions options;
+  options.aspect.ds = static_cast<int>(state.range(0));
+  options.aspect.dr = static_cast<int>(state.range(1));
+  options.aspect.dm = 1;
+  options.dataset_sectors = 8'000'000;
+  for (auto _ : state) {
+    MimdRaid array(options);
+    benchmark::DoNotOptimize(&array);
+  }
+}
+BENCHMARK(BM_ArrayBuild)
+    ->Args({2, 3})
+    ->Args({12, 3})
+    ->Unit(benchmark::kMillisecond);
 
 // Closed-loop fleet: N independent disks on one simulator, each immediately
 // re-issuing on completion, so the event engine holds N pending completions

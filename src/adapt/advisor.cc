@@ -21,7 +21,6 @@ Advice ReconfigurationAdvisor::Evaluate(const ArrayAspect& current,
   in.queue_depth = std::max(1.0, profile.mean_queue_depth /
                                      std::max(1, current.TotalDisks()));
   in.locality = std::max(1.0, profile.locality);
-  in.max_dr = options_.max_dr;
 
   const ConfigCandidate pick = ChooseConfig(in);
   advice.recommended = pick.aspect;

@@ -18,7 +18,6 @@ struct AdvisorOptions {
   // Minimum predicted improvement (current/recommended request time) before
   // a reconfiguration is worth considering.
   double min_gain = 1.15;
-  int max_dr = 6;
 };
 
 struct Advice {

@@ -33,22 +33,10 @@ ArrayLayout::ArrayLayout(std::vector<const DiskLayout*> disk_layouts,
   MIMDRAID_CHECK_EQ(disk_layouts.size(),
                     static_cast<size_t>(aspect.TotalDisks()));
 
-  // One SrDiskPlacement per distinct drive geometry; identical disks share.
-  placement_of_disk_.resize(disk_layouts.size());
-  for (size_t d = 0; d < disk_layouts.size(); ++d) {
-    MIMDRAID_CHECK(disk_layouts[d] != nullptr);
-    uint32_t idx = static_cast<uint32_t>(placements_.size());
-    for (uint32_t p = 0; p < placements_.size(); ++p) {
-      if (&placements_[p]->layout() == disk_layouts[d]) {
-        idx = p;
-        break;
-      }
-    }
-    if (idx == placements_.size()) {
-      placements_.push_back(std::make_unique<SrDiskPlacement>(
-          disk_layouts[d], aspect.dr, placement_mode));
-    }
-    placement_of_disk_[d] = idx;
+  placements_.reserve(disk_layouts.size());
+  for (const DiskLayout* disk_layout : disk_layouts) {
+    MIMDRAID_CHECK(disk_layout != nullptr);
+    placements_.emplace_back(disk_layout, aspect.dr, placement_mode);
   }
 
   // A column's weight is the stripe units its weakest mirror can hold.

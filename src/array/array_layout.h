@@ -16,6 +16,10 @@
 // The stripe-column count is Ds*Dr; each column is a group of Dm mirrored
 // disks, for Ds*Dr*Dm disks total.
 //
+// Every physical slot gets its own SrDiskPlacement, built from that slot's
+// DiskLayout. A build is one pass over the cylinders with O(1) work each
+// (DiskLayout::DataHeads), so nothing is shared between slots.
+//
 // Heterogeneous fleets: each physical disk may have its own DiskLayout
 // (different generation — zones, RPM, capacity). A column's capacity is the
 // minimum over its Dm mirrors, and stripe units are dealt to columns
@@ -30,7 +34,6 @@
 #define MIMDRAID_SRC_ARRAY_ARRAY_LAYOUT_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "src/array/placement.h"
@@ -85,7 +88,7 @@ class ArrayLayout {
 
   // Placement of a specific physical disk (per-slot geometry).
   const SrDiskPlacement& placement_for(uint32_t disk) const {
-    return *placements_[placement_of_disk_[disk]];
+    return placements_[disk];
   }
 
   // Logical sectors stored in stripe column `group`.
@@ -116,9 +119,8 @@ class ArrayLayout {
   uint32_t stripe_unit_sectors_;
   uint64_t dataset_sectors_;
   uint64_t per_disk_sectors_ = 0;
-  // Deduplicated placements (one per distinct DiskLayout) + per-disk index.
-  std::vector<std::unique_ptr<SrDiskPlacement>> placements_;
-  std::vector<uint32_t> placement_of_disk_;
+  // Indexed by physical slot.
+  std::vector<SrDiskPlacement> placements_;
   // Units dealt to each column; empty deal tables mean plain round-robin.
   std::vector<uint32_t> column_units_;
   std::vector<uint32_t> unit_group_;  // column of stripe unit i

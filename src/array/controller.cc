@@ -636,19 +636,23 @@ void ArrayController::HandleDelayedFailure(uint32_t disk,
     drives().ResolveFault(entry.id, FaultResolution::kRetried, false);
     return;
   }
-  // Move ownership of the pending propagation to a fresh retry entry. The
-  // stale markers stay: the replica's content is still old. No attempt
-  // bound — the backlog is the only durable record of this data.
-  nvram_.Erase(disk, chosen_lba);
-  if (auditor_ != nullptr) {
-    auditor_->OnNvramErase(disk, chosen_lba);
-  }
+  // A fresh retry entry takes the propagation over after the backoff. Until
+  // then the failed entry keeps its NVRAM record and the stale markers stay:
+  // the backlog is the only durable record of this data, so a crash during
+  // the backoff must still find it. No attempt bound.
   ++fstats().retries_issued;
   drives().ResolveFault(entry.id, FaultResolution::kRetried, false);
+  const uint64_t failed_id = entry.id;
   const uint32_t attempts = entry.attempts + 1;
   const uint32_t sectors = entry.sectors;
   drives().ScheduleRecovery(
-      attempts, [this, disk, chosen_lba, sectors, attempts]() {
+      attempts, [this, disk, chosen_lba, sectors, attempts, failed_id]() {
+        if (!nvram_.EraseIfOwner(disk, chosen_lba, failed_id)) {
+          return;  // superseded during the backoff; the new owner writes it
+        }
+        if (auditor_ != nullptr) {
+          auditor_->OnNvramErase(disk, chosen_lba);
+        }
         if (drives().failed(SlotId(disk))) {
           stale_.Set(ReplicaKey(disk, chosen_lba), sectors, 0);
           ++fstats().propagations_abandoned;

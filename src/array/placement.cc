@@ -16,30 +16,18 @@ SrDiskPlacement::SrDiskPlacement(const DiskLayout* layout, int dr,
   MIMDRAID_CHECK_LE(static_cast<uint32_t>(dr), geo.num_heads);
   uint64_t logical = 0;
   for (uint32_t c = 0; c < geo.num_cylinders; ++c) {
-    // Data heads are contiguous within a cylinder (reserved tracks lead,
-    // spare tracks trail).
-    uint32_t first_head = geo.num_heads;
-    uint32_t avail = 0;
-    for (uint32_t h = 0; h < geo.num_heads; ++h) {
-      if (layout->IsDataTrack(c, h)) {
-        if (first_head == geo.num_heads) {
-          first_head = h;
-        }
-        MIMDRAID_CHECK_EQ(first_head + avail, h);  // contiguity invariant
-        ++avail;
-      }
-    }
+    const DiskLayout::HeadRange heads = layout->DataHeads(c);
     const uint32_t spt = geo.SectorsPerTrack(c);
     uint32_t groups;
     uint32_t per_group;
     if (mode_ == PlacementMode::kCrossTrack) {
       // A group is Dr whole tracks; it stores one track's worth of data.
-      groups = avail / static_cast<uint32_t>(dr_);
+      groups = heads.count / static_cast<uint32_t>(dr_);
       per_group = spt;
     } else {
       // A group is a single track holding SPT/Dr logical sectors, each
       // replicated Dr times within the track.
-      groups = avail;
+      groups = heads.count;
       per_group = spt / static_cast<uint32_t>(dr_);
     }
     if (groups == 0 || per_group == 0) {
@@ -48,7 +36,7 @@ SrDiskPlacement::SrDiskPlacement(const DiskLayout* layout, int dr,
     CylinderEntry e;
     e.first_logical = logical;
     e.cylinder = c;
-    e.first_head = first_head;
+    e.first_head = heads.first;
     e.groups = groups;
     e.spt = spt;
     e.per_group = per_group;

@@ -11,6 +11,10 @@
 //
 // Placing replicas on different tracks (rather than within one track) keeps
 // full-track sequential bandwidth intact, as argued in Section 2.2.
+//
+// The placement keeps one row per cylinder, filled from the outer edge
+// inward. A row's capacity comes straight from the zone map: the cylinder's
+// data heads (DiskLayout::DataHeads) and its zone's sectors per track.
 #ifndef MIMDRAID_SRC_ARRAY_PLACEMENT_H_
 #define MIMDRAID_SRC_ARRAY_PLACEMENT_H_
 

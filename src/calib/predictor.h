@@ -91,7 +91,6 @@ class HeadPositionPredictor : public AccessPredictor {
   void AddReferenceObservation(SimTime completion_us);
 
   const PredictorStats& stats() const { return stats_; }
-  void ResetStats() { stats_ = PredictorStats{}; }
 
   const DiskTimingModel& timing() const { return *timing_; }
 

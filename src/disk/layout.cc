@@ -1,5 +1,6 @@
 #include "src/disk/layout.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "src/util/check.h"
@@ -172,12 +173,16 @@ uint64_t DiskLayout::LbaForAngle(uint32_t cylinder, uint32_t head,
   return ToLba(chs);
 }
 
-bool DiskLayout::IsDataTrack(uint32_t cylinder, uint32_t head) const {
-  const uint32_t zi = geometry_->ZoneIndexOf(cylinder);
-  const ZoneExtent& e = extents_[zi];
-  const uint32_t global_track = GlobalTrack(cylinder, head);
-  return global_track >= e.first_track &&
-         global_track < e.first_track + e.num_data_tracks;
+DiskLayout::HeadRange DiskLayout::DataHeads(uint32_t cylinder) const {
+  const ZoneExtent& e = extents_[geometry_->ZoneIndexOf(cylinder)];
+  const uint32_t cylinder_first = GlobalTrack(cylinder, 0);
+  const uint32_t begin = std::max(cylinder_first, e.first_track);
+  const uint32_t end = std::min(cylinder_first + geometry_->num_heads,
+                                e.first_track + e.num_data_tracks);
+  if (begin >= end) {
+    return HeadRange{};
+  }
+  return HeadRange{begin - cylinder_first, end - begin};
 }
 
 }  // namespace mimdraid

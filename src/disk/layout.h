@@ -95,8 +95,15 @@ class DiskLayout {
   // `angle` (in [0, 1)). Returns kInvalidLba if the track holds no data.
   uint64_t LbaForAngle(uint32_t cylinder, uint32_t head, double angle) const;
 
-  // True if (cylinder, head) is a data track (not reserved, not spare).
-  bool IsDataTrack(uint32_t cylinder, uint32_t head) const;
+  // The cylinder's data tracks (neither reserved nor spare) as a head range:
+  // the cylinder's tracks intersected with its zone's data-track range.
+  // Reserved tracks lead zone 0 and spare tracks trail every zone, so the
+  // range is contiguous. `count` is 0 for a cylinder with no data track.
+  struct HeadRange {
+    uint32_t first = 0;
+    uint32_t count = 0;
+  };
+  HeadRange DataHeads(uint32_t cylinder) const;
 
   // First data cylinder (cylinders before it are entirely reserved).
   uint32_t first_data_cylinder() const { return first_data_cylinder_; }

@@ -115,7 +115,6 @@ class SimDisk {
   DiskLayout& mutable_layout() { return *layout_; }
 
   uint64_t ops_completed() const { return ops_completed_; }
-  SimTime NowUs() const { return sim_->Now(); }
   uint64_t num_sectors() const { return layout_->num_data_sectors(); }
 
   // Attaches the runtime invariant auditor (nullptr detaches); `disk_index`
@@ -157,7 +156,6 @@ class SimDisk {
   // Production components (calibration, schedulers) must treat the drive as a
   // black box and work from completion timestamps.
   const HeadState& DebugHeadState() const { return head_; }
-  double DebugSpindlePhaseUs() const { return timing_->spindle_phase_us(); }
   const DiskTimingModel& DebugTimingModel() const { return *timing_; }
 
  private:

@@ -8,6 +8,9 @@
 namespace mimdraid {
 namespace rel {
 
+// Two-sided level of every interval the estimate reports.
+constexpr double kConfidence = 0.95;
+
 MttdlEstimate RunFleetMonteCarlo(const MonteCarloOptions& options) {
   MIMDRAID_CHECK_GT(options.trials, 0u);
   std::vector<FleetTrialResult> trials(options.trials);
@@ -37,11 +40,11 @@ MttdlEstimate RunFleetMonteCarlo(const MonteCarloOptions& options) {
   }
   est.total_hours = est.totals.observed_hours;
   est.mttdl_hours = ExponentialMeanEstimate(
-      est.total_hours, est.totals.data_loss_events, options.confidence);
+      est.total_hours, est.totals.data_loss_events, kConfidence);
   est.array_loss_per_year = EventsPerYearEstimate(
-      est.total_hours, est.totals.data_loss_events, options.confidence);
+      est.total_hours, est.totals.data_loss_events, kConfidence);
   est.sector_loss_per_year = EventsPerYearEstimate(
-      est.total_hours, est.totals.sector_loss_events, options.confidence);
+      est.total_hours, est.totals.sector_loss_events, kConfidence);
   return est;
 }
 

@@ -9,7 +9,7 @@
 // src/stats/estimate.h.
 //
 // Outputs: MTTDL (mean hours between whole-array losses) with a two-sided
-// confidence interval, plus expected-events-per-year rates for both loss
+// 95% confidence interval, plus expected-events-per-year rates for both loss
 // classes (whole-array and sector loss), the reliability axis the
 // bench_reliability frontier quotes next to capacity overhead and
 // performance.
@@ -34,7 +34,6 @@ struct MonteCarloOptions {
   // Worker threads (0 resolves via SweepRunner::ResolveJobs). Results are
   // identical for every value.
   size_t jobs = 1;
-  double confidence = 0.95;
 };
 
 struct MttdlEstimate {

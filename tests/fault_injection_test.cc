@@ -340,6 +340,33 @@ TEST(ArrayRecovery, TransientWriteErrorsRetryUntilTheyLand) {
   rig.Drain();
 }
 
+TEST(ArrayRecovery, FailedPropagationKeepsItsNvramRecordThroughBackoff) {
+  ArrayRig rig(1, 1, 2, FaultInjectorOptions{});
+  const std::vector<ArrayFragment> frags = rig.layout->Map(0, 8);
+  ASSERT_EQ(frags.size(), 1u);
+  const ReplicaLocation target = frags[0].replicas[1];
+  ASSERT_EQ(target.disk, 1u);
+  rig.injector.InjectTransientErrors(1, 1);
+  ASSERT_EQ(rig.Do(DiskOp::kWrite, 0, 8).status, IoStatus::kOk);
+  // Step until the propagation to disk 1 has failed and its retry waits out
+  // the backoff.
+  const FaultRecoveryStats& fs = rig.controller->fault_stats();
+  while (fs.retries_issued == 0) {
+    ASSERT_TRUE(rig.sim.Step());
+  }
+  // A crash now must still find the propagation in NVRAM.
+  const std::vector<NvramEntry> snapshot = rig.controller->nvram().Snapshot();
+  ASSERT_EQ(snapshot.size(), 1u);
+  EXPECT_EQ(snapshot[0].disk, 1u);
+  EXPECT_EQ(snapshot[0].lba, target.lba);
+  EXPECT_EQ(snapshot[0].sectors, 8u);
+  rig.Drain();
+  EXPECT_EQ(rig.controller->DelayedBacklog(), 0u);
+  EXPECT_EQ(rig.controller->stats().delayed_writes_completed, 1u);
+  EXPECT_EQ(fs.retries_issued, 1u);
+  EXPECT_EQ(fs.propagations_abandoned, 0u);
+}
+
 TEST(ArrayRecovery, ReadTimeoutsRetryThenSurfaceUnrecoverable) {
   FaultInjectorOptions fopts;
   fopts.timeout_prob = 1.0;  // the drive hangs on every command

@@ -34,12 +34,49 @@ TEST_F(LayoutTest, FirstLbaSkipsReservedTrack) {
   EXPECT_EQ(chs.sector, 0u);
 }
 
+// True if `head` lies in the cylinder's data-head range.
+bool InDataHeads(const DiskLayout& layout, uint32_t cylinder, uint32_t head) {
+  const DiskLayout::HeadRange heads = layout.DataHeads(cylinder);
+  return head >= heads.first && head < heads.first + heads.count;
+}
+
 TEST_F(LayoutTest, ReservedAndSpareTracksNotData) {
-  EXPECT_FALSE(layout_.IsDataTrack(0, 0));            // reserved
-  EXPECT_TRUE(layout_.IsDataTrack(0, 1));
-  EXPECT_FALSE(layout_.IsDataTrack(29, 3));           // zone 0 spare (last track)
-  EXPECT_TRUE(layout_.IsDataTrack(30, 0));            // zone 1 first
-  EXPECT_FALSE(layout_.IsDataTrack(59, 3));           // zone 1 spare
+  EXPECT_FALSE(InDataHeads(layout_, 0, 0));   // reserved
+  EXPECT_TRUE(InDataHeads(layout_, 0, 1));
+  EXPECT_FALSE(InDataHeads(layout_, 29, 3));  // zone 0 spare (last track)
+  EXPECT_TRUE(InDataHeads(layout_, 30, 0));   // zone 1 first
+  EXPECT_FALSE(InDataHeads(layout_, 59, 3));  // zone 1 spare
+}
+
+// Every cylinder's DataHeads against a per-track oracle from the public API:
+// on a layout without remaps, a track holds data iff some angle on it maps
+// to an LBA. Reserved and spare counts that span whole cylinders are covered
+// too (a cylinder with no data track gets count 0).
+TEST(DataHeadsSweep, MatchesPerTrackOracle) {
+  struct Blemishes {
+    uint32_t reserved;
+    uint32_t spare;
+  };
+  const DiskGeometry geometries[] = {MakeSt39133Geometry(),
+                                     MakeTestGeometry()};
+  for (const DiskGeometry& geo : geometries) {
+    for (const Blemishes b : {Blemishes{1, 1}, Blemishes{0, 0},
+                              Blemishes{5, 5}, Blemishes{13, 2}}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "heads " << geo.num_heads << " reserved " << b.reserved
+                   << " spare " << b.spare);
+      const DiskLayout layout(&geo, b.reserved, b.spare);
+      for (uint32_t c = 0; c < geo.num_cylinders; ++c) {
+        const DiskLayout::HeadRange heads = layout.DataHeads(c);
+        ASSERT_LE(heads.first + heads.count, geo.num_heads) << "cyl " << c;
+        for (uint32_t h = 0; h < geo.num_heads; ++h) {
+          const bool data = layout.LbaForAngle(c, h, 0.0) != kInvalidLba;
+          ASSERT_EQ(InDataHeads(layout, c, h), data)
+              << "cyl " << c << " head " << h;
+        }
+      }
+    }
+  }
 }
 
 TEST_F(LayoutTest, ToLbaInvalidOnNonDataTracks) {
@@ -123,7 +160,7 @@ TEST_F(LayoutTest, BadSectorRemapsToSpare) {
   const Chs spare = layout_.ToChs(victim);
   EXPECT_NE(spare, natural);
   // Spare lives on a spare track of the same zone.
-  EXPECT_FALSE(layout_.IsDataTrack(spare.cylinder, spare.head));
+  EXPECT_FALSE(InDataHeads(layout_, spare.cylinder, spare.head));
   EXPECT_EQ(geo_.ZoneIndexOf(spare.cylinder), geo_.ZoneIndexOf(natural.cylinder));
   // The vacated natural position no longer maps to an LBA.
   EXPECT_EQ(layout_.ToLba(natural), kInvalidLba);

@@ -4,17 +4,20 @@
 # Exports BASE and HEAD (default: the working tree, uncommitted edits
 # included) into a scratch directory, builds each in Release, then runs N
 # alternating pairs: every perfbench workload (`perfbench/run.py ... --trace
-# 0`), the serial bench and the scheduler-pick micro-benchmarks, with the
-# first side of each pair alternating between BASE and HEAD. It prints, per workload and metric, both sides'
-# medians and interquartile ranges, the HEAD/BASE ratio of the medians, and
-# how many pairs HEAD won (ties count for neither side).
+# 0`), the serial bench and the scheduler-pick and array-build
+# micro-benchmarks, with the first side of each pair alternating between BASE
+# and HEAD. It prints, per workload and metric, both sides' medians and
+# interquartile ranges, the HEAD/BASE ratio of the medians, and how many
+# pairs HEAD won (ties count for neither side).
 #
 # Every A/B uses the same fixed runs, so results from different changes
 # compare: 8 s perfbench runs at seed 1 on all four workloads, the serial
 # bench_abl_stripe_unit timed wall-clock, and the bench_micro_core rows
 # BM_RsatfPick/256 (deep RSATF queue) and BM_SatfPick/4 (shallow SATF queue),
-# per-pick real time in microseconds. A row that one revision does not have
-# prints as absent.
+# per-pick real time in microseconds, plus BM_ArrayBuild/2/3 and
+# BM_ArrayBuild/12/3 (one MimdRaid construction of a 2x3x1 and a 12x3x1
+# mirror), real time per build in microseconds. A row that one revision does
+# not have prints as absent.
 #
 # Usage: ab_bench.sh [-n N] [--scratch DIR] BASE [HEAD]
 #   -n N            pairs per workload (default 10)
@@ -31,7 +34,7 @@ SEED=1
 WORKLOADS=cello_sr,deepq_mixed,raid5_rmw,ec_degraded
 BENCH=bench_abl_stripe_unit
 MICRO=bench_micro_core
-MICRO_FILTER='^BM_(RsatfPick/256|SatfPick/4)$'
+MICRO_FILTER='^BM_(RsatfPick/256|SatfPick/4|ArrayBuild/2/3|ArrayBuild/12/3)$'
 # Build parallelism, as perfbench/run.py chooses it.
 JOBS=$(python3 -c 'import os; print(min(4, os.cpu_count() or 1))')
 usage() {
@@ -112,7 +115,8 @@ pairs = int(pairs)
 workloads = workloads.split(",")
 # metric -> True when higher is better
 PERFBENCH_METRICS = {"req_per_s": True, "setup_s": False, "peak_rss_mb": False}
-MICRO_METRICS = {"BM_RsatfPick/256": False, "BM_SatfPick/4": False}
+MICRO_METRICS = {"BM_RsatfPick/256": False, "BM_SatfPick/4": False,
+                 "BM_ArrayBuild/2/3": False, "BM_ArrayBuild/12/3": False}
 US_PER_UNIT = {"ns": 1e-3, "us": 1.0, "ms": 1e3, "s": 1e6}
 
 
