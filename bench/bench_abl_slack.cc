@@ -32,7 +32,7 @@ Outcome Run(double slack_us, bool adaptive) {
   options.noise = DiskNoiseModel::Prototype();
   options.use_oracle_predictor = false;
   options.recalibration_interval_us = SimDuration(120'000'000);
-  options.calibration.seek.num_distances = 10;
+  options.calibration_seek_distances = 10;
   options.seed = 3;
   options.slack.initial_slack_us = slack_us;
   if (!adaptive) {

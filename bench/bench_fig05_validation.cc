@@ -31,7 +31,7 @@ double MeasureIops(bool noisy, double read_frac, uint32_t outstanding) {
   options.seed = 2026;
   options.use_oracle_predictor = false;
   options.recalibration_interval_us = SimDuration(120'000'000);  // 2 minutes
-  options.calibration.seek.num_distances = 12;
+  options.calibration_seek_distances = 12;
   options.noise =
       noisy ? DiskNoiseModel::Prototype() : DiskNoiseModel::None();
   if (!noisy) {

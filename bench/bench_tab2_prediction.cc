@@ -27,7 +27,7 @@ int main() {
   options.noise = DiskNoiseModel::Prototype();
   options.use_oracle_predictor = false;
   options.recalibration_interval_us = SimDuration(120'000'000);
-  options.calibration.seek.num_distances = 12;
+  options.calibration_seek_distances = 12;
   options.max_scan = 128;
   MimdRaid array(options);
 

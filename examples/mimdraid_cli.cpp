@@ -130,7 +130,7 @@ int main(int argc, char** argv) {
     options.noise = DiskNoiseModel::Prototype();
     options.use_oracle_predictor = false;
     options.recalibration_interval_us = SimDuration(120'000'000);
-    options.calibration.seek.num_distances = 12;
+    options.calibration_seek_distances = 12;
   }
   MimdRaid array(options);
 

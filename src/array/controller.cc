@@ -50,14 +50,6 @@ void ArrayController::AuditQuiescent() const {
                            stale_.size(), inflight_.size(), parked_.size());
 }
 
-bool ArrayController::Idle() const {
-  if (OpsOutstanding() > 0 || !parked_.empty() ||
-      drives().pending_recovery() > 0) {
-    return false;
-  }
-  return drives().AllDrivesQuiet();
-}
-
 void ArrayController::Submit(DiskOp op, uint64_t lba, uint32_t sectors,
                              DoneFn done) {
   SubmitInternal(op, lba, sectors, std::move(done), sim_->Now());
@@ -710,21 +702,7 @@ uint64_t ArrayController::UsedSpanSectors(SlotId slot) const {
       .PhysicalSpanSectors(layout_->column_sectors(group));
 }
 
-void ArrayController::OnSparePromoted(SlotId slot) {
-  Rebuild(slot, [this](const IoResult& r) {
-    if (r.status == IoStatus::kOk) {
-      ++fstats().spare_rebuilds_completed;
-    }
-  });
-}
-
 // --- Background scrubbing -------------------------------------------------
-
-bool ArrayController::ScrubEligible() const {
-  // The engine has already checked its own half of the gate (recovery
-  // timers, live-drive quiescence).
-  return OpsOutstanding() == 0 && parked_.empty() && !RebuildInProgress();
-}
 
 void ArrayController::ScrubStep() {
   const uint64_t dataset = layout_->dataset_sectors();
@@ -906,25 +884,19 @@ bool ArrayController::FailDisk(SlotId slot) {
   return true;
 }
 
-void ArrayController::Rebuild(SlotId disk, DoneFn done) {
-  MIMDRAID_CHECK(drives().failed(disk));
+void ArrayController::StartRebuildPass(SlotId slot) {
   MIMDRAID_CHECK_GE(layout_->aspect().dm, 2);
-  drives().MarkReplaced(disk);
-  ++rebuild_chains_;
-  RebuildNextFragment(disk.value(), 0, std::move(done));
+  RebuildNextFragment(slot.value(), 0);
 }
 
-void ArrayController::RebuildNextFragment(uint32_t disk, uint64_t next_lba,
-                                          DoneFn done) {
+void ArrayController::RebuildNextFragment(uint32_t disk, uint64_t next_lba) {
   // Stream the dataset fragment by fragment; for each fragment with replicas
   // on `disk`, read a surviving copy and rewrite this disk's copies. The copy
   // traffic rides the delayed queues, yielding to foreground work.
   if (drives().failed(SlotId(disk))) {
-    // The replacement itself died mid-rebuild; abort the stream.
-    --rebuild_chains_;
-    if (done) {
-      done(IoResult{IoStatus::kDiskFailed, sim_->Now(), 0});
-    }
+    // The replacement itself died mid-rebuild; abort the pass. A Rebuild
+    // of its slot since then waits in the queue and starts afresh.
+    FinishRebuild(IoStatus::kDiskFailed);
     return;
   }
   const uint64_t dataset = layout_->dataset_sectors();
@@ -968,7 +940,7 @@ void ArrayController::RebuildNextFragment(uint32_t disk, uint64_t next_lba,
       read_entry.maintenance = true;
       maintenance_[read_entry.id] =
           [this, disk, frag_start, resume, targets, len, source_disk,
-           source_lba, done](const DiskOpResult& r, bool) mutable {
+           source_lba](const DiskOpResult& r, bool) {
             if (r.status != IoStatus::kOk) {
               if (r.status == IoStatus::kMediaError) {
                 // The source replica is bad: exclude it from future sourcing
@@ -980,12 +952,12 @@ void ArrayController::RebuildNextFragment(uint32_t disk, uint64_t next_lba,
                 }
               }
               ++fstats().failovers;
-              RebuildNextFragment(disk, frag_start, std::move(done));
+              RebuildNextFragment(disk, frag_start);
               return FaultResolution::kFailedOver;
             }
             auto writes_left = std::make_shared<size_t>(targets.size());
             for (const ReplicaLocation& loc : targets) {
-              EnqueueRebuildWrite(loc, len, writes_left, disk, resume, done);
+              EnqueueRebuildWrite(loc, len, writes_left, disk, resume);
             }
             return FaultResolution::kFailedOver;  // unread: the read succeeded
           };
@@ -995,16 +967,13 @@ void ArrayController::RebuildNextFragment(uint32_t disk, uint64_t next_lba,
     }
     lba += span;
   }
-  --rebuild_chains_;
-  if (done) {
-    done(IoResult{IoStatus::kOk, sim_->Now(), 0});
-  }
+  FinishRebuild(IoStatus::kOk);
 }
 
 void ArrayController::EnqueueRebuildWrite(ReplicaLocation loc, uint32_t len,
                                           std::shared_ptr<size_t> writes_left,
                                           uint32_t rebuild_disk,
-                                          uint64_t resume, DoneFn done) {
+                                          uint64_t resume) {
   if (drives().failed(SlotId(loc.disk))) {
     // The target slot died between sourcing the copy and issuing the write;
     // an entry queued to a failed disk would never dispatch. The fragment is
@@ -1012,7 +981,7 @@ void ArrayController::EnqueueRebuildWrite(ReplicaLocation loc, uint32_t len,
     // when the target itself is the failed disk).
     ++fstats().rebuild_fragments_lost;
     if (--*writes_left == 0) {
-      RebuildNextFragment(rebuild_disk, resume, std::move(done));
+      RebuildNextFragment(rebuild_disk, resume);
     }
     return;
   }
@@ -1023,24 +992,23 @@ void ArrayController::EnqueueRebuildWrite(ReplicaLocation loc, uint32_t len,
   w.candidates = {QueueCandidate(BlockAddr(loc.lba))};
   w.arrival_us = sim_->Now();
   w.maintenance = true;
-  maintenance_[w.id] = [this, loc, len, writes_left, rebuild_disk, resume,
-                        done](const DiskOpResult& r, bool) mutable {
+  maintenance_[w.id] = [this, loc, len, writes_left, rebuild_disk,
+                        resume](const DiskOpResult& r, bool) {
     if (r.status != IoStatus::kOk && !drives().failed(SlotId(loc.disk))) {
       // Transient failure of the copy write: retry after backoff. The write
       // itself repairs any latent error at the target (firmware remap).
       ++fstats().retries_issued;
-      drives().ScheduleRecovery(1, [this, loc, len, writes_left, rebuild_disk,
-                                    resume, done]() mutable {
-        if (drives().failed(SlotId(loc.disk))) {
-          ++fstats().rebuild_fragments_lost;
-          if (--*writes_left == 0) {
-            RebuildNextFragment(rebuild_disk, resume, std::move(done));
-          }
-          return;
-        }
-        EnqueueRebuildWrite(loc, len, writes_left, rebuild_disk, resume,
-                            std::move(done));
-      });
+      drives().ScheduleRecovery(
+          1, [this, loc, len, writes_left, rebuild_disk, resume]() {
+            if (drives().failed(SlotId(loc.disk))) {
+              ++fstats().rebuild_fragments_lost;
+              if (--*writes_left == 0) {
+                RebuildNextFragment(rebuild_disk, resume);
+              }
+              return;
+            }
+            EnqueueRebuildWrite(loc, len, writes_left, rebuild_disk, resume);
+          });
       return FaultResolution::kRetried;
     }
     if (r.status != IoStatus::kOk) {
@@ -1049,7 +1017,7 @@ void ArrayController::EnqueueRebuildWrite(ReplicaLocation loc, uint32_t len,
       ++rebuild_copied_;
     }
     if (--*writes_left == 0) {
-      RebuildNextFragment(rebuild_disk, resume, std::move(done));
+      RebuildNextFragment(rebuild_disk, resume);
     }
     return FaultResolution::kAbandoned;  // read only when the target died
   };

@@ -101,7 +101,6 @@ class ArrayController : public ArrayBackend {
   // recorded in a surviving NVRAM snapshot. Call on a freshly constructed
   // controller before offering load.
   void RestorePropagations(const std::vector<NvramEntry>& entries);
-  bool Idle() const override;
 
   // Runs the auditor's terminal consistency check (queues, NVRAM table,
   // stale markers, parked reads must all be empty). Call once the array
@@ -115,12 +114,8 @@ class ArrayController : public ArrayBackend {
   // column has no cross-disk copy — data loss). The array must be quiescent
   // on that disk (no in-flight command).
   bool FailDisk(SlotId disk) override;
-  // Re-populates a replaced disk from its mirror twins, fragment stream by
-  // fragment stream; `done` fires when redundancy is restored. Requires
-  // Dm >= 2.
-  void Rebuild(SlotId disk, DoneFn done) override;
+  // Copies written by rebuild passes.
   uint64_t rebuild_copied_fragments() const { return rebuild_copied_; }
-  bool RebuildInProgress() const override { return rebuild_chains_ > 0; }
 
   // Publishes "fault.*" and "array.*" counters.
   void ExportStats(StatsRegistry* registry) const override;
@@ -170,11 +165,16 @@ class ArrayController : public ArrayBackend {
   // Physical span the slot's column occupies through its drive's placement —
   // the extent a promoted spare must resolve.
   uint64_t UsedSpanSectors(SlotId slot) const override;
-  void OnSparePromoted(SlotId slot) override;
-  bool ScrubEligible() const override;
   // One scrub chunk: reads every live replica of the next stripe unit of the
   // logical space.
   void ScrubStep() override;
+
+  // Reads parked behind in-flight writes.
+  bool RequestsWaiting() const override { return !parked_.empty(); }
+  // Re-populates the slot from its mirror twins, fragment by fragment; the
+  // pass ends kOk once every fragment with a surviving source is copied, or
+  // kDiskFailed when the replacement dies. Requires Dm >= 2.
+  void StartRebuildPass(SlotId slot) override;
 
   void SubmitInternal(DiskOp op, uint64_t lba, uint32_t sectors, DoneFn done,
                       SimTime issue_us);
@@ -196,10 +196,10 @@ class ArrayController : public ArrayBackend {
   void EnforceDelayedTableLimit();
   void WakeParked();
   void ScheduleRecalibration(uint32_t disk);
-  void RebuildNextFragment(uint32_t disk, uint64_t next_lba, DoneFn done);
+  void RebuildNextFragment(uint32_t disk, uint64_t next_lba);
   void EnqueueRebuildWrite(ReplicaLocation loc, uint32_t len,
                            std::shared_ptr<size_t> writes_left,
-                           uint32_t rebuild_disk, uint64_t resume, DoneFn done);
+                           uint32_t rebuild_disk, uint64_t resume);
 
   // --- Fault recovery ---
   // Recovery for a fragment or propagation entry the drive ran and failed;
@@ -246,8 +246,6 @@ class ArrayController : public ArrayBackend {
   std::vector<ParkedRequest> parked_;
 
   uint64_t rebuild_copied_ = 0;
-  // Rebuild streams started and not yet reported done.
-  uint32_t rebuild_chains_ = 0;
   // Completion hooks of the maintenance entries (rebuild copies, scrub and
   // recalibration reads), keyed by entry id. A hook runs once, from
   // OnEntryComplete with the engine's `ran` flag: true when its entry

@@ -78,11 +78,10 @@ MimdRaid::MimdRaid(const MimdRaidOptions& options) : options_(options) {
     // Seek-profile extraction runs once per drive *generation* (identical
     // drives share a full calibration); every disk then runs the cheap
     // phase-only pass against its generation's profile.
-    CalibrationOptions full = options_.calibration;
-    full.extract_seek_profile = true;
-    CalibrationOptions phase_only = options_.calibration;
+    CalibrationOptions full;
+    full.seek.num_distances = options_.calibration_seek_distances;
+    CalibrationOptions phase_only;
     phase_only.extract_seek_profile = false;
-    phase_only.probe_layout = false;
     std::vector<std::unique_ptr<CalibrationResult>> generation_calib(
         options_.fleet.generations.size());
     const auto calibrated = [&](size_t slot, SimDisk* disk) {

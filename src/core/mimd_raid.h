@@ -73,7 +73,9 @@ struct MimdRaidOptions {
   // The oracle runs with 450 us of slack when any drive generation is noisy,
   // and none otherwise.
   bool use_oracle_predictor = true;
-  CalibrationOptions calibration;
+  // Cylinder distances the software calibration samples when it extracts a
+  // drive generation's seek profile (SeekExtractionOptions::num_distances).
+  int calibration_seek_distances = SeekExtractionOptions{}.num_distances;
   SlackFeedbackOptions slack;  // software-predictor slack policy
 
   // Controller.

@@ -25,14 +25,6 @@ EcController::EcController(Simulator* sim, std::vector<SimDisk*> disks,
   StartScrub();
 }
 
-bool EcController::Idle() const {
-  if (OpsOutstanding() > 0 || rebuilding_disk_ >= 0 ||
-      !rebuild_queue_.empty() || drives().pending_recovery() > 0) {
-    return false;
-  }
-  return drives().AllDrivesQuiet();
-}
-
 void EcController::AuditQuiescent() const {
   if (auditor_ == nullptr) {
     return;
@@ -105,26 +97,6 @@ uint64_t EcController::UsedSpanSectors(SlotId /*disk*/) const {
          layout_->stripe_unit_sectors();
 }
 
-void EcController::OnSparePromoted(SlotId disk) {
-  // The spare holds no data yet: rebuild the slot through a decode set as
-  // soon as a rebuild slot frees up (immediately when none is active).
-  DoneFn done = [this](const IoResult& r) {
-    if (r.status == IoStatus::kOk) {
-      ++fstats().spare_rebuilds_completed;
-    }
-  };
-  if (rebuilding_disk_ >= 0) {
-    rebuild_queue_.push_back(QueuedRebuild{disk, std::move(done)});
-    return;
-  }
-  StartRebuild(disk, std::move(done));
-}
-
-bool EcController::ScrubEligible() const {
-  return OpsOutstanding() == 0 && rebuilding_disk_ < 0 &&
-         rebuild_queue_.empty();
-}
-
 void EcController::ScrubStep() {
   const uint32_t rows = layout_->num_rows();
   if (rows == 0) {
@@ -184,7 +156,7 @@ bool EcController::DiskUsable(uint32_t disk, uint32_t row) const {
   if (drives().failed(SlotId(disk))) {
     return false;  // covers slots waiting in the rebuild queue too
   }
-  if (rebuilding_disk_ == static_cast<int>(disk)) {
+  if (rebuilding() == SlotId(disk)) {
     return row < rebuilt_rows_;
   }
   return true;
@@ -231,7 +203,6 @@ void EcController::SubmitReadFragment(uint64_t op_id, const EcFragment& frag,
   work->op_id = op_id;
   work->frag = frag;
   work->op = DiskOp::kRead;
-  work->force_degraded = force_degraded;
   work->repair_pending = repair_on_success;
 
   if (!force_degraded && DiskUsable(frag.data_disk, frag.row)) {
@@ -239,13 +210,6 @@ void EcController::SubmitReadFragment(uint64_t op_id, const EcFragment& frag,
     EnqueueDiskOp(
         frag.data_disk, DiskOp::kRead, frag.disk_lba, frag.sectors,
         [this, work](const DiskOpResult& r, uint64_t id) {
-          if (work->abandoned) {
-            if (!r.ok()) {
-              drives().ResolveFault(id, FaultResolution::kSurfaced,
-                                  r.status == IoStatus::kDiskFailed);
-            }
-            return;
-          }
           if (r.ok()) {
             FragmentPhaseDone(work, &r);
             return;
@@ -253,7 +217,6 @@ void EcController::SubmitReadFragment(uint64_t op_id, const EcFragment& frag,
           // Direct read failed past the retry budget: fail over to decode
           // reconstruction. A media error additionally queues a repair
           // rewrite once the data is back in hand.
-          work->abandoned = true;
           NoteOpRecovery(work->op_id);
           ++fstats().failovers;
           const bool repair =
@@ -278,7 +241,6 @@ void EcController::SubmitReadFragment(uint64_t op_id, const EcFragment& frag,
     CompleteFragmentFailed(op_id);
     return;
   }
-  work->degraded = true;
   work->phase_remaining = static_cast<int>(cols.size());
   ++stats_.degraded_reads;
   ++fstats().reconstructions;
@@ -290,11 +252,6 @@ void EcController::SubmitReadFragment(uint64_t op_id, const EcFragment& frag,
                       // the loss is surfaced to the submitter.
                       drives().ResolveFault(id, FaultResolution::kSurfaced,
                                           r.status == IoStatus::kDiskFailed);
-                    }
-                    if (work->abandoned) {
-                      return;
-                    }
-                    if (!r.ok()) {
                       work->status = IoStatus::kUnrecoverable;
                     }
                     FragmentPhaseDone(work, &r);
@@ -326,10 +283,7 @@ void EcController::SubmitWriteFragment(uint64_t op_id, const EcFragment& frag,
     CompleteFragmentFailed(op_id);
     return;
   }
-  const bool degraded =
-      force_degraded || !data_writable || live_parities < m;
-  if (degraded) {
-    work->degraded = true;
+  if (force_degraded || !data_writable || live_parities < m) {
     ++stats_.degraded_writes;
   }
 
@@ -583,45 +537,14 @@ void EcController::EnqueueDiskOp(uint32_t disk, DiskOp op, uint64_t lba,
   drives().MaybeDispatch(slot);
 }
 
-void EcController::Rebuild(SlotId disk, DoneFn done) {
-  MIMDRAID_CHECK(drives().failed(disk));
-  if (rebuilding_disk_ >= 0) {
-    rebuild_queue_.push_back(QueuedRebuild{disk, std::move(done)});
-    return;
-  }
-  StartRebuild(disk, std::move(done));
-}
-
-void EcController::StartRebuild(SlotId disk, DoneFn done) {
-  MIMDRAID_CHECK(drives().failed(disk));
-  MIMDRAID_CHECK_LT(rebuilding_disk_, 0);
-  drives().MarkReplaced(disk);
-  rebuilding_disk_ = static_cast<int>(disk.value());
+void EcController::StartRebuildPass(SlotId /*slot*/) {
   rebuilt_rows_ = 0;
   rebuild_rows_lost_ = 0;
-  rebuild_done_ = std::move(done);
   RebuildNextRow();
 }
 
-void EcController::FinishRebuild(IoStatus status) {
-  rebuilding_disk_ = -1;
-  DoneFn done = std::move(rebuild_done_);
-  rebuild_done_ = nullptr;
-  if (done) {
-    IoResult out;
-    out.status = status;
-    out.completion_us = sim_->Now();
-    done(out);
-  }
-  if (!rebuild_queue_.empty()) {
-    QueuedRebuild next = std::move(rebuild_queue_.front());
-    rebuild_queue_.pop_front();
-    StartRebuild(next.slot, std::move(next.done));
-  }
-}
-
 void EcController::AbortRebuild(uint32_t disk) {
-  if (rebuilding_disk_ != static_cast<int>(disk)) {
+  if (rebuilding() != SlotId(disk)) {
     return;
   }
   // The replacement drive itself died; a queued slot (if any) takes over.
@@ -629,8 +552,8 @@ void EcController::AbortRebuild(uint32_t disk) {
 }
 
 void EcController::RebuildNextRow() {
-  MIMDRAID_CHECK_GE(rebuilding_disk_, 0);
-  const uint32_t disk = static_cast<uint32_t>(rebuilding_disk_);
+  MIMDRAID_CHECK(rebuilding().has_value());
+  const uint32_t disk = rebuilding()->value();
   if (drives().failed(SlotId(disk))) {
     AbortRebuild(disk);
     return;

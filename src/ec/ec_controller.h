@@ -26,15 +26,13 @@
 // With fewer than k readable columns and no RMW path the fragment completes
 // with IoStatus::kUnrecoverable — never a crash.
 //
-// Rebuild: slots queue. One slot rebuilds at a time (row by row through a
-// k-column decode set); further failed slots whose spares promote while a
-// rebuild streams wait in FIFO order and are served degraded until their
-// turn. Up to m concurrent failures stay fully serviceable throughout.
+// Rebuild: a slot's pass recomputes it row by row through a k-column decode
+// set (ArrayBackend::Rebuild queues the slots). Up to m concurrent failures
+// stay fully serviceable throughout.
 #ifndef MIMDRAID_SRC_EC_EC_CONTROLLER_H_
 #define MIMDRAID_SRC_EC_EC_CONTROLLER_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <unordered_map>
@@ -92,18 +90,9 @@ class EcController : public ArrayBackend {
   // single loss is covered by the code.
   bool FailDisk(SlotId disk) override;
 
-  // Reconstructs the (replaced) failed disk row by row through a k-column
-  // decode set. When another rebuild is already streaming the slot queues
-  // and starts when its turn comes; `done` fires when that slot's pass ends
-  // (kOk fully restored, kUnrecoverable rows were lost, kDiskFailed the
-  // replacement died mid-rebuild).
-  void Rebuild(SlotId disk, DoneFn done) override;
-  bool RebuildInProgress() const override { return rebuilding_disk_ >= 0; }
-
   const EcControllerStats& stats() const { return stats_; }
   const EcLayout& layout() const { return *layout_; }
   const EcCodec& codec() const { return *codec_; }
-  bool Idle() const override;
 
   // Publishes "fault.*" and "ec.*" counters.
   void ExportStats(StatsRegistry* registry) const override;
@@ -118,23 +107,19 @@ class EcController : public ArrayBackend {
     EcFragment frag;
     DiskOp op = DiskOp::kRead;
     int phase_remaining = 0;
-    bool degraded = false;
-    // Set when the fragment was re-planned (disk failure or media-error
-    // fallback); stale sub-op completions for an abandoned plan are ignored.
+    // Set when a write fragment was re-planned (a member died, or a
+    // pre-image read failed); stale sub-op completions for an abandoned plan
+    // are ignored. A read fragment never needs it: its one direct read
+    // decides the failover itself, and a decode plan is never re-planned.
     bool abandoned = false;
-    // Plan as if the data disk's old contents were unreadable (a media error
-    // exhausted its retry budget).
+    // Write plan made as if the data disk's old contents were unreadable (a
+    // media error exhausted its retry budget).
     bool force_degraded = false;
     // After a media-error read is served via reconstruction, rewrite the bad
     // sectors so the drive reallocates them.
     bool repair_pending = false;
     // kUnrecoverable once any sub-operation's loss could not be absorbed.
     IoStatus status = IoStatus::kOk;
-  };
-
-  struct QueuedRebuild {
-    SlotId slot;
-    DoneFn done;
   };
 
   // Terminal result of a disk command, plus the id of the queue entry that
@@ -151,11 +136,6 @@ class EcController : public ArrayBackend {
                        BlockAddr chosen_lba, const DiskOpResult& result,
                        bool ran) override;
   uint64_t UsedSpanSectors(SlotId disk) const override;
-  // Promotion is always allowed (the engine's default): a spare promoted
-  // while another slot rebuilds queues behind it instead of clobbering the
-  // rebuild cursor.
-  void OnSparePromoted(SlotId disk) override;
-  bool ScrubEligible() const override;
   // One scrub chunk: reads every usable unit of the next stripe row.
   void ScrubStep() override;
 
@@ -184,8 +164,11 @@ class EcController : public ArrayBackend {
   // Ends a fragment as kUnrecoverable from the next event-queue turn.
   void CompleteFragmentFailed(uint64_t op_id);
 
-  void StartRebuild(SlotId disk, DoneFn done);
-  void FinishRebuild(IoStatus status);
+  // Reconstructs the slot row by row through a k-column decode set; the
+  // pass ends kOk when every row was rebuilt, kUnrecoverable when some rows
+  // had fewer than k readable columns, kDiskFailed when the replacement died.
+  void StartRebuildPass(SlotId slot) override;
+  // Ends the active pass with kDiskFailed when `disk` is its slot.
   void AbortRebuild(uint32_t disk);
   void RebuildNextRow();
 
@@ -206,15 +189,9 @@ class EcController : public ArrayBackend {
   const EcCodec* codec_;
   InvariantAuditor* auditor_ = nullptr;
 
-  // Active rebuild: rows < rebuilt_rows_ of rebuilding_disk_ are valid.
-  int rebuilding_disk_ = -1;
+  // Active pass: rows < rebuilt_rows_ of rebuilding() are valid.
   uint32_t rebuilt_rows_ = 0;
-  DoneFn rebuild_done_;
   uint64_t rebuild_rows_lost_ = 0;
-  // Slots waiting for the active rebuild to finish. Queued slots stay marked
-  // failed (their promoted spare holds no data yet), so service keeps
-  // decoding around them until their pass starts.
-  std::deque<QueuedRebuild> rebuild_queue_;
 
   uint32_t scrub_cursor_ = 0;  // next stripe row to sweep
 

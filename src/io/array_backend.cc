@@ -66,6 +66,57 @@ void ArrayBackend::FinishOpPart(uint64_t op_id, IoStatus status,
   }
 }
 
+void ArrayBackend::Rebuild(SlotId disk, DoneFn done) {
+  MIMDRAID_CHECK(drives_.failed(disk));
+  if (rebuilding_.has_value()) {
+    rebuild_queue_.push_back(QueuedRebuild{disk, std::move(done)});
+    return;
+  }
+  StartRebuild(disk, std::move(done));
+}
+
+void ArrayBackend::StartRebuild(SlotId slot, DoneFn done) {
+  MIMDRAID_CHECK(drives_.failed(slot));
+  MIMDRAID_CHECK(!rebuilding_.has_value());
+  drives_.MarkReplaced(slot);
+  rebuilding_ = slot;
+  rebuild_done_ = std::move(done);
+  StartRebuildPass(slot);
+}
+
+void ArrayBackend::FinishRebuild(IoStatus status) {
+  MIMDRAID_CHECK(rebuilding_.has_value());
+  rebuilding_.reset();
+  DoneFn done = std::move(rebuild_done_);
+  rebuild_done_ = nullptr;
+  if (done) {
+    done(IoResult{status, drives_.sim()->Now(), 0});
+  }
+  // `done` may itself have started a pass; the queue then waits for it.
+  if (!rebuilding_.has_value() && !rebuild_queue_.empty()) {
+    QueuedRebuild next = std::move(rebuild_queue_.front());
+    rebuild_queue_.erase(rebuild_queue_.begin());
+    StartRebuild(next.slot, std::move(next.done));
+  }
+}
+
+void ArrayBackend::OnSparePromoted(SlotId disk) {
+  Rebuild(disk, [this](const IoResult& r) {
+    if (r.status == IoStatus::kOk) {
+      ++fstats().spare_rebuilds_completed;
+    }
+  });
+}
+
+bool ArrayBackend::ScrubEligible() const {
+  return ops_.empty() && !RequestsWaiting() && !RebuildInProgress();
+}
+
+bool ArrayBackend::Idle() const {
+  return ops_.empty() && !RequestsWaiting() && !RebuildInProgress() &&
+         drives_.pending_recovery() == 0 && drives_.AllDrivesQuiet();
+}
+
 void ExportFaultStats(const FaultRecoveryStats& stats,
                       StatsRegistry* registry) {
   registry->Set("fault.media_errors_seen",

@@ -3,15 +3,17 @@
 // (mirroring, erasure coding) layered over the shared DriveSet engine, which
 // this base class owns. The drive-pool operations — failed-slot queries, the
 // hot-spare pool, the scrub timer, fault counters — are the engine's and are
-// written here once, as is the lifecycle of a logical op (BeginOp ..
-// FinishOpPart); a policy supplies only what differs: how an op splits into
-// disk work, explicit failure/rebuild control, idle/quiescence queries,
-// stats export, and the DriveSetClient hooks.
+// written here once, as are the lifecycle of a logical op (BeginOp ..
+// FinishOpPart) and rebuild scheduling (Rebuild .. FinishRebuild); a policy
+// supplies only what differs: how an op splits into disk work, explicit
+// failure control, one slot's rebuild pass, the terminal audit, stats
+// export, and the remaining DriveSetClient hooks.
 #ifndef MIMDRAID_SRC_IO_ARRAY_BACKEND_H_
 #define MIMDRAID_SRC_IO_ARRAY_BACKEND_H_
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -72,10 +74,18 @@ class ArrayBackend : protected DriveSetClient {
   // the loss (no redundancy covering the disk — data loss).
   virtual bool FailDisk(SlotId disk) = 0;
   bool IsFailed(SlotId disk) const { return drives_.failed(disk); }
-  // Re-populates a replaced drive in `disk`'s slot from the surviving
-  // redundancy; `done` fires when redundancy is restored.
-  virtual void Rebuild(SlotId disk, DoneFn done) = 0;
-  virtual bool RebuildInProgress() const = 0;
+  // Re-populates a replaced drive in the failed slot `disk` from the
+  // surviving redundancy. Slots queue: one slot rebuilds at a time, and a
+  // slot rebuilt while another pass runs (an explicit call, or a spare
+  // promoted into a second failed slot) waits in FIFO order. A queued slot
+  // stays marked failed, since its drive holds no data yet, so service keeps
+  // working around it until its pass starts. `done` fires once, when the
+  // slot's pass ends: kOk when it ran to the end, kUnrecoverable when the
+  // erasure controller could not decode some rows (the mirror instead counts
+  // copies with no surviving source in rebuild_fragments_lost), kDiskFailed
+  // when the replacement died mid-pass.
+  void Rebuild(SlotId disk, DoneFn done);
+  bool RebuildInProgress() const { return rebuilding_.has_value(); }
   // Registers a standby drive + predictor (borrowed; must outlive the
   // backend) for automatic promotion into a slot the engine fail-stops.
   void AddSpare(SimDisk* disk, AccessPredictor* predictor) {
@@ -84,8 +94,9 @@ class ArrayBackend : protected DriveSetClient {
   size_t spares_available() const { return drives_.spares_available(); }
 
   // --- Quiescence and teardown ---
-  // No logical op outstanding, every queue empty, no recovery timer armed.
-  virtual bool Idle() const = 0;
+  // No logical op outstanding or waiting, no rebuild pass running, every
+  // queue empty, no recovery timer armed.
+  bool Idle() const;
   // Cancels the periodic scrub timer (in-flight scrub work drains normally).
   // Call before draining to quiescence.
   void StopScrub() { drives_.StopScrub(); }
@@ -114,6 +125,29 @@ class ArrayBackend : protected DriveSetClient {
                std::vector<AccessPredictor*> predictors,
                const DriveSetOptions& options)
       : drives_(sim, std::move(disks), std::move(predictors), this, options) {}
+
+  // --- DriveSetClient hooks this base answers for every policy ---
+  // The spare holds no data yet: rebuild the slot (queued behind an active
+  // pass), and count the rebuild when it restores the slot.
+  void OnSparePromoted(SlotId disk) final;
+  // The engine has already checked its own half of the gate (recovery
+  // timers, live-drive quiescence).
+  bool ScrubEligible() const final;
+
+  // Logical requests the policy holds outside the engine's queues (the
+  // mirror's reads parked behind in-flight writes). The one policy term in
+  // Idle and ScrubEligible.
+  virtual bool RequestsWaiting() const { return false; }
+
+  // --- Rebuild passes ---
+  // Starts repopulating the failed `slot` (already marked replaced). The
+  // pass reports its end, exactly once, through FinishRebuild.
+  virtual void StartRebuildPass(SlotId slot) = 0;
+  // Ends the active pass with `status`: fires its `done`, then starts the
+  // next queued slot.
+  void FinishRebuild(IoStatus status);
+  // The slot whose pass is running, if any.
+  std::optional<SlotId> rebuilding() const { return rebuilding_; }
 
   DriveSet& drives() { return drives_; }
   const DriveSet& drives() const { return drives_; }
@@ -151,7 +185,19 @@ class ArrayBackend : protected DriveSetClient {
     DoneFn done;
   };
 
+  struct QueuedRebuild {
+    SlotId slot;
+    DoneFn done;
+  };
+
+  // Marks `slot` replaced and starts its pass.
+  void StartRebuild(SlotId slot, DoneFn done);
+
   DriveSet drives_;
+  // The active pass's slot and `done`, and the slots queued behind it.
+  std::optional<SlotId> rebuilding_;
+  DoneFn rebuild_done_;
+  std::vector<QueuedRebuild> rebuild_queue_;
   std::unordered_map<uint64_t, LogicalOp> ops_;
   uint64_t next_op_id_ = 1;
   OpStats op_stats_;

@@ -234,5 +234,38 @@ TEST(ArrayFailure, RebuildInProgressWhileCopyWriteRetryBacksOff) {
   EXPECT_FALSE(rig.controller->RebuildInProgress());
 }
 
+TEST(ArrayFailure, RebuildOfReplacedTargetEndsTheOldStream) {
+  // The rebuild target fails again and is replaced while the first pass
+  // waits on its source read. The old pass must end with kDiskFailed
+  // instead of copying onto the new drive next to the fresh pass: one slot
+  // rebuilds once.
+  Rig single(1, 1, 2);
+  ASSERT_TRUE(single.controller->FailDisk(SlotId(1)));
+  single.controller->Rebuild(SlotId(1), nullptr);
+  single.Drain();
+  const uint64_t single_copies =
+      single.controller->rebuild_copied_fragments();
+  ASSERT_GT(single_copies, 0u);
+
+  Rig rig(1, 1, 2);
+  ASSERT_TRUE(rig.controller->FailDisk(SlotId(1)));
+  std::vector<IoStatus> a;
+  std::vector<IoStatus> b;
+  rig.controller->Rebuild(SlotId(1),
+                          [&](const IoResult& r) { a.push_back(r.status); });
+  // The first source read is queued on disk 0 and has not run yet.
+  ASSERT_TRUE(rig.controller->RebuildInProgress());
+  ASSERT_TRUE(rig.controller->FailDisk(SlotId(1)));
+  rig.controller->Rebuild(SlotId(1),
+                          [&](const IoResult& r) { b.push_back(r.status); });
+  EXPECT_TRUE(rig.controller->IsFailed(SlotId(1)))
+      << "the second pass must wait for the first to end";
+  rig.Drain();
+  EXPECT_EQ(a, std::vector<IoStatus>{IoStatus::kDiskFailed});
+  EXPECT_EQ(b, std::vector<IoStatus>{IoStatus::kOk});
+  EXPECT_FALSE(rig.controller->IsFailed(SlotId(1)));
+  EXPECT_EQ(rig.controller->rebuild_copied_fragments(), single_copies);
+}
+
 }  // namespace
 }  // namespace mimdraid

@@ -12,6 +12,8 @@
 //   * a tolerated explicit failure degrades service but never surfaces an
 //     intermediate status;
 //   * Rebuild() restores redundancy (IsFailed clears, service recovers);
+//   * rebuilds run one slot at a time: a slot rebuilt while another pass
+//     runs stays failed until that pass reports done;
 //   * transient faults are absorbed by each policy's retry and failover;
 //   * redundancy exhaustion surfaces kUnrecoverable — never a hang, never an
 //     intermediate status;
@@ -341,6 +343,55 @@ TEST_P(BackendConformance, RebuildAfterDetectedFailStopWithoutSpare) {
       << IoStatusName(rebuild_result.status);
   EXPECT_FALSE(array->backend().IsFailed(SlotId(0)));
   DrainAll(array.get());
+  array->backend().AuditQuiescent();
+  EXPECT_EQ(auditor.violations(), 0u);
+}
+
+TEST_P(BackendConformance, RebuildsRunOneSlotAtATime) {
+  InvariantAuditor auditor;
+  RigConfig rig;
+  rig.auditor = &auditor;
+  auto array = MakeArray(GetParam(), rig);
+  // The second slot shares no mirror column with slot 0 (the 2x1x2 mirror
+  // pairs slots 0-1 and 2-3); any other slot will do for the parity codes.
+  const SlotId first(0);
+  const SlotId second(GetParam() == ArrayBackendKind::kMirror ? 2 : 1);
+  std::vector<uint32_t> order;
+  std::vector<IoStatus> statuses;
+  const auto record = [&](SlotId slot) {
+    return [&order, &statuses, slot](const IoResult& r) {
+      order.push_back(slot.value());
+      statuses.push_back(r.status);
+    };
+  };
+  ASSERT_TRUE(array->backend().FailDisk(first));
+  array->backend().Rebuild(first, record(first));
+  ASSERT_TRUE(array->backend().FailDisk(second));
+  array->backend().Rebuild(second, record(second));
+
+  // The second slot stays failed (served degraded) until the first pass
+  // reports done.
+  bool second_started_early = false;
+  uint64_t steps = 0;
+  while (order.empty()) {
+    second_started_early |= !array->backend().IsFailed(second);
+    ASSERT_TRUE(array->sim().Step());
+    ASSERT_LT(++steps, kStepBudget) << "first rebuild wedged";
+  }
+  EXPECT_FALSE(second_started_early);
+  DrainAll(array.get());
+  EXPECT_EQ(order, (std::vector<uint32_t>{first.value(), second.value()}));
+  ASSERT_EQ(statuses.size(), 2u);
+  // RAID-5 (m = 1) cannot decode slot 0's rows while slot 1 is also down,
+  // so only its first pass may lose rows.
+  if (GetParam() == ArrayBackendKind::kRaid5) {
+    EXPECT_EQ(statuses[0], IoStatus::kUnrecoverable);
+  } else {
+    EXPECT_EQ(statuses[0], IoStatus::kOk);
+  }
+  EXPECT_EQ(statuses[1], IoStatus::kOk);
+  EXPECT_FALSE(array->backend().IsFailed(first));
+  EXPECT_FALSE(array->backend().IsFailed(second));
   array->backend().AuditQuiescent();
   EXPECT_EQ(auditor.violations(), 0u);
 }

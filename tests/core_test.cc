@@ -160,7 +160,7 @@ TEST(MimdRaid, CalibratedPredictorEndToEnd) {
   options.noise = DiskNoiseModel::Prototype();
   options.use_oracle_predictor = false;
   options.recalibration_interval_us = SimDuration(2'000'000);
-  options.calibration.seek.num_distances = 10;
+  options.calibration_seek_distances = 10;
   MimdRaid array(options);
   const RunResult r = RunClosedLoopOnArray(array, ReadLoop(2, 1200));
   EXPECT_EQ(r.latency.count(), 1200u);
@@ -185,7 +185,7 @@ TEST(MimdRaid, RecalibrationSkipsFailedSlotAndResumesAfterRebuild) {
   options.dataset_sectors = 20'000;
   options.use_oracle_predictor = false;
   options.recalibration_interval_us = SimDuration(50'000);
-  options.calibration.seek.num_distances = 10;
+  options.calibration_seek_distances = 10;
   TraceCollector collector;
   options.collector = &collector;
   MimdRaid array(options);

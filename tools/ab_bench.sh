@@ -2,7 +2,11 @@
 # Same-host A/B comparison of two revisions.
 #
 # Exports BASE and HEAD (default: the working tree, uncommitted edits
-# included) into a scratch directory, builds each in Release, then runs N
+# included) into a scratch directory and builds each in Release. It first
+# checks that both revisions simulate the same thing: one traced perfbench
+# run per workload and tree (`--seed 7 --seconds 2 --trace 1`) prints, per
+# workload, `identical` or the differing values of result.digest,
+# sim.events, sched.picks and sched.plans_per_pick. Then it runs N
 # alternating pairs: every perfbench workload (`perfbench/run.py ... --trace
 # 0`), the serial bench and the scheduler-pick and array-build
 # micro-benchmarks, with the first side of each pair alternating between BASE
@@ -115,14 +119,17 @@ pairs = int(pairs)
 workloads = workloads.split(",")
 # metric -> True when higher is better
 PERFBENCH_METRICS = {"req_per_s": True, "setup_s": False, "peak_rss_mb": False}
+# Traced outputs that show two revisions simulate the same thing.
+IDENTITY_METRICS = ["result.digest", "sim.events", "sched.picks",
+                    "sched.plans_per_pick"]
 MICRO_METRICS = {"BM_RsatfPick/256": False, "BM_SatfPick/4": False,
                  "BM_ArrayBuild/2/3": False, "BM_ArrayBuild/12/3": False}
 US_PER_UNIT = {"ns": 1e-3, "us": 1.0, "ms": 1e3, "s": 1e6}
 
 
-def run_perfbench(tree, workload):
+def perfbench_metrics(tree, workload, run_seed, run_seconds, trace):
     cmd = ["python3", "perfbench/run.py", "--workload", workload, "--seed",
-           seed, "--seconds", seconds, "--trace", "0"]
+           run_seed, "--seconds", run_seconds, "--trace", trace]
     done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     if done.returncode != 0:
         sys.exit(f"ab_bench: {' '.join(cmd)} failed in {tree}:\n"
@@ -130,7 +137,12 @@ def run_perfbench(tree, workload):
     result = json.loads(done.stdout.rstrip("\n").splitlines()[-1])
     if result["failed"] != 0:
         sys.exit(f"ab_bench: {workload} in {tree}: {result['failed']} failed")
-    return {m: result["metrics"][m]["value"] for m in PERFBENCH_METRICS}
+    return {m: v["value"] for m, v in result["metrics"].items()}
+
+
+def run_perfbench(tree, workload):
+    metrics = perfbench_metrics(tree, workload, seed, seconds, "0")
+    return {m: metrics[m] for m in PERFBENCH_METRICS}
 
 
 def run_bench(tree, bench):
@@ -156,6 +168,15 @@ def quartiles(xs):
     q = statistics.quantiles(xs, n=4, method="inclusive")
     return q[0], q[2]
 
+
+print("identity: perfbench --seed 7 --seconds 2 --trace 1, "
+      + ", ".join(IDENTITY_METRICS))
+for w in workloads:
+    traced = [perfbench_metrics(tree, w, "7", "2", "1")
+              for tree in (base_dir, head_dir)]
+    diffs = [f"{m} {traced[0][m]} -> {traced[1][m]}"
+             for m in IDENTITY_METRICS if traced[0][m] != traced[1][m]]
+    print(f"  {w}: {'; '.join(diffs) if diffs else 'identical'}", flush=True)
 
 rows = []
 jobs = [(w, run_perfbench, PERFBENCH_METRICS) for w in workloads]
