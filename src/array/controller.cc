@@ -18,7 +18,8 @@ ArrayController::ArrayController(Simulator* sim, std::vector<SimDisk*> disks,
       sim_(sim),
       layout_(layout),
       options_(options),
-      auditor_(options.drives.auditor) {
+      auditor_(options.drives.auditor),
+      nvram_(options.drives.auditor) {
   MIMDRAID_CHECK(layout != nullptr);
   MIMDRAID_CHECK_EQ(drives().num_slots(), layout->num_disks());
   const size_t n = drives().num_slots();
@@ -225,14 +226,12 @@ bool ArrayController::SubmitReadFragment(FragState& frag, uint64_t frag_key) {
 
   for (const DiskCandidates* dc : targets) {
     QueuedRequest entry;
-    entry.id = drives().AllocEntryId();
     entry.op = DiskOp::kRead;
     entry.sectors = frag.sectors;
     entry.candidates = dc->replicas;
-    entry.arrival_us = sim_->Now();
     entry.tag = frag_key;
-    frag.queued.emplace_back(dc->disk, entry.id);
-    drives().EnqueueFg(SlotId(dc->disk), std::move(entry));
+    frag.queued.emplace_back(
+        dc->disk, drives().EnqueueFg(SlotId(dc->disk), std::move(entry)));
   }
   // Dispatch after all duplicates are queued so cancellation state is
   // complete before the first pick.
@@ -267,11 +266,9 @@ bool ArrayController::SubmitWriteFragment(FragState& frag, uint64_t frag_key) {
         continue;
       }
       QueuedRequest entry;
-      entry.id = drives().AllocEntryId();
       entry.op = DiskOp::kWrite;
       entry.sectors = frag.sectors;
       entry.candidates = {QueueCandidate(BlockAddr(loc.lba))};
-      entry.arrival_us = sim_->Now();
       entry.tag = frag_key;
       drives().EnqueueFg(SlotId(loc.disk), std::move(entry));
       touched.push_back(loc.disk);
@@ -293,17 +290,15 @@ bool ArrayController::SubmitWriteFragment(FragState& frag, uint64_t frag_key) {
       continue;
     }
     QueuedRequest entry;
-    entry.id = drives().AllocEntryId();
     entry.op = DiskOp::kWrite;
     entry.sectors = frag.sectors;
-    entry.arrival_us = sim_->Now();
     entry.tag = frag_key;
     for (int r = 0; r < dr; ++r) {
       entry.candidates.push_back(QueueCandidate(
           BlockAddr(frag.replicas[static_cast<size_t>(m) * dr + r].lba)));
     }
-    frag.queued.emplace_back(disk, entry.id);
-    drives().EnqueueFg(SlotId(disk), std::move(entry));
+    frag.queued.emplace_back(disk,
+                             drives().EnqueueFg(SlotId(disk), std::move(entry)));
     touched.push_back(disk);
   }
   if (touched.empty()) {
@@ -341,8 +336,12 @@ void ArrayController::AuditMappedFragments(
 
 void ArrayController::OnEntryDispatched(SlotId slot,
                                         const QueuedRequest& entry) {
-  if (entry.delayed || entry.maintenance) {
+  if (entry.delayed) {
+    nvram_.MarkDispatched(slot.value(), entry.primary().value(), entry.id);
     return;
+  }
+  if (entry.tag == 0) {
+    return;  // a maintenance entry
   }
   auto it = frags_.find(entry.tag);
   MIMDRAID_CHECK(it != frags_.end());
@@ -366,9 +365,7 @@ void ArrayController::OnEntryComplete(SlotId slot,
   // failure it ran, opened the fault record and run the fault counters
   // (possibly auto-failing the slot). Only the mirror policy's bookkeeping
   // runs here.
-  if (entry.maintenance) {
-    auto it = maintenance_.find(entry.id);
-    MIMDRAID_CHECK(it != maintenance_.end());
+  if (auto it = maintenance_.find(entry.id); it != maintenance_.end()) {
     MaintenanceHook hook = std::move(it->second);
     maintenance_.erase(it);
     const FaultResolution resolution = hook(result, ran);
@@ -387,9 +384,6 @@ void ArrayController::OnEntryComplete(SlotId slot,
       // newer propagation to the same location was queued while this one was
       // in flight (the index then points at the newer entry).
       if (nvram_.EraseIfOwner(disk, chosen_lba, entry.id)) {
-        if (auditor_ != nullptr) {
-          auditor_->OnNvramErase(disk, chosen_lba);
-        }
         stale_.Set(ReplicaKey(disk, chosen_lba), entry.sectors, 0);
       }
       ++stats_.delayed_writes_completed;
@@ -579,7 +573,6 @@ void ArrayController::HandleWriteFailure(uint32_t disk,
     return;
   }
   QueuedRequest retry;
-  retry.id = drives().AllocEntryId();
   retry.op = DiskOp::kWrite;
   retry.sectors = entry.sectors;
   retry.candidates = {QueueCandidate(BlockAddr(chosen_lba))};
@@ -594,7 +587,6 @@ void ArrayController::HandleWriteFailure(uint32_t disk,
           LoseWriteReplica(retry.tag);
           return;
         }
-        retry.arrival_us = sim_->Now();
         drives().EnqueueFg(SlotId(disk), std::move(retry));
         drives().MaybeDispatch(SlotId(disk));
       });
@@ -621,8 +613,8 @@ void ArrayController::HandleDelayedFailure(uint32_t disk,
     drives().ResolveFault(entry.id, FaultResolution::kAbandoned, true);
     return;
   }
-  const std::optional<uint64_t> owner = nvram_.OwnerOf(disk, chosen_lba);
-  if (owner != entry.id) {
+  const NvramTable::Record* record = nvram_.Find(disk, chosen_lba);
+  if (record == nullptr || record->owner != entry.id) {
     // A newer write superseded this propagation while it was in flight; the
     // live owner entry will rewrite the location with fresher data.
     drives().ResolveFault(entry.id, FaultResolution::kRetried, false);
@@ -641,9 +633,6 @@ void ArrayController::HandleDelayedFailure(uint32_t disk,
       attempts, [this, disk, chosen_lba, sectors, attempts, failed_id]() {
         if (!nvram_.EraseIfOwner(disk, chosen_lba, failed_id)) {
           return;  // superseded during the backoff; the new owner writes it
-        }
-        if (auditor_ != nullptr) {
-          auditor_->OnNvramErase(disk, chosen_lba);
         }
         if (drives().failed(SlotId(disk))) {
           stale_.Set(ReplicaKey(disk, chosen_lba), sectors, 0);
@@ -682,9 +671,7 @@ void ArrayController::RerouteDroppedEntry(uint32_t disk,
 void ArrayController::AbandonPropagation(uint32_t disk,
                                          const QueuedRequest& entry) {
   const uint64_t lba = entry.primary().value();
-  if (nvram_.EraseIfOwner(disk, lba, entry.id) && auditor_ != nullptr) {
-    auditor_->OnNvramErase(disk, lba);
-  }
+  nvram_.EraseIfOwner(disk, lba, entry.id);
   stale_.Set(ReplicaKey(disk, lba), entry.sectors, 0);
   ++fstats().propagations_abandoned;
 }
@@ -723,15 +710,13 @@ void ArrayController::ScrubStep() {
         continue;
       }
       QueuedRequest e;
-      e.id = drives().AllocEntryId();
       e.op = DiskOp::kRead;
       e.sectors = f.sectors;
       e.candidates = {QueueCandidate(BlockAddr(loc.lba))};
-      e.arrival_us = sim_->Now();
-      e.maintenance = true;
       const uint32_t d = loc.disk;
-      maintenance_[e.id] = [this, d, lba = loc.lba, sectors = f.sectors](
-                               const DiskOpResult& r, bool ran) {
+      const uint64_t id = drives().EnqueueDelayed(SlotId(d), std::move(e));
+      maintenance_[id] = [this, d, lba = loc.lba, sectors = f.sectors](
+                             const DiskOpResult& r, bool ran) {
         if (!ran) {
           return FaultResolution::kAbandoned;
         }
@@ -753,7 +738,6 @@ void ArrayController::ScrubStep() {
         return drives().failed(SlotId(d)) ? FaultResolution::kAbandoned
                                           : FaultResolution::kSurfaced;
       };
-      drives().EnqueueDelayed(SlotId(d), std::move(e));
       drives().MaybeDispatch(SlotId(d));
     }
   }
@@ -762,61 +746,44 @@ void ArrayController::ScrubStep() {
 
 void ArrayController::AddDelayedWrite(uint32_t disk, uint64_t lba,
                                       uint32_t sectors, uint32_t attempts) {
-  const std::optional<uint64_t> existing_owner = nvram_.OwnerOf(disk, lba);
-  if (existing_owner.has_value()) {
+  if (const NvramTable::Record* record = nvram_.Find(disk, lba)) {
     ++stats_.delayed_writes_discarded;
     // If the superseded entry is still queued, it simply carries the newer
     // data ("data dies young", Section 3.4) — nothing more to do. If it is
-    // already in flight, a fresh propagation must follow it.
-    for (const std::span<const QueuedRequest> q :
-         {drives().delayed(SlotId(disk)), drives().fg(SlotId(disk))}) {
-      for (const QueuedRequest& e : q) {
-        if (e.id == *existing_owner) {
-          return;  // still queued; superseded in place
-        }
-      }
-    }
-    nvram_.Erase(disk, lba);  // in flight; fall through to re-queue
-    if (auditor_ != nullptr) {
-      auditor_->OnNvramErase(disk, lba);
+    // already in flight, a fresh propagation takes its record over.
+    if (!record->dispatched) {
+      return;
     }
   }
   QueuedRequest entry;
-  entry.id = drives().AllocEntryId();
   entry.op = DiskOp::kWrite;
   entry.sectors = sectors;
   entry.candidates = {QueueCandidate(BlockAddr(lba))};
-  entry.arrival_us = sim_->Now();
   entry.delayed = true;
   entry.attempts = attempts;
-  const uint64_t owner_id = entry.id;
   // Queue registration precedes the table insert so the auditor sees the
   // NVRAM entry owned by an already-live delayed entry.
-  drives().EnqueueDelayed(SlotId(disk), std::move(entry));
-  nvram_.Put(NvramEntry{disk, lba, sectors}, owner_id);
-  if (auditor_ != nullptr) {
-    auditor_->OnNvramPut(disk, lba, owner_id);
-  }
+  nvram_.Put(NvramEntry{disk, lba, sectors},
+             drives().EnqueueDelayed(SlotId(disk), std::move(entry)));
   stale_.Set(ReplicaKey(disk, lba), sectors, 1);
   drives().MaybeDispatch(SlotId(disk));
 }
 
 void ArrayController::CancelPendingDelayed(uint32_t disk, uint64_t lba) {
-  const std::optional<NvramEntry> record = nvram_.EntryOf(disk, lba);
-  if (!record.has_value()) {
+  const NvramTable::Record* record = nvram_.Find(disk, lba);
+  if (record == nullptr) {
     return;
   }
   ++stats_.delayed_writes_discarded;
-  // The owner may sit in the delayed queue or (if forced out) the FG queue.
-  // Once dispatched it completes and clears its own state.
-  if (!drives().Cancel(SlotId(disk), *nvram_.OwnerOf(disk, lba))) {
+  // A dispatched owner completes and clears its own state. A queued one sits
+  // in the delayed queue or (if forced out) the FG queue.
+  if (record->dispatched) {
     return;
   }
+  MIMDRAID_CHECK(drives().Cancel(SlotId(disk), record->owner));
+  const uint32_t sectors = record->entry.sectors;
   nvram_.Erase(disk, lba);
-  if (auditor_ != nullptr) {
-    auditor_->OnNvramErase(disk, lba);
-  }
-  stale_.Set(ReplicaKey(disk, lba), record->sectors, 0);
+  stale_.Set(ReplicaKey(disk, lba), sectors, 0);
 }
 
 void ArrayController::EnforceDelayedTableLimit() {
@@ -932,13 +899,12 @@ void ArrayController::RebuildNextFragment(uint32_t disk, uint64_t next_lba) {
       const uint64_t source_lba = source->lba;
 
       QueuedRequest read_entry;
-      read_entry.id = drives().AllocEntryId();
       read_entry.op = DiskOp::kRead;
       read_entry.sectors = len;
       read_entry.candidates = {QueueCandidate(BlockAddr(source_lba))};
-      read_entry.arrival_us = sim_->Now();
-      read_entry.maintenance = true;
-      maintenance_[read_entry.id] =
+      const uint64_t id =
+          drives().EnqueueDelayed(SlotId(source_disk), std::move(read_entry));
+      maintenance_[id] =
           [this, disk, frag_start, resume, targets, len, source_disk,
            source_lba](const DiskOpResult& r, bool) {
             if (r.status != IoStatus::kOk) {
@@ -961,7 +927,6 @@ void ArrayController::RebuildNextFragment(uint32_t disk, uint64_t next_lba) {
             }
             return FaultResolution::kFailedOver;  // unread: the read succeeded
           };
-      drives().EnqueueDelayed(SlotId(source_disk), std::move(read_entry));
       drives().MaybeDispatch(SlotId(source_disk));
       return;  // continue from the completion callbacks
     }
@@ -986,14 +951,12 @@ void ArrayController::EnqueueRebuildWrite(ReplicaLocation loc, uint32_t len,
     return;
   }
   QueuedRequest w;
-  w.id = drives().AllocEntryId();
   w.op = DiskOp::kWrite;
   w.sectors = len;
   w.candidates = {QueueCandidate(BlockAddr(loc.lba))};
-  w.arrival_us = sim_->Now();
-  w.maintenance = true;
-  maintenance_[w.id] = [this, loc, len, writes_left, rebuild_disk,
-                        resume](const DiskOpResult& r, bool) {
+  const uint64_t id = drives().EnqueueDelayed(SlotId(loc.disk), std::move(w));
+  maintenance_[id] = [this, loc, len, writes_left, rebuild_disk,
+                      resume](const DiskOpResult& r, bool) {
     if (r.status != IoStatus::kOk && !drives().failed(SlotId(loc.disk))) {
       // Transient failure of the copy write: retry after backoff. The write
       // itself repairs any latent error at the target (firmware remap).
@@ -1021,7 +984,6 @@ void ArrayController::EnqueueRebuildWrite(ReplicaLocation loc, uint32_t len,
     }
     return FaultResolution::kAbandoned;  // read only when the target died
   };
-  drives().EnqueueDelayed(SlotId(loc.disk), std::move(w));
   drives().MaybeDispatch(SlotId(loc.disk));
 }
 
@@ -1033,13 +995,11 @@ void ArrayController::ScheduleRecalibration(uint32_t disk) {
     // the queue, and keep the timer armed for after the rebuild.
     if (hp != nullptr && !drives().failed(SlotId(disk))) {
       QueuedRequest entry;
-      entry.id = drives().AllocEntryId();
       entry.op = DiskOp::kRead;
       entry.sectors = 1;
       entry.candidates = {QueueCandidate(BlockAddr(hp->reference_lba()))};
-      entry.arrival_us = sim_->Now();
-      entry.maintenance = true;
-      maintenance_[entry.id] = [this, disk](const DiskOpResult& r, bool ran) {
+      const uint64_t id = drives().EnqueueFg(SlotId(disk), std::move(entry));
+      maintenance_[id] = [this, disk](const DiskOpResult& r, bool ran) {
         // A failed reference read has nothing to recover: the observation is
         // simply missed and the next timer issues a fresh one.
         if (ran && r.ok()) {
@@ -1051,7 +1011,6 @@ void ArrayController::ScheduleRecalibration(uint32_t disk) {
         }
         return FaultResolution::kSurfaced;
       };
-      drives().EnqueueFg(SlotId(disk), std::move(entry));
       drives().MaybeDispatch(SlotId(disk));
     }
     ScheduleRecalibration(disk);

@@ -154,7 +154,8 @@ class ArrayController : public ArrayBackend {
   }
 
   // --- DriveSetClient hooks ---
-  // A dispatched fragment entry cancels its duplicates on the other disks.
+  // A dispatched fragment entry cancels its duplicates on the other disks; a
+  // dispatched propagation marks its NVRAM record.
   void OnEntryDispatched(SlotId slot, const QueuedRequest& entry) override;
   // The mirror's one switch over its entry kinds: maintenance (runs the
   // entry's hook), propagation, and fragment.
@@ -233,8 +234,9 @@ class ArrayController : public ArrayBackend {
   std::unordered_map<uint64_t, FragState> frags_;
 
   // Pending background propagation, keyed by replica location (the NVRAM
-  // metadata table). The owning queue entry may live in the delayed queue or,
-  // if forced out, the FG queue.
+  // metadata table). Each record says whether its owning entry is still
+  // queued (delayed queue, or FG queue if forced out) or dispatched; the
+  // table reports its own changes to the auditor.
   NvramTable nvram_;
   // Replica state. Physical sectors, keyed by ReplicaKey, count 1 while a
   // propagation to them is pending and 0 once it lands, is cancelled or
@@ -247,7 +249,8 @@ class ArrayController : public ArrayBackend {
 
   uint64_t rebuild_copied_ = 0;
   // Completion hooks of the maintenance entries (rebuild copies, scrub and
-  // recalibration reads), keyed by entry id. A hook runs once, from
+  // recalibration reads), keyed by entry id; an id found here is what marks
+  // an entry as maintenance (its tag is 0). A hook runs once, from
   // OnEntryComplete with the engine's `ran` flag: true when its entry
   // completed, false (and a kDiskFailed result) when the entry was drained
   // unrun from a failed slot. It returns how a failed result was resolved.

@@ -11,9 +11,11 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <unordered_map>
 #include <vector>
+
+#include "src/sim/auditor.h"
+#include "src/util/check.h"
 
 namespace mimdraid {
 
@@ -27,47 +29,64 @@ struct NvramEntry {
 
 class NvramTable {
  public:
+  // One pending propagation. `owner` is the queue entry id responsible for
+  // it; `dispatched` says whether that entry has left its queue for the
+  // drive. A queued owner always owns its record: a newer write takes a
+  // record over only from a dispatched owner.
+  struct Record {
+    NvramEntry entry;
+    uint64_t owner = 0;
+    bool dispatched = false;
+  };
+
+  // `auditor` (borrowed, may be null) is told of every insert and erase.
+  explicit NvramTable(InvariantAuditor* auditor = nullptr)
+      : auditor_(auditor) {}
+
   static uint64_t Key(uint32_t disk, uint64_t lba) {
     return (static_cast<uint64_t>(disk) << 48) | lba;
   }
 
-  // Inserts or replaces the entry for (disk, lba). `owner` is the queue entry
-  // id currently responsible for the propagation.
+  // Inserts or replaces the record for (disk, lba), owned by the queued
+  // entry `owner`.
   void Put(const NvramEntry& entry, uint64_t owner) {
     map_[Key(entry.disk, entry.lba)] = Record{entry, owner};
-  }
-
-  // The owner id for (disk, lba), if pending.
-  std::optional<uint64_t> OwnerOf(uint32_t disk, uint64_t lba) const {
-    auto it = map_.find(Key(disk, lba));
-    if (it == map_.end()) {
-      return std::nullopt;
+    if (auditor_ != nullptr) {
+      auditor_->OnNvramPut(entry.disk, entry.lba, owner);
     }
-    return it->second.owner;
   }
 
-  std::optional<NvramEntry> EntryOf(uint32_t disk, uint64_t lba) const {
+  // The record for (disk, lba), or nullptr when nothing is pending there.
+  // Valid until the next Put or erase.
+  const Record* Find(uint32_t disk, uint64_t lba) const {
     auto it = map_.find(Key(disk, lba));
-    if (it == map_.end()) {
-      return std::nullopt;
-    }
-    return it->second.entry;
+    return it == map_.end() ? nullptr : &it->second;
   }
 
-  // Erases the entry regardless of owner. Returns whether it existed.
+  // The owner of (disk, lba) left its queue for the drive.
+  void MarkDispatched(uint32_t disk, uint64_t lba, uint64_t owner) {
+    auto it = map_.find(Key(disk, lba));
+    MIMDRAID_CHECK(it != map_.end());
+    MIMDRAID_CHECK_EQ(it->second.owner, owner);
+    it->second.dispatched = true;
+  }
+
+  // Erases the record regardless of owner. Returns whether it existed.
   bool Erase(uint32_t disk, uint64_t lba) {
-    return map_.erase(Key(disk, lba)) > 0;
-  }
-
-  // Erases only if `owner` still owns the entry (a newer propagation to the
-  // same location must not be dropped by a stale completion).
-  bool EraseIfOwner(uint32_t disk, uint64_t lba, uint64_t owner) {
-    auto it = map_.find(Key(disk, lba));
-    if (it == map_.end() || it->second.owner != owner) {
+    if (map_.erase(Key(disk, lba)) == 0) {
       return false;
     }
-    map_.erase(it);
+    if (auditor_ != nullptr) {
+      auditor_->OnNvramErase(disk, lba);
+    }
     return true;
+  }
+
+  // Erases only if `owner` still owns the record (a newer propagation to the
+  // same location must not be dropped by a stale completion).
+  bool EraseIfOwner(uint32_t disk, uint64_t lba, uint64_t owner) {
+    const Record* record = Find(disk, lba);
+    return record != nullptr && record->owner == owner && Erase(disk, lba);
   }
 
   size_t size() const { return map_.size(); }
@@ -85,10 +104,7 @@ class NvramTable {
   }
 
  private:
-  struct Record {
-    NvramEntry entry;
-    uint64_t owner = 0;
-  };
+  InvariantAuditor* auditor_;
   std::unordered_map<uint64_t, Record> map_;
 };
 

@@ -526,14 +526,12 @@ void EcController::EnqueueDiskOp(uint32_t disk, DiskOp op, uint64_t lba,
     return;
   }
   QueuedRequest entry;
-  entry.id = drives().AllocEntryId();
   entry.op = op;
   entry.sectors = sectors;
   entry.candidates = {QueueCandidate(BlockAddr(lba))};
-  entry.arrival_us = sim_->Now();
   entry.attempts = attempts;
-  commands_.emplace(entry.id, std::move(done));
-  drives().EnqueueFg(slot, std::move(entry));
+  commands_.emplace(drives().EnqueueFg(slot, std::move(entry)),
+                    std::move(done));
   drives().MaybeDispatch(slot);
 }
 

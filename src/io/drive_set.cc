@@ -130,21 +130,28 @@ std::vector<QueuedRequest> DriveSet::EntryQueue::Drain() {
   return drained;
 }
 
-void DriveSet::EnqueueFg(SlotId slot, QueuedRequest entry) {
+uint64_t DriveSet::Admit(SlotId slot, QueuedRequest& entry) {
+  entry.id = next_entry_id_++;
+  entry.arrival_us = sim_->Now();
   if (options_.auditor != nullptr) {
     options_.auditor->OnEntryQueued(slot.value(), entry.id, entry.delayed);
   }
+  return entry.id;
+}
+
+uint64_t DriveSet::EnqueueFg(SlotId slot, QueuedRequest entry) {
+  const uint64_t id = Admit(slot, entry);
   fg_[slot.value()].Push(std::move(entry));
   if (options_.collector != nullptr) {
     options_.collector->OnQueueDepth(slot.value(), sim_->Now(), fg_[slot.value()].size());
   }
+  return id;
 }
 
-void DriveSet::EnqueueDelayed(SlotId slot, QueuedRequest entry) {
-  if (options_.auditor != nullptr) {
-    options_.auditor->OnEntryQueued(slot.value(), entry.id, entry.delayed);
-  }
+uint64_t DriveSet::EnqueueDelayed(SlotId slot, QueuedRequest entry) {
+  const uint64_t id = Admit(slot, entry);
   delayed_[slot.value()].Push(std::move(entry));
+  return id;
 }
 
 bool DriveSet::Cancel(SlotId slot, uint64_t id) {

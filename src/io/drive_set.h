@@ -8,9 +8,10 @@
 // propagation, or erasure-code geometry + RMW planning) speaks to the engine
 // through the hooks below.
 //
-// The policy allocates entry ids (AllocEntryId), builds QueuedRequest
-// values, enqueues them (EnqueueFg/EnqueueDelayed), and gets every completion
-// back through DriveSetClient::OnEntryComplete. The engine does the observer
+// The policy builds QueuedRequest values and enqueues them
+// (EnqueueFg/EnqueueDelayed), which stamp each entry's id and arrival time
+// and return the id; it gets every completion back through
+// DriveSetClient::OnEntryComplete. The engine does the observer
 // bookkeeping and fault counting; recovery is entirely the policy's, which
 // picks its own retry unit (the mirror retries a fragment, the erasure
 // controller a disk command) and re-enqueues through ScheduleRecovery.
@@ -157,19 +158,20 @@ class DriveSet {
   const FaultRecoveryStats& fstats() const { return fstats_; }
 
   // --- Queues ---
-  // Queue conservation: every entry id comes from AllocEntryId, is reported
-  // queued once (EnqueueFg/EnqueueDelayed), and leaves exactly once — by
-  // dispatch, Cancel, or a failed-slot drain, all of which the engine
-  // reports to the auditor.
-  [[nodiscard]] uint64_t AllocEntryId() { return next_entry_id_++; }
+  // Queue conservation: EnqueueFg/EnqueueDelayed give every entry a fresh
+  // id, increasing in enqueue order, and report it queued once; it leaves
+  // exactly once — by dispatch, Cancel, or a failed-slot drain, all of which
+  // the engine reports to the auditor.
   std::span<const QueuedRequest> fg(SlotId slot) const {
     return fg_[slot.value()].live();
   }
   std::span<const QueuedRequest> delayed(SlotId slot) const {
     return delayed_[slot.value()].live();
   }
-  void EnqueueFg(SlotId slot, QueuedRequest entry);
-  void EnqueueDelayed(SlotId slot, QueuedRequest entry);
+  // Both overwrite `entry.id` and `entry.arrival_us` (now) and return the id.
+  // Neither dispatches.
+  uint64_t EnqueueFg(SlotId slot, QueuedRequest entry);
+  uint64_t EnqueueDelayed(SlotId slot, QueuedRequest entry);
   // Removes entry `id` from `slot`'s foreground or delayed queue without
   // running it; the owner is not called back. Returns false when the entry
   // is not queued there (already dispatched).
@@ -267,6 +269,9 @@ class DriveSet {
     size_t head_ = 0;
   };
 
+  // Stamps `entry` with a fresh id and the current time and reports it
+  // queued; returns the id.
+  uint64_t Admit(SlotId slot, QueuedRequest& entry);
   void HandleCompletion(SlotId slot, const QueuedRequest& entry,
                         BlockAddr chosen_lba, const DiskOpResult& result);
   // Empties `slot`'s delayed, then foreground queue, handing each entry back

@@ -38,6 +38,7 @@ struct QueuedRequest {
   // No remap count equals it, so a new entry's positions count as stale.
   static constexpr uint32_t kUnstamped = UINT32_MAX;
 
+  // Stamped by DriveSet::EnqueueFg/EnqueueDelayed, as is `arrival_us`.
   uint64_t id = 0;
   DiskOp op = DiskOp::kRead;
   uint32_t sectors = 0;
@@ -46,12 +47,13 @@ struct QueuedRequest {
   // Background replica propagation (serviced only when the foreground queue
   // is empty; see Section 3.4).
   bool delayed = false;
-  // Calibration-maintenance access (periodic reference-sector read).
-  bool maintenance = false;
-  // Array-layer correlation handle (fragment key; 0 for delayed/maintenance).
+  // Array-layer correlation handle: the mirror's fragment key, which starts
+  // at 1. 0 on propagations and on maintenance entries (rebuild copies, scrub
+  // and calibration reads), which the mirror routes by id through its hook
+  // table.
   uint64_t tag = 0;
   // Recovery attempts already spent on the work this entry carries; a retry
-  // mints a fresh entry (fresh id, so queue conservation holds) with
+  // enqueues a fresh entry (fresh id, so queue conservation holds) with
   // attempts + 1.
   uint32_t attempts = 0;
   // DiskLayout::num_remapped_sectors() when `candidates[].pos` were computed.

@@ -10,6 +10,8 @@ namespace mimdraid {
 namespace {
 
 constexpr uint32_t kHotBlockSectors = 64;  // granularity of the Zipf space
+// Mean distance of a non-sequential near draw from the previous request.
+constexpr double kNearJumpMeanSectors = 2048.0;
 
 uint32_t SampleSize(const std::vector<std::pair<uint32_t, double>>& dist,
                     Rng& rng) {
@@ -182,7 +184,7 @@ Trace GenerateSyntheticTrace(const SyntheticTraceParams& params) {
                            params.dataset_sectors);
       seq_cursor = rec.lba + rec.sectors;
     } else {
-      const double jump = rng.Exponential(params.near_jump_mean_sectors) *
+      const double jump = rng.Exponential(kNearJumpMeanSectors) *
                           (rng.Bernoulli(0.5) ? 1.0 : -1.0);
       rec.lba = AlignClamp(static_cast<double>(prev_lba) + jump, rec.sectors,
                            params.dataset_sectors);

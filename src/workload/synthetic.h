@@ -36,7 +36,6 @@ struct SyntheticTraceParams {
   double hot_theta = 0.9;         // Zipf skew of fresh-location draws
   double hot_frac = 0.5;          // probability a fresh draw uses the Zipf
   double sequential_frac = 0.5;   // near draws that continue sequentially
-  double near_jump_mean_sectors = 2048.0;
   // Fraction of reads that re-reference recently touched data (recency-biased
   // draw over the access history). This is the temporal locality an LRU
   // cache exploits (Figure 11); it also contributes read-after-write reuse.

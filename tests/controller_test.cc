@@ -7,6 +7,7 @@
 #include "src/array/controller.h"
 #include "src/calib/predictor.h"
 #include "src/disk/sim_disk.h"
+#include "src/sim/fault_injector.h"
 #include "src/sim/simulator.h"
 
 namespace mimdraid {
@@ -214,6 +215,31 @@ TEST(Controller, BackToBackWritesDiscardSupersededPropagation) {
   EXPECT_GE(rig.controller->stats().delayed_writes_discarded, 1u);
   rig.Drain();
   EXPECT_EQ(rig.controller->DelayedBacklog(), 0u);
+}
+
+TEST(Controller, WriteOverInFlightPropagationQueuesAFreshOne) {
+  // Disk 1 is slow, so the first write's propagation to it is still on the
+  // drive when the second write to the same block lands on disk 0. That
+  // propagation carries the old data: a fresh one must follow it.
+  FaultInjector injector{FaultInjectorOptions{}};
+  injector.SetFailSlow(1, 8.0);
+  ArrayControllerOptions copts;
+  copts.drives.fault_injector = &injector;
+  Rig rig(1, 1, 2, copts);
+  rig.Do(DiskOp::kWrite, 0, 8);
+  ASSERT_EQ(rig.controller->DelayedBacklog(), 1u);
+  ASSERT_TRUE(rig.disks[1]->busy()) << "propagation to disk 1 dispatched";
+
+  rig.Do(DiskOp::kWrite, 0, 8);
+  EXPECT_EQ(rig.disks[0]->ops_completed(), 2u);
+  ASSERT_TRUE(rig.disks[1]->busy()) << "first propagation still in flight";
+  rig.Drain();
+
+  const ArrayStats& stats = rig.controller->stats();
+  EXPECT_EQ(stats.delayed_writes_discarded, 1u);
+  EXPECT_EQ(stats.delayed_writes_completed, 2u);
+  EXPECT_EQ(rig.controller->DelayedBacklog(), 0u);
+  EXPECT_EQ(rig.disks[1]->ops_completed(), 2u);
 }
 
 TEST(Controller, DelayedTableLimitForcesWritesOut) {

@@ -58,19 +58,12 @@ class DriveSetTest : public ::testing::Test {
   // Queues a raw single-candidate read (foreground unless `delayed`).
   uint64_t EnqueueRaw(SlotId slot, uint64_t lba, bool delayed = false) {
     QueuedRequest entry;
-    entry.id = drives_->AllocEntryId();
     entry.op = DiskOp::kRead;
     entry.sectors = 1;
     entry.candidates = {QueueCandidate(BlockAddr(lba))};
-    entry.arrival_us = sim_.Now();
     entry.delayed = delayed;
-    const uint64_t id = entry.id;
-    if (delayed) {
-      drives_->EnqueueDelayed(slot, std::move(entry));
-    } else {
-      drives_->EnqueueFg(slot, std::move(entry));
-    }
-    return id;
+    return delayed ? drives_->EnqueueDelayed(slot, std::move(entry))
+                   : drives_->EnqueueFg(slot, std::move(entry));
   }
 
   void RunDry() {
@@ -108,6 +101,28 @@ TEST_F(DriveSetTest, CancelRemovesQueuedEntryButNotDispatchedOne) {
             (std::vector<std::string>{
                 "raw " + std::to_string(running) + " ran ok @10",
                 "raw " + std::to_string(kept) + " ran ok @30"}));
+  EXPECT_TRUE(drives_->AllDrivesQuiet());
+  EXPECT_EQ(auditor_.violations(), 0u);
+}
+
+TEST_F(DriveSetTest, EnqueueStampsFreshIdsAndArrivalTimes) {
+  Build();
+  const uint64_t first = EnqueueRaw(SlotId(0), 10);
+  sim_.ScheduleAfter(SimDuration(100), [] {});
+  ASSERT_TRUE(sim_.Step());
+  const uint64_t second = EnqueueRaw(SlotId(1), 20, /*delayed=*/true);
+  EXPECT_LT(first, second) << "ids increase in enqueue order";
+  ASSERT_EQ(drives_->fg(SlotId(0)).size(), 1u);
+  ASSERT_EQ(drives_->delayed(SlotId(1)).size(), 1u);
+  EXPECT_EQ(drives_->fg(SlotId(0))[0].id, first);
+  EXPECT_EQ(drives_->fg(SlotId(0))[0].arrival_us, SimTime(0));
+  EXPECT_EQ(drives_->delayed(SlotId(1))[0].id, second);
+  EXPECT_EQ(drives_->delayed(SlotId(1))[0].arrival_us, SimTime(100));
+  EXPECT_FALSE(drives_->disk(SlotId(0))->busy()) << "enqueue never dispatches";
+
+  drives_->MaybeDispatch(SlotId(0));
+  drives_->MaybeDispatch(SlotId(1));
+  RunDry();
   EXPECT_TRUE(drives_->AllDrivesQuiet());
   EXPECT_EQ(auditor_.violations(), 0u);
 }

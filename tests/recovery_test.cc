@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/array/array_layout.h"
@@ -11,6 +12,7 @@
 #include "src/array/nvram_table.h"
 #include "src/calib/predictor.h"
 #include "src/disk/sim_disk.h"
+#include "src/sim/auditor.h"
 #include "src/sim/simulator.h"
 #include "src/util/rng.h"
 
@@ -53,21 +55,45 @@ TEST(NvramTableUnit, PutEraseOwnership) {
   NvramTable t;
   t.Put(NvramEntry{1, 100, 8}, 7);
   EXPECT_EQ(t.size(), 1u);
-  ASSERT_TRUE(t.OwnerOf(1, 100).has_value());
-  EXPECT_EQ(*t.OwnerOf(1, 100), 7u);
+  const NvramTable::Record* record = t.Find(1, 100);
+  ASSERT_NE(record, nullptr);
+  EXPECT_EQ(record->owner, 7u);
+  EXPECT_EQ(record->entry.sectors, 8u);
+  EXPECT_FALSE(record->dispatched);
+  EXPECT_EQ(t.Find(1, 101), nullptr);
   // A different owner cannot erase it.
   EXPECT_FALSE(t.EraseIfOwner(1, 100, 8));
   EXPECT_EQ(t.size(), 1u);
   EXPECT_TRUE(t.EraseIfOwner(1, 100, 7));
   EXPECT_TRUE(t.empty());
+  EXPECT_FALSE(t.Erase(1, 100));
 }
 
 TEST(NvramTableUnit, PutReplacesOwner) {
   NvramTable t;
   t.Put(NvramEntry{0, 5, 4}, 1);
+  t.MarkDispatched(0, 5, 1);
+  EXPECT_TRUE(t.Find(0, 5)->dispatched);
   t.Put(NvramEntry{0, 5, 4}, 2);
   EXPECT_EQ(t.size(), 1u);
-  EXPECT_EQ(*t.OwnerOf(0, 5), 2u);
+  EXPECT_EQ(t.Find(0, 5)->owner, 2u);
+  EXPECT_FALSE(t.Find(0, 5)->dispatched);
+}
+
+TEST(NvramTableUnit, ReportsItsOwnChangesToTheAuditor) {
+  InvariantAuditor auditor;
+  std::vector<std::string> violations;
+  auditor.set_failure_handler(
+      [&](const std::string& message) { violations.push_back(message); });
+  NvramTable t(&auditor);
+  auditor.OnEntryQueued(0, 9, /*delayed=*/true);
+  t.Put(NvramEntry{0, 300, 8}, 9);
+  // A stale owner's erase is refused and must not be reported.
+  EXPECT_FALSE(t.EraseIfOwner(0, 300, 8));
+  EXPECT_TRUE(t.Erase(0, 300));
+  auditor.OnEntryCancelled(0, 9);
+  auditor.CheckQuiescent(0, 0, t.size(), 0, 0, 0);
+  EXPECT_EQ(violations, std::vector<std::string>{});
 }
 
 TEST(NvramTableUnit, SnapshotListsAllEntries) {

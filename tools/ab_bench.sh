@@ -6,7 +6,9 @@
 # checks that both revisions simulate the same thing: one traced perfbench
 # run per workload and tree (`--seed 7 --seconds 2 --trace 1`) prints, per
 # workload, `identical` or the differing values of result.digest,
-# sim.events, sched.picks and sched.plans_per_pick. Then it runs N
+# sim.events, sched.picks, sched.plans_per_pick and the propagation
+# counters io.disk_ops, io.retries, array.delayed_completed,
+# array.delayed_forced and array.delayed_discarded. Then it runs N
 # alternating pairs: every perfbench workload (`perfbench/run.py ... --trace
 # 0`), the serial bench and the scheduler-pick and array-build
 # micro-benchmarks, with the first side of each pair alternating between BASE
@@ -121,7 +123,9 @@ workloads = workloads.split(",")
 PERFBENCH_METRICS = {"req_per_s": True, "setup_s": False, "peak_rss_mb": False}
 # Traced outputs that show two revisions simulate the same thing.
 IDENTITY_METRICS = ["result.digest", "sim.events", "sched.picks",
-                    "sched.plans_per_pick"]
+                    "sched.plans_per_pick", "io.disk_ops", "io.retries",
+                    "array.delayed_completed", "array.delayed_forced",
+                    "array.delayed_discarded"]
 MICRO_METRICS = {"BM_RsatfPick/256": False, "BM_SatfPick/4": False,
                  "BM_ArrayBuild/2/3": False, "BM_ArrayBuild/12/3": False}
 US_PER_UNIT = {"ns": 1e-3, "us": 1.0, "ms": 1e3, "s": 1e6}

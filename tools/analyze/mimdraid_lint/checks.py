@@ -31,8 +31,8 @@ CHECKS = {
               "forwarded exactly once on every path; a dropped callback "
               "hangs the request, a double invoke corrupts caller state.",
     "MDL002": "Results of Simulator::Cancel and [[nodiscard]] I/O APIs "
-              "(Lookup, AllocEntryId) must not be silently "
-              "dropped; a swallowed status hides lost events and data loss.",
+              "(Lookup) must not be silently dropped; a swallowed status "
+              "hides lost events and data loss.",
     "MDL003": "Microsecond quantities (*_us) must not mix with bare numeric "
               "literals in arithmetic or comparisons; wrap literals in "
               "SimTime()/SimDuration() so the dimension stays visible.",
@@ -56,7 +56,7 @@ CHECKS = {
 # MDL001: parameter types that denote a completion callback.
 _CALLBACK_TYPES = {"DoneFn", "IoDoneFn", "CommandDoneFn"}
 # MDL002: must-use call names (Simulator::Cancel + [[nodiscard]] APIs).
-_MUST_USE_CALLS = {"Cancel", "Lookup", "AllocEntryId"}
+_MUST_USE_CALLS = {"Cancel", "Lookup"}
 # MDL003: operators where a raw literal next to *_us loses the dimension.
 _US_OPS = {"+", "-", "<", ">", "<=", ">=", "==", "!=", "+=", "-="}
 # MDL005: borrowed observer types.
