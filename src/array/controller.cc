@@ -48,7 +48,8 @@ void ArrayController::AuditQuiescent() const {
   }
   auditor_->CheckQuiescent(drives().TotalFgQueued(),
                            drives().TotalDelayedQueued(), nvram_.size(),
-                           stale_.size(), inflight_.size(), parked_.size());
+                           stale_.size(), inflight_.size(), parked_.size(),
+                           frags_.size() + maintenance_.size());
 }
 
 void ArrayController::Submit(DiskOp op, uint64_t lba, uint32_t sectors,
@@ -355,30 +356,26 @@ void ArrayController::OnEntryDispatched(SlotId slot,
   frag.queued.clear();
 }
 
-void ArrayController::OnEntryComplete(SlotId slot,
-                                      const QueuedRequest& entry,
-                                      BlockAddr chosen_addr,
-                                      const DiskOpResult& result, bool ran) {
+std::optional<FaultResolution> ArrayController::OnEntryComplete(
+    SlotId slot, const QueuedRequest& entry, BlockAddr chosen_addr,
+    const DiskOpResult& result, bool ran) {
   const uint32_t disk = slot.value();
   const uint64_t chosen_lba = chosen_addr.value();
   // The engine has already reported the entry to the auditor and, for a
   // failure it ran, opened the fault record and run the fault counters
   // (possibly auto-failing the slot). Only the mirror policy's bookkeeping
-  // runs here.
+  // runs here; the engine files the resolution returned for a failure.
   if (auto it = maintenance_.find(entry.id); it != maintenance_.end()) {
     MaintenanceHook hook = std::move(it->second);
     maintenance_.erase(it);
     const FaultResolution resolution = hook(result, ran);
-    if (ran && !result.ok()) {
-      drives().ResolveFault(entry.id, resolution, drives().failed(slot));
-    }
-    return;
+    return ran && !result.ok() ? std::optional(resolution) : std::nullopt;
   }
   if (entry.delayed) {
     if (!ran) {
       AbandonPropagation(disk, entry);
     } else if (!result.ok()) {
-      HandleDelayedFailure(disk, entry, chosen_lba);
+      return HandleDelayedFailure(disk, entry, chosen_lba);
     } else {
       // Background propagation landed: the replica is now clean — unless a
       // newer propagation to the same location was queued while this one was
@@ -388,19 +385,16 @@ void ArrayController::OnEntryComplete(SlotId slot,
       }
       ++stats_.delayed_writes_completed;
     }
-    return;
+    return std::nullopt;
   }
   if (!ran) {
     RerouteDroppedEntry(disk, entry);
-    return;
+    return std::nullopt;
   }
   if (!result.ok()) {
-    if (entry.op == DiskOp::kRead) {
-      HandleReadFailure(disk, entry, chosen_lba, result);
-    } else {
-      HandleWriteFailure(disk, entry, chosen_lba);
-    }
-    return;
+    return entry.op == DiskOp::kRead
+               ? HandleReadFailure(disk, entry, chosen_lba, result)
+               : HandleWriteFailure(disk, entry, chosen_lba);
   }
 
   auto it = frags_.find(entry.tag);
@@ -414,6 +408,7 @@ void ArrayController::OnEntryComplete(SlotId slot,
     const FinalLeg leg = LegOf(result, entry.arrival_us);
     CompleteFragment(entry.tag, frag, disk, chosen_lba, &leg);
   }
+  return std::nullopt;
 }
 
 void ArrayController::CompleteFragment(uint64_t frag_key, FragState& frag,
@@ -474,10 +469,10 @@ void ArrayController::CompleteFragmentUnrecoverable(uint64_t frag_key,
 
 // --- Fault recovery -------------------------------------------------------
 
-void ArrayController::HandleReadFailure(uint32_t disk,
-                                        const QueuedRequest& entry,
-                                        uint64_t chosen_lba,
-                                        const DiskOpResult& result) {
+FaultResolution ArrayController::HandleReadFailure(uint32_t disk,
+                                                   const QueuedRequest& entry,
+                                                   uint64_t chosen_lba,
+                                                   const DiskOpResult& result) {
   auto it = frags_.find(entry.tag);
   MIMDRAID_CHECK(it != frags_.end());
   FragState& frag = it->second;
@@ -489,7 +484,6 @@ void ArrayController::HandleReadFailure(uint32_t disk,
       frag.attempts + 1 < kMaxRecoveryAttempts) {
     ++frag.attempts;
     ++fstats().retries_issued;
-    drives().ResolveFault(entry.id, FaultResolution::kRetried, false);
     const uint64_t frag_key = entry.tag;
     drives().ScheduleRecovery(frag.attempts, [this, frag_key]() {
       auto fit = frags_.find(frag_key);
@@ -498,7 +492,7 @@ void ArrayController::HandleReadFailure(uint32_t disk,
       }
       SubmitReadFragment(fit->second, frag_key);
     });
-    return;
+    return FaultResolution::kRetried;
   }
 
   if (result.status == IoStatus::kMediaError) {
@@ -517,19 +511,14 @@ void ArrayController::HandleReadFailure(uint32_t disk,
   // disk from candidate sets.
 
   ++fstats().failovers;
-  const bool target_failed = drives().failed(SlotId(disk));
-  if (SubmitReadFragment(frag, entry.tag)) {
-    drives().ResolveFault(entry.id, FaultResolution::kFailedOver,
-                          target_failed);
-  } else {
-    // No live replica remained; the fragment completed as kUnrecoverable.
-    drives().ResolveFault(entry.id, FaultResolution::kSurfaced, target_failed);
-  }
+  // Without a live replica the fragment completes as kUnrecoverable.
+  return SubmitReadFragment(frag, entry.tag) ? FaultResolution::kFailedOver
+                                             : FaultResolution::kSurfaced;
 }
 
-void ArrayController::HandleWriteFailure(uint32_t disk,
-                                         const QueuedRequest& entry,
-                                         uint64_t chosen_lba) {
+FaultResolution ArrayController::HandleWriteFailure(uint32_t disk,
+                                                    const QueuedRequest& entry,
+                                                    uint64_t chosen_lba) {
   auto it = frags_.find(entry.tag);
   MIMDRAID_CHECK(it != frags_.end());
   FragState& frag = it->second;
@@ -541,19 +530,14 @@ void ArrayController::HandleWriteFailure(uint32_t disk,
     // carried the fragment alone.
     if (drives().failed(SlotId(disk))) {
       ++fstats().failovers;
-      if (SubmitWriteFragment(frag, frag_key)) {
-        drives().ResolveFault(entry.id, FaultResolution::kFailedOver, true);
-      } else {
-        drives().ResolveFault(entry.id, FaultResolution::kSurfaced, true);
-      }
-      return;
+      return SubmitWriteFragment(frag, frag_key) ? FaultResolution::kFailedOver
+                                                 : FaultResolution::kSurfaced;
     }
     // Transient failure on a live disk: retry without an attempt bound — the
     // data exists nowhere else yet, so giving up is not an option until the
     // disk itself is declared dead.
     ++frag.attempts;
     ++fstats().retries_issued;
-    drives().ResolveFault(entry.id, FaultResolution::kRetried, false);
     drives().ScheduleRecovery(frag.attempts, [this, frag_key]() {
       auto fit = frags_.find(frag_key);
       if (fit == frags_.end()) {
@@ -561,16 +545,15 @@ void ArrayController::HandleWriteFailure(uint32_t disk,
       }
       SubmitWriteFragment(fit->second, frag_key);
     });
-    return;
+    return FaultResolution::kRetried;
   }
 
   // Foreground propagation: each entry is one replica.
   if (drives().failed(SlotId(disk))) {
     // This copy is lost; surviving copies carry the fragment. If none
     // succeeded by the time all entries account, the write is unrecoverable.
-    drives().ResolveFault(entry.id, FaultResolution::kAbandoned, true);
     LoseWriteReplica(frag_key);
-    return;
+    return FaultResolution::kAbandoned;
   }
   QueuedRequest retry;
   retry.op = DiskOp::kWrite;
@@ -579,7 +562,6 @@ void ArrayController::HandleWriteFailure(uint32_t disk,
   retry.tag = frag_key;
   retry.attempts = entry.attempts + 1;
   ++fstats().retries_issued;
-  drives().ResolveFault(entry.id, FaultResolution::kRetried, false);
   const uint32_t attempts = retry.attempts;
   drives().ScheduleRecovery(
       attempts, [this, disk, retry = std::move(retry)]() mutable {
@@ -590,6 +572,7 @@ void ArrayController::HandleWriteFailure(uint32_t disk,
         drives().EnqueueFg(SlotId(disk), std::move(retry));
         drives().MaybeDispatch(SlotId(disk));
       });
+  return FaultResolution::kRetried;
 }
 
 void ArrayController::LoseWriteReplica(uint64_t frag_key) {
@@ -605,27 +588,23 @@ void ArrayController::LoseWriteReplica(uint64_t frag_key) {
   }
 }
 
-void ArrayController::HandleDelayedFailure(uint32_t disk,
-                                           const QueuedRequest& entry,
-                                           uint64_t chosen_lba) {
+FaultResolution ArrayController::HandleDelayedFailure(
+    uint32_t disk, const QueuedRequest& entry, uint64_t chosen_lba) {
   if (drives().failed(SlotId(disk))) {
     AbandonPropagation(disk, entry);
-    drives().ResolveFault(entry.id, FaultResolution::kAbandoned, true);
-    return;
+    return FaultResolution::kAbandoned;
   }
   const NvramTable::Record* record = nvram_.Find(disk, chosen_lba);
   if (record == nullptr || record->owner != entry.id) {
     // A newer write superseded this propagation while it was in flight; the
     // live owner entry will rewrite the location with fresher data.
-    drives().ResolveFault(entry.id, FaultResolution::kRetried, false);
-    return;
+    return FaultResolution::kRetried;
   }
   // A fresh retry entry takes the propagation over after the backoff. Until
   // then the failed entry keeps its NVRAM record and the stale markers stay:
   // the backlog is the only durable record of this data, so a crash during
   // the backoff must still find it. No attempt bound.
   ++fstats().retries_issued;
-  drives().ResolveFault(entry.id, FaultResolution::kRetried, false);
   const uint64_t failed_id = entry.id;
   const uint32_t attempts = entry.attempts + 1;
   const uint32_t sectors = entry.sectors;
@@ -641,6 +620,7 @@ void ArrayController::HandleDelayedFailure(uint32_t disk,
         }
         AddDelayedWrite(disk, chosen_lba, sectors, attempts);
       });
+  return FaultResolution::kRetried;
 }
 
 void ArrayController::RerouteDroppedEntry(uint32_t disk,
@@ -921,9 +901,10 @@ void ArrayController::RebuildNextFragment(uint32_t disk, uint64_t next_lba) {
               RebuildNextFragment(disk, frag_start);
               return FaultResolution::kFailedOver;
             }
-            auto writes_left = std::make_shared<size_t>(targets.size());
+            auto copy = std::make_shared<RebuildCopy>(
+                RebuildCopy{disk, resume, targets.size()});
             for (const ReplicaLocation& loc : targets) {
-              EnqueueRebuildWrite(loc, len, writes_left, disk, resume);
+              EnqueueRebuildWrite(loc, len, copy);
             }
             return FaultResolution::kFailedOver;  // unread: the read succeeded
           };
@@ -936,18 +917,13 @@ void ArrayController::RebuildNextFragment(uint32_t disk, uint64_t next_lba) {
 }
 
 void ArrayController::EnqueueRebuildWrite(ReplicaLocation loc, uint32_t len,
-                                          std::shared_ptr<size_t> writes_left,
-                                          uint32_t rebuild_disk,
-                                          uint64_t resume) {
+                                          std::shared_ptr<RebuildCopy> copy) {
   if (drives().failed(SlotId(loc.disk))) {
     // The target slot died between sourcing the copy and issuing the write;
     // an entry queued to a failed disk would never dispatch. The fragment is
     // lost and the stream advances (RebuildNextFragment aborts the rebuild
     // when the target itself is the failed disk).
-    ++fstats().rebuild_fragments_lost;
-    if (--*writes_left == 0) {
-      RebuildNextFragment(rebuild_disk, resume);
-    }
+    EndRebuildWrite(*copy, /*copied=*/false);
     return;
   }
   QueuedRequest w;
@@ -955,36 +931,31 @@ void ArrayController::EnqueueRebuildWrite(ReplicaLocation loc, uint32_t len,
   w.sectors = len;
   w.candidates = {QueueCandidate(BlockAddr(loc.lba))};
   const uint64_t id = drives().EnqueueDelayed(SlotId(loc.disk), std::move(w));
-  maintenance_[id] = [this, loc, len, writes_left, rebuild_disk,
-                      resume](const DiskOpResult& r, bool) {
+  maintenance_[id] = [this, loc, len, copy](const DiskOpResult& r, bool) {
     if (r.status != IoStatus::kOk && !drives().failed(SlotId(loc.disk))) {
       // Transient failure of the copy write: retry after backoff. The write
       // itself repairs any latent error at the target (firmware remap).
       ++fstats().retries_issued;
       drives().ScheduleRecovery(
-          1, [this, loc, len, writes_left, rebuild_disk, resume]() {
-            if (drives().failed(SlotId(loc.disk))) {
-              ++fstats().rebuild_fragments_lost;
-              if (--*writes_left == 0) {
-                RebuildNextFragment(rebuild_disk, resume);
-              }
-              return;
-            }
-            EnqueueRebuildWrite(loc, len, writes_left, rebuild_disk, resume);
-          });
+          1, [this, loc, len, copy]() { EnqueueRebuildWrite(loc, len, copy); });
       return FaultResolution::kRetried;
     }
-    if (r.status != IoStatus::kOk) {
-      ++fstats().rebuild_fragments_lost;  // target slot died mid-copy
-    } else {
-      ++rebuild_copied_;
-    }
-    if (--*writes_left == 0) {
-      RebuildNextFragment(rebuild_disk, resume);
-    }
+    // A failure here means the target slot died mid-copy.
+    EndRebuildWrite(*copy, /*copied=*/r.ok());
     return FaultResolution::kAbandoned;  // read only when the target died
   };
   drives().MaybeDispatch(SlotId(loc.disk));
+}
+
+void ArrayController::EndRebuildWrite(RebuildCopy& copy, bool copied) {
+  if (copied) {
+    ++rebuild_copied_;
+  } else {
+    ++fstats().rebuild_fragments_lost;
+  }
+  if (--copy.writes_left == 0) {
+    RebuildNextFragment(copy.disk, copy.resume);
+  }
 }
 
 void ArrayController::ScheduleRecalibration(uint32_t disk) {

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -103,8 +104,9 @@ class ArrayController : public ArrayBackend {
   void RestorePropagations(const std::vector<NvramEntry>& entries);
 
   // Runs the auditor's terminal consistency check (queues, NVRAM table,
-  // stale markers, parked reads must all be empty). Call once the array
-  // reports Idle(); a no-op when no auditor is attached.
+  // stale markers, parked reads, fragments and maintenance hooks must all
+  // be empty). Call once the array reports Idle(); a no-op when no auditor
+  // is attached.
   void AuditQuiescent() const override;
 
   // --- Disk failure and rebuild (the Section 2.5 reliability argument). ---
@@ -149,19 +151,24 @@ class ArrayController : public ArrayBackend {
     SimTime issue_us;
   };
 
-  static uint64_t ReplicaKey(uint32_t disk, uint64_t lba) {
-    return (static_cast<uint64_t>(disk) << 48) | lba;
-  }
+  // The copy writes of one rebuild fragment: the last one in resumes the
+  // stream of slot `disk` at logical LBA `resume`.
+  struct RebuildCopy {
+    uint32_t disk = 0;
+    uint64_t resume = 0;
+    size_t writes_left = 0;
+  };
 
   // --- DriveSetClient hooks ---
   // A dispatched fragment entry cancels its duplicates on the other disks; a
   // dispatched propagation marks its NVRAM record.
   void OnEntryDispatched(SlotId slot, const QueuedRequest& entry) override;
   // The mirror's one switch over its entry kinds: maintenance (runs the
-  // entry's hook), propagation, and fragment.
-  void OnEntryComplete(SlotId slot, const QueuedRequest& entry,
-                       BlockAddr chosen_addr, const DiskOpResult& result,
-                       bool ran) override;
+  // entry's hook), propagation, and fragment. Returns the recovery path's
+  // resolution of a failure the drive ran.
+  std::optional<FaultResolution> OnEntryComplete(
+      SlotId slot, const QueuedRequest& entry, BlockAddr chosen_addr,
+      const DiskOpResult& result, bool ran) override;
   bool SparePromotionAllowed(SlotId slot) override;
   // Physical span the slot's column occupies through its drive's placement —
   // the extent a promoted spare must resolve.
@@ -199,18 +206,22 @@ class ArrayController : public ArrayBackend {
   void ScheduleRecalibration(uint32_t disk);
   void RebuildNextFragment(uint32_t disk, uint64_t next_lba);
   void EnqueueRebuildWrite(ReplicaLocation loc, uint32_t len,
-                           std::shared_ptr<size_t> writes_left,
-                           uint32_t rebuild_disk, uint64_t resume);
+                           std::shared_ptr<RebuildCopy> copy);
+  // One copy write is in, `copied` or lost; counts it and advances the
+  // stream after the fragment's last.
+  void EndRebuildWrite(RebuildCopy& copy, bool copied);
 
   // --- Fault recovery ---
   // Recovery for a fragment or propagation entry the drive ran and failed;
-  // the engine has the fault on record.
-  void HandleReadFailure(uint32_t disk, const QueuedRequest& entry,
-                         uint64_t chosen_lba, const DiskOpResult& result);
-  void HandleWriteFailure(uint32_t disk, const QueuedRequest& entry,
-                          uint64_t chosen_lba);
-  void HandleDelayedFailure(uint32_t disk, const QueuedRequest& entry,
-                            uint64_t chosen_lba);
+  // each returns how it resolved the fault the engine has on record.
+  FaultResolution HandleReadFailure(uint32_t disk, const QueuedRequest& entry,
+                                    uint64_t chosen_lba,
+                                    const DiskOpResult& result);
+  FaultResolution HandleWriteFailure(uint32_t disk, const QueuedRequest& entry,
+                                     uint64_t chosen_lba);
+  FaultResolution HandleDelayedFailure(uint32_t disk,
+                                       const QueuedRequest& entry,
+                                       uint64_t chosen_lba);
   // A fragment entry was drained unrun from a failed slot: resubmit the
   // fragment unless a duplicate on a live disk still carries it, or lose the
   // replica (foreground propagation).
@@ -253,7 +264,8 @@ class ArrayController : public ArrayBackend {
   // an entry as maintenance (its tag is 0). A hook runs once, from
   // OnEntryComplete with the engine's `ran` flag: true when its entry
   // completed, false (and a kDiskFailed result) when the entry was drained
-  // unrun from a failed slot. It returns how a failed result was resolved.
+  // unrun from a failed slot. It returns how a failed result was resolved;
+  // OnEntryComplete hands that to the engine only for an entry that ran.
   using MaintenanceHook =
       std::function<FaultResolution(const DiskOpResult&, bool ran)>;
   std::unordered_map<uint64_t, MaintenanceHook> maintenance_;

@@ -19,6 +19,13 @@
 
 namespace mimdraid {
 
+// The key of physical sector `lba` of `disk` in the per-replica tables (the
+// NVRAM table, the mirror's stale markers and bad sources). Consecutive
+// sectors of one disk have consecutive keys.
+inline uint64_t ReplicaKey(uint32_t disk, uint64_t lba) {
+  return (static_cast<uint64_t>(disk) << 48) | lba;
+}
+
 // A pending replica propagation: the *target* location that is stale until
 // the background write lands.
 struct NvramEntry {
@@ -43,14 +50,10 @@ class NvramTable {
   explicit NvramTable(InvariantAuditor* auditor = nullptr)
       : auditor_(auditor) {}
 
-  static uint64_t Key(uint32_t disk, uint64_t lba) {
-    return (static_cast<uint64_t>(disk) << 48) | lba;
-  }
-
   // Inserts or replaces the record for (disk, lba), owned by the queued
   // entry `owner`.
   void Put(const NvramEntry& entry, uint64_t owner) {
-    map_[Key(entry.disk, entry.lba)] = Record{entry, owner};
+    map_[ReplicaKey(entry.disk, entry.lba)] = Record{entry, owner};
     if (auditor_ != nullptr) {
       auditor_->OnNvramPut(entry.disk, entry.lba, owner);
     }
@@ -59,13 +62,13 @@ class NvramTable {
   // The record for (disk, lba), or nullptr when nothing is pending there.
   // Valid until the next Put or erase.
   const Record* Find(uint32_t disk, uint64_t lba) const {
-    auto it = map_.find(Key(disk, lba));
+    auto it = map_.find(ReplicaKey(disk, lba));
     return it == map_.end() ? nullptr : &it->second;
   }
 
   // The owner of (disk, lba) left its queue for the drive.
   void MarkDispatched(uint32_t disk, uint64_t lba, uint64_t owner) {
-    auto it = map_.find(Key(disk, lba));
+    auto it = map_.find(ReplicaKey(disk, lba));
     MIMDRAID_CHECK(it != map_.end());
     MIMDRAID_CHECK_EQ(it->second.owner, owner);
     it->second.dispatched = true;
@@ -73,7 +76,7 @@ class NvramTable {
 
   // Erases the record regardless of owner. Returns whether it existed.
   bool Erase(uint32_t disk, uint64_t lba) {
-    if (map_.erase(Key(disk, lba)) == 0) {
+    if (map_.erase(ReplicaKey(disk, lba)) == 0) {
       return false;
     }
     if (auditor_ != nullptr) {

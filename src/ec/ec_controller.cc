@@ -2,11 +2,21 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <utility>
 
 #include "src/util/check.h"
 
 namespace mimdraid {
+namespace {
+
+// The resolution of a command whose failure, if any, is surfaced: the loss
+// reaches the submitter or the rebuild tally, or the work is best-effort.
+std::optional<FaultResolution> Surfaced(const DiskOpResult& r) {
+  return r.ok() ? std::nullopt : std::optional(FaultResolution::kSurfaced);
+}
+
+}  // namespace
 
 EcController::EcController(Simulator* sim, std::vector<SimDisk*> disks,
                            std::vector<AccessPredictor*> predictors,
@@ -32,7 +42,8 @@ void EcController::AuditQuiescent() const {
   auditor_->CheckQuiescent(drives().TotalFgQueued(),
                            drives().TotalDelayedQueued(),
                            /*nvram_entries=*/0, /*stale_sectors=*/0,
-                           /*inflight_writes=*/0, /*parked_requests=*/0);
+                           /*inflight_writes=*/0, /*parked_requests=*/0,
+                           commands_.size());
 }
 
 void EcController::ExportStats(StatsRegistry* registry) const {
@@ -61,23 +72,22 @@ bool EcController::FailDisk(SlotId disk) {
   return true;
 }
 
-void EcController::OnEntryComplete(SlotId disk, const QueuedRequest& entry,
-                                   BlockAddr chosen_lba,
-                                   const DiskOpResult& result, bool ran) {
+std::optional<FaultResolution> EcController::OnEntryComplete(
+    SlotId disk, const QueuedRequest& entry, BlockAddr chosen_lba,
+    const DiskOpResult& result, bool ran) {
   auto it = commands_.find(entry.id);
   MIMDRAID_CHECK(it != commands_.end());
   CommandDoneFn done = std::move(it->second);
   commands_.erase(it);
   if (!ran) {
-    done(result, 0);
-    return;
+    done(result);
+    return std::nullopt;  // drained unrun: no fault on record
   }
   if (!result.ok() && result.status != IoStatus::kDiskFailed &&
       entry.attempts + 1 < kMaxRecoveryAttempts && !drives().failed(disk)) {
     // Transient error or timeout: retry the command after backoff with a
     // fresh queue entry; `done` keeps the command's identity.
     ++fstats().retries_issued;
-    drives().ResolveFault(entry.id, FaultResolution::kRetried, false);
     const DiskOp op = entry.op;
     const uint32_t sectors = entry.sectors;
     const uint32_t attempts = entry.attempts;
@@ -87,9 +97,9 @@ void EcController::OnEntryComplete(SlotId disk, const QueuedRequest& entry,
           EnqueueDiskOp(disk.value(), op, chosen_lba.value(), sectors,
                         std::move(done), attempts + 1);
         });
-    return;
+    return FaultResolution::kRetried;
   }
-  done(result, entry.id);
+  return done(result);
 }
 
 uint64_t EcController::UsedSpanSectors(SlotId /*disk*/) const {
@@ -117,37 +127,27 @@ void EcController::ScrubStep() {
     }
     EnqueueDiskOp(
         d, DiskOp::kRead, lba, unit,
-        [this, d, lba, unit](const DiskOpResult& r, uint64_t id) {
+        [this, d, lba, unit](
+            const DiskOpResult& r) -> std::optional<FaultResolution> {
           ++fstats().scrub_reads;
           fstats().scrub_sectors_read += unit;
           if (r.ok()) {
-            return;
+            return std::nullopt;
           }
-          if (r.status == IoStatus::kMediaError &&
-              !drives().failed(SlotId(d))) {
-            // Latent sector error caught before a failure could turn it into
-            // data loss: rewrite the unit so the drive reallocates the bad
-            // sectors. The replacement contents are reconstructible from the
-            // row peers read by this same sweep.
-            ++fstats().scrub_repairs;
-            ++fstats().repairs_queued;
-            EnqueueDiskOp(d, DiskOp::kWrite, lba, unit,
-                          [this](const DiskOpResult& w, uint64_t wid) {
-                            if (!w.ok()) {
-                              drives().ResolveFault(
-                                  wid, FaultResolution::kSurfaced,
-                                  w.status == IoStatus::kDiskFailed);
-                            }
-                          });
-            drives().ResolveFault(id, FaultResolution::kRepaired,
-                                /*target_disk_failed=*/false);
-            return;
+          if (drives().failed(SlotId(d))) {
+            return FaultResolution::kAbandoned;
           }
-          const bool disk_failed = drives().failed(SlotId(d));
-          drives().ResolveFault(id,
-                              disk_failed ? FaultResolution::kAbandoned
-                                          : FaultResolution::kSurfaced,
-                              disk_failed);
+          if (r.status != IoStatus::kMediaError) {
+            return FaultResolution::kSurfaced;
+          }
+          // Latent sector error caught before a failure could turn it into
+          // data loss: rewrite the unit so the drive reallocates the bad
+          // sectors. The replacement contents are reconstructible from the
+          // row peers read by this same sweep.
+          ++fstats().scrub_repairs;
+          ++fstats().repairs_queued;
+          EnqueueDiskOp(d, DiskOp::kWrite, lba, unit, Surfaced);
+          return FaultResolution::kRepaired;
         });
   }
 }
@@ -209,10 +209,10 @@ void EcController::SubmitReadFragment(uint64_t op_id, const EcFragment& frag,
     work->phase_remaining = 1;
     EnqueueDiskOp(
         frag.data_disk, DiskOp::kRead, frag.disk_lba, frag.sectors,
-        [this, work](const DiskOpResult& r, uint64_t id) {
+        [this, work](const DiskOpResult& r) -> std::optional<FaultResolution> {
           if (r.ok()) {
             FragmentPhaseDone(work, &r);
-            return;
+            return std::nullopt;
           }
           // Direct read failed past the retry budget: fail over to decode
           // reconstruction. A media error additionally queues a repair
@@ -222,10 +222,9 @@ void EcController::SubmitReadFragment(uint64_t op_id, const EcFragment& frag,
           const bool repair =
               r.status == IoStatus::kMediaError &&
               !drives().failed(SlotId(work->frag.data_disk));
-          drives().ResolveFault(id, FaultResolution::kFailedOver,
-                              drives().failed(SlotId(work->frag.data_disk)));
           SubmitReadFragment(work->op_id, work->frag,
                              /*force_degraded=*/true, repair);
+          return FaultResolution::kFailedOver;
         });
     return;
   }
@@ -246,15 +245,14 @@ void EcController::SubmitReadFragment(uint64_t op_id, const EcFragment& frag,
   ++fstats().reconstructions;
   for (uint32_t d : cols) {
     EnqueueDiskOp(d, DiskOp::kRead, frag.disk_lba, frag.sectors,
-                  [this, work](const DiskOpResult& r, uint64_t id) {
+                  [this, work](const DiskOpResult& r) {
                     if (!r.ok()) {
                       // A fault while decoding an already-missing member:
                       // the loss is surfaced to the submitter.
-                      drives().ResolveFault(id, FaultResolution::kSurfaced,
-                                          r.status == IoStatus::kDiskFailed);
                       work->status = IoStatus::kUnrecoverable;
                     }
                     FragmentPhaseDone(work, &r);
+                    return Surfaced(r);
                   });
   }
 }
@@ -348,23 +346,18 @@ void EcController::SubmitWriteFragment(uint64_t op_id, const EcFragment& frag,
       (!rcw_valid || rmw_reads <= static_cast<uint32_t>(rcw_reads.size()));
 
   // Shared handler for every read-phase sub-op of a write fragment.
-  auto read_cb = [this, work](const DiskOpResult& r, uint64_t id) {
+  auto read_cb = [this, work](
+                     const DiskOpResult& r) -> std::optional<FaultResolution> {
     if (work->abandoned) {
-      if (!r.ok()) {
-        drives().ResolveFault(id, FaultResolution::kSurfaced,
-                            r.status == IoStatus::kDiskFailed);
-      }
-      return;
+      return Surfaced(r);
     }
     if (!r.ok()) {
       if (r.status == IoStatus::kDiskFailed) {
         // Row membership changed under us: re-plan against the survivors.
         work->abandoned = true;
         NoteOpRecovery(work->op_id);
-        drives().ResolveFault(id, FaultResolution::kFailedOver,
-                            /*target_disk_failed=*/true);
         SubmitWriteFragment(work->op_id, work->frag, work->force_degraded);
-        return;
+        return FaultResolution::kFailedOver;
       }
       if (!work->force_degraded) {
         // A pre-image is unreadable; re-plan once with the old data treated
@@ -372,18 +365,15 @@ void EcController::SubmitWriteFragment(uint64_t op_id, const EcFragment& frag,
         work->abandoned = true;
         NoteOpRecovery(work->op_id);
         ++fstats().failovers;
-        drives().ResolveFault(id, FaultResolution::kFailedOver,
-                            /*target_disk_failed=*/false);
         SubmitWriteFragment(work->op_id, work->frag, /*force_degraded=*/true);
-        return;
+        return FaultResolution::kFailedOver;
       }
       // Already on the fallback plan and a decode column is unreadable: the
       // new parity cannot be computed.
       work->status = IoStatus::kUnrecoverable;
-      drives().ResolveFault(id, FaultResolution::kSurfaced,
-                          /*target_disk_failed=*/false);
     }
     FragmentPhaseDone(work, &r);
+    return Surfaced(r);
   };
 
   if (use_rmw) {
@@ -428,13 +418,7 @@ void EcController::FragmentPhaseDone(const std::shared_ptr<FragWork>& work,
       // read simply degrades again.
       ++fstats().repairs_queued;
       EnqueueDiskOp(frag.data_disk, DiskOp::kWrite, frag.disk_lba,
-                    frag.sectors,
-                    [this](const DiskOpResult& w, uint64_t id) {
-                      if (!w.ok()) {
-                        drives().ResolveFault(id, FaultResolution::kSurfaced,
-                                            w.status == IoStatus::kDiskFailed);
-                      }
-                    });
+                    frag.sectors, Surfaced);
     }
     FinishFragment(work->op_id, work->status, last);
     return;
@@ -449,13 +433,10 @@ void EcController::FragmentPhaseDone(const std::shared_ptr<FragWork>& work,
   // Each target is counted as it is enqueued: command completions always
   // arrive through the event queue, never inside EnqueueDiskOp.
   auto writes = std::make_shared<int>(0);
-  auto on_write = [this, work, writes](const DiskOpResult& r, uint64_t id) {
+  auto on_write = [this, work, writes](
+                      const DiskOpResult& r) -> std::optional<FaultResolution> {
     if (work->abandoned) {
-      if (!r.ok()) {
-        drives().ResolveFault(id, FaultResolution::kSurfaced,
-                            r.status == IoStatus::kDiskFailed);
-      }
-      return;
+      return Surfaced(r);
     }
     if (!r.ok()) {
       if (r.status == IoStatus::kDiskFailed) {
@@ -463,19 +444,16 @@ void EcController::FragmentPhaseDone(const std::shared_ptr<FragWork>& work,
         // members are (re)written by the new plan.
         work->abandoned = true;
         NoteOpRecovery(work->op_id);
-        drives().ResolveFault(id, FaultResolution::kFailedOver,
-                            /*target_disk_failed=*/true);
         SubmitWriteFragment(work->op_id, work->frag, work->force_degraded);
-        return;
+        return FaultResolution::kFailedOver;
       }
       work->status = IoStatus::kUnrecoverable;
-      drives().ResolveFault(id, FaultResolution::kSurfaced,
-                          /*target_disk_failed=*/false);
     }
     MIMDRAID_CHECK_GT(*writes, 0);
     if (--*writes == 0) {
       FinishFragment(work->op_id, work->status, &r);
     }
+    return Surfaced(r);
   };
   if (DiskUsable(frag.data_disk, frag.row)) {
     ++*writes;
@@ -521,7 +499,7 @@ void EcController::EnqueueDiskOp(uint32_t disk, DiskOp op, uint64_t lba,
       failure.status = IoStatus::kDiskFailed;
       failure.start_us = sim_->Now();
       failure.completion_us = sim_->Now();
-      done(failure, 0);
+      done(failure);
     });
     return;
   }
@@ -575,58 +553,51 @@ void EcController::RebuildNextRow() {
     auto remaining = std::make_shared<int>(static_cast<int>(cols.size()));
     auto lost = std::make_shared<bool>(false);
     auto column_died = std::make_shared<bool>(false);
-    auto after_reads = [this, disk, lba, unit, remaining, lost,
-                        column_died](const DiskOpResult& r, uint64_t id) {
+    // A failed rebuild command is surfaced in the pass: its row is
+    // re-planned or counted lost, or the pass ends when the target died.
+    auto write_done = [this, disk](const DiskOpResult& w) {
+      if (!w.ok() && drives().failed(SlotId(disk))) {
+        AbortRebuild(disk);
+        return Surfaced(w);
+      }
+      if (!w.ok()) {
+        ++fstats().rebuild_fragments_lost;
+        ++rebuild_rows_lost_;
+      } else {
+        ++stats_.rebuilt_rows;
+      }
+      ++rebuilt_rows_;
+      RebuildNextRow();
+      return Surfaced(w);
+    };
+    auto after_reads = [this, disk, lba, unit, remaining, lost, column_died,
+                        write_done](const DiskOpResult& r) {
       if (!r.ok()) {
-        drives().ResolveFault(id, FaultResolution::kSurfaced,
-                            r.status == IoStatus::kDiskFailed);
         *lost = true;
         if (r.status == IoStatus::kDiskFailed) {
           *column_died = true;
         }
       }
       if (--*remaining > 0) {
-        return;
+        return Surfaced(r);  // the row's other column reads are in flight
       }
       if (drives().failed(SlotId(disk))) {
         AbortRebuild(disk);
-        return;
-      }
-      if (*column_died) {
+      } else if (*column_died) {
         // A decode column fail-stopped mid-row. The engine has already
         // marked it failed, so the readable set shrank: re-plan the same
         // row through the survivors — with m > 1 it may still decode.
         // Terminates because each re-plan consumes a disk failure.
         RebuildNextRow();
-        return;
-      }
-      if (*lost) {
+      } else if (*lost) {
         ++fstats().rebuild_fragments_lost;
         ++rebuild_rows_lost_;
         ++rebuilt_rows_;
         RebuildNextRow();
-        return;
+      } else {
+        EnqueueDiskOp(disk, DiskOp::kWrite, lba, unit, write_done);
       }
-      EnqueueDiskOp(
-          disk, DiskOp::kWrite, lba, unit,
-          [this, disk](const DiskOpResult& w, uint64_t wid) {
-            if (!w.ok()) {
-              drives().ResolveFault(wid, FaultResolution::kSurfaced,
-                                  w.status == IoStatus::kDiskFailed);
-            }
-            if (!w.ok() && drives().failed(SlotId(disk))) {
-              AbortRebuild(disk);
-              return;
-            }
-            if (!w.ok()) {
-              ++fstats().rebuild_fragments_lost;
-              ++rebuild_rows_lost_;
-            } else {
-              ++stats_.rebuilt_rows;
-            }
-            ++rebuilt_rows_;
-            RebuildNextRow();
-          });
+      return Surfaced(r);
     };
     for (uint32_t d : cols) {
       EnqueueDiskOp(d, DiskOp::kRead, lba, unit, after_reads);

@@ -35,6 +35,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -97,6 +98,8 @@ class EcController : public ArrayBackend {
   // Publishes "fault.*" and "ec.*" counters.
   void ExportStats(StatsRegistry* registry) const override;
 
+  // Runs the auditor's terminal consistency check (queues and the command
+  // table must be empty); a no-op when no auditor is attached.
   void AuditQuiescent() const override;
 
  private:
@@ -122,19 +125,21 @@ class EcController : public ArrayBackend {
     IoStatus status = IoStatus::kOk;
   };
 
-  // Terminal result of a disk command, plus the id of the queue entry that
-  // carried it (0 for synthetic completions that never ran — enqueue on an
-  // already-failed slot, or a drain). A non-kOk result with a non-zero id has
-  // an open auditor fault record the callback must resolve exactly once
-  // (DriveSet::ResolveFault); the controller resolves the faults it retries.
-  using CommandDoneFn = std::function<void(const DiskOpResult&, uint64_t)>;
+  // Takes the terminal result of a disk command and returns how the
+  // callback resolved a failure (std::nullopt for kOk). OnEntryComplete hands
+  // that to the engine for a command the drive ran; for a synthetic
+  // kDiskFailed (enqueue on an already-failed slot, or a drain) it is
+  // dropped, since no fault is on record.
+  using CommandDoneFn =
+      std::function<std::optional<FaultResolution>(const DiskOpResult&)>;
 
   // --- DriveSetClient hooks ---
   // Ends a command: retries a transient failure on a live slot while
-  // attempts remain, otherwise hands the result to the command's callback.
-  void OnEntryComplete(SlotId disk, const QueuedRequest& entry,
-                       BlockAddr chosen_lba, const DiskOpResult& result,
-                       bool ran) override;
+  // attempts remain (kRetried), otherwise hands the result to the command's
+  // callback and returns its resolution.
+  std::optional<FaultResolution> OnEntryComplete(
+      SlotId disk, const QueuedRequest& entry, BlockAddr chosen_lba,
+      const DiskOpResult& result, bool ran) override;
   uint64_t UsedSpanSectors(SlotId disk) const override;
   // One scrub chunk: reads every usable unit of the next stripe row.
   void ScrubStep() override;

@@ -1,6 +1,7 @@
 #include "src/io/drive_set.h"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "src/util/check.h"
@@ -248,15 +249,25 @@ void DriveSet::HandleCompletion(SlotId slot, const QueuedRequest& entry,
     options_.auditor->OnEntryCompleted(slot.value(), entry.id);
   }
   if (!result.ok()) {
-    // Open a fault record before any recovery: the policy that retires the
-    // fault must close it with exactly one resolution.
+    // Open a fault record before any recovery; the policy's resolution
+    // closes it once the completion hook returns.
     if (options_.auditor != nullptr) {
       options_.auditor->OnIoFault(slot.value(), entry.id);
     }
     CountFault(slot, result.status);
   }
 
-  client_->OnEntryComplete(slot, entry, chosen_lba, result, /*ran=*/true);
+  // The slot's state the policy decides against. Its hook may start the next
+  // queued rebuild of this slot, which clears the flag; that must not turn a
+  // legal abandonment into a violation.
+  const bool target_failed = failed(slot);
+  const std::optional<FaultResolution> resolution =
+      client_->OnEntryComplete(slot, entry, chosen_lba, result, /*ran=*/true);
+  MIMDRAID_CHECK_EQ(resolution.has_value(), !result.ok())
+      << "entry " << entry.id << " on disk " << slot.value();
+  if (resolution.has_value() && options_.auditor != nullptr) {
+    options_.auditor->OnFaultResolved(entry.id, *resolution, target_failed);
+  }
 }
 
 void DriveSet::FailQueued(SlotId slot) {
@@ -274,8 +285,11 @@ void DriveSet::FailQueued(SlotId slot) {
       if (options_.auditor != nullptr) {
         options_.auditor->OnEntryCancelled(slot.value(), entry.id);
       }
-      client_->OnEntryComplete(slot, entry, entry.primary(), failure,
-                               /*ran=*/false);
+      const std::optional<FaultResolution> resolution =
+          client_->OnEntryComplete(slot, entry, entry.primary(), failure,
+                                   /*ran=*/false);
+      MIMDRAID_CHECK(!resolution.has_value())
+          << "entry " << entry.id << " was drained unrun: no fault to resolve";
     }
   }
 }
@@ -397,14 +411,6 @@ void DriveSet::CompleteDeferred(std::function<void()> fn) {
     --pending_recovery_;
     fn();
   });
-}
-
-void DriveSet::ResolveFault(uint64_t entry_id, FaultResolution resolution,
-                            bool target_disk_failed) {
-  if (options_.auditor != nullptr && entry_id != 0) {
-    options_.auditor->OnFaultResolved(entry_id, resolution,
-                                      target_disk_failed);
-  }
 }
 
 void DriveSet::EndScrubSweep() {

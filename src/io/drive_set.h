@@ -15,6 +15,9 @@
 // bookkeeping and fault counting; recovery is entirely the policy's, which
 // picks its own retry unit (the mirror retries a fragment, the erasure
 // controller a disk command) and re-enqueues through ScheduleRecovery.
+// The engine also closes every fault record it opens: for a failed entry
+// the drive ran, OnEntryComplete returns how the policy resolved it, and
+// the engine files that resolution with the auditor.
 //
 // The engine is the only code that takes an entry out of a queue: dispatch,
 // Cancel (a policy withdrawing work it no longer needs), ForceOutDelayed
@@ -29,6 +32,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -83,14 +87,16 @@ class DriveSetClient {
   // An entry left the engine. With `ran` true the drive executed it at
   // `chosen_lba`; the engine has already run the observer bookkeeping and
   // fault accounting (including a possible auto-fail), and a non-kOk result
-  // has an open fault record the client must resolve once
-  // (DriveSet::ResolveFault). With `ran` false the entry was drained unrun
+  // has an open fault record. With `ran` false the entry was drained unrun
   // from a failed slot: `result` is a synthetic kDiskFailed, `chosen_lba` the
   // first candidate, and no fault record is open. Recovery policy for the
-  // entry is the client's either way.
-  virtual void OnEntryComplete(SlotId disk, const QueuedRequest& entry,
-                               BlockAddr chosen_lba, const DiskOpResult& result,
-                               bool ran) = 0;
+  // entry is the client's either way. Returns how the client resolved the
+  // failure exactly when `ran` is true and the result is not kOk, and
+  // std::nullopt otherwise; the engine checks that and closes the record,
+  // judging a kAbandoned by whether the slot was failed at the hand-back.
+  virtual std::optional<FaultResolution> OnEntryComplete(
+      SlotId disk, const QueuedRequest& entry, BlockAddr chosen_lba,
+      const DiskOpResult& result, bool ran) = 0;
 
   // May the engine promote a hot spare into the failed slot right now? A
   // policy with no redundancy to rebuild from says no.
@@ -216,11 +222,6 @@ class DriveSet {
   // not run inside the caller's stack frame), bracketed the same way.
   void CompleteDeferred(std::function<void()> fn);
   size_t pending_recovery() const { return pending_recovery_; }
-
-  // Closes an open auditor fault record; a no-op without an auditor and for
-  // id 0 (a synthetic completion that never opened a record).
-  void ResolveFault(uint64_t entry_id, FaultResolution resolution,
-                    bool target_disk_failed);
 
   // Arms the periodic scrub timer (no-op when scrub_interval_us == 0). A
   // backend calls it last in its constructor, after its own timers: events

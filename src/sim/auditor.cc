@@ -356,7 +356,8 @@ void InvariantAuditor::CheckQuiescent(size_t fg_queued, size_t delayed_queued,
                                       size_t nvram_entries,
                                       size_t stale_sectors,
                                       size_t inflight_writes,
-                                      size_t parked_requests) {
+                                      size_t parked_requests,
+                                      size_t policy_records) {
   AUDIT_EXPECT(fg_queued == 0, "quiescence: " << fg_queued
                                               << " foreground entries still "
                                                  "queued");
@@ -377,6 +378,9 @@ void InvariantAuditor::CheckQuiescent(size_t fg_queued, size_t delayed_queued,
   AUDIT_EXPECT(parked_requests == 0,
                "quiescence: " << parked_requests
                               << " reads still parked behind writes");
+  AUDIT_EXPECT(policy_records == 0,
+               "quiescence: " << policy_records
+                              << " per-entry policy records still held");
   AUDIT_EXPECT(entries_.empty(), "quiescence: "
                                      << entries_.size()
                                      << " queue entries never completed "
@@ -390,8 +394,8 @@ void InvariantAuditor::CheckQuiescent(size_t fg_queued, size_t delayed_queued,
   AUDIT_EXPECT(open_faults_.empty(),
                "fault conservation: " << open_faults_.size()
                                       << " failed sub-ops were never retried, "
-                                         "failed over, reconstructed, "
-                                         "repaired, or surfaced");
+                                         "failed over, repaired, or "
+                                         "surfaced");
 }
 
 #undef AUDIT_EXPECT

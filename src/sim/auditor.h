@@ -28,8 +28,8 @@
 //     entry, and nothing lingers once the array reports idle;
 //   * fault conservation — every disk sub-op that completes with a non-kOk
 //     IoStatus must be resolved by the controller: retried, failed over to
-//     another replica, reconstructed from peers, repaired by a rewrite, or
-//     surfaced to the submitter as kUnrecoverable. Abandoning a fault is
+//     another replica or a decode, repaired by a rewrite, or surfaced to
+//     the submitter as kUnrecoverable. Abandoning a fault is
 //     legal only when its target disk is failed (the data has no future on
 //     that drive). A fault that is none of these by quiescence time was
 //     silently dropped — the worst failure mode a recovery path can have.
@@ -73,11 +73,10 @@ struct AuditFragment {
 // How a controller disposed of a failed disk sub-op (fault conservation).
 enum class FaultResolution : uint8_t {
   kRetried,        // re-queued against the same target after backoff
-  kFailedOver,     // re-aimed at another replica / mirror disk
-  kReconstructed,  // rebuilt from RAID-5 peers
-  kRepaired,       // bad replica rewritten from a surviving copy
-  kSurfaced,       // completed to the submitter as kUnrecoverable
-  kAbandoned,      // dropped — legal only when the target disk is failed
+  kFailedOver,  // re-aimed at another replica / mirror disk / decode set
+  kRepaired,    // bad replica rewritten from a surviving copy
+  kSurfaced,    // completed to the submitter as kUnrecoverable
+  kAbandoned,   // dropped — legal only when the target disk is failed
 };
 
 // Everything a SimDisk knows about an operation at completion time.
@@ -155,7 +154,8 @@ class InvariantAuditor {
 
   // --- Fault conservation ---
   // A disk sub-op (keyed by its queue entry id) completed with a failure
-  // status; the controller must follow up with exactly one OnFaultResolved.
+  // status; exactly one OnFaultResolved must follow (the DriveSet engine
+  // files the resolution its policy returns).
   void OnIoFault(uint32_t disk, uint64_t entry_id);
   void OnFaultResolved(uint64_t entry_id, FaultResolution resolution,
                        bool target_disk_failed);
@@ -167,10 +167,13 @@ class InvariantAuditor {
 
   // Terminal check, called when the controller claims quiescence: every
   // count the controller reports and every live object the auditor tracks
-  // must be zero.
+  // must be zero. `policy_records` counts the per-entry records a policy
+  // still holds (the mirror's fragments and maintenance hooks, the erasure
+  // controller's commands).
   void CheckQuiescent(size_t fg_queued, size_t delayed_queued,
                       size_t nvram_entries, size_t stale_sectors,
-                      size_t inflight_writes, size_t parked_requests);
+                      size_t inflight_writes, size_t parked_requests,
+                      size_t policy_records);
 
  private:
   enum class EntryState { kQueued, kDispatched };

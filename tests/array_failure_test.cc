@@ -3,12 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/array/array_layout.h"
 #include "src/array/controller.h"
 #include "src/calib/predictor.h"
 #include "src/disk/sim_disk.h"
+#include "src/sim/auditor.h"
 #include "src/sim/fault_injector.h"
 #include "src/sim/simulator.h"
 #include "src/util/rng.h"
@@ -265,6 +267,43 @@ TEST(ArrayFailure, RebuildOfReplacedTargetEndsTheOldStream) {
   EXPECT_EQ(b, std::vector<IoStatus>{IoStatus::kOk});
   EXPECT_FALSE(rig.controller->IsFailed(SlotId(1)));
   EXPECT_EQ(rig.controller->rebuild_copied_fragments(), single_copies);
+}
+
+TEST(ArrayFailure, ReplacementDyingOnCopyWriteWithSparePooledAbandonsLegally) {
+  // The replacement fail-stops under a rebuild copy write while a hot spare
+  // is pooled: the spare is promoted and its pass queued, and the copy's
+  // hook ends the old pass, which starts the queued one and clears the
+  // slot's failed flag. The copy's abandonment was decided while the slot
+  // was failed, so the auditor must accept it.
+  InvariantAuditor auditor;
+  std::vector<std::string> violations;
+  auditor.set_failure_handler(
+      [&](const std::string& m) { violations.push_back(m); });
+  FaultInjector injector(FaultInjectorOptions{});
+  ArrayControllerOptions copts;
+  copts.drives.auditor = &auditor;
+  copts.drives.fault_injector = &injector;
+  Rig rig(1, 1, 2, /*dataset=*/3000, copts);
+  SimDisk spare(&rig.sim, MakeTestGeometry(), MakeTestSeekProfile(),
+                DiskNoiseModel::None(), 99, 0.0);
+  OraclePredictor spare_predictor(&spare, 0.0);
+  rig.controller->AddSpare(&spare, &spare_predictor);
+  ASSERT_TRUE(rig.controller->FailDisk(SlotId(0)));
+  std::vector<IoStatus> first_pass;
+  rig.controller->Rebuild(SlotId(0), [&](const IoResult& r) {
+    first_pass.push_back(r.status);
+  });
+  // The first source read runs on disk 1; the copy write it queues on the
+  // replacement fails.
+  injector.FailStop(0);
+  rig.Drain();
+  EXPECT_EQ(first_pass, std::vector<IoStatus>{IoStatus::kDiskFailed});
+  EXPECT_EQ(rig.controller->spares_available(), 0u);
+  EXPECT_FALSE(rig.controller->IsFailed(SlotId(0)));
+  EXPECT_GT(rig.controller->rebuild_copied_fragments(), 0u);
+  EXPECT_EQ(violations, std::vector<std::string>{});
+  rig.controller->AuditQuiescent();
+  EXPECT_EQ(violations, std::vector<std::string>{});
 }
 
 }  // namespace

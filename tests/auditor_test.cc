@@ -326,14 +326,23 @@ TEST(AuditorTest, CatchesEraseOfUnknownNvramRecord) {
 TEST(AuditorTest, QuiescentWithLeftoverEntryFails) {
   RecordingAuditor rec;
   rec.auditor().OnEntryQueued(0, 9, /*delayed=*/false);
-  rec.auditor().CheckQuiescent(0, 0, 0, 0, 0, 0);
+  rec.auditor().CheckQuiescent(0, 0, 0, 0, 0, 0, 0);
   EXPECT_GE(rec.auditor().violations(), 1u);
 }
 
 TEST(AuditorTest, QuiescentWithNonzeroCountFails) {
   RecordingAuditor rec;
-  rec.auditor().CheckQuiescent(/*fg_queued=*/1, 0, 0, 0, 0, 0);
+  rec.auditor().CheckQuiescent(/*fg_queued=*/1, 0, 0, 0, 0, 0, 0);
   EXPECT_GE(rec.auditor().violations(), 1u);
+}
+
+TEST(AuditorTest, QuiescentWithPolicyRecordsFails) {
+  RecordingAuditor rec;
+  rec.auditor().CheckQuiescent(0, 0, 0, 0, 0, 0, /*policy_records=*/2);
+  ASSERT_EQ(rec.messages().size(), 1u);
+  EXPECT_NE(rec.messages()[0].find("2 per-entry policy records"),
+            std::string::npos)
+      << rec.messages()[0];
 }
 
 TEST(AuditorTest, TrulyQuiescentPasses) {
@@ -341,7 +350,7 @@ TEST(AuditorTest, TrulyQuiescentPasses) {
   rec.auditor().OnEntryQueued(0, 9, false);
   rec.auditor().OnEntryDispatched(0, 9);
   rec.auditor().OnEntryCompleted(0, 9);
-  rec.auditor().CheckQuiescent(0, 0, 0, 0, 0, 0);
+  rec.auditor().CheckQuiescent(0, 0, 0, 0, 0, 0, 0);
   EXPECT_EQ(rec.auditor().violations(), 0u);
 }
 

@@ -23,6 +23,7 @@
 //   * ExportStats publishes fault.* plus a backend-specific prefix.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -710,6 +711,36 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return "Unknown";
     });
+
+// The terminal check also covers the policy's per-entry tables (mirror
+// fragments, EC commands): claimed early, with a read still in flight, it
+// names them; after the drain it passes.
+TEST_P(BackendConformance, QuiescenceAuditCoversPolicyEntryTables) {
+  InvariantAuditor auditor;
+  std::vector<std::string> messages;
+  auditor.set_failure_handler(
+      [&](const std::string& m) { messages.push_back(m); });
+  RigConfig rig;
+  rig.auditor = &auditor;
+  auto array = MakeArray(GetParam(), rig);
+  bool done = false;
+  array->backend().Submit(DiskOp::kRead, 0, 8,
+                          [&](const IoResult&) { done = true; });
+  array->backend().AuditQuiescent();
+  EXPECT_NE(std::find_if(messages.begin(), messages.end(),
+                         [](const std::string& m) {
+                           return m.find("policy records") !=
+                                  std::string::npos;
+                         }),
+            messages.end())
+      << "an in-flight read's policy record passed the terminal check";
+
+  DrainAll(array.get());
+  EXPECT_TRUE(done);
+  messages.clear();
+  array->backend().AuditQuiescent();
+  EXPECT_EQ(messages, std::vector<std::string>{});
+}
 
 // ---------------------------------------------------------------------------
 // Corruption injection: the negative control for the auditor wiring. A

@@ -2,11 +2,13 @@
 // two noise-free test drives with the invariant auditor attached: the engine
 // alone removes queue entries (Cancel, the failed-slot drain), every entry
 // comes back through OnEntryComplete exactly once — run, failed or drained —
-// with no retry of the engine's own, and the manual failure transitions carry
-// the fault injector's verdict.
+// with no retry of the engine's own, the engine closes each fault record
+// with the resolution the client returns, and the manual failure
+// transitions carry the fault injector's verdict.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -20,19 +22,30 @@
 namespace mimdraid {
 namespace {
 
-// Logs every hand-back from the engine, in the order the engine makes them.
+// Logs every hand-back from the engine, in the order the engine makes them,
+// and resolves every failure the drive ran as `resolution`.
 class RecordingClient : public DriveSetClient {
  public:
-  void OnEntryComplete(SlotId /*disk*/, const QueuedRequest& entry,
-                       BlockAddr chosen_lba, const DiskOpResult& result,
-                       bool ran) override {
+  std::optional<FaultResolution> OnEntryComplete(
+      SlotId /*disk*/, const QueuedRequest& entry, BlockAddr chosen_lba,
+      const DiskOpResult& result, bool ran) override {
     log.push_back("raw " + std::to_string(entry.id) +
                   (ran ? " ran " : " unrun ") + IoStatusName(result.status) +
                   " @" + std::to_string(chosen_lba.value()));
+    open_faults_in_hook.push_back(auditor->open_faults());
+    if (resolve_drained || (ran && !result.ok())) {
+      return resolution;
+    }
+    return std::nullopt;
   }
   void OnSparePromoted(SlotId /*disk*/) override {}
 
+  const InvariantAuditor* auditor = nullptr;
+  std::optional<FaultResolution> resolution = FaultResolution::kSurfaced;
+  // Breaks the contract: also returns `resolution` for a drained entry.
+  bool resolve_drained = false;
   std::vector<std::string> log;
+  std::vector<size_t> open_faults_in_hook;
 };
 
 class DriveSetTest : public ::testing::Test {
@@ -40,6 +53,7 @@ class DriveSetTest : public ::testing::Test {
   void Build(DriveSetOptions options = {}) {
     options.auditor = &auditor_;
     options.fault_injector = &injector_;
+    client_.auditor = &auditor_;
     std::vector<SimDisk*> disks;
     std::vector<AccessPredictor*> predictors;
     for (int i = 0; i < 2; ++i) {
@@ -167,18 +181,63 @@ TEST_F(DriveSetTest, FailedEntryComesBackOnceWithoutEngineRetry) {
   drives_->MaybeDispatch(slot);
   RunDry();
   // Recovery is the policy's: the engine counts the fault, opens its record
-  // and hands the entry back once, without retrying it.
+  // and hands the entry back once, without retrying it; the resolution the
+  // client returns closes the record.
   EXPECT_EQ(client_.log,
             (std::vector<std::string>{"raw " + std::to_string(id) +
                                       " ran media-error @50"}));
+  EXPECT_EQ(client_.open_faults_in_hook, std::vector<size_t>{1});
+  EXPECT_EQ(auditor_.open_faults(), 0u);
   EXPECT_EQ(drives_->fstats().retries_issued, 0u);
   EXPECT_EQ(drives_->fstats().media_errors_seen, 1u);
   EXPECT_FALSE(drives_->failed(slot)) << "transients never fail the slot";
-  EXPECT_EQ(auditor_.open_faults(), 1u);
-  drives_->ResolveFault(id, FaultResolution::kSurfaced, false);
-  EXPECT_EQ(auditor_.open_faults(), 0u);
   EXPECT_TRUE(drives_->AllDrivesQuiet());
   EXPECT_EQ(auditor_.violations(), 0u);
+}
+
+TEST_F(DriveSetTest, AbandonedFaultOnLiveSlotIsFlagged) {
+  std::vector<std::string> violations;
+  auditor_.set_failure_handler(
+      [&](const std::string& message) { violations.push_back(message); });
+  Build();
+  client_.resolution = FaultResolution::kAbandoned;
+  const SlotId slot(0);
+  injector_.InjectTransientErrors(slot.value(), 100);
+  EnqueueRaw(slot, 60);
+  drives_->MaybeDispatch(slot);
+  RunDry();
+  ASSERT_FALSE(drives_->failed(slot));
+  ASSERT_EQ(violations.size(), 1u);
+  EXPECT_NE(violations[0].find("abandoned while its target disk is still live"),
+            std::string::npos)
+      << violations[0];
+  EXPECT_EQ(auditor_.open_faults(), 0u) << "the record is closed regardless";
+}
+
+using DriveSetDeathTest = DriveSetTest;
+
+TEST_F(DriveSetDeathTest, RanFailureWithoutResolutionDies) {
+  EXPECT_DEATH(
+      {
+        Build();
+        client_.resolution = std::nullopt;
+        injector_.InjectTransientErrors(1, 100);
+        EnqueueRaw(SlotId(1), 50);
+        drives_->MaybeDispatch(SlotId(1));
+        RunDry();
+      },
+      "resolution.has_value\\(\\) == !result.ok\\(\\)");
+}
+
+TEST_F(DriveSetDeathTest, DrainedEntryWithResolutionDies) {
+  EXPECT_DEATH(
+      {
+        Build();
+        client_.resolve_drained = true;
+        EnqueueRaw(SlotId(0), 10);
+        drives_->MarkFailed(SlotId(0));
+      },
+      "drained unrun");
 }
 
 TEST_F(DriveSetTest, MarkFailedAndMarkReplacedCarryTheInjectorVerdict) {

@@ -92,7 +92,7 @@ TEST(NvramTableUnit, ReportsItsOwnChangesToTheAuditor) {
   EXPECT_FALSE(t.EraseIfOwner(0, 300, 8));
   EXPECT_TRUE(t.Erase(0, 300));
   auditor.OnEntryCancelled(0, 9);
-  auditor.CheckQuiescent(0, 0, t.size(), 0, 0, 0);
+  auditor.CheckQuiescent(0, 0, t.size(), 0, 0, 0, 0);
   EXPECT_EQ(violations, std::vector<std::string>{});
 }
 
