@@ -358,40 +358,42 @@ void ArrayController::OnEntryDispatched(SlotId slot,
 
 std::optional<FaultResolution> ArrayController::OnEntryComplete(
     SlotId slot, const QueuedRequest& entry, BlockAddr chosen_addr,
-    const DiskOpResult& result, bool ran) {
+    const DiskOpResult& result) {
   const uint32_t disk = slot.value();
   const uint64_t chosen_lba = chosen_addr.value();
   // The engine has already reported the entry to the auditor and, for a
-  // failure it ran, opened the fault record and run the fault counters
-  // (possibly auto-failing the slot). Only the mirror policy's bookkeeping
-  // runs here; the engine files the resolution returned for a failure.
+  // failure, opened the fault record (and, for one the drive ran, run the
+  // fault counters, possibly auto-failing the slot). Only the mirror
+  // policy's bookkeeping runs here; the engine files the resolution
+  // returned for a failure.
   if (auto it = maintenance_.find(entry.id); it != maintenance_.end()) {
     MaintenanceHook hook = std::move(it->second);
     maintenance_.erase(it);
-    const FaultResolution resolution = hook(result, ran);
-    return ran && !result.ok() ? std::optional(resolution) : std::nullopt;
+    const FaultResolution resolution = hook(result);
+    return result.ok() ? std::nullopt : std::optional(resolution);
   }
   if (entry.delayed) {
-    if (!ran) {
-      AbandonPropagation(disk, entry);
-    } else if (!result.ok()) {
+    if (!result.ok()) {
       return HandleDelayedFailure(disk, entry, chosen_lba);
-    } else {
-      // Background propagation landed: the replica is now clean — unless a
-      // newer propagation to the same location was queued while this one was
-      // in flight (the index then points at the newer entry).
-      if (nvram_.EraseIfOwner(disk, chosen_lba, entry.id)) {
-        stale_.Set(ReplicaKey(disk, chosen_lba), entry.sectors, 0);
-      }
-      ++stats_.delayed_writes_completed;
     }
-    return std::nullopt;
-  }
-  if (!ran) {
-    RerouteDroppedEntry(disk, entry);
+    // Background propagation landed: the replica is now clean — unless a
+    // newer propagation to the same location was queued while this one was
+    // in flight (the index then points at the newer entry).
+    if (nvram_.EraseIfOwner(disk, chosen_lba, entry.id)) {
+      stale_.Set(ReplicaKey(disk, chosen_lba), entry.sectors, 0);
+    }
+    ++stats_.delayed_writes_completed;
     return std::nullopt;
   }
   if (!result.ok()) {
+    // Only a drained duplicate can still have siblings queued (dispatch
+    // cancels them): one on a live disk carries the fragment on.
+    auto it = frags_.find(entry.tag);
+    MIMDRAID_CHECK(it != frags_.end());
+    std::erase(it->second.queued, std::pair(disk, entry.id));
+    if (!it->second.queued.empty()) {
+      return FaultResolution::kAbandoned;
+    }
     return entry.op == DiskOp::kRead
                ? HandleReadFailure(disk, entry, chosen_lba, result)
                : HandleWriteFailure(disk, entry, chosen_lba);
@@ -591,7 +593,11 @@ void ArrayController::LoseWriteReplica(uint64_t frag_key) {
 FaultResolution ArrayController::HandleDelayedFailure(
     uint32_t disk, const QueuedRequest& entry, uint64_t chosen_lba) {
   if (drives().failed(SlotId(disk))) {
-    AbandonPropagation(disk, entry);
+    // The propagation (or repair rewrite) has no future on a dead drive:
+    // drop its NVRAM record and stale markers.
+    nvram_.EraseIfOwner(disk, chosen_lba, entry.id);
+    stale_.Set(ReplicaKey(disk, chosen_lba), entry.sectors, 0);
+    ++fstats().propagations_abandoned;
     return FaultResolution::kAbandoned;
   }
   const NvramTable::Record* record = nvram_.Find(disk, chosen_lba);
@@ -621,39 +627,6 @@ FaultResolution ArrayController::HandleDelayedFailure(
         AddDelayedWrite(disk, chosen_lba, sectors, attempts);
       });
   return FaultResolution::kRetried;
-}
-
-void ArrayController::RerouteDroppedEntry(uint32_t disk,
-                                          const QueuedRequest& entry) {
-  auto fit = frags_.find(entry.tag);
-  MIMDRAID_CHECK(fit != frags_.end());
-  FragState& frag = fit->second;
-  std::erase(frag.queued, std::pair(disk, entry.id));
-  if (entry.op == DiskOp::kWrite && options_.foreground_write_propagation) {
-    // Foreground-propagation replica on the dead disk: this copy is lost.
-    LoseWriteReplica(entry.tag);
-    return;
-  }
-  // Duplicate-style entry: a sibling on a live disk still carries the
-  // fragment; only a now-orphaned fragment needs resubmission.
-  if (!frag.queued.empty()) {
-    return;
-  }
-  ++fstats().failovers;
-  NoteOpRecovery(frag.op_id);
-  if (entry.op == DiskOp::kRead) {
-    SubmitReadFragment(frag, entry.tag);
-  } else {
-    SubmitWriteFragment(frag, entry.tag);
-  }
-}
-
-void ArrayController::AbandonPropagation(uint32_t disk,
-                                         const QueuedRequest& entry) {
-  const uint64_t lba = entry.primary().value();
-  nvram_.EraseIfOwner(disk, lba, entry.id);
-  stale_.Set(ReplicaKey(disk, lba), entry.sectors, 0);
-  ++fstats().propagations_abandoned;
 }
 
 bool ArrayController::SparePromotionAllowed(SlotId slot) {
@@ -696,9 +669,12 @@ void ArrayController::ScrubStep() {
       const uint32_t d = loc.disk;
       const uint64_t id = drives().EnqueueDelayed(SlotId(d), std::move(e));
       maintenance_[id] = [this, d, lba = loc.lba, sectors = f.sectors](
-                             const DiskOpResult& r, bool ran) {
-        if (!ran) {
-          return FaultResolution::kAbandoned;
+                             const DiskOpResult& r) {
+        if (r.status == IoStatus::kDiskFailed) {
+          // A dead drive read nothing. The fail-stop this read detected may
+          // already have promoted a spare into the slot.
+          return drives().failed(SlotId(d)) ? FaultResolution::kAbandoned
+                                            : FaultResolution::kSurfaced;
         }
         // The read covered its sectors even when it surfaced a media error:
         // the sweep's job is discovery, and discovery is what happened.
@@ -886,7 +862,7 @@ void ArrayController::RebuildNextFragment(uint32_t disk, uint64_t next_lba) {
           drives().EnqueueDelayed(SlotId(source_disk), std::move(read_entry));
       maintenance_[id] =
           [this, disk, frag_start, resume, targets, len, source_disk,
-           source_lba](const DiskOpResult& r, bool) {
+           source_lba](const DiskOpResult& r) {
             if (r.status != IoStatus::kOk) {
               if (r.status == IoStatus::kMediaError) {
                 // The source replica is bad: exclude it from future sourcing
@@ -931,7 +907,7 @@ void ArrayController::EnqueueRebuildWrite(ReplicaLocation loc, uint32_t len,
   w.sectors = len;
   w.candidates = {QueueCandidate(BlockAddr(loc.lba))};
   const uint64_t id = drives().EnqueueDelayed(SlotId(loc.disk), std::move(w));
-  maintenance_[id] = [this, loc, len, copy](const DiskOpResult& r, bool) {
+  maintenance_[id] = [this, loc, len, copy](const DiskOpResult& r) {
     if (r.status != IoStatus::kOk && !drives().failed(SlotId(loc.disk))) {
       // Transient failure of the copy write: retry after backoff. The write
       // itself repairs any latent error at the target (firmware remap).
@@ -970,10 +946,10 @@ void ArrayController::ScheduleRecalibration(uint32_t disk) {
       entry.sectors = 1;
       entry.candidates = {QueueCandidate(BlockAddr(hp->reference_lba()))};
       const uint64_t id = drives().EnqueueFg(SlotId(disk), std::move(entry));
-      maintenance_[id] = [this, disk](const DiskOpResult& r, bool ran) {
+      maintenance_[id] = [this, disk](const DiskOpResult& r) {
         // A failed reference read has nothing to recover: the observation is
         // simply missed and the next timer issues a fresh one.
-        if (ran && r.ok()) {
+        if (r.ok()) {
           ++stats_.maintenance_reads;
           if (auto* predictor = dynamic_cast<HeadPositionPredictor*>(
                   drives().predictor(SlotId(disk)))) {

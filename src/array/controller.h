@@ -165,10 +165,10 @@ class ArrayController : public ArrayBackend {
   void OnEntryDispatched(SlotId slot, const QueuedRequest& entry) override;
   // The mirror's one switch over its entry kinds: maintenance (runs the
   // entry's hook), propagation, and fragment. Returns the recovery path's
-  // resolution of a failure the drive ran.
+  // resolution of a failure, run or drained alike.
   std::optional<FaultResolution> OnEntryComplete(
       SlotId slot, const QueuedRequest& entry, BlockAddr chosen_addr,
-      const DiskOpResult& result, bool ran) override;
+      const DiskOpResult& result) override;
   bool SparePromotionAllowed(SlotId slot) override;
   // Physical span the slot's column occupies through its drive's placement —
   // the extent a promoted spare must resolve.
@@ -212,8 +212,10 @@ class ArrayController : public ArrayBackend {
   void EndRebuildWrite(RebuildCopy& copy, bool copied);
 
   // --- Fault recovery ---
-  // Recovery for a fragment or propagation entry the drive ran and failed;
-  // each returns how it resolved the fault the engine has on record.
+  // Recovery for a failed fragment or propagation entry, whether the drive
+  // ran it or it was drained from a failed slot (a kDiskFailed: the fragment
+  // fails over, the replica or propagation is abandoned); each returns how
+  // it resolved the fault the engine has on record.
   FaultResolution HandleReadFailure(uint32_t disk, const QueuedRequest& entry,
                                     uint64_t chosen_lba,
                                     const DiskOpResult& result);
@@ -222,13 +224,6 @@ class ArrayController : public ArrayBackend {
   FaultResolution HandleDelayedFailure(uint32_t disk,
                                        const QueuedRequest& entry,
                                        uint64_t chosen_lba);
-  // A fragment entry was drained unrun from a failed slot: resubmit the
-  // fragment unless a duplicate on a live disk still carries it, or lose the
-  // replica (foreground propagation).
-  void RerouteDroppedEntry(uint32_t disk, const QueuedRequest& entry);
-  // A pending propagation (or repair rewrite) targets a failed slot: drop
-  // its NVRAM record and stale markers.
-  void AbandonPropagation(uint32_t disk, const QueuedRequest& entry);
   void CompleteFragmentUnrecoverable(uint64_t frag_key, FragState& frag);
   // A foreground-propagation replica write was lost (its disk failed);
   // accounts it and completes the fragment when all entries are in.
@@ -262,12 +257,11 @@ class ArrayController : public ArrayBackend {
   // Completion hooks of the maintenance entries (rebuild copies, scrub and
   // recalibration reads), keyed by entry id; an id found here is what marks
   // an entry as maintenance (its tag is 0). A hook runs once, from
-  // OnEntryComplete with the engine's `ran` flag: true when its entry
-  // completed, false (and a kDiskFailed result) when the entry was drained
-  // unrun from a failed slot. It returns how a failed result was resolved;
-  // OnEntryComplete hands that to the engine only for an entry that ran.
-  using MaintenanceHook =
-      std::function<FaultResolution(const DiskOpResult&, bool ran)>;
+  // OnEntryComplete, with its entry's result: a kDiskFailed when the entry
+  // was drained unrun from a failed slot. It returns how a failed result was
+  // resolved; OnEntryComplete hands that to the engine for any non-kOk
+  // result.
+  using MaintenanceHook = std::function<FaultResolution(const DiskOpResult&)>;
   std::unordered_map<uint64_t, MaintenanceHook> maintenance_;
   // Replica sources that returned a media error during rebuild/scrub
   // sourcing; never picked again (keyed by ReplicaKey).

@@ -29,6 +29,21 @@ double PredictorStats::DemeritUs() const {
              : std::sqrt(squared_error_sum / static_cast<double>(predictions));
 }
 
+bool PredictorStats::Score(double actual_us, double predicted_us,
+                           double rotation_us) {
+  const double error = actual_us - predicted_us;
+  ++predictions;
+  access_time_us.Add(actual_us);
+  squared_error_sum += error * error;
+  const bool miss = error > rotation_us / 2.0;
+  if (miss) {
+    ++misses;
+  } else {
+    error_us.Add(error);
+  }
+  return miss;
+}
+
 HeadPositionPredictor::HeadPositionPredictor(
     const DiskLayout* layout, const SeekProfile& profile, double rotation_us,
     double lattice_phase_us, uint64_t reference_lba,
@@ -76,18 +91,9 @@ void HeadPositionPredictor::OnCompletion(SimTime completion_us, BlockAddr lba,
   head_.cylinder = last.cylinder;
   head_.head = last.head;
 
-  const double actual =
-      static_cast<double>((completion_us - p.dispatch_us).us());
-  const double error = actual - p.predicted_service_us;
-  ++stats_.predictions;
-  stats_.access_time_us.Add(actual);
-  stats_.squared_error_sum += error * error;
-  const bool miss = error > timing_->rotation_us() / 2.0;
-  if (miss) {
-    ++stats_.misses;
-  } else {
-    stats_.error_us.Add(error);
-  }
+  const bool miss = stats_.Score(
+      static_cast<double>((completion_us - p.dispatch_us).us()),
+      p.predicted_service_us, timing_->rotation_us());
 
   // Slack feedback: keep the on-target rate above (1 - kSlackTargetMissRate).
   ++window_predictions_;
@@ -173,16 +179,8 @@ void OraclePredictor::OnCompletion(SimTime completion_us, BlockAddr lba,
   MIMDRAID_CHECK(pending_.has_value());
   const auto [dispatch, predicted] = *pending_;
   pending_.reset();
-  const double actual = static_cast<double>((completion_us - dispatch).us());
-  const double error = actual - predicted;
-  ++stats_.predictions;
-  stats_.access_time_us.Add(actual);
-  stats_.squared_error_sum += error * error;
-  if (error > RotationUs() / 2.0) {
-    ++stats_.misses;
-  } else {
-    stats_.error_us.Add(error);
-  }
+  stats_.Score(static_cast<double>((completion_us - dispatch).us()), predicted,
+               RotationUs());
 }
 
 }  // namespace mimdraid

@@ -43,6 +43,9 @@ struct PredictorStats {
   }
   // Demerit figure (Ruemmler & Wilkes): RMS of prediction error.
   double DemeritUs() const;
+  // Scores one completed access against its prediction; returns whether it
+  // missed by more than half of `rotation_us`.
+  bool Score(double actual_us, double predicted_us, double rotation_us);
 };
 
 // Every `window` predictions the slack grows 1.4x while more than 1% of them

@@ -74,15 +74,11 @@ bool EcController::FailDisk(SlotId disk) {
 
 std::optional<FaultResolution> EcController::OnEntryComplete(
     SlotId disk, const QueuedRequest& entry, BlockAddr chosen_lba,
-    const DiskOpResult& result, bool ran) {
+    const DiskOpResult& result) {
   auto it = commands_.find(entry.id);
   MIMDRAID_CHECK(it != commands_.end());
   CommandDoneFn done = std::move(it->second);
   commands_.erase(it);
-  if (!ran) {
-    done(result);
-    return std::nullopt;  // drained unrun: no fault on record
-  }
   if (!result.ok() && result.status != IoStatus::kDiskFailed &&
       entry.attempts + 1 < kMaxRecoveryAttempts && !drives().failed(disk)) {
     // Transient error or timeout: retry the command after backoff with a
@@ -129,6 +125,12 @@ void EcController::ScrubStep() {
         d, DiskOp::kRead, lba, unit,
         [this, d, lba, unit](
             const DiskOpResult& r) -> std::optional<FaultResolution> {
+          if (r.status == IoStatus::kDiskFailed) {
+            // A dead drive read nothing. The fail-stop this read detected
+            // may already have promoted a spare into the slot.
+            return drives().failed(SlotId(d)) ? FaultResolution::kAbandoned
+                                              : FaultResolution::kSurfaced;
+          }
           ++fstats().scrub_reads;
           fstats().scrub_sectors_read += unit;
           if (r.ok()) {
@@ -493,16 +495,6 @@ void EcController::EnqueueDiskOp(uint32_t disk, DiskOp op, uint64_t lba,
                                  uint32_t sectors, CommandDoneFn done,
                                  uint32_t attempts) {
   const SlotId slot(disk);
-  if (drives().failed(slot)) {
-    drives().CompleteDeferred([this, done = std::move(done)] {
-      DiskOpResult failure;
-      failure.status = IoStatus::kDiskFailed;
-      failure.start_us = sim_->Now();
-      failure.completion_us = sim_->Now();
-      done(failure);
-    });
-    return;
-  }
   QueuedRequest entry;
   entry.op = op;
   entry.sectors = sectors;

@@ -127,19 +127,20 @@ class EcController : public ArrayBackend {
 
   // Takes the terminal result of a disk command and returns how the
   // callback resolved a failure (std::nullopt for kOk). OnEntryComplete hands
-  // that to the engine for a command the drive ran; for a synthetic
-  // kDiskFailed (enqueue on an already-failed slot, or a drain) it is
-  // dropped, since no fault is on record.
+  // that to the engine, which closes the fault record with it — also for the
+  // synthetic kDiskFailed of a command that never ran (drained from a failed
+  // slot, or enqueued on one).
   using CommandDoneFn =
       std::function<std::optional<FaultResolution>(const DiskOpResult&)>;
 
   // --- DriveSetClient hooks ---
   // Ends a command: retries a transient failure on a live slot while
   // attempts remain (kRetried), otherwise hands the result to the command's
-  // callback and returns its resolution.
+  // callback and returns its resolution. kDiskFailed, run or not, is never
+  // retried.
   std::optional<FaultResolution> OnEntryComplete(
       SlotId disk, const QueuedRequest& entry, BlockAddr chosen_lba,
-      const DiskOpResult& result, bool ran) override;
+      const DiskOpResult& result) override;
   uint64_t UsedSpanSectors(SlotId disk) const override;
   // One scrub chunk: reads every usable unit of the next stripe row.
   void ScrubStep() override;
@@ -151,8 +152,9 @@ class EcController : public ArrayBackend {
                            bool force_degraded = false);
   // Queues one single-disk command whose terminal result goes to `done`
   // (kOk, a transient failure that exhausted its retries, or kDiskFailed).
-  // On an already-failed slot `done` gets a synthetic kDiskFailed from the
-  // next event-queue turn, so callers re-plan from a clean stack.
+  // On an already-failed slot the engine hands the command back with a
+  // synthetic kDiskFailed from the next event-queue turn, so callers re-plan
+  // from a clean stack.
   void EnqueueDiskOp(uint32_t disk, DiskOp op, uint64_t lba, uint32_t sectors,
                      CommandDoneFn done, uint32_t attempts = 0);
   // `last` is the sub-op whose completion ended the phase (nullptr when

@@ -168,7 +168,6 @@ class ArrayBackend : protected DriveSetClient {
   // the leg of the piece that completes the op. The last piece counts the op
   // and fires its DoneFn with kUnrecoverable if any piece was unrecoverable.
   void FinishOpPart(uint64_t op_id, IoStatus status, const FinalLeg* leg);
-  size_t OpsOutstanding() const { return ops_.size(); }
   // The final leg of disk op `r`, whose queue entry arrived at
   // `entry_arrival`.
   static FinalLeg LegOf(const DiskOpResult& r, SimTime entry_arrival) {

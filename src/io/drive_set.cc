@@ -7,6 +7,18 @@
 #include "src/util/check.h"
 
 namespace mimdraid {
+namespace {
+
+// The result handed back for an entry that never ran on its failed drive.
+DiskOpResult DiskFailureAt(SimTime now) {
+  DiskOpResult failure;
+  failure.status = IoStatus::kDiskFailed;
+  failure.start_us = now;
+  failure.completion_us = now;
+  return failure;
+}
+
+}  // namespace
 
 DriveSet::DriveSet(Simulator* sim, std::vector<SimDisk*> disks,
                    std::vector<AccessPredictor*> predictors,
@@ -32,20 +44,12 @@ DriveSet::DriveSet(Simulator* sim, std::vector<SimDisk*> disks,
   for (size_t i = 0; i < n; ++i) {
     auto scheduler = MakeScheduler(options_.scheduler, options_.max_scan);
     if (options_.auditor != nullptr) {
-      disks_[i]->SetAuditor(options_.auditor, SlotId(static_cast<uint32_t>(i)));
       scheduler = MakeAuditedScheduler(
           std::move(scheduler), options_.auditor,
           [this, i]() -> const DiskLayout& { return disks_[i]->layout(); });
     }
-    if (options_.fault_injector != nullptr) {
-      disks_[i]->SetFaultInjector(options_.fault_injector,
-                                  SlotId(static_cast<uint32_t>(i)));
-    }
-    if (options_.collector != nullptr) {
-      disks_[i]->SetTraceCollector(options_.collector,
-                                   SlotId(static_cast<uint32_t>(i)));
-    }
     schedulers_.push_back(std::move(scheduler));
+    AttachObservers(SlotId(static_cast<uint32_t>(i)));
   }
 }
 
@@ -131,28 +135,39 @@ std::vector<QueuedRequest> DriveSet::EntryQueue::Drain() {
   return drained;
 }
 
-uint64_t DriveSet::Admit(SlotId slot, QueuedRequest& entry) {
-  entry.id = next_entry_id_++;
+uint64_t DriveSet::Admit(SlotId slot, EntryQueue& queue, QueuedRequest entry) {
+  const uint64_t id = next_entry_id_++;
+  entry.id = id;
   entry.arrival_us = sim_->Now();
   if (options_.auditor != nullptr) {
-    options_.auditor->OnEntryQueued(slot.value(), entry.id, entry.delayed);
+    options_.auditor->OnEntryQueued(slot.value(), id, entry.delayed);
   }
-  return entry.id;
+  if (!failed_[slot.value()]) {
+    queue.Push(std::move(entry));
+    return id;
+  }
+  // A failed slot never dispatches: hand the entry back unrun, from a clean
+  // stack, as the drain would have.
+  CompleteDeferred([this, slot, entry = std::move(entry)] {
+    if (options_.auditor != nullptr) {
+      options_.auditor->OnEntryCancelled(slot.value(), entry.id);
+    }
+    HandBack(slot, entry, entry.primary(), DiskFailureAt(sim_->Now()));
+  });
+  return id;
 }
 
 uint64_t DriveSet::EnqueueFg(SlotId slot, QueuedRequest entry) {
-  const uint64_t id = Admit(slot, entry);
-  fg_[slot.value()].Push(std::move(entry));
+  const uint64_t id = Admit(slot, fg_[slot.value()], std::move(entry));
   if (options_.collector != nullptr) {
-    options_.collector->OnQueueDepth(slot.value(), sim_->Now(), fg_[slot.value()].size());
+    options_.collector->OnQueueDepth(slot.value(), sim_->Now(),
+                                     fg_[slot.value()].size());
   }
   return id;
 }
 
 uint64_t DriveSet::EnqueueDelayed(SlotId slot, QueuedRequest entry) {
-  const uint64_t id = Admit(slot, entry);
-  delayed_[slot.value()].Push(std::move(entry));
-  return id;
+  return Admit(slot, delayed_[slot.value()], std::move(entry));
 }
 
 bool DriveSet::Cancel(SlotId slot, uint64_t id) {
@@ -249,20 +264,24 @@ void DriveSet::HandleCompletion(SlotId slot, const QueuedRequest& entry,
     options_.auditor->OnEntryCompleted(slot.value(), entry.id);
   }
   if (!result.ok()) {
-    // Open a fault record before any recovery; the policy's resolution
-    // closes it once the completion hook returns.
-    if (options_.auditor != nullptr) {
-      options_.auditor->OnIoFault(slot.value(), entry.id);
-    }
     CountFault(slot, result.status);
   }
+  HandBack(slot, entry, chosen_lba, result);
+}
 
+void DriveSet::HandBack(SlotId slot, const QueuedRequest& entry,
+                        BlockAddr chosen_lba, const DiskOpResult& result) {
+  // Open a fault record before any recovery; the policy's resolution closes
+  // it once the completion hook returns.
+  if (!result.ok() && options_.auditor != nullptr) {
+    options_.auditor->OnIoFault(slot.value(), entry.id);
+  }
   // The slot's state the policy decides against. Its hook may start the next
   // queued rebuild of this slot, which clears the flag; that must not turn a
   // legal abandonment into a violation.
   const bool target_failed = failed(slot);
   const std::optional<FaultResolution> resolution =
-      client_->OnEntryComplete(slot, entry, chosen_lba, result, /*ran=*/true);
+      client_->OnEntryComplete(slot, entry, chosen_lba, result);
   MIMDRAID_CHECK_EQ(resolution.has_value(), !result.ok())
       << "entry " << entry.id << " on disk " << slot.value();
   if (resolution.has_value() && options_.auditor != nullptr) {
@@ -271,10 +290,7 @@ void DriveSet::HandleCompletion(SlotId slot, const QueuedRequest& entry,
 }
 
 void DriveSet::FailQueued(SlotId slot) {
-  DiskOpResult failure;
-  failure.status = IoStatus::kDiskFailed;
-  failure.start_us = sim_->Now();
-  failure.completion_us = sim_->Now();
+  const DiskOpResult failure = DiskFailureAt(sim_->Now());
   for (EntryQueue* queue : {&delayed_[slot.value()], &fg_[slot.value()]}) {
     const std::vector<QueuedRequest> drained = queue->Drain();
     if (options_.collector != nullptr && queue == &fg_[slot.value()] &&
@@ -285,11 +301,7 @@ void DriveSet::FailQueued(SlotId slot) {
       if (options_.auditor != nullptr) {
         options_.auditor->OnEntryCancelled(slot.value(), entry.id);
       }
-      const std::optional<FaultResolution> resolution =
-          client_->OnEntryComplete(slot, entry, entry.primary(), failure,
-                                   /*ran=*/false);
-      MIMDRAID_CHECK(!resolution.has_value())
-          << "entry " << entry.id << " was drained unrun: no fault to resolve";
+      HandBack(slot, entry, entry.primary(), failure);
     }
   }
 }
@@ -383,17 +395,20 @@ void DriveSet::PromoteSpareIfAvailable(SlotId slot) {
   predictors_[slot.value()] = spare_predictor;
   if (options_.auditor != nullptr) {
     options_.auditor->OnDiskReplaced(slot.value());
-    spare_disk->SetAuditor(options_.auditor, slot);
   }
   if (options_.fault_injector != nullptr) {
     options_.fault_injector->ReplaceDisk(slot.value());
-    spare_disk->SetFaultInjector(options_.fault_injector, slot);
   }
-  if (options_.collector != nullptr) {
-    spare_disk->SetTraceCollector(options_.collector, slot);
-  }
+  AttachObservers(slot);
   ++fstats_.spares_promoted;
   client_->OnSparePromoted(slot);
+}
+
+void DriveSet::AttachObservers(SlotId slot) {
+  SimDisk* const drive = disks_[slot.value()];
+  drive->SetAuditor(options_.auditor, slot);
+  drive->SetFaultInjector(options_.fault_injector, slot);
+  drive->SetTraceCollector(options_.collector, slot);
 }
 
 void DriveSet::ScheduleRecovery(uint32_t attempt, std::function<void()> fn) {

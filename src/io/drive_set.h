@@ -15,17 +15,19 @@
 // bookkeeping and fault counting; recovery is entirely the policy's, which
 // picks its own retry unit (the mirror retries a fragment, the erasure
 // controller a disk command) and re-enqueues through ScheduleRecovery.
-// The engine also closes every fault record it opens: for a failed entry
-// the drive ran, OnEntryComplete returns how the policy resolved it, and
-// the engine files that resolution with the auditor.
+// The engine also closes every fault record it opens: for every failed
+// entry, run or handed back unrun, OnEntryComplete returns how the policy
+// resolved it, and the engine files that resolution with the auditor.
 //
 // The engine is the only code that takes an entry out of a queue: dispatch,
 // Cancel (a policy withdrawing work it no longer needs), ForceOutDelayed
 // (delayed -> foreground), and the drain that runs when a slot fails
 // (MarkFailed, AutoFail). Each reports the removal to the observers. A
-// drained entry still reaches its owner exactly once: it goes to
-// OnEntryComplete with `ran` false. So every entry a policy enqueues comes
-// back through OnEntryComplete unless the policy cancelled it.
+// drained entry is a failed entry: it goes to OnEntryComplete with a
+// synthetic kDiskFailed and an open fault record, like one the dead drive
+// ran, and so does an entry enqueued on a slot that is already failed (from
+// the next event turn). So every entry a policy enqueues comes back through
+// OnEntryComplete unless the policy cancelled it.
 #ifndef MIMDRAID_SRC_IO_DRIVE_SET_H_
 #define MIMDRAID_SRC_IO_DRIVE_SET_H_
 
@@ -84,19 +86,19 @@ class DriveSetClient {
   virtual void OnEntryDispatched(SlotId /*disk*/,
                                  const QueuedRequest& /*entry*/) {}
 
-  // An entry left the engine. With `ran` true the drive executed it at
-  // `chosen_lba`; the engine has already run the observer bookkeeping and
-  // fault accounting (including a possible auto-fail), and a non-kOk result
-  // has an open fault record. With `ran` false the entry was drained unrun
-  // from a failed slot: `result` is a synthetic kDiskFailed, `chosen_lba` the
-  // first candidate, and no fault record is open. Recovery policy for the
-  // entry is the client's either way. Returns how the client resolved the
-  // failure exactly when `ran` is true and the result is not kOk, and
-  // std::nullopt otherwise; the engine checks that and closes the record,
-  // judging a kAbandoned by whether the slot was failed at the hand-back.
+  // An entry left the engine: the drive ran it at `chosen_lba`, or it never
+  // ran (drained from a failed slot, or enqueued on one) and `result` is a
+  // synthetic kDiskFailed with `chosen_lba` its first candidate. The engine
+  // has already run the observer bookkeeping and, for a run entry, the fault
+  // accounting (including a possible auto-fail); a non-kOk result has an
+  // open fault record. Recovery policy for the entry is the client's.
+  // Returns how the client resolved the failure exactly when the result is
+  // not kOk, and std::nullopt otherwise; the engine checks that and closes
+  // the record, judging a kAbandoned by whether the slot was failed at the
+  // hand-back.
   virtual std::optional<FaultResolution> OnEntryComplete(
       SlotId disk, const QueuedRequest& entry, BlockAddr chosen_lba,
-      const DiskOpResult& result, bool ran) = 0;
+      const DiskOpResult& result) = 0;
 
   // May the engine promote a hot spare into the failed slot right now? A
   // policy with no redundancy to rebuild from says no.
@@ -175,7 +177,8 @@ class DriveSet {
     return delayed_[slot.value()].live();
   }
   // Both overwrite `entry.id` and `entry.arrival_us` (now) and return the id.
-  // Neither dispatches.
+  // Neither dispatches. On a failed slot the entry is not queued: it is
+  // handed back unrun with a kDiskFailed from the next event turn.
   uint64_t EnqueueFg(SlotId slot, QueuedRequest entry);
   uint64_t EnqueueDelayed(SlotId slot, QueuedRequest entry);
   // Removes entry `id` from `slot`'s foreground or delayed queue without
@@ -270,15 +273,25 @@ class DriveSet {
     size_t head_ = 0;
   };
 
-  // Stamps `entry` with a fresh id and the current time and reports it
-  // queued; returns the id.
-  uint64_t Admit(SlotId slot, QueuedRequest& entry);
+  // Stamps `entry` with a fresh id and the current time, reports it queued
+  // and pushes it onto `queue` — or, when `slot` is failed, hands it back
+  // unrun from the next event turn. Returns the id.
+  uint64_t Admit(SlotId slot, EntryQueue& queue, QueuedRequest entry);
+  // Reports a run entry completed, counts a failure, then hands it back.
   void HandleCompletion(SlotId slot, const QueuedRequest& entry,
                         BlockAddr chosen_lba, const DiskOpResult& result);
+  // Gives `entry` to its owner: opens the fault record of a failure, calls
+  // OnEntryComplete, checks that it returned a resolution exactly for a
+  // failure, and files that resolution with the auditor.
+  void HandBack(SlotId slot, const QueuedRequest& entry, BlockAddr chosen_lba,
+                const DiskOpResult& result);
   // Empties `slot`'s delayed, then foreground queue, handing each entry back
   // to its owner unrun (see the header comment).
   void FailQueued(SlotId slot);
   void CountFault(SlotId slot, IoStatus status);
+  // Wires the auditor, fault injector and trace collector (each possibly
+  // nullptr) into the drive that holds `slot`.
+  void AttachObservers(SlotId slot);
   void PromoteSpareIfAvailable(SlotId slot);
   void ScheduleScrubTick();
   void ScrubTick();

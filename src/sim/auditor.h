@@ -27,9 +27,11 @@
 //     recorded in the NVRAM metadata table is owned by a live delayed queue
 //     entry, and nothing lingers once the array reports idle;
 //   * fault conservation — every disk sub-op that completes with a non-kOk
-//     IoStatus must be resolved by the controller: retried, failed over to
-//     another replica or a decode, repaired by a rewrite, or surfaced to
-//     the submitter as kUnrecoverable. Abandoning a fault is
+//     IoStatus, including queued work drained from (or enqueued on) a
+//     failed drive as a kDiskFailed it never ran, must be resolved by the
+//     controller: retried, failed over to another replica or a decode,
+//     repaired by a rewrite, or surfaced to the submitter as
+//     kUnrecoverable. Abandoning a fault is
 //     legal only when its target disk is failed (the data has no future on
 //     that drive). A fault that is none of these by quiescence time was
 //     silently dropped — the worst failure mode a recovery path can have.
@@ -154,8 +156,9 @@ class InvariantAuditor {
 
   // --- Fault conservation ---
   // A disk sub-op (keyed by its queue entry id) completed with a failure
-  // status; exactly one OnFaultResolved must follow (the DriveSet engine
-  // files the resolution its policy returns).
+  // status, or was handed back unrun from a failed drive; exactly one
+  // OnFaultResolved must follow (the DriveSet engine files the resolution
+  // its policy returns).
   void OnIoFault(uint32_t disk, uint64_t entry_id);
   void OnFaultResolved(uint64_t entry_id, FaultResolution resolution,
                        bool target_disk_failed);

@@ -1,4 +1,4 @@
-// Latency and throughput accounting for experiments.
+// Latency accounting for experiments.
 #ifndef MIMDRAID_SRC_STATS_LATENCY_RECORDER_H_
 #define MIMDRAID_SRC_STATS_LATENCY_RECORDER_H_
 
@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "src/util/summary.h"
-#include "src/util/time.h"
 
 namespace mimdraid {
 
@@ -31,35 +30,6 @@ class LatencyRecorder {
   Summary summary_;
   mutable std::vector<double> samples_;
   mutable bool sorted_ = false;
-};
-
-// Completed-operations-per-second over an observation window. The window
-// opens at Start(); querying Iops() before Start() returns 0 instead of
-// silently measuring from simulated time zero (which would inflate or
-// deflate the rate depending on when the caller began counting).
-class ThroughputMeter {
- public:
-  void Start(SimTime now) {
-    start_us_ = now;
-    completed_ = 0;
-    started_ = true;
-  }
-  void RecordCompletion() { ++completed_; }
-  uint64_t completed() const { return completed_; }
-  bool started() const { return started_; }
-
-  double Iops(SimTime now) const {
-    if (!started_) {
-      return 0.0;
-    }
-    const double secs = SecondsFromUs(now - start_us_);
-    return secs <= 0.0 ? 0.0 : static_cast<double>(completed_) / secs;
-  }
-
- private:
-  SimTime start_us_;
-  uint64_t completed_ = 0;
-  bool started_ = false;
 };
 
 }  // namespace mimdraid

@@ -423,6 +423,30 @@ TEST_P(BackendConformance, IdleScrubRepairsPlantedLatentErrors) {
   EXPECT_GT(auditor.checks_run(), 0u);
 }
 
+TEST_P(BackendConformance, IdleScrubReadOnFailStoppedDriveWithSparePooled) {
+  // The scrub read that detects the fail-stop promotes the spare and starts
+  // its rebuild, which clears the slot's failed flag before the read's own
+  // hook returns: the read failed on a live slot and may not be abandoned.
+  InvariantAuditor auditor;
+  RigConfig rig;
+  rig.auditor = &auditor;
+  rig.faults = true;
+  rig.hot_spares = 1;
+  rig.scrub_interval_us = SimDuration(20'000);
+  auto array = MakeArray(GetParam(), rig);
+  array->sim().RunUntil(array->sim().Now() + SimDuration(200'000));
+  ASSERT_GT(array->backend().fault_stats().scrub_reads, 0u);
+  array->fault_injector()->FailStop(0);
+  array->sim().RunUntil(array->sim().Now() + SimDuration(200'000));
+  DrainAll(array.get());
+  const FaultRecoveryStats& fs = array->backend().fault_stats();
+  EXPECT_EQ(fs.disk_failed_seen, 1u) << "no scrub read detected the fail-stop";
+  EXPECT_EQ(fs.spares_promoted, 1u);
+  EXPECT_FALSE(array->backend().IsFailed(SlotId(0)));
+  array->backend().AuditQuiescent();
+  EXPECT_EQ(auditor.violations(), 0u);
+}
+
 TEST_P(BackendConformance, ExportStatsPublishesFaultAndBackendCounters) {
   auto array = MakeArray(GetParam());
   IoTally tally;

@@ -1,10 +1,11 @@
 // DriveSet queue contract, driven directly through a recording client over
 // two noise-free test drives with the invariant auditor attached: the engine
 // alone removes queue entries (Cancel, the failed-slot drain), every entry
-// comes back through OnEntryComplete exactly once — run, failed or drained —
-// with no retry of the engine's own, the engine closes each fault record
-// with the resolution the client returns, and the manual failure
-// transitions carry the fault injector's verdict.
+// comes back through OnEntryComplete exactly once — run, failed, drained or
+// enqueued on a failed slot — with no retry of the engine's own, every
+// failure among them opens a fault record that the engine closes with the
+// resolution the client returns, and the manual failure transitions carry
+// the fault injector's verdict.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -23,27 +24,23 @@ namespace mimdraid {
 namespace {
 
 // Logs every hand-back from the engine, in the order the engine makes them,
-// and resolves every failure the drive ran as `resolution`.
+// and resolves every failure, run or drained, as `resolution`.
 class RecordingClient : public DriveSetClient {
  public:
   std::optional<FaultResolution> OnEntryComplete(
       SlotId /*disk*/, const QueuedRequest& entry, BlockAddr chosen_lba,
-      const DiskOpResult& result, bool ran) override {
-    log.push_back("raw " + std::to_string(entry.id) +
-                  (ran ? " ran " : " unrun ") + IoStatusName(result.status) +
-                  " @" + std::to_string(chosen_lba.value()));
+      const DiskOpResult& result) override {
+    log.push_back("raw " + std::to_string(entry.id) + " " +
+                  IoStatusName(result.status) + " @" +
+                  std::to_string(chosen_lba.value()));
     open_faults_in_hook.push_back(auditor->open_faults());
-    if (resolve_drained || (ran && !result.ok())) {
-      return resolution;
-    }
-    return std::nullopt;
+    return result.ok() ? std::nullopt : resolution;
   }
   void OnSparePromoted(SlotId /*disk*/) override {}
 
   const InvariantAuditor* auditor = nullptr;
+  // std::nullopt breaks the contract: a failure left without a resolution.
   std::optional<FaultResolution> resolution = FaultResolution::kSurfaced;
-  // Breaks the contract: also returns `resolution` for a drained entry.
-  bool resolve_drained = false;
   std::vector<std::string> log;
   std::vector<size_t> open_faults_in_hook;
 };
@@ -113,8 +110,8 @@ TEST_F(DriveSetTest, CancelRemovesQueuedEntryButNotDispatchedOne) {
   RunDry();
   EXPECT_EQ(client_.log,
             (std::vector<std::string>{
-                "raw " + std::to_string(running) + " ran ok @10",
-                "raw " + std::to_string(kept) + " ran ok @30"}));
+                "raw " + std::to_string(running) + " ok @10",
+                "raw " + std::to_string(kept) + " ok @30"}));
   EXPECT_TRUE(drives_->AllDrivesQuiet());
   EXPECT_EQ(auditor_.violations(), 0u);
 }
@@ -161,15 +158,21 @@ TEST_F(DriveSetTest, AutoFailDrainsDelayedBeforeForeground) {
   // then the foreground queue in order.
   EXPECT_EQ(client_.log,
             (std::vector<std::string>{
-                "raw " + std::to_string(delayed_raw) + " unrun disk-failed @30",
-                "raw " + std::to_string(fg_raw) + " unrun disk-failed @20",
-                "raw " + std::to_string(fg_raw2) + " unrun disk-failed @40"}));
+                "raw " + std::to_string(delayed_raw) + " disk-failed @30",
+                "raw " + std::to_string(fg_raw) + " disk-failed @20",
+                "raw " + std::to_string(fg_raw2) + " disk-failed @40"}));
+  // Each drained entry is a failure on record while its owner decides, and
+  // the engine closes the record with the owner's resolution.
+  EXPECT_EQ(client_.open_faults_in_hook, (std::vector<size_t>{1, 1, 1}));
+  EXPECT_EQ(auditor_.open_faults(), 0u);
+  EXPECT_EQ(drives_->fstats().disk_failed_seen, 0u)
+      << "a drain counts no fault: the drive ran nothing";
 
   // The op already on the drive finishes normally.
   RunDry();
   ASSERT_EQ(client_.log.size(), 4u);
   EXPECT_EQ(client_.log.back(),
-            "raw " + std::to_string(running) + " ran ok @10");
+            "raw " + std::to_string(running) + " ok @10");
   EXPECT_EQ(auditor_.violations(), 0u);
 }
 
@@ -185,7 +188,7 @@ TEST_F(DriveSetTest, FailedEntryComesBackOnceWithoutEngineRetry) {
   // client returns closes the record.
   EXPECT_EQ(client_.log,
             (std::vector<std::string>{"raw " + std::to_string(id) +
-                                      " ran media-error @50"}));
+                                      " media-error @50"}));
   EXPECT_EQ(client_.open_faults_in_hook, std::vector<size_t>{1});
   EXPECT_EQ(auditor_.open_faults(), 0u);
   EXPECT_EQ(drives_->fstats().retries_issued, 0u);
@@ -229,15 +232,41 @@ TEST_F(DriveSetDeathTest, RanFailureWithoutResolutionDies) {
       "resolution.has_value\\(\\) == !result.ok\\(\\)");
 }
 
-TEST_F(DriveSetDeathTest, DrainedEntryWithResolutionDies) {
+TEST_F(DriveSetDeathTest, DrainedEntryWithoutResolutionDies) {
   EXPECT_DEATH(
       {
         Build();
-        client_.resolve_drained = true;
+        client_.resolution = std::nullopt;
         EnqueueRaw(SlotId(0), 10);
         drives_->MarkFailed(SlotId(0));
       },
-      "drained unrun");
+      "resolution.has_value\\(\\) == !result.ok\\(\\)");
+}
+
+TEST_F(DriveSetTest, EntryEnqueuedOnFailedSlotComesBackNextTurn) {
+  Build();
+  const SlotId slot(0);
+  drives_->MarkFailed(slot);
+  const uint64_t fg_raw = EnqueueRaw(slot, 10);
+  const uint64_t delayed_raw = EnqueueRaw(slot, 20, /*delayed=*/true);
+  drives_->MaybeDispatch(slot);
+  // Neither is queued where it could never run, and neither comes back
+  // inside the enqueuing call.
+  EXPECT_TRUE(drives_->fg(slot).empty());
+  EXPECT_TRUE(drives_->delayed(slot).empty());
+  EXPECT_TRUE(client_.log.empty());
+  EXPECT_EQ(drives_->pending_recovery(), 2u);
+
+  RunDry();
+  EXPECT_EQ(client_.log,
+            (std::vector<std::string>{
+                "raw " + std::to_string(fg_raw) + " disk-failed @10",
+                "raw " + std::to_string(delayed_raw) + " disk-failed @20"}));
+  EXPECT_EQ(client_.open_faults_in_hook, (std::vector<size_t>{1, 1}));
+  EXPECT_EQ(auditor_.open_faults(), 0u);
+  EXPECT_EQ(drives_->pending_recovery(), 0u);
+  EXPECT_TRUE(drives_->AllDrivesQuiet());
+  EXPECT_EQ(auditor_.violations(), 0u);
 }
 
 TEST_F(DriveSetTest, MarkFailedAndMarkReplacedCarryTheInjectorVerdict) {
@@ -252,7 +281,7 @@ TEST_F(DriveSetTest, MarkFailedAndMarkReplacedCarryTheInjectorVerdict) {
       << "a policy-initiated failure is not an automatic one";
   EXPECT_EQ(client_.log,
             (std::vector<std::string>{"raw " + std::to_string(delayed_raw) +
-                                      " unrun disk-failed @70"}));
+                                      " disk-failed @70"}));
 
   drives_->MarkReplaced(slot);
   EXPECT_FALSE(drives_->failed(slot));
@@ -261,7 +290,7 @@ TEST_F(DriveSetTest, MarkFailedAndMarkReplacedCarryTheInjectorVerdict) {
   const uint64_t id = EnqueueRaw(slot, 80);
   drives_->MaybeDispatch(slot);
   RunDry();
-  EXPECT_EQ(client_.log.back(), "raw " + std::to_string(id) + " ran ok @80");
+  EXPECT_EQ(client_.log.back(), "raw " + std::to_string(id) + " ok @80");
   EXPECT_EQ(auditor_.violations(), 0u);
 }
 

@@ -18,7 +18,6 @@
 #include "src/obs/json_lite.h"
 #include "src/obs/stats_registry.h"
 #include "src/obs/trace_collector.h"
-#include "src/stats/latency_recorder.h"
 
 namespace mimdraid {
 namespace {
@@ -332,20 +331,6 @@ TEST(TraceCollector, ClearResetsEverything) {
   EXPECT_TRUE(collector.queue_depths().empty());
   EXPECT_EQ(collector.num_slots(), 0u);
   EXPECT_EQ(collector.SpanEndUs(), SimTime(0));
-}
-
-TEST(ThroughputMeter, UnstartedMeterReportsZero) {
-  ThroughputMeter meter;
-  meter.RecordCompletion();
-  meter.RecordCompletion();
-  // Without Start() there is no observation window; the rate must read 0
-  // instead of dividing by "time since simulated zero".
-  EXPECT_FALSE(meter.started());
-  EXPECT_EQ(meter.Iops(SimTime(1'000'000)), 0.0);
-  meter.Start(SimTime(1'000'000));
-  meter.RecordCompletion();
-  EXPECT_TRUE(meter.started());
-  EXPECT_DOUBLE_EQ(meter.Iops(SimTime(2'000'000)), 1.0);
 }
 
 }  // namespace
