@@ -87,7 +87,7 @@ Outcome RunHost(SchedulerKind kind, bool firmware = false) {
     predictor = MakeCalibratedPredictor(&sim, &disk, copt);
   }
   auto sched = MakeScheduler(kind);
-  std::vector<QueuedRequest> queue;
+  DriveQueue queue;
   uint64_t next_id = 1;
   std::unordered_map<uint64_t, std::function<void(SimTime)>> done_map;
 
@@ -95,13 +95,11 @@ Outcome RunHost(SchedulerKind kind, bool firmware = false) {
     if (disk.busy() || queue.empty()) {
       return;
     }
-    RefreshPositions(queue, disk.layout());
     ScheduleContext ctx;
     ctx.now = sim.Now();
     ctx.predictor = predictor.get();
     const SchedulerPick pick = sched->Pick(queue, ctx);
-    QueuedRequest entry = std::move(queue[pick.queue_index]);
-    queue.erase(queue.begin() + static_cast<ptrdiff_t>(pick.queue_index));
+    QueuedRequest entry = queue.Take(pick.queue_index);
     double predicted = pick.predicted_service_us;
     if (predicted <= 0) {
       predicted = predictor->Predict(sim.Now(), pick.lba, entry.sectors, false)
@@ -130,7 +128,7 @@ Outcome RunHost(SchedulerKind kind, bool firmware = false) {
     entry.candidates = {QueueCandidate(BlockAddr(rng.UniformU64(disk.num_sectors())))};
     entry.arrival_us = sim.Now();
     done_map[entry.id] = std::move(cb);
-    queue.push_back(std::move(entry));
+    queue.Push(std::move(entry), disk.layout());
     pump();
   });
 }

@@ -1,8 +1,10 @@
 // Microbenchmarks (google-benchmark) for the hot paths of the simulator:
 // LBA mapping, access planning, replica placement, scheduler picks, array
 // construction, and the GF(2^8) erasure codec. These bound the cost of
-// simulated I/O, of position-sensitive scheduling (a SATF-class dispatch is
-// O(queue x replicas) Plan() calls), and of byte-level coding per stripe.
+// simulated I/O, of position-sensitive scheduling (a SATF-class dispatch
+// walks the queue's cylinder index outward from the head and plans only the
+// candidates its bound cannot rule out), of a drive queue's enqueue ->
+// dispatch cycle, and of byte-level coding per stripe.
 #include <benchmark/benchmark.h>
 
 #include <functional>
@@ -15,6 +17,7 @@
 #include "src/core/mimd_raid.h"
 #include "src/disk/sim_disk.h"
 #include "src/ec/gf256.h"
+#include "src/sched/drive_queue.h"
 #include "src/sched/positional_schedulers.h"
 #include "src/sim/simulator.h"
 #include "src/util/rng.h"
@@ -101,10 +104,28 @@ void BM_SimDiskOp(benchmark::State& state) {
 }
 BENCHMARK(BM_SimDiskOp);
 
-// One pick per iteration over a fixed queue of `state.range(0)` 8-sector
-// reads, with the clock moving 1 ms per pick. `replicated` draws each entry's
-// candidates from a Dr = 3 SR-Array placement (the RSATF shape); otherwise
-// each entry has one candidate anywhere on the disk.
+// A request of 8-sector reads. `replicated` draws its candidates from a
+// Dr = 3 SR-Array placement (the RSATF shape); otherwise it has one
+// candidate anywhere on the disk.
+QueuedRequest RandomRead(const SimDisk& disk, const SrDiskPlacement& placement,
+                         bool replicated, Rng& rng) {
+  QueuedRequest req;
+  req.op = DiskOp::kRead;
+  req.sectors = 8;
+  if (replicated) {
+    const uint64_t s = rng.UniformU64(placement.capacity_sectors() - 8);
+    for (const uint64_t cand : placement.AllReplicas(s)) {
+      req.candidates.push_back(QueueCandidate(BlockAddr(cand)));
+    }
+  } else {
+    req.candidates.push_back(QueueCandidate(
+        BlockAddr(rng.UniformU64(disk.layout().num_data_sectors() - 8))));
+  }
+  return req;
+}
+
+// One pick per iteration over a fixed queue of `state.range(0)` reads
+// (RandomRead), with the clock moving 1 ms per pick.
 void RunPick(benchmark::State& state, SchedulerKind kind, bool replicated) {
   const size_t queue_len = static_cast<size_t>(state.range(0));
   Simulator sim;
@@ -113,31 +134,17 @@ void RunPick(benchmark::State& state, SchedulerKind kind, bool replicated) {
   OraclePredictor predictor(&disk, 0.0);
   SrDiskPlacement placement(&disk.layout(), 3);
   Rng rng(5);
-  std::vector<QueuedRequest> queue;
+  DriveQueue queue;
   for (size_t i = 0; i < queue_len; ++i) {
-    QueuedRequest req;
+    QueuedRequest req = RandomRead(disk, placement, replicated, rng);
     req.id = i + 1;
-    req.op = DiskOp::kRead;
-    req.sectors = 8;
-    if (replicated) {
-      const uint64_t s = rng.UniformU64(placement.capacity_sectors() - 8);
-      for (const uint64_t cand : placement.AllReplicas(s)) {
-        req.candidates.push_back(QueueCandidate(BlockAddr(cand)));
-      }
-    } else {
-      req.candidates.push_back(QueueCandidate(BlockAddr(
-          rng.UniformU64(disk.layout().num_data_sectors() - 8))));
-    }
-    queue.push_back(std::move(req));
+    queue.Push(std::move(req), disk.layout());
   }
   SatfScheduler sched(kind);
   ScheduleContext ctx;
   ctx.predictor = &predictor;
   SimTime now;
   for (auto _ : state) {
-    // DriveSet's pre-pick step: the first pass caches every candidate's
-    // position, later passes only compare stamps.
-    RefreshPositions(queue, disk.layout());
     ctx.now = now;
     benchmark::DoNotOptimize(sched.Pick(queue, ctx));
     now += SimDuration(1000);
@@ -154,7 +161,48 @@ BENCHMARK(BM_RsatfPick)
     ->Arg(64)
     ->Arg(128)
     ->Arg(256)
+    ->Arg(1024)
     ->Complexity();
+
+// Enqueue -> dispatch on one drive queue at a steady depth of
+// `state.range(0)` Dr = 3 reads under RSATF: each iteration pushes a fresh
+// read, picks, takes the pick out of the queue and runs it on the drive, so
+// the head moves as it would under load. Per-iteration time covers the
+// queue's index upkeep, the walk and one simulated disk op.
+void BM_DriveQueueCycle(benchmark::State& state) {
+  const size_t depth = static_cast<size_t>(state.range(0));
+  Simulator sim;
+  SimDisk disk(&sim, F().geometry, F().profile, DiskNoiseModel::None(), 1,
+               0.0);
+  OraclePredictor predictor(&disk, 0.0);
+  SrDiskPlacement placement(&disk.layout(), 3);
+  Rng rng(7);
+  DriveQueue queue;
+  uint64_t next_id = 1;
+  for (size_t i = 0; i + 1 < depth; ++i) {
+    QueuedRequest req = RandomRead(disk, placement, /*replicated=*/true, rng);
+    req.id = next_id++;
+    queue.Push(std::move(req), disk.layout());
+  }
+  SatfScheduler sched(SchedulerKind::kRsatf);
+  ScheduleContext ctx;
+  ctx.predictor = &predictor;
+  for (auto _ : state) {
+    QueuedRequest req = RandomRead(disk, placement, /*replicated=*/true, rng);
+    req.id = next_id++;
+    queue.Push(std::move(req), disk.layout());
+    ctx.now = sim.Now();
+    const SchedulerPick pick = sched.Pick(queue, ctx);
+    const QueuedRequest entry = queue.Take(pick.queue_index);
+    bool done = false;
+    disk.Start(entry.op, pick.lba, entry.sectors,
+               [&done](const DiskOpResult&) { done = true; });
+    while (!done) {
+      sim.Step();
+    }
+  }
+}
+BENCHMARK(BM_DriveQueueCycle)->Arg(8)->Arg(1024);
 
 // The shallow SATF queue of the parity workloads: per-pick overhead, not the
 // candidate scan, dominates at this depth.

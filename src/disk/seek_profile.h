@@ -9,8 +9,10 @@
 #ifndef MIMDRAID_SRC_DISK_SEEK_PROFILE_H_
 #define MIMDRAID_SRC_DISK_SEEK_PROFILE_H_
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 
 namespace mimdraid {
 
@@ -46,6 +48,32 @@ struct SeekProfile {
       t += write_settle_us;
     }
     return t;
+  }
+
+  // The least SeekUs, read or write, over every distance >= `distance`: a
+  // lower bound on the seek to any cylinder at least that far away. SeekUs
+  // itself is not monotone, because WellFormed lets the long regime start up
+  // to its tolerance below the short regime's end. A decreasing regime has no
+  // least value (-infinity). Evaluates the same expressions as SeekUs, so the
+  // floor never rounds above a seek it bounds.
+  double SeekFloorUs(uint32_t distance) const {
+    if (distance == 0) {
+      return 0.0;
+    }
+    if (short_b_us < 0.0 || long_b_us < 0.0) {
+      return -std::numeric_limits<double>::infinity();
+    }
+    const double long_floor =
+        long_a_us + long_b_us * static_cast<double>(
+                                    std::max(distance, boundary_cylinders));
+    double t = long_floor;
+    if (distance < boundary_cylinders) {
+      t = std::min(
+          short_a_us + short_b_us * std::sqrt(static_cast<double>(distance)),
+          long_floor);
+    }
+    // A write adds the settle time, which lowers the floor only if negative.
+    return write_settle_us < 0.0 ? t + write_settle_us : t;
   }
 
   // Largest seek this profile will ever report for a disk with

@@ -76,7 +76,9 @@ inline double RotationalWaitUs(double from_angle, double to_angle,
 // Us(SeekUs(...), sectors) is the seek-only term; it never exceeds the full
 // bound (max(seek, wait) >= seek, and rounded addition is monotone), so a
 // scheduler can test it first and compute the wait only for candidates it
-// keeps.
+// keeps. FloorUs(d) bounds every candidate at least d cylinders from the
+// head, so a scheduler that ranks candidates in cylinder order can stop
+// walking away from the head once it exceeds the best cost found.
 class AccessBound {
  public:
   // Every term is zero: the bound is 0 for any access, so it prunes nothing.
@@ -102,6 +104,15 @@ class AccessBound {
   // The full bound for an access of `sectors` sectors starting at `pos`.
   double Us(SectorPos pos, uint32_t sectors, bool is_write) const {
     return Us(std::max(SeekUs(pos, is_write), WaitUs(pos)), sectors);
+  }
+  // The cylinder SeekUs measures distance from.
+  uint32_t head_cylinder() const { return head_cylinder_; }
+  // At most Us(pos, sectors, is_write) for every access of one sector or more
+  // whose cylinder is `distance` or more from the head's: the wait is never
+  // negative, so max(seek, wait) >= max(0, seek floor), and Us is monotone in
+  // both of its arguments. Non-decreasing in `distance`.
+  double FloorUs(uint32_t distance) const {
+    return Us(std::max(0.0, seek_.SeekFloorUs(distance)), 1);
   }
 
  private:

@@ -113,29 +113,7 @@ bool DriveSet::LiveDrivesQuiet() const {
   return true;
 }
 
-QueuedRequest DriveSet::EntryQueue::Take(size_t i) {
-  MIMDRAID_CHECK_LT(i, size());
-  QueuedRequest entry = std::move(slots_[head_ + i]);
-  if (i > 0) {
-    slots_.erase(slots_.begin() + static_cast<ptrdiff_t>(head_ + i));
-  } else if (++head_ * 16 >= slots_.size()) {
-    slots_.erase(slots_.begin(),
-                 slots_.begin() + static_cast<ptrdiff_t>(head_));
-    head_ = 0;
-  }
-  return entry;
-}
-
-std::vector<QueuedRequest> DriveSet::EntryQueue::Drain() {
-  std::vector<QueuedRequest> drained;
-  drained.swap(slots_);
-  drained.erase(drained.begin(),
-                drained.begin() + static_cast<ptrdiff_t>(head_));
-  head_ = 0;
-  return drained;
-}
-
-uint64_t DriveSet::Admit(SlotId slot, EntryQueue& queue, QueuedRequest entry) {
+uint64_t DriveSet::Admit(SlotId slot, DriveQueue& queue, QueuedRequest entry) {
   const uint64_t id = next_entry_id_++;
   entry.id = id;
   entry.arrival_us = sim_->Now();
@@ -143,7 +121,7 @@ uint64_t DriveSet::Admit(SlotId slot, EntryQueue& queue, QueuedRequest entry) {
     options_.auditor->OnEntryQueued(slot.value(), id, entry.delayed);
   }
   if (!failed_[slot.value()]) {
-    queue.Push(std::move(entry));
+    queue.Push(std::move(entry), disks_[slot.value()]->layout());
     return id;
   }
   // A failed slot never dispatches: hand the entry back unrun, from a clean
@@ -171,8 +149,8 @@ uint64_t DriveSet::EnqueueDelayed(SlotId slot, QueuedRequest entry) {
 }
 
 bool DriveSet::Cancel(SlotId slot, uint64_t id) {
-  for (EntryQueue* queue : {&fg_[slot.value()], &delayed_[slot.value()]}) {
-    const std::span<QueuedRequest> live = queue->live();
+  for (DriveQueue* queue : {&fg_[slot.value()], &delayed_[slot.value()]}) {
+    const std::span<const QueuedRequest> live = queue->entries();
     auto it = std::find_if(live.begin(), live.end(),
                            [id](const QueuedRequest& e) { return e.id == id; });
     if (it == live.end()) {
@@ -193,7 +171,8 @@ bool DriveSet::Cancel(SlotId slot, uint64_t id) {
 
 void DriveSet::ForceOutDelayed(SlotId slot) {
   MIMDRAID_CHECK(!delayed_[slot.value()].empty());
-  fg_[slot.value()].Push(delayed_[slot.value()].Take(0));
+  fg_[slot.value()].Push(delayed_[slot.value()].Take(0),
+                         disks_[slot.value()]->layout());
   if (options_.collector != nullptr) {
     options_.collector->OnQueueDepth(slot.value(), sim_->Now(),
                                      fg_[slot.value()].size());
@@ -204,20 +183,19 @@ void DriveSet::MaybeDispatch(SlotId slot) {
   if (failed_[slot.value()] || disks_[slot.value()]->busy()) {
     return;
   }
-  EntryQueue& queue =
+  DriveQueue& queue =
       !fg_[slot.value()].empty() ? fg_[slot.value()] : delayed_[slot.value()];
   if (queue.empty()) {
     return;
   }
   const bool from_fg = &queue == &fg_[slot.value()];
-  RefreshPositions(queue.live(), disks_[slot.value()]->layout());
+  queue.SyncTo(disks_[slot.value()]->layout());
   ScheduleContext ctx;
   ctx.now = sim_->Now();
   ctx.predictor = predictors_[slot.value()];
   ctx.collector = options_.collector;
   ctx.disk = slot;
-  const SchedulerPick pick =
-      schedulers_[slot.value()]->Pick(queue.live(), ctx);
+  const SchedulerPick pick = schedulers_[slot.value()]->Pick(queue, ctx);
   QueuedRequest entry = queue.Take(pick.queue_index);
   if (options_.auditor != nullptr) {
     options_.auditor->OnEntryDispatched(slot.value(), entry.id);
@@ -291,7 +269,7 @@ void DriveSet::HandBack(SlotId slot, const QueuedRequest& entry,
 
 void DriveSet::FailQueued(SlotId slot) {
   const DiskOpResult failure = DiskFailureAt(sim_->Now());
-  for (EntryQueue* queue : {&delayed_[slot.value()], &fg_[slot.value()]}) {
+  for (DriveQueue* queue : {&delayed_[slot.value()], &fg_[slot.value()]}) {
     const std::vector<QueuedRequest> drained = queue->Drain();
     if (options_.collector != nullptr && queue == &fg_[slot.value()] &&
         !drained.empty()) {

@@ -28,6 +28,13 @@
 // ran, and so does an entry enqueued on a slot that is already failed (from
 // the next event turn). So every entry a policy enqueues comes back through
 // OnEntryComplete unless the policy cancelled it.
+//
+// Each slot has a foreground and a delayed DriveQueue (src/sched/
+// drive_queue.h). A push derives the entry's candidate positions from the
+// drive's layout and files its candidates in the queue's cylinder index;
+// the queue picked from is synced to the layout right before each pick, so
+// a remap re-derives positions once and a promoted spare's queues start
+// from its own layout.
 #ifndef MIMDRAID_SRC_IO_DRIVE_SET_H_
 #define MIMDRAID_SRC_IO_DRIVE_SET_H_
 
@@ -42,7 +49,7 @@
 #include "src/disk/access_predictor.h"
 #include "src/disk/sim_disk.h"
 #include "src/obs/trace_collector.h"
-#include "src/sched/queued_request.h"
+#include "src/sched/drive_queue.h"
 #include "src/sched/scheduler.h"
 #include "src/sim/auditor.h"
 #include "src/sim/fault_injector.h"
@@ -171,10 +178,10 @@ class DriveSet {
   // exactly once — by dispatch, Cancel, or a failed-slot drain, all of which
   // the engine reports to the auditor.
   std::span<const QueuedRequest> fg(SlotId slot) const {
-    return fg_[slot.value()].live();
+    return fg_[slot.value()].entries();
   }
   std::span<const QueuedRequest> delayed(SlotId slot) const {
-    return delayed_[slot.value()].live();
+    return delayed_[slot.value()].entries();
   }
   // Both overwrite `entry.id` and `entry.arrival_us` (now) and return the id.
   // Neither dispatches. On a failed slot the entry is not queued: it is
@@ -190,10 +197,10 @@ class DriveSet {
   // Does not dispatch.
   void ForceOutDelayed(SlotId slot);
   // Picks and starts the next entry on `slot` if the drive is live and idle.
-  // Foreground entries always outrank delayed ones. The queue's candidate
-  // positions are refreshed (RefreshPositions) right before the pick, so an
-  // entry's positions are computed the first time it is ranked and again
-  // only after a remap on the drive.
+  // Foreground entries always outrank delayed ones. Each queue derives an
+  // entry's candidate positions when it is pushed, and the queue picked from
+  // is synced to the drive's layout right before the pick, so its positions
+  // are derived again only after a remap on the drive.
   void MaybeDispatch(SlotId slot);
   size_t TotalFgQueued() const;
   size_t TotalDelayedQueued() const;
@@ -247,36 +254,10 @@ class DriveSet {
   void EndScrubSweep();
 
  private:
-  // One drive queue, in scan order (the order decides scheduler ties).
-  // Dispatch and Cancel take entries out of the middle. Taking the front only
-  // advances `head_` past a moved-from slot; the dead prefix is compacted
-  // away once it reaches a sixteenth of the vector, so a front pop costs
-  // amortized O(1) and the vector stays within 1/16 of the live size.
-  class EntryQueue {
-   public:
-    std::span<QueuedRequest> live() {
-      return std::span<QueuedRequest>(slots_).subspan(head_);
-    }
-    std::span<const QueuedRequest> live() const {
-      return std::span<const QueuedRequest>(slots_).subspan(head_);
-    }
-    size_t size() const { return slots_.size() - head_; }
-    bool empty() const { return head_ == slots_.size(); }
-    void Push(QueuedRequest entry) { slots_.push_back(std::move(entry)); }
-    // Removes and returns live()[i].
-    QueuedRequest Take(size_t i);
-    // Removes and returns every live entry, in order.
-    std::vector<QueuedRequest> Drain();
-
-   private:
-    std::vector<QueuedRequest> slots_;
-    size_t head_ = 0;
-  };
-
   // Stamps `entry` with a fresh id and the current time, reports it queued
   // and pushes it onto `queue` — or, when `slot` is failed, hands it back
   // unrun from the next event turn. Returns the id.
-  uint64_t Admit(SlotId slot, EntryQueue& queue, QueuedRequest entry);
+  uint64_t Admit(SlotId slot, DriveQueue& queue, QueuedRequest entry);
   // Reports a run entry completed, counts a failure, then hands it back.
   void HandleCompletion(SlotId slot, const QueuedRequest& entry,
                         BlockAddr chosen_lba, const DiskOpResult& result);
@@ -303,8 +284,8 @@ class DriveSet {
   DriveSetOptions options_;
 
   std::vector<std::unique_ptr<Scheduler>> schedulers_;
-  std::vector<EntryQueue> fg_;
-  std::vector<EntryQueue> delayed_;
+  std::vector<DriveQueue> fg_;
+  std::vector<DriveQueue> delayed_;
   uint64_t next_entry_id_ = 1;
 
   struct SpareEntry {

@@ -85,10 +85,12 @@ void TraceCollector::OnPrediction(uint32_t slot, SimTime now,
   predictions_.push_back(PredictionSample{slot, now, predicted_us, actual_us});
 }
 
-void TraceCollector::OnSchedulerScan(uint32_t slot, uint64_t candidates_examined) {
+void TraceCollector::OnSchedulerScan(uint32_t slot, uint64_t candidates_examined,
+                                     uint64_t keys_visited) {
   num_slots_ = std::max(num_slots_, slot + 1);
   ++scheduler_picks_;
   scheduler_candidates_ += candidates_examined;
+  scheduler_keys_ += keys_visited;
 }
 
 void TraceCollector::OnMarker(const std::string& name, SimTime now) {
@@ -268,6 +270,7 @@ void TraceCollector::Clear() {
   open_.clear();
   scheduler_picks_ = 0;
   scheduler_candidates_ = 0;
+  scheduler_keys_ = 0;
   num_slots_ = 0;
   span_start_ = SimTime();
   span_end_ = SimTime();

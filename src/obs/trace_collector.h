@@ -160,7 +160,10 @@ class TraceCollector {
   void OnQueueDepth(uint32_t slot, SimTime now, size_t depth);
   void OnPrediction(uint32_t slot, SimTime now, double predicted_us,
                     double actual_us);
-  void OnSchedulerScan(uint32_t slot, uint64_t candidates_examined);
+  // One pick: `candidates_examined` full predictions, `keys_visited` keys of
+  // the queue's cylinder index walked (0 for a scheduler that walks none).
+  void OnSchedulerScan(uint32_t slot, uint64_t candidates_examined,
+                       uint64_t keys_visited);
   void OnMarker(const std::string& name, SimTime now);
 
   // --- Raw series --------------------------------------------------------
@@ -179,6 +182,7 @@ class TraceCollector {
   uint64_t scheduler_candidates_examined() const {
     return scheduler_candidates_;
   }
+  uint64_t scheduler_keys_visited() const { return scheduler_keys_; }
   uint32_t num_slots() const { return num_slots_; }
 
   // --- Summaries ---------------------------------------------------------
@@ -209,6 +213,7 @@ class TraceCollector {
   std::unordered_map<uint64_t, RequestRecord> open_;
   uint64_t scheduler_picks_ = 0;
   uint64_t scheduler_candidates_ = 0;
+  uint64_t scheduler_keys_ = 0;
   uint32_t num_slots_ = 0;
   SimTime span_start_;
   SimTime span_end_;

@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <limits>
+#include <span>
 
 #include "src/util/check.h"
 
@@ -14,29 +15,31 @@ uint32_t PrimaryCylinder(const QueuedRequest& req) {
 
 }  // namespace
 
-SchedulerPick FcfsScheduler::Pick(std::span<const QueuedRequest> queue,
+SchedulerPick FcfsScheduler::Pick(const DriveQueue& queue,
                                   const ScheduleContext& ctx) {
   (void)ctx;
   MIMDRAID_CHECK(!queue.empty());
+  const std::span<const QueuedRequest> entries = queue.entries();
   size_t best = 0;
-  for (size_t i = 1; i < queue.size(); ++i) {
-    if (queue[i].arrival_us < queue[best].arrival_us) {
+  for (size_t i = 1; i < entries.size(); ++i) {
+    if (entries[i].arrival_us < entries[best].arrival_us) {
       best = i;
     }
   }
-  return SchedulerPick{best, queue[best].primary(), 0.0};
+  return SchedulerPick{best, entries[best].primary(), 0.0};
 }
 
-SchedulerPick SstfScheduler::Pick(std::span<const QueuedRequest> queue,
+SchedulerPick SstfScheduler::Pick(const DriveQueue& queue,
                                   const ScheduleContext& ctx) {
   MIMDRAID_CHECK(!queue.empty());
   MIMDRAID_CHECK(ctx.predictor != nullptr);
+  const std::span<const QueuedRequest> entries = queue.entries();
   const uint32_t head_cyl = ctx.predictor->Head().cylinder;
   size_t best = 0;
-  BlockAddr best_lba = queue[0].primary();
+  BlockAddr best_lba = entries[0].primary();
   uint32_t best_dist = std::numeric_limits<uint32_t>::max();
-  for (size_t i = 0; i < queue.size(); ++i) {
-    for (const QueueCandidate& c : queue[i].candidates) {
+  for (size_t i = 0; i < entries.size(); ++i) {
+    for (const QueueCandidate& c : entries[i].candidates) {
       const uint32_t cyl = c.pos.cylinder;
       const uint32_t dist = cyl > head_cyl ? cyl - head_cyl : head_cyl - cyl;
       if (dist < best_dist) {
@@ -80,25 +83,26 @@ size_t LookScheduler::PickIndex(std::span<const QueuedRequest> queue) {
   MIMDRAID_CHECK(false);  // queue non-empty: one direction must have a request
 }
 
-SchedulerPick LookScheduler::Pick(std::span<const QueuedRequest> queue,
+SchedulerPick LookScheduler::Pick(const DriveQueue& queue,
                                   const ScheduleContext& ctx) {
   (void)ctx;
-  const size_t i = PickIndex(queue);
-  return SchedulerPick{i, queue[i].primary(), 0.0};
+  const size_t i = PickIndex(queue.entries());
+  return SchedulerPick{i, queue.entries()[i].primary(), 0.0};
 }
 
-SchedulerPick ClookScheduler::Pick(std::span<const QueuedRequest> queue,
+SchedulerPick ClookScheduler::Pick(const DriveQueue& queue,
                                    const ScheduleContext& ctx) {
   (void)ctx;
   MIMDRAID_CHECK(!queue.empty());
+  const std::span<const QueuedRequest> entries = queue.entries();
   // Forward sweep; wrap to the smallest outstanding cylinder.
-  size_t best = queue.size();
+  size_t best = entries.size();
   uint32_t best_cyl = 0;
   size_t wrap_best = 0;
   uint32_t wrap_cyl = std::numeric_limits<uint32_t>::max();
-  for (size_t i = 0; i < queue.size(); ++i) {
-    const uint32_t cyl = PrimaryCylinder(queue[i]);
-    if (cyl >= current_cylinder_ && (best == queue.size() || cyl < best_cyl)) {
+  for (size_t i = 0; i < entries.size(); ++i) {
+    const uint32_t cyl = PrimaryCylinder(entries[i]);
+    if (cyl >= current_cylinder_ && (best == entries.size() || cyl < best_cyl)) {
       best = i;
       best_cyl = cyl;
     }
@@ -107,12 +111,12 @@ SchedulerPick ClookScheduler::Pick(std::span<const QueuedRequest> queue,
       wrap_cyl = cyl;
     }
   }
-  if (best == queue.size()) {
+  if (best == entries.size()) {
     best = wrap_best;
     best_cyl = wrap_cyl;
   }
   current_cylinder_ = best_cyl;
-  return SchedulerPick{best, queue[best].primary(), 0.0};
+  return SchedulerPick{best, entries[best].primary(), 0.0};
 }
 
 }  // namespace mimdraid

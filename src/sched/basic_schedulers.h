@@ -2,6 +2,8 @@
 #ifndef MIMDRAID_SRC_SCHED_BASIC_SCHEDULERS_H_
 #define MIMDRAID_SRC_SCHED_BASIC_SCHEDULERS_H_
 
+#include <span>
+
 #include "src/sched/scheduler.h"
 
 namespace mimdraid {
@@ -9,7 +11,7 @@ namespace mimdraid {
 // First-come first-served: dispatch in arrival order.
 class FcfsScheduler : public Scheduler {
  public:
-  SchedulerPick Pick(std::span<const QueuedRequest> queue,
+  SchedulerPick Pick(const DriveQueue& queue,
                      const ScheduleContext& ctx) override;
   std::string name() const override { return "FCFS"; }
 };
@@ -18,7 +20,7 @@ class FcfsScheduler : public Scheduler {
 // position; considers all replicas of an entry.
 class SstfScheduler : public Scheduler {
  public:
-  SchedulerPick Pick(std::span<const QueuedRequest> queue,
+  SchedulerPick Pick(const DriveQueue& queue,
                      const ScheduleContext& ctx) override;
   std::string name() const override { return "SSTF"; }
 };
@@ -28,7 +30,7 @@ class SstfScheduler : public Scheduler {
 // is exhausted.
 class LookScheduler : public Scheduler {
  public:
-  SchedulerPick Pick(std::span<const QueuedRequest> queue,
+  SchedulerPick Pick(const DriveQueue& queue,
                      const ScheduleContext& ctx) override;
   std::string name() const override { return "LOOK"; }
 
@@ -45,7 +47,7 @@ class LookScheduler : public Scheduler {
 // outstanding cylinder at the end.
 class ClookScheduler : public Scheduler {
  public:
-  SchedulerPick Pick(std::span<const QueuedRequest> queue,
+  SchedulerPick Pick(const DriveQueue& queue,
                      const ScheduleContext& ctx) override;
   std::string name() const override { return "CLOOK"; }
 

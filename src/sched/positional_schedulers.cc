@@ -1,7 +1,9 @@
 #include "src/sched/positional_schedulers.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
+#include <span>
 
 #include "src/obs/trace_collector.h"
 #include "src/util/check.h"
@@ -45,11 +47,12 @@ bool BoundExceeds(const AccessBound& bound, const QueueCandidate& cand,
 
 // Pruning in the Pick loops below must be *exact*: the figure goldens lock
 // the chosen requests byte for byte, so a candidate may be skipped only when
-// it provably cannot change the outcome. All comparisons against the running
-// best use strict `<` ("first strictly smaller wins"), so a candidate whose
-// cost lower bound exceeds the current best can neither win nor retie —
-// skipping its full prediction leaves the scan's result bit-identical. The
-// scan order itself is never reordered. Each Pick builds the predictor's
+// it provably cannot change the outcome. The SATF family's winner is the
+// least (aged cost, scan position, candidate index) over the window, which
+// is what a front-to-back scan keeping the first strictly smaller cost
+// returns. A candidate is skipped only when its cost lower bound exceeds the
+// running best, so it can neither win nor tie; the walk stops only when a
+// bound on every key not yet visited does. Each Pick builds the predictor's
 // bound once (one virtual call); candidates evaluate it inline.
 
 SatfScheduler::SatfScheduler(SchedulerKind kind, size_t max_scan)
@@ -62,60 +65,119 @@ SatfScheduler::SatfScheduler(SchedulerKind kind, size_t max_scan)
                  kind == SchedulerKind::kAsatf);
 }
 
-SchedulerPick SatfScheduler::Pick(std::span<const QueuedRequest> queue,
+double SatfScheduler::AgeCredit(SimTime now, SimTime arrival) const {
+  // A zero weight makes the credit +-0.0, and subtracting it is exact, so
+  // SATF and RSATF rank by the plain slack-adjusted cost.
+  return age_weight_ * static_cast<double>((now - arrival).us());
+}
+
+SchedulerPick SatfScheduler::Pick(const DriveQueue& queue,
                                   const ScheduleContext& ctx) {
   MIMDRAID_CHECK(!queue.empty());
   MIMDRAID_CHECK(ctx.predictor != nullptr);
-  const size_t scan = max_scan_ == 0 ? queue.size()
-                                     : std::min(max_scan_, queue.size());
+  const std::span<const QueuedRequest> entries = queue.entries();
+  const std::span<const DriveQueue::Key> keys = queue.keys();
+  // The window is the first `scan` entries in scan order: seq <= last_seq.
+  const size_t scan = max_scan_ == 0 ? entries.size()
+                                     : std::min(max_scan_, entries.size());
+  const uint64_t last_seq = entries[scan - 1].seq;
+  // No windowed entry earns more credit than the oldest one.
+  SimTime oldest = entries[0].arrival_us;
+  if (age_weight_ != 0.0) {
+    for (const QueuedRequest& req : entries.first(scan)) {
+      oldest = std::min(oldest, req.arrival_us);
+    }
+  }
+  const double max_credit = AgeCredit(ctx.now, oldest);
+  const AccessBound bound = ctx.predictor->PickBound(ctx.now);
+  const uint32_t head = bound.head_cylinder();
+
   size_t best = 0;
-  BlockAddr best_lba = queue[0].primary();
+  BlockAddr best_lba = entries[0].primary();
   double best_aged = std::numeric_limits<double>::infinity();
   double best_predicted = 0.0;
+  DriveQueue::Key best_key{0, UINT32_MAX, UINT64_MAX};
   uint64_t examined = 0;
-  const AccessBound bound = ctx.predictor->PickBound(ctx.now);
-  for (size_t i = 0; i < scan; ++i) {
-    const QueuedRequest& req = queue[i];
+  uint64_t visited = 0;
+  // keys[up] is the nearest unvisited key at or above the head's cylinder,
+  // keys[down - 1] the nearest below it.
+  size_t up = static_cast<size_t>(
+      std::partition_point(keys.begin(), keys.end(),
+                           [head](const DriveQueue::Key& k) {
+                             return k.cylinder < head;
+                           }) -
+      keys.begin());
+  size_t down = up;
+  uint32_t floor_distance = UINT32_MAX;
+  double floor_us = 0.0;
+  while (up < keys.size() || down > 0) {
+    // Visit the nearer frontier; every unvisited key is at least as far.
+    const bool take_up =
+        down == 0 || (up < keys.size() && keys[up].cylinder - head <=
+                                              head - keys[down - 1].cylinder);
+    const DriveQueue::Key& key = take_up ? keys[up] : keys[down - 1];
+    const uint32_t distance =
+        take_up ? key.cylinder - head : head - key.cylinder;
+    if (distance != floor_distance) {
+      floor_distance = distance;
+      floor_us = bound.FloorUs(distance) - max_credit;
+    }
+    // The floor bounds the aged cost of every unvisited key from below, so
+    // once it exceeds the best none of them can win or tie.
+    if (floor_us > best_aged) {
+      break;
+    }
+    if (take_up) {
+      ++up;
+    } else {
+      --down;
+    }
+    ++visited;
+    if (key.seq > last_seq || (!all_replicas_ && key.candidate != 0)) {
+      continue;
+    }
+    const size_t i = queue.IndexOf(key.seq);
+    const QueuedRequest& req = entries[i];
+    const QueueCandidate& cand = req.candidates[key.candidate];
     const bool is_write = req.op == DiskOp::kWrite;
-    // A zero weight makes the credit +-0.0, and subtracting it is exact, so
-    // SATF and RSATF rank by the plain slack-adjusted cost.
-    const double age_credit =
-        age_weight_ * static_cast<double>((ctx.now - req.arrival_us).us());
-    const size_t candidates = all_replicas_ ? req.candidates.size() : 1;
-    for (size_t c = 0; c < candidates; ++c) {
-      const QueueCandidate& cand = req.candidates[c];
-      // The bound is evaluated per replica, not once per entry: replicas
-      // normally share a cylinder, but a latent-bad-sector remap can move one
-      // to spare space on a different cylinder. Aged cost >= bound - credit,
-      // so a bound beaten by best_aged even after the credit cannot win.
-      if (BoundExceeds(bound, cand, req.sectors, is_write, age_credit,
-                       best_aged)) {
-        continue;
-      }
-      const CandidateCost cost = CostOf(ctx, req, cand.lba);
-      ++examined;
-      const double aged = cost.effective_us - age_credit;
-      if (aged < best_aged) {
-        best_aged = aged;
-        best_predicted = cost.predicted_us;
-        best = i;
-        best_lba = cand.lba;
-      }
+    const double age_credit = AgeCredit(ctx.now, req.arrival_us);
+    // The bound is evaluated per replica, not once per entry: replicas
+    // normally share a cylinder, but a latent-bad-sector remap can move one
+    // to spare space on a different cylinder. Aged cost >= bound - credit,
+    // so a bound beaten by best_aged even after the credit cannot win.
+    if (BoundExceeds(bound, cand, req.sectors, is_write, age_credit,
+                     best_aged)) {
+      continue;
+    }
+    const CandidateCost cost = CostOf(ctx, req, cand.lba);
+    ++examined;
+    const double aged = cost.effective_us - age_credit;
+    // Keys arrive in walk order, not scan order, so an exact tie goes to the
+    // earlier entry and then the lower candidate, as a scan would take it.
+    if (aged < best_aged ||
+        (aged == best_aged && (key.seq < best_key.seq ||
+                               (key.seq == best_key.seq &&
+                                key.candidate < best_key.candidate)))) {
+      best_aged = aged;
+      best_predicted = cost.predicted_us;
+      best = i;
+      best_lba = cand.lba;
+      best_key = key;
     }
   }
   if (ctx.collector != nullptr) {
-    ctx.collector->OnSchedulerScan(ctx.disk.value(), examined);
+    ctx.collector->OnSchedulerScan(ctx.disk.value(), examined, visited);
   }
   return SchedulerPick{best, best_lba, best_predicted};
 }
 
-SchedulerPick RlookScheduler::Pick(std::span<const QueuedRequest> queue,
+SchedulerPick RlookScheduler::Pick(const DriveQueue& queue,
                                    const ScheduleContext& ctx) {
   MIMDRAID_CHECK(ctx.predictor != nullptr);
   // LOOK chooses the request (all replicas of an entry share a cylinder);
   // the rotationally closest replica is then taken.
-  const size_t i = PickIndex(queue);
-  const QueuedRequest& req = queue[i];
+  const size_t i = PickIndex(queue.entries());
+  const QueuedRequest& req = queue.entries()[i];
   const bool is_write = req.op == DiskOp::kWrite;
   BlockAddr best_lba = req.primary();
   CandidateCost best_cost{std::numeric_limits<double>::infinity(), 0.0};
@@ -134,7 +196,8 @@ SchedulerPick RlookScheduler::Pick(std::span<const QueuedRequest> queue,
     }
   }
   if (ctx.collector != nullptr) {
-    ctx.collector->OnSchedulerScan(ctx.disk.value(), examined);
+    ctx.collector->OnSchedulerScan(ctx.disk.value(), examined,
+                                   /*keys_visited=*/0);
   }
   return SchedulerPick{i, best_lba, best_cost.predicted_us};
 }

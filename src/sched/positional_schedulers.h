@@ -23,23 +23,31 @@
 
 namespace mimdraid {
 
-// One pruned scan serves SATF, RSATF and ASATF; the kind decides which
-// candidates of an entry are read and how much credit its age earns.
+// One pruned walk serves SATF, RSATF and ASATF; the kind decides which
+// candidates of an entry are read and how much credit its age earns. The
+// walk visits the queue's cylinder index outward from the head's cylinder,
+// nearer frontier first, and stops once the bound's floor at the frontier's
+// seek distance, less the largest age credit in the window, exceeds the
+// best aged cost found: every key it has not visited lies at least that far
+// away. The pick equals a full scan's: same entry, replica and prediction.
 class SatfScheduler : public Scheduler {
  public:
   // Microseconds of predicted access time one microsecond of waiting is
   // worth under ASATF.
   static constexpr double kAsatfAgeWeight = 0.1;
 
-  // `kind` is kSatf, kRsatf or kAsatf; `max_scan` caps the queue entries
-  // examined per pick (0 = the whole queue).
+  // `kind` is kSatf, kRsatf or kAsatf; `max_scan` confines the pick to the
+  // first `max_scan` entries in scan order (0 = the whole queue).
   explicit SatfScheduler(SchedulerKind kind, size_t max_scan = 0);
 
-  SchedulerPick Pick(std::span<const QueuedRequest> queue,
+  SchedulerPick Pick(const DriveQueue& queue,
                      const ScheduleContext& ctx) override;
   std::string name() const override { return SchedulerKindName(kind_); }
 
  private:
+  // Cost credit an entry that arrived at `arrival` has earned by `now`.
+  double AgeCredit(SimTime now, SimTime arrival) const;
+
   SchedulerKind kind_;
   size_t max_scan_;
   bool all_replicas_;  // false: the primary copy only (SATF)
@@ -48,7 +56,7 @@ class SatfScheduler : public Scheduler {
 
 class RlookScheduler : public LookScheduler {
  public:
-  SchedulerPick Pick(std::span<const QueuedRequest> queue,
+  SchedulerPick Pick(const DriveQueue& queue,
                      const ScheduleContext& ctx) override;
   std::string name() const override { return "RLOOK"; }
 };

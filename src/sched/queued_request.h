@@ -7,16 +7,16 @@
 //
 // Each candidate caches where its LBA lies (cylinder and rotational slot), so
 // the schedulers rank a queue without re-deriving disk geometry on every
-// pick. RefreshPositions fills the cache; the cache is stamped with the
-// layout's remap count, because a latent-bad-sector remap relocates a sector
-// to zone spare space, possibly on another cylinder, while entries holding
-// it wait. The replicas of one block normally share a cylinder, but a remap
-// breaks that too, so schedulers bound costs per replica, never per entry.
+// pick. Only the drive queue (DriveQueue) writes the cache: it derives an
+// entry's positions when the entry is pushed and re-derives them all when a
+// latent-bad-sector remap relocates a sector to zone spare space, possibly
+// on another cylinder. The replicas of one block normally share a cylinder,
+// but a remap breaks that too, so schedulers bound costs per replica, never
+// per entry.
 #ifndef MIMDRAID_SRC_SCHED_QUEUED_REQUEST_H_
 #define MIMDRAID_SRC_SCHED_QUEUED_REQUEST_H_
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "src/disk/layout.h"
@@ -30,23 +30,20 @@ struct QueueCandidate {
   explicit QueueCandidate(BlockAddr at) : lba(at) {}
 
   BlockAddr lba;
-  // Where `lba` lies; valid while the entry's `positions_stamp` is current.
+  // Where `lba` lies, as of the layout the entry's queue is synced to.
   SectorPos pos;
 };
 
 struct QueuedRequest {
-  // No remap count equals it, so a new entry's positions count as stale.
-  static constexpr uint32_t kUnstamped = UINT32_MAX;
-
   // Stamped by DriveSet::EnqueueFg/EnqueueDelayed, as is `arrival_us`.
   uint64_t id = 0;
   DiskOp op = DiskOp::kRead;
-  uint32_t sectors = 0;
-  std::vector<QueueCandidate> candidates;
-  SimTime arrival_us;
   // Background replica propagation (serviced only when the foreground queue
   // is empty; see Section 3.4).
   bool delayed = false;
+  uint32_t sectors = 0;
+  std::vector<QueueCandidate> candidates;
+  SimTime arrival_us;
   // Array-layer correlation handle: the mirror's fragment key, which starts
   // at 1. 0 on propagations and on maintenance entries (rebuild copies, scrub
   // and calibration reads), which the mirror routes by id through its hook
@@ -56,32 +53,13 @@ struct QueuedRequest {
   // enqueues a fresh entry (fresh id, so queue conservation holds) with
   // attempts + 1.
   uint32_t attempts = 0;
-  // DiskLayout::num_remapped_sectors() when `candidates[].pos` were computed.
-  uint32_t positions_stamp = kUnstamped;
+  // Push sequence number, stamped by DriveQueue::Push: increasing in push
+  // order, which is the queue's scan order (ids are not: a forced-out
+  // propagation joins the foreground queue after younger entries).
+  uint64_t seq = 0;
 
   BlockAddr primary() const { return candidates.front().lba; }
 };
-
-// Brings every entry's cached candidate positions up to date with `layout`:
-// an entry stamped at another remap count than the layout's current one is
-// recomputed, the rest are left alone. The count only grows, so a matching
-// stamp means no sector has moved since. This is the only code that writes
-// positions; call it on a queue before handing it to a Scheduler (an audited
-// scheduler, MakeAuditedScheduler, reports a pick over a queue that missed
-// it).
-inline void RefreshPositions(std::span<QueuedRequest> queue,
-                             const DiskLayout& layout) {
-  const auto remaps = static_cast<uint32_t>(layout.num_remapped_sectors());
-  for (QueuedRequest& entry : queue) {
-    if (entry.positions_stamp == remaps) {
-      continue;
-    }
-    for (QueueCandidate& c : entry.candidates) {
-      c.pos = layout.PositionOf(c.lba.value());
-    }
-    entry.positions_stamp = remaps;
-  }
-}
 
 }  // namespace mimdraid
 

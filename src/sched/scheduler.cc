@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <functional>
+#include <iterator>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -13,6 +15,33 @@
 namespace mimdraid {
 
 namespace {
+
+// Keys of `queue`'s index that break it: each adjacent pair out of strict
+// (cylinder, seq, candidate) order, plus each key without a live candidate
+// at that cylinder and each live candidate without exactly one key.
+size_t IndexFaults(const DriveQueue& queue) {
+  const std::span<const DriveQueue::Key> keys = queue.keys();
+  size_t faults = 0;
+  for (size_t i = 1; i < keys.size(); ++i) {
+    if (!(keys[i - 1] < keys[i])) {
+      ++faults;
+    }
+  }
+  std::vector<DriveQueue::Key> want;
+  for (const QueuedRequest& entry : queue.entries()) {
+    for (uint32_t c = 0; c < entry.candidates.size(); ++c) {
+      want.push_back(
+          DriveQueue::Key{entry.candidates[c].pos.cylinder, c, entry.seq});
+    }
+  }
+  std::vector<DriveQueue::Key> have(keys.begin(), keys.end());
+  std::sort(want.begin(), want.end());
+  std::sort(have.begin(), have.end());
+  std::vector<DriveQueue::Key> unmatched;
+  std::set_symmetric_difference(have.begin(), have.end(), want.begin(),
+                                want.end(), std::back_inserter(unmatched));
+  return faults + unmatched.size();
+}
 
 // Decorator that reports every pick to the invariant auditor. Scan state
 // lives in the wrapped scheduler, so wrapping changes no scheduling decision.
@@ -28,26 +57,25 @@ class AuditedScheduler final : public Scheduler {
     MIMDRAID_CHECK(layout_ != nullptr);
   }
 
-  SchedulerPick Pick(std::span<const QueuedRequest> queue,
+  SchedulerPick Pick(const DriveQueue& queue,
                      const ScheduleContext& ctx) override {
-    // An entry whose positions were never refreshed would be ranked by
-    // SectorPos{} (cylinder 0, and a NaN angle that silently disables
-    // pruning), so catch a missing RefreshPositions before the pick.
-    const auto remaps = static_cast<uint32_t>(layout_().num_remapped_sectors());
-    const auto stale = static_cast<size_t>(std::ranges::count_if(
-        queue, [remaps](const QueuedRequest& entry) {
-          return entry.positions_stamp != remaps;
-        }));
+    // Positions derived from another layout or remap count would rank
+    // replicas where they no longer lie, so catch a missing SyncTo (every
+    // position shares the queue's one stamp) and a broken index before the
+    // pick.
+    const size_t stale = queue.SyncedTo(layout_()) ? 0 : queue.size();
+    const size_t index_faults = IndexFaults(queue);
     const SchedulerPick pick = inner_->Pick(queue, ctx);
+    const std::span<const QueuedRequest> entries = queue.entries();
     std::vector<BlockAddr> candidates;
-    if (pick.queue_index < queue.size()) {
-      for (const QueueCandidate& c : queue[pick.queue_index].candidates) {
+    if (pick.queue_index < entries.size()) {
+      for (const QueueCandidate& c : entries[pick.queue_index].candidates) {
         candidates.push_back(c.lba);
       }
     }
-    auditor_->OnSchedulerPick(inner_->name(), queue.size(), stale,
-                              pick.queue_index, pick.lba, candidates,
-                              pick.predicted_service_us);
+    auditor_->OnSchedulerPick(inner_->name(), entries.size(), stale,
+                              index_faults, pick.queue_index, pick.lba,
+                              candidates, pick.predicted_service_us);
     return pick;
   }
 

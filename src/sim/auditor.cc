@@ -117,7 +117,7 @@ void InvariantAuditor::OnDiskOpComplete(const DiskOpAudit& op) {
 
 void InvariantAuditor::OnSchedulerPick(const std::string& scheduler_name,
                                        size_t queue_size, size_t stale_entries,
-                                       size_t picked_index,
+                                       size_t index_faults, size_t picked_index,
                                        BlockAddr chosen_lba,
                                        const std::vector<BlockAddr>& candidates,
                                        double predicted_service_us) {
@@ -125,9 +125,14 @@ void InvariantAuditor::OnSchedulerPick(const std::string& scheduler_name,
                                                  "queue");
   AUDIT_EXPECT(stale_entries == 0,
                scheduler_name << ": " << stale_entries << " of " << queue_size
-                              << " queued entries carry positions stamped "
-                                 "at another remap count (queue not "
-                                 "refreshed before the pick)");
+                              << " queued entries carry positions derived "
+                                 "from another layout or remap count (queue "
+                                 "not synced before the pick)");
+  AUDIT_EXPECT(index_faults == 0,
+               scheduler_name << ": " << index_faults
+                              << " faults in the queue's cylinder index (keys "
+                                 "out of order, or not one key per live "
+                                 "candidate)");
   AUDIT_EXPECT(picked_index < queue_size,
                scheduler_name << ": pick index " << picked_index
                               << " out of range (queue size " << queue_size

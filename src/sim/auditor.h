@@ -132,9 +132,13 @@ class InvariantAuditor {
 
   // --- Scheduler hooks ---
   // `stale_entries` counts queued entries whose cached candidate positions
-  // did not match the drive's remap count when the pick began.
+  // were not derived from the drive's layout at its current remap count when
+  // the pick began; `index_faults` counts breaks in the queue's cylinder
+  // index (keys out of order, a key without its candidate, a candidate
+  // without exactly one key).
   void OnSchedulerPick(const std::string& scheduler_name, size_t queue_size,
-                       size_t stale_entries, size_t picked_index,
+                       size_t stale_entries, size_t index_faults,
+                       size_t picked_index,
                        BlockAddr chosen_lba,
                        const std::vector<BlockAddr>& candidates,
                        double predicted_service_us);

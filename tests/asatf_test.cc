@@ -21,7 +21,6 @@ class AsatfTest : public ::testing::Test {
     ctx_.predictor = &predictor_;
   }
 
-  // Stamped with its position, as DriveSet does before a pick.
   QueuedRequest Req(uint64_t id, uint32_t cylinder, SimTime arrival) {
     QueuedRequest r;
     r.id = id;
@@ -33,7 +32,6 @@ class AsatfTest : public ::testing::Test {
     }
     r.candidates = {QueueCandidate(BlockAddr(lba))};
     r.arrival_us = arrival;
-    RefreshPositions(std::span(&r, 1), disk_.layout());
     return r;
   }
 
@@ -41,27 +39,27 @@ class AsatfTest : public ::testing::Test {
   // cylinder; a single far request waits. Returns how many dispatches the
   // far request waited (capped at `max_dispatches`).
   int DispatchesUntilFarServed(Scheduler& sched, int max_dispatches) {
-    std::vector<QueuedRequest> queue;
+    DriveQueue queue;
     uint64_t next_id = 1;
     const uint32_t near_cyl = 100;
     const uint32_t far_cyl = 6000;
     SimTime now;
-    queue.push_back(Req(next_id++, far_cyl, now));
-    const uint64_t far_id = queue.back().id;
+    const uint64_t far_id = next_id;
+    queue.Push(Req(next_id++, far_cyl, now), disk_.layout());
     // Keep a few near requests in the queue at all times.
     for (int i = 0; i < 4; ++i) {
-      queue.push_back(Req(next_id++, near_cyl + i, now));
+      queue.Push(Req(next_id++, near_cyl + i, now), disk_.layout());
     }
     for (int dispatch = 1; dispatch <= max_dispatches; ++dispatch) {
       ctx_.now = now;
       const SchedulerPick pick = sched.Pick(queue, ctx_);
-      const bool served_far = queue[pick.queue_index].id == far_id;
-      queue.erase(queue.begin() + static_cast<ptrdiff_t>(pick.queue_index));
+      const bool served_far = queue.Take(pick.queue_index).id == far_id;
       if (served_far) {
         return dispatch;
       }
       now += SimDuration(3000);  // ~one request service time
-      queue.push_back(Req(next_id++, near_cyl + dispatch % 5, now));
+      queue.Push(Req(next_id++, near_cyl + dispatch % 5, now),
+                 disk_.layout());
     }
     return max_dispatches + 1;
   }
@@ -91,15 +89,15 @@ TEST_F(AsatfTest, ZeroWeightDegeneratesToSatf) {
   SatfScheduler rsatf(SchedulerKind::kRsatf);
   SatfScheduler satf(SchedulerKind::kSatf);
   // Same crafted queue: identical picks.
-  std::vector<QueuedRequest> q1;
-  std::vector<QueuedRequest> q2;
+  DriveQueue q1;
+  DriveQueue q2;
   Rng rng(3);
   for (int i = 0; i < 12; ++i) {
     const QueuedRequest r =
         Req(i + 1, static_cast<uint32_t>(rng.UniformU64(6900)),
             SimTime(static_cast<int64_t>(rng.UniformU64(50000))));
-    q1.push_back(r);
-    q2.push_back(r);
+    q1.Push(r, disk_.layout());
+    q2.Push(r, disk_.layout());
   }
   ctx_.now = SimTime(60000);
   const SchedulerPick a = rsatf.Pick(q1, ctx_);
@@ -121,21 +119,21 @@ TEST_F(AsatfTest, AsatfThroughputCloseToSatf) {
     Scheduler* sched =
         pair == &satf_total ? static_cast<Scheduler*>(&satf) : &asatf;
     Rng local(11);
-    std::vector<QueuedRequest> queue;
+    DriveQueue queue;
     uint64_t id = 1;
     SimTime now;
     for (int i = 0; i < 16; ++i) {
-      queue.push_back(Req(id++, static_cast<uint32_t>(local.UniformU64(6900)),
-                          now));
+      queue.Push(Req(id++, static_cast<uint32_t>(local.UniformU64(6900)), now),
+                 disk_.layout());
     }
     for (int dispatch = 0; dispatch < 100; ++dispatch) {
       ctx_.now = now;
       const SchedulerPick pick = sched->Pick(queue, ctx_);
       *pair += pick.predicted_service_us;
-      queue.erase(queue.begin() + static_cast<ptrdiff_t>(pick.queue_index));
+      queue.Take(pick.queue_index);
       now += SimDuration(3000);
-      queue.push_back(Req(id++, static_cast<uint32_t>(local.UniformU64(6900)),
-                          now));
+      queue.Push(Req(id++, static_cast<uint32_t>(local.UniformU64(6900)), now),
+                 disk_.layout());
     }
   }
   EXPECT_LT(asatf_total, satf_total * 1.3);

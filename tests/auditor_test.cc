@@ -166,16 +166,31 @@ TEST(AuditorTest, CatchesServiceDecompositionMismatch) {
 TEST(AuditorTest, CatchesPickIndexOutsideQueue) {
   RecordingAuditor rec;
   rec.auditor().OnSchedulerPick("RSATF", /*queue_size=*/3,
-                                /*stale_entries=*/0, /*picked_index=*/3,
+                                /*stale_entries=*/0, /*index_faults=*/0,
+                                /*picked_index=*/3,
                                 /*chosen_lba=*/BlockAddr(42), {BlockAddr(42)},
                                 100.0);
   EXPECT_EQ(rec.auditor().violations(), 1u);
 }
 
+TEST(AuditorTest, CatchesPickOverBrokenCylinderIndex) {
+  RecordingAuditor rec;
+  rec.auditor().OnSchedulerPick("RSATF", /*queue_size=*/3,
+                                /*stale_entries=*/0, /*index_faults=*/2,
+                                /*picked_index=*/0,
+                                /*chosen_lba=*/BlockAddr(42), {BlockAddr(42)},
+                                100.0);
+  ASSERT_EQ(rec.auditor().violations(), 1u);
+  EXPECT_NE(rec.auditor().last_violation().find("2 faults"),
+            std::string::npos)
+      << rec.auditor().last_violation();
+}
+
 TEST(AuditorTest, CatchesPickOfLbaTheEntryDoesNotOffer) {
   RecordingAuditor rec;
   rec.auditor().OnSchedulerPick("RSATF", /*queue_size=*/2,
-                                /*stale_entries=*/0, /*picked_index=*/0,
+                                /*stale_entries=*/0, /*index_faults=*/0,
+                                /*picked_index=*/0,
                                 /*chosen_lba=*/BlockAddr(999),
                                 {BlockAddr(10), BlockAddr(20), BlockAddr(30)},
                                 100.0);

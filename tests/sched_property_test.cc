@@ -3,12 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "src/array/placement.h"
 #include "src/calib/predictor.h"
 #include "src/disk/sim_disk.h"
+#include "src/obs/trace_collector.h"
+#include "src/sched/positional_schedulers.h"
 #include "src/sched/scheduler.h"
 #include "src/sim/auditor.h"
 #include "src/sim/simulator.h"
@@ -16,6 +22,17 @@
 
 namespace mimdraid {
 namespace {
+
+// A drive queue holding `entries` in order, with positions derived from
+// `layout` as DriveSet's pushes derive them.
+DriveQueue QueueOf(std::span<const QueuedRequest> entries,
+                   const DiskLayout& layout) {
+  DriveQueue queue;
+  for (const QueuedRequest& r : entries) {
+    queue.Push(r, layout);
+  }
+  return queue;
+}
 
 class SchedulerProperty : public ::testing::TestWithParam<SchedulerKind> {
  protected:
@@ -58,8 +75,8 @@ TEST_P(SchedulerProperty, PickIsAlwaysValid) {
                                     1 + static_cast<int>(rng_.UniformU64(3))));
     }
     ctx_.now = SimTime(trial * 5000);
-    RefreshPositions(queue, disk_.layout());
-    const SchedulerPick pick = sched->Pick(queue, ctx_);
+    const SchedulerPick pick =
+        sched->Pick(QueueOf(queue, disk_.layout()), ctx_);
     ASSERT_LT(pick.queue_index, queue.size());
     const auto& cands = queue[pick.queue_index].candidates;
     EXPECT_NE(std::find_if(cands.begin(), cands.end(),
@@ -70,20 +87,18 @@ TEST_P(SchedulerProperty, PickIsAlwaysValid) {
 
 TEST_P(SchedulerProperty, DrainsEveryRequestExactlyOnce) {
   auto sched = MakeScheduler(GetParam());
-  std::vector<QueuedRequest> queue;
+  DriveQueue queue;
   std::set<uint64_t> ids;
   for (int i = 0; i < 30; ++i) {
-    queue.push_back(RandomRequest(i + 1, 2));
+    queue.Push(RandomRequest(i + 1, 2), disk_.layout());
     ids.insert(i + 1);
   }
   SimTime now;  // default-constructed: t=0
   while (!queue.empty()) {
     ctx_.now = now;
-    RefreshPositions(queue, disk_.layout());
     const SchedulerPick pick = sched->Pick(queue, ctx_);
     ASSERT_LT(pick.queue_index, queue.size());
-    EXPECT_EQ(ids.erase(queue[pick.queue_index].id), 1u);
-    queue.erase(queue.begin() + static_cast<ptrdiff_t>(pick.queue_index));
+    EXPECT_EQ(ids.erase(queue.Take(pick.queue_index).id), 1u);
     now += SimDuration(3000);
   }
   EXPECT_TRUE(ids.empty());
@@ -118,9 +133,8 @@ TEST(SchedulerOptimality, SatfMinimizesOverPrimaries) {
       r.candidates = {QueueCandidate(BlockAddr(rng.UniformU64(disk.num_sectors() - 4)))};
       queue.push_back(std::move(r));
     }
-    RefreshPositions(queue, disk.layout());
     ctx.now = SimTime(trial * 7777);
-    const SchedulerPick pick = satf->Pick(queue, ctx);
+    const SchedulerPick pick = satf->Pick(QueueOf(queue, disk.layout()), ctx);
     double best = 1e18;
     for (const QueuedRequest& r : queue) {
       const AccessPlan plan =
@@ -144,8 +158,8 @@ TEST(SchedulerOptimality, RlookFollowsLookRequestOrder) {
   Rng rng(9);
   auto rlook = MakeScheduler(SchedulerKind::kRlook);
   auto look = MakeScheduler(SchedulerKind::kLook);
-  std::vector<QueuedRequest> q1;
-  std::vector<QueuedRequest> q2;
+  DriveQueue q1;
+  DriveQueue q2;
   for (int i = 0; i < 20; ++i) {
     QueuedRequest r;
     r.id = i + 1;
@@ -153,7 +167,7 @@ TEST(SchedulerOptimality, RlookFollowsLookRequestOrder) {
     r.sectors = 1;
     const uint64_t primary = rng.UniformU64(disk.num_sectors() - 1);
     r.candidates = {QueueCandidate(BlockAddr(primary))};
-    q2.push_back(r);  // LOOK sees only the primary
+    q2.Push(r, disk.layout());  // LOOK sees only the primary
     // RLOOK also sees a same-cylinder alternate.
     const Chs chs = disk.layout().ToChs(primary);
     const uint32_t other_head = (chs.head + 1) % 4;
@@ -162,16 +176,12 @@ TEST(SchedulerOptimality, RlookFollowsLookRequestOrder) {
     if (alt != kInvalidLba) {
       r.candidates.push_back(QueueCandidate(BlockAddr(alt)));
     }
-    q1.push_back(std::move(r));
+    q1.Push(std::move(r), disk.layout());
   }
-  RefreshPositions(q1, disk.layout());
-  RefreshPositions(q2, disk.layout());
   while (!q1.empty()) {
     const SchedulerPick p1 = rlook->Pick(q1, ctx);
     const SchedulerPick p2 = look->Pick(q2, ctx);
-    EXPECT_EQ(q1[p1.queue_index].id, q2[p2.queue_index].id);
-    q1.erase(q1.begin() + static_cast<ptrdiff_t>(p1.queue_index));
-    q2.erase(q2.begin() + static_cast<ptrdiff_t>(p2.queue_index));
+    EXPECT_EQ(q1.Take(p1.queue_index).id, q2.Take(p2.queue_index).id);
   }
 }
 
@@ -187,7 +197,6 @@ class LookEdgeCases : public ::testing::Test {
     ctx_.predictor = &predictor_;
   }
 
-  // Stamped with its position, as DriveSet does before a pick.
   QueuedRequest AtCylinder(uint64_t id, uint32_t cylinder, int64_t arrival) {
     const uint64_t lba = disk_.layout().ToLba(Chs{cylinder, 0, 0});
     EXPECT_NE(lba, kInvalidLba) << "cylinder " << cylinder;
@@ -197,17 +206,16 @@ class LookEdgeCases : public ::testing::Test {
     r.sectors = 1;
     r.candidates = {QueueCandidate(BlockAddr(lba))};
     r.arrival_us = SimTime(arrival);
-    RefreshPositions(std::span(&r, 1), disk_.layout());
     return r;
   }
 
   std::vector<uint64_t> DrainIds(Scheduler& sched,
-                                 std::vector<QueuedRequest> queue) {
+                                 const std::vector<QueuedRequest>& entries) {
+    DriveQueue queue = QueueOf(entries, disk_.layout());
     std::vector<uint64_t> order;
     while (!queue.empty()) {
       const SchedulerPick pick = sched.Pick(queue, ctx_);
-      order.push_back(queue[pick.queue_index].id);
-      queue.erase(queue.begin() + static_cast<ptrdiff_t>(pick.queue_index));
+      order.push_back(queue.Take(pick.queue_index).id);
     }
     return order;
   }
@@ -236,7 +244,8 @@ TEST_F(LookEdgeCases, ReversesOnlyWhenAheadExhausted) {
   auto sched2 = MakeScheduler(SchedulerKind::kLook);
   std::vector<QueuedRequest> high_first;
   high_first.push_back(AtCylinder(1, 50, 0));
-  const SchedulerPick first = sched2->Pick(high_first, ctx_);
+  const SchedulerPick first =
+      sched2->Pick(QueueOf(high_first, disk_.layout()), ctx_);
   EXPECT_EQ(high_first[first.queue_index].id, 1u);  // arm now at 50, going up
   high_first.clear();
   high_first.push_back(AtCylinder(2, 10, 0));
@@ -270,7 +279,7 @@ TEST_F(LookEdgeCases, CurrentCylinderStaysEligible) {
   auto sched = MakeScheduler(SchedulerKind::kLook);
   std::vector<QueuedRequest> queue;
   queue.push_back(AtCylinder(1, 40, 0));
-  const SchedulerPick first = sched->Pick(queue, ctx_);
+  const SchedulerPick first = sched->Pick(QueueOf(queue, disk_.layout()), ctx_);
   EXPECT_EQ(queue[first.queue_index].id, 1u);
   queue.clear();
   queue.push_back(AtCylinder(2, 15, 0));
@@ -291,7 +300,6 @@ class RsatfMaxScan : public ::testing::Test {
     ctx_.predictor = &predictor_;
   }
 
-  // Stamped with its positions, as DriveSet does before a pick.
   QueuedRequest RandomRequest(uint64_t id, int candidates) {
     QueuedRequest r;
     r.id = id;
@@ -302,8 +310,12 @@ class RsatfMaxScan : public ::testing::Test {
           QueueCandidate(BlockAddr(rng_.UniformU64(disk_.num_sectors() - 1))));
     }
     r.arrival_us = SimTime(static_cast<int64_t>(rng_.UniformU64(1000)));
-    RefreshPositions(std::span(&r, 1), disk_.layout());
     return r;
+  }
+
+  SchedulerPick PickFrom(Scheduler& sched,
+                         const std::vector<QueuedRequest>& entries) {
+    return sched.Pick(QueueOf(entries, disk_.layout()), ctx_);
   }
 
   Simulator sim_;
@@ -325,10 +337,10 @@ TEST_F(RsatfMaxScan, WindowedPickEqualsFullPickOnPrefix) {
       queue.push_back(RandomRequest(trial * 100 + i, 1 + trial % 3));
     }
     ctx_.now = SimTime(trial * 4321);
-    const SchedulerPick w = windowed->Pick(queue, ctx_);
+    const SchedulerPick w = PickFrom(*windowed, queue);
     const std::vector<QueuedRequest> prefix(queue.begin(),
                                             queue.begin() + kWindow);
-    const SchedulerPick u = unbounded->Pick(prefix, ctx_);
+    const SchedulerPick u = PickFrom(*unbounded, prefix);
     EXPECT_EQ(w.queue_index, u.queue_index) << "trial " << trial;
     EXPECT_EQ(w.lba, u.lba) << "trial " << trial;
     EXPECT_DOUBLE_EQ(w.predicted_service_us, u.predicted_service_us);
@@ -356,9 +368,9 @@ TEST_F(RsatfMaxScan, CheaperCandidateBeyondWindowIsIgnored) {
   ASSERT_LT(cost(queue.back()), cost(queue[kWindow - 1]));
 
   auto unbounded = MakeScheduler(SchedulerKind::kRsatf);
-  EXPECT_EQ(unbounded->Pick(queue, ctx_).queue_index, queue.size() - 1);
+  EXPECT_EQ(PickFrom(*unbounded, queue).queue_index, queue.size() - 1);
   auto windowed = MakeScheduler(SchedulerKind::kRsatf, kWindow);
-  EXPECT_LT(windowed->Pick(queue, ctx_).queue_index, kWindow);
+  EXPECT_LT(PickFrom(*windowed, queue).queue_index, kWindow);
 }
 
 TEST_F(RsatfMaxScan, ZeroAndOversizeWindowsScanTheWholeQueue) {
@@ -370,18 +382,18 @@ TEST_F(RsatfMaxScan, ZeroAndOversizeWindowsScanTheWholeQueue) {
       queue.push_back(RandomRequest(trial * 50 + i, 2));
     }
     ctx_.now = SimTime(trial * 999);
-    const SchedulerPick a = zero->Pick(queue, ctx_);
-    const SchedulerPick b = oversize->Pick(queue, ctx_);
+    const SchedulerPick a = PickFrom(*zero, queue);
+    const SchedulerPick b = PickFrom(*oversize, queue);
     EXPECT_EQ(a.queue_index, b.queue_index);
     EXPECT_EQ(a.lba, b.lba);
   }
 }
 
-// --- Exact pruning: the cached-position bound never changes a pick. ---
+// --- Exact pruning: the cylinder walk and its bounds never change a pick. ---
 
 // Forwards everything to `inner` except PickBound, which keeps the default
-// zero bound: a scheduler driven through it prunes nothing and reads no
-// cached position.
+// zero bound: a SATF-family walk driven through it stops nowhere and visits
+// every key, and RLOOK prunes nothing.
 class UnprunedPredictor : public AccessPredictor {
  public:
   explicit UnprunedPredictor(const AccessPredictor* inner) : inner_(inner) {}
@@ -400,27 +412,122 @@ class UnprunedPredictor : public AccessPredictor {
   const AccessPredictor* inner_;
 };
 
-class ExactPruning : public ::testing::TestWithParam<SchedulerKind> {};
+// The SATF-family pick by definition, sharing no code with SatfScheduler:
+// the first `max_scan` entries in scan order (0 = all of them), every
+// candidate the kind reads (SATF: the primary only) fully predicted, and the
+// first strictly smaller aged cost wins. It reads no position and no bound.
+SchedulerPick BruteForcePick(SchedulerKind kind, size_t max_scan,
+                             std::span<const QueuedRequest> entries,
+                             const AccessPredictor& predictor, SimTime now) {
+  const size_t scan =
+      max_scan == 0 ? entries.size() : std::min(max_scan, entries.size());
+  const double weight =
+      kind == SchedulerKind::kAsatf ? SatfScheduler::kAsatfAgeWeight : 0.0;
+  SchedulerPick best{0, entries[0].primary(), 0.0};
+  double best_aged = std::numeric_limits<double>::infinity();
+  for (size_t i = 0; i < scan; ++i) {
+    const QueuedRequest& req = entries[i];
+    const size_t reads =
+        kind == SchedulerKind::kSatf ? 1 : req.candidates.size();
+    for (size_t c = 0; c < reads; ++c) {
+      const AccessPlan plan =
+          predictor.Predict(now, req.candidates[c].lba, req.sectors,
+                            req.op == DiskOp::kWrite);
+      const double aged =
+          predictor.EffectiveServiceUs(plan) -
+          weight * static_cast<double>((now - req.arrival_us).us());
+      if (aged < best_aged) {
+        best_aged = aged;
+        best = SchedulerPick{i, req.candidates[c].lba, plan.total_us};
+      }
+    }
+  }
+  return best;
+}
 
-// Drains random queues the way DriveSet does (refresh positions, pick, run
+// How a drain shapes its queue.
+struct DrainCase {
+  // Entries queued before the first pick of each trial.
+  int initial_entries = 24;
+  int trials = 12;
+  size_t max_scan = 0;
+  // New entries often copy a queued entry's LBAs, op and size (exact ties
+  // between entries), and replicas often share a cylinder or an LBA (exact
+  // ties within an entry).
+  bool ties = false;
+  // New entries carry arrival stamps older than the queue's tail, as a
+  // propagation forced out of the delayed queue does.
+  bool out_of_order = false;
+  // Entries leave from the middle of the queue between picks, as a
+  // DriveSet::Cancel takes them.
+  bool cancels = false;
+};
+
+struct DrainStats {
+  uint64_t remaps = 0;
+  uint64_t picks = 0;
+  uint64_t cancels = 0;
+  std::set<double> rotations;
+  std::set<double> phases;
+};
+
+QueuedRequest DrainEntry(const DrainCase& dc, const DiskLayout& layout,
+                         const DriveQueue& queue, SimTime now, Rng& rng) {
+  QueuedRequest r;
+  r.op = rng.Bernoulli(0.7) ? DiskOp::kRead : DiskOp::kWrite;
+  r.sectors = 1 + static_cast<uint32_t>(rng.UniformU64(8));
+  if (dc.ties && !queue.empty() && rng.Bernoulli(0.3)) {
+    const QueuedRequest& twin = queue.entries()[rng.UniformU64(queue.size())];
+    r.op = twin.op;
+    r.sectors = twin.sectors;
+    for (const QueueCandidate& c : twin.candidates) {
+      r.candidates.push_back(QueueCandidate(c.lba));
+    }
+  } else {
+    const uint64_t limit = layout.num_data_sectors() - r.sectors;
+    const uint64_t primary = rng.UniformU64(limit);
+    r.candidates.push_back(QueueCandidate(BlockAddr(primary)));
+    const bool one_cylinder = dc.ties && rng.Bernoulli(0.5);
+    const uint64_t replicas = 1 + rng.UniformU64(3);
+    for (uint64_t c = 1; c < replicas; ++c) {
+      uint64_t lba = rng.UniformU64(limit);
+      if (one_cylinder) {
+        // The primary again, or its sector index on another head.
+        Chs chs = layout.ToChs(primary);
+        chs.head = static_cast<uint32_t>(
+            rng.UniformU64(layout.geometry().num_heads));
+        const uint64_t alt = layout.ToLba(chs);
+        lba = alt != kInvalidLba && alt <= limit && rng.Bernoulli(0.5)
+                  ? alt
+                  : primary;
+      }
+      r.candidates.push_back(QueueCandidate(BlockAddr(lba)));
+    }
+  }
+  const auto back =
+      dc.out_of_order ? static_cast<int64_t>(rng.UniformU64(20000)) : 0;
+  r.arrival_us = SimTime(std::max<int64_t>(0, now.us() - back));
+  return r;
+}
+
+// Drains random queues the way DriveSet does (push, sync, pick, take, run
 // the pick on the drive, report it to the predictor) while
-// latent-bad-sector remaps move replicas of entries that were already
-// stamped. Every pick must equal the pick of an unpruned scan over freshly
-// derived positions: same entry, same replica, same prediction. A stale
-// cached position would bound a remapped replica by where it used to be
-// (SATF family) or sweep it by its old cylinder (RLOOK).
+// latent-bad-sector remaps move replicas of queued entries. Every pick must
+// equal the reference's: same entry, same replica, same prediction. For the
+// SATF family the reference is BruteForcePick; RLOOK, which sweeps by
+// cylinder even unpruned, is checked against a second RLOOK under the zero
+// bound over a queue whose positions are derived afresh. A stale position
+// would bound a remapped replica by where it used to be, or file its key
+// under its old cylinder.
 //
 // With `calibrated`, the picks run under a HeadPositionPredictor that tracks
 // the arm from completions and re-estimates rotation and phase from a
 // reference observation after every one, so a bound kept from an earlier
 // pick would bound from the wrong head, angle and transfer floor.
-void ExpectPicksMatchUnprunedScan(SchedulerKind kind, bool calibrated) {
+void DrainAndCompare(SchedulerKind kind, const DrainCase& dc, bool calibrated,
+                     DrainStats* stats) {
   Rng rng(2024);
-  uint64_t remaps = 0;
-  uint64_t picks = 0;
-  std::set<double> rotations;
-  std::set<double> phases;
-  for (int trial = 0; trial < 12; ++trial) {
+  for (int trial = 0; trial < dc.trials; ++trial) {
     Simulator sim;
     SimDisk disk(&sim, MakeTestGeometry(), MakeTestSeekProfile(),
                  DiskNoiseModel::None(), 1, 0.0);
@@ -432,71 +539,64 @@ void ExpectPicksMatchUnprunedScan(SchedulerKind kind, bool calibrated) {
     AccessPredictor& predictor =
         calibrated ? static_cast<AccessPredictor&>(calib) : oracle;
     UnprunedPredictor unpruned(&predictor);
-    auto pruned_sched = MakeScheduler(kind);
-    auto reference_sched = MakeScheduler(kind);
+    auto sched = MakeScheduler(kind, dc.max_scan);
+    auto reference_rlook = MakeScheduler(SchedulerKind::kRlook);
     const DiskLayout& layout = disk.layout();
 
-    std::vector<QueuedRequest> queue;
+    DriveQueue queue;
     uint64_t next_id = 1;
     auto add_entry = [&] {
-      QueuedRequest r;
+      QueuedRequest r = DrainEntry(dc, layout, queue, sim.Now(), rng);
       r.id = next_id++;
-      r.op = rng.Bernoulli(0.7) ? DiskOp::kRead : DiskOp::kWrite;
-      r.sectors = 1 + static_cast<uint32_t>(rng.UniformU64(8));
-      const uint64_t replicas = 1 + rng.UniformU64(3);
-      for (uint64_t c = 0; c < replicas; ++c) {
-        r.candidates.push_back(QueueCandidate(BlockAddr(
-            rng.UniformU64(layout.num_data_sectors() - r.sectors))));
-      }
-      r.arrival_us = sim.Now();
-      queue.push_back(std::move(r));
+      queue.Push(std::move(r), layout);
     };
-    for (int i = 0; i < 24; ++i) {
+    for (int i = 0; i < dc.initial_entries; ++i) {
       add_entry();
     }
     while (!queue.empty()) {
-      // Stamps every entry at the current remap count, as a pick does.
-      RefreshPositions(queue, layout);
-      // A write elsewhere repairs a latent-bad sector that one of the
-      // queued, already stamped entries reads.
-      if (rng.Bernoulli(0.5)) {
-        const QueuedRequest& victim = queue[rng.UniformU64(queue.size())];
-        const QueueCandidate& c =
-            victim.candidates[rng.UniformU64(victim.candidates.size())];
-        if (disk.mutable_layout().AddBadSector(c.lba.value())) {
-          ++remaps;
-        }
-      }
       if (rng.Bernoulli(0.3)) {
         add_entry();
       }
-      RefreshPositions(queue, layout);
-
-      // The reference reads positions derived afresh (RLOOK sweeps by
-      // cylinder even unpruned).
-      std::vector<QueuedRequest> fresh = queue;
-      for (QueuedRequest& r : fresh) {
-        for (QueueCandidate& c : r.candidates) {
-          c.pos = layout.PositionOf(c.lba.value());
+      // A write elsewhere repairs a latent-bad sector that one of the
+      // queued entries reads, after their positions were derived.
+      if (rng.Bernoulli(0.5)) {
+        const QueuedRequest& victim =
+            queue.entries()[rng.UniformU64(queue.size())];
+        const QueueCandidate& c =
+            victim.candidates[rng.UniformU64(victim.candidates.size())];
+        if (disk.mutable_layout().AddBadSector(c.lba.value())) {
+          ++stats->remaps;
         }
       }
-      const SchedulerPick got = pruned_sched->Pick(
+      // Taken before the sync, so by the keys of the old positions.
+      if (dc.cancels && queue.size() > 1 && rng.Bernoulli(0.2)) {
+        queue.Take(rng.UniformU64(queue.size()));
+        ++stats->cancels;
+      }
+      queue.SyncTo(layout);
+
+      const SchedulerPick got = sched->Pick(
           queue, ScheduleContext{.now = sim.Now(),
                                  .predictor = &predictor,
                                  .disk = SlotId(0)});
-      const SchedulerPick want = reference_sched->Pick(
-          fresh, ScheduleContext{.now = sim.Now(),
-                                 .predictor = &unpruned,
-                                 .disk = SlotId(0)});
+      const SchedulerPick want =
+          kind == SchedulerKind::kRlook
+              ? reference_rlook->Pick(
+                    QueueOf(queue.entries(), layout),
+                    ScheduleContext{.now = sim.Now(),
+                                    .predictor = &unpruned,
+                                    .disk = SlotId(0)})
+              : BruteForcePick(kind, dc.max_scan, queue.entries(), predictor,
+                               sim.Now());
       ASSERT_EQ(got.queue_index, want.queue_index)
-          << "trial " << trial << " pick " << picks;
-      ASSERT_EQ(got.lba, want.lba) << "trial " << trial << " pick " << picks;
+          << "trial " << trial << " pick " << stats->picks;
+      ASSERT_EQ(got.lba, want.lba)
+          << "trial " << trial << " pick " << stats->picks;
       ASSERT_EQ(got.predicted_service_us, want.predicted_service_us)
-          << "trial " << trial << " pick " << picks;
-      ++picks;
+          << "trial " << trial << " pick " << stats->picks;
+      ++stats->picks;
 
-      const QueuedRequest entry = queue[got.queue_index];
-      queue.erase(queue.begin() + static_cast<ptrdiff_t>(got.queue_index));
+      const QueuedRequest entry = queue.Take(got.queue_index);
       predictor.OnDispatch(sim.Now(), got.lba, entry.sectors,
                            entry.op == DiskOp::kWrite,
                            got.predicted_service_us);
@@ -509,29 +609,201 @@ void ExpectPicksMatchUnprunedScan(SchedulerKind kind, bool calibrated) {
       predictor.OnCompletion(sim.Now(), got.lba, entry.sectors);
       if (calibrated) {
         calib.AddReferenceObservation(sim.Now());
-        rotations.insert(calib.timing().rotation_us());
-        phases.insert(calib.timing().spindle_phase_us());
+        stats->rotations.insert(calib.timing().rotation_us());
+        stats->phases.insert(calib.timing().spindle_phase_us());
       }
     }
   }
-  // The remaps must actually have landed under queued entries.
-  EXPECT_GT(remaps, 100u);
-  EXPECT_GT(picks, 300u);
-  if (calibrated) {
-    // The estimate must actually have moved between picks.
-    EXPECT_GT(rotations.size(), 10u);
-    EXPECT_GT(phases.size(), 50u);
-  }
 }
 
+class ExactPruning : public ::testing::TestWithParam<SchedulerKind> {};
+
 TEST_P(ExactPruning, PicksMatchUnprunedScanAcrossRemaps) {
-  ExpectPicksMatchUnprunedScan(GetParam(), /*calibrated=*/false);
+  DrainStats stats;
+  DrainAndCompare(GetParam(), DrainCase{}, /*calibrated=*/false, &stats);
+  // The remaps must actually have landed under queued entries.
+  EXPECT_GT(stats.remaps, 100u);
+  EXPECT_GT(stats.picks, 300u);
 }
 
 TEST_P(ExactPruning, PicksMatchUnprunedScanUnderCalibratedPredictor) {
-  ExpectPicksMatchUnprunedScan(GetParam(), /*calibrated=*/true);
+  DrainStats stats;
+  DrainAndCompare(GetParam(), DrainCase{}, /*calibrated=*/true, &stats);
+  EXPECT_GT(stats.remaps, 100u);
+  EXPECT_GT(stats.picks, 300u);
+  // The estimate must actually have moved between picks.
+  EXPECT_GT(stats.rotations.size(), 10u);
+  EXPECT_GT(stats.phases.size(), 50u);
 }
 
+// Queues of 512 entries and more, on a 60-cylinder disk, so most cylinders
+// hold many keys; with exact ties between entries and within one, entries
+// that arrive out of order and entries cancelled from the middle.
+TEST_P(ExactPruning, DeepQueuesWithTiesCancelsAndOutOfOrderArrivals) {
+  const DrainCase dc{.initial_entries = 560,
+                     .trials = 2,
+                     .ties = true,
+                     .out_of_order = true,
+                     .cancels = true};
+  for (const bool calibrated : {false, true}) {
+    SCOPED_TRACE(calibrated ? "calibrated" : "oracle");
+    DrainStats stats;
+    DrainAndCompare(GetParam(), dc, calibrated, &stats);
+    EXPECT_GT(stats.picks, 1000u);
+    EXPECT_GT(stats.remaps, 50u);
+    EXPECT_GT(stats.cancels, 100u);
+  }
+}
+
+// max_scan confines the pick to the first entries in scan order, which the
+// walk meets in cylinder order: the window is cut by push order, never by
+// how far the walk got.
+TEST_P(ExactPruning, ScanWindowsMatchTheFirstEntriesInScanOrder) {
+  for (const size_t max_scan : {size_t{1}, size_t{7}, size_t{128}}) {
+    const DrainCase dc{.initial_entries = 200,
+                       .trials = 2,
+                       .max_scan = max_scan,
+                       .ties = true,
+                       .out_of_order = true,
+                       .cancels = true};
+    for (const bool calibrated : {false, true}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "max_scan " << max_scan
+                   << (calibrated ? " calibrated" : " oracle"));
+      DrainStats stats;
+      DrainAndCompare(GetParam(), dc, calibrated, &stats);
+      EXPECT_GT(stats.picks, 400u);
+    }
+  }
+}
+
+// A profile whose long regime starts 50 us below the short regime's end, as
+// far as WellFormed admits: a 15-cylinder seek (887 us) costs more than any
+// from 16 to 53 cylinders (850 to 887 us), so SeekUs is not monotone.
+SeekProfile StepDownSeekProfile() {
+  SeekProfile p = MakeTestSeekProfile();
+  p.long_a_us = 834.0;
+  p.long_b_us = 1.0;
+  return p;
+}
+
+// With the head parked at cylinder 0 and every entry 13 cylinders or more
+// away, a key just short of the regime boundary often costs more than the
+// winner beyond it. A walk that stopped on the raw seek at the frontier's
+// distance, instead of the least seek at that distance or beyond, would stop
+// there and miss the winner.
+TEST_P(ExactPruning, SeekFloorCoversAProfileThatStepsDown) {
+  const SchedulerKind kind = GetParam();
+  const SeekProfile profile = StepDownSeekProfile();
+  ASSERT_TRUE(profile.WellFormed());
+  ASSERT_GT(profile.SeekUs(profile.boundary_cylinders - 1, false),
+            profile.SeekUs(profile.boundary_cylinders, false));
+  for (const bool calibrated : {false, true}) {
+    SCOPED_TRACE(calibrated ? "calibrated" : "oracle");
+    Simulator sim;
+    SimDisk disk(&sim, MakeTestGeometry(), profile, DiskNoiseModel::None(), 1,
+                 0.0);
+    // No slack: a short rotational wait must not cost a full rotation here,
+    // or no cost could land between the two regimes.
+    OraclePredictor oracle(&disk, /*slack_us=*/0.0);
+    SlackFeedbackOptions no_slack;
+    no_slack.initial_slack_us = 0.0;
+    no_slack.min_slack_us = 0.0;
+    HeadPositionPredictor calib(&disk.layout(), profile,
+                                /*rotation_us=*/6000.0,
+                                /*lattice_phase_us=*/0.0,
+                                /*reference_lba=*/0, no_slack);
+    AccessPredictor& predictor =
+        calibrated ? static_cast<AccessPredictor&>(calib) : oracle;
+    UnprunedPredictor unpruned(&predictor);
+    auto sched = MakeScheduler(kind);
+    auto reference_rlook = MakeScheduler(SchedulerKind::kRlook);
+    const DiskLayout& layout = disk.layout();
+    ASSERT_EQ(predictor.PickBound(SimTime(0)).head_cylinder(), 0u);
+    const uint32_t boundary = profile.boundary_cylinders;
+    // Every read is one sector at time 0, so every entry earns the same age
+    // credit and the transfer term barely moves a cost.
+    Rng rng(99);
+    auto add_entry = [&](DriveQueue& queue, uint64_t id) {
+      QueuedRequest r;
+      r.id = id;
+      r.op = DiskOp::kRead;
+      r.sectors = 1;
+      const uint64_t replicas = 1 + rng.UniformU64(3);
+      for (uint64_t c = 0; c < replicas; ++c) {
+        // Half just short of the boundary, half beyond it.
+        const uint32_t cylinder =
+            rng.Bernoulli(0.5)
+                ? boundary - 3 + static_cast<uint32_t>(rng.UniformU64(3))
+                : boundary + static_cast<uint32_t>(rng.UniformU64(14));
+        uint64_t lba = kInvalidLba;
+        while (lba == kInvalidLba) {
+          lba = layout.ToLba(Chs{
+              cylinder,
+              static_cast<uint32_t>(rng.UniformU64(layout.geometry().num_heads)),
+              static_cast<uint32_t>(rng.UniformU64(30))});
+        }
+        r.candidates.push_back(QueueCandidate(BlockAddr(lba)));
+      }
+      queue.Push(std::move(r), layout);
+    };
+    DriveQueue queue;
+    uint64_t next_id = 1;
+    for (int i = 0; i < 24; ++i) {
+      add_entry(queue, next_id++);
+    }
+    uint64_t hazards = 0;
+    SimTime now;
+    for (int pick = 0; pick < 1500; ++pick) {
+      now += SimDuration(static_cast<int64_t>(1 + rng.UniformU64(6000)));
+      if (rng.Bernoulli(0.05)) {
+        const QueuedRequest& victim =
+            queue.entries()[rng.UniformU64(queue.size())];
+        // A sector already remapped stays where it is.
+        (void)disk.mutable_layout().AddBadSector(
+            victim.candidates[0].lba.value());
+      }
+      queue.SyncTo(layout);
+      const SchedulerPick got = sched->Pick(
+          queue, ScheduleContext{
+                     .now = now, .predictor = &predictor, .disk = SlotId(0)});
+      const SchedulerPick want =
+          kind == SchedulerKind::kRlook
+              ? reference_rlook->Pick(
+                    QueueOf(queue.entries(), layout),
+                    ScheduleContext{
+                        .now = now, .predictor = &unpruned, .disk = SlotId(0)})
+              : BruteForcePick(kind, 0, queue.entries(), predictor, now);
+      ASSERT_EQ(got.queue_index, want.queue_index) << "pick " << pick;
+      ASSERT_EQ(got.lba, want.lba) << "pick " << pick;
+      ASSERT_EQ(got.predicted_service_us, want.predicted_service_us)
+          << "pick " << pick;
+      // The hazard: the winner lies past the boundary, and a key short of
+      // it costs less than the raw seek there bounds.
+      const AccessBound bound = predictor.PickBound(now);
+      const double raw_floor = bound.Us(profile.SeekUs(boundary - 1, false), 1);
+      double nearer_best = std::numeric_limits<double>::infinity();
+      for (const QueuedRequest& r : queue.entries()) {
+        for (const QueueCandidate& c : r.candidates) {
+          if (c.pos.cylinder < boundary) {
+            nearer_best = std::min(
+                nearer_best, predictor.EffectiveServiceUs(predictor.Predict(
+                                 now, c.lba, r.sectors, false)));
+          }
+        }
+      }
+      if (layout.PositionOf(want.lba.value()).cylinder >= boundary &&
+          nearer_best < raw_floor) {
+        ++hazards;
+      }
+      queue.Take(got.queue_index);
+      add_entry(queue, next_id++);
+    }
+    if (kind != SchedulerKind::kRlook) {
+      EXPECT_GT(hazards, 10u);
+    }
+  }
+}
 
 INSTANTIATE_TEST_SUITE_P(
     PositionalSchedulers, ExactPruning,
@@ -539,8 +811,83 @@ INSTANTIATE_TEST_SUITE_P(
                       SchedulerKind::kAsatf, SchedulerKind::kRlook),
     [](const auto& suite_info) { return SchedulerKindName(suite_info.param); });
 
-// The audited scheduler flags a pick over positions that were never
-// refreshed, or that a remap made stale; a refreshed queue passes.
+// --- Walk work: a guard on what the walk visits, not on host time. ---
+
+// Drains a 1,024-entry RSATF queue of Dr = 3 reads spread uniformly over an
+// ST39133 (an SR-Array placement), running each pick on the drive so the
+// head moves, and returns the keys visited and the queue depth, each summed
+// over the picks. With `zero_bound` the picks run under the zero bound,
+// which must visit every key of every pick.
+void DrainDeepRsatfQueue(bool zero_bound, uint64_t* keys_visited,
+                         uint64_t* depth_sum) {
+  Simulator sim;
+  SimDisk disk(&sim, MakeSt39133Geometry(), MakeSt39133SeekProfile(),
+               DiskNoiseModel::None(), 1, 0.0);
+  OraclePredictor oracle(&disk, /*slack_us=*/0.0);
+  UnprunedPredictor unpruned(&oracle);
+  AccessPredictor& predictor =
+      zero_bound ? static_cast<AccessPredictor&>(unpruned) : oracle;
+  SrDiskPlacement placement(&disk.layout(), 3);
+  TraceCollector collector;
+  SatfScheduler sched(SchedulerKind::kRsatf);
+  Rng rng(5);
+  DriveQueue queue;
+  for (uint64_t i = 0; i < 1024; ++i) {
+    QueuedRequest r;
+    r.id = i + 1;
+    r.op = DiskOp::kRead;
+    r.sectors = 8;
+    const uint64_t s = rng.UniformU64(placement.capacity_sectors() - 8);
+    for (const uint64_t lba : placement.AllReplicas(s)) {
+      r.candidates.push_back(QueueCandidate(BlockAddr(lba)));
+    }
+    queue.Push(std::move(r), disk.layout());
+  }
+  *keys_visited = 0;
+  *depth_sum = 0;
+  while (!queue.empty()) {
+    const uint64_t before = collector.scheduler_keys_visited();
+    const SchedulerPick pick = sched.Pick(
+        queue, ScheduleContext{.now = sim.Now(),
+                               .predictor = &predictor,
+                               .collector = &collector,
+                               .disk = SlotId(0)});
+    const uint64_t visited = collector.scheduler_keys_visited() - before;
+    if (zero_bound) {
+      ASSERT_EQ(visited, queue.keys().size());
+    }
+    *keys_visited += visited;
+    *depth_sum += queue.size();
+    const QueuedRequest entry = queue.Take(pick.queue_index);
+    bool done = false;
+    disk.Start(entry.op, pick.lba, entry.sectors,
+               [&done](const DiskOpResult&) { done = true; });
+    while (!done) {
+      sim.Step();
+    }
+  }
+}
+
+TEST(SatfWalkWork, DeepRsatfQueueVisitsAnEighthOfItsDepthAtMost) {
+  uint64_t keys_visited = 0;
+  uint64_t depth_sum = 0;
+  DrainDeepRsatfQueue(/*zero_bound=*/false, &keys_visited, &depth_sum);
+  ASSERT_GT(depth_sum, 0u);
+  EXPECT_LE(keys_visited * 8, depth_sum)
+      << static_cast<double>(keys_visited) / 1024.0 << " keys per pick at a "
+      << static_cast<double>(depth_sum) / 1024.0 << "-entry mean depth";
+}
+
+TEST(SatfWalkWork, ZeroBoundVisitsEveryKey) {
+  uint64_t keys_visited = 0;
+  uint64_t depth_sum = 0;
+  DrainDeepRsatfQueue(/*zero_bound=*/true, &keys_visited, &depth_sum);
+  // Three keys per entry, every one of them visited at every pick.
+  EXPECT_EQ(keys_visited, 3 * depth_sum);
+}
+
+// The audited scheduler flags a pick over positions derived from another
+// layout, or that a remap made stale; a queue synced to the drive passes.
 TEST_F(SchedulerProperty, AuditFlagsPickOverStalePositions) {
   InvariantAuditor auditor;
   std::vector<std::string> violations;
@@ -550,21 +897,25 @@ TEST_F(SchedulerProperty, AuditFlagsPickOverStalePositions) {
   auto sched = MakeAuditedScheduler(
       MakeScheduler(SchedulerKind::kRsatf), &auditor,
       [this]() -> const DiskLayout& { return disk_.layout(); });
-  std::vector<QueuedRequest> queue;
+  // Positions derived from another drive's layout, as a queue would carry
+  // across a spare promotion it was not synced after.
+  SimDisk other(&sim_, MakeTestGeometry(), MakeTestSeekProfile(),
+                DiskNoiseModel::None(), 2, 0.0);
+  DriveQueue queue;
   for (int i = 0; i < 6; ++i) {
-    queue.push_back(RandomRequest(i + 1, 2));
+    queue.Push(RandomRequest(i + 1, 2), other.layout());
   }
 
   sched->Pick(queue, ctx_);
   ASSERT_EQ(violations.size(), 1u);
   EXPECT_NE(violations[0].find("6 of 6"), std::string::npos) << violations[0];
 
-  RefreshPositions(queue, disk_.layout());
+  queue.SyncTo(disk_.layout());
   sched->Pick(queue, ctx_);
   EXPECT_EQ(violations.size(), 1u);
 
   ASSERT_TRUE(disk_.mutable_layout().AddBadSector(
-      queue[0].candidates[0].lba.value()));
+      queue.entries()[0].candidates[0].lba.value()));
   sched->Pick(queue, ctx_);
   ASSERT_EQ(violations.size(), 2u);
   EXPECT_NE(violations[1].find("6 of 6"), std::string::npos) << violations[1];

@@ -20,10 +20,19 @@ class SchedTest : public ::testing::Test {
     ctx_.predictor = &predictor_;
   }
 
-  // Picks from `q` the way DriveSet does: positions refreshed first.
-  SchedulerPick PickFrom(Scheduler& sched, std::vector<QueuedRequest>& q) {
-    RefreshPositions(q, disk_.layout());
-    return sched.Pick(q, ctx_);
+  // Picks from `q` the way DriveSet does: through a drive queue, which
+  // derives the positions from the drive's layout as each entry is pushed.
+  SchedulerPick PickFrom(Scheduler& sched,
+                         const std::vector<QueuedRequest>& q) {
+    return sched.Pick(QueueOf(q), ctx_);
+  }
+
+  DriveQueue QueueOf(const std::vector<QueuedRequest>& q) {
+    DriveQueue queue;
+    for (const QueuedRequest& r : q) {
+      queue.Push(r, disk_.layout());
+    }
+    return queue;
   }
 
   // Queue entry whose primary candidate lies on the given cylinder.
@@ -209,11 +218,11 @@ TEST_F(SchedTest, RsatfReplicaChoiceReducesPredictedCost) {
     ASSERT_NE(rep, kInvalidLba);
     r.candidates.push_back(QueueCandidate(BlockAddr(rep)));
     q.push_back(r);
-    RefreshPositions(q, disk_.layout());
+    const DriveQueue queue = QueueOf(q);
     ScheduleContext ctx = ctx_;
     ctx.now = SimTime(static_cast<int64_t>(s) * 137);
-    rsatf_total += rsatf.Pick(q, ctx).predicted_service_us;
-    satf_total += satf.Pick(q, ctx).predicted_service_us;
+    rsatf_total += rsatf.Pick(queue, ctx).predicted_service_us;
+    satf_total += satf.Pick(queue, ctx).predicted_service_us;
   }
   EXPECT_LT(rsatf_total, satf_total);
 }

@@ -19,11 +19,12 @@
 # Every A/B uses the same fixed runs, so results from different changes
 # compare: 8 s perfbench runs at seed 1 on all four workloads, the serial
 # bench_abl_stripe_unit timed wall-clock, and the bench_micro_core rows
-# BM_RsatfPick/256 (deep RSATF queue) and BM_SatfPick/4 (shallow SATF queue),
-# per-pick real time in microseconds, plus BM_ArrayBuild/2/3 and
-# BM_ArrayBuild/12/3 (one MimdRaid construction of a 2x3x1 and a 12x3x1
-# mirror), real time per build in microseconds. A row that one revision does
-# not have prints as absent.
+# BM_RsatfPick/256 and /1024 (deep RSATF queues) and BM_SatfPick/4 (shallow
+# SATF queue), per-pick real time in microseconds, BM_DriveQueueCycle/1024
+# (one push -> pick -> take -> disk op on a 1,024-deep RSATF queue), plus
+# BM_ArrayBuild/2/3 and BM_ArrayBuild/12/3 (one MimdRaid construction of a
+# 2x3x1 and a 12x3x1 mirror), real time per build in microseconds. A row
+# that one revision does not have prints as absent.
 #
 # Usage: ab_bench.sh [-n N] [--scratch DIR] BASE [HEAD]
 #   -n N            pairs per workload (default 10)
@@ -40,7 +41,7 @@ SEED=1
 WORKLOADS=cello_sr,deepq_mixed,raid5_rmw,ec_degraded
 BENCH=bench_abl_stripe_unit
 MICRO=bench_micro_core
-MICRO_FILTER='^BM_(RsatfPick/256|SatfPick/4|ArrayBuild/2/3|ArrayBuild/12/3)$'
+MICRO_FILTER='^BM_(RsatfPick/256|RsatfPick/1024|SatfPick/4|DriveQueueCycle/1024|ArrayBuild/2/3|ArrayBuild/12/3)$'
 # Build parallelism, as perfbench/run.py chooses it.
 JOBS=$(python3 -c 'import os; print(min(4, os.cpu_count() or 1))')
 usage() {
@@ -126,7 +127,8 @@ IDENTITY_METRICS = ["result.digest", "sim.events", "sched.picks",
                     "sched.plans_per_pick", "io.disk_ops", "io.retries",
                     "array.delayed_completed", "array.delayed_forced",
                     "array.delayed_discarded"]
-MICRO_METRICS = {"BM_RsatfPick/256": False, "BM_SatfPick/4": False,
+MICRO_METRICS = {"BM_RsatfPick/256": False, "BM_RsatfPick/1024": False,
+                 "BM_SatfPick/4": False, "BM_DriveQueueCycle/1024": False,
                  "BM_ArrayBuild/2/3": False, "BM_ArrayBuild/12/3": False}
 US_PER_UNIT = {"ns": 1e-3, "us": 1.0, "ms": 1e3, "s": 1e6}
 
@@ -162,8 +164,11 @@ def run_micro(tree, micro):
     done = subprocess.run(cmd, capture_output=True, text=True)
     if done.returncode != 0:
         sys.exit(f"ab_bench: {' '.join(cmd)} failed:\n{done.stderr}")
+    # Complexity() families also print aggregate rows (BigO, RMS) that carry
+    # no real_time; only the measured iterations are rows here.
     return {b["name"]: b["real_time"] * US_PER_UNIT[b["time_unit"]]
-            for b in json.loads(done.stdout)["benchmarks"]}
+            for b in json.loads(done.stdout)["benchmarks"]
+            if b["run_type"] == "iteration"}
 
 
 def quartiles(xs):
