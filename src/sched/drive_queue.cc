@@ -67,7 +67,7 @@ void DriveQueue::SyncTo(const DiskLayout& layout) {
     for (uint32_t c = 0; c < entry.candidates.size(); ++c) {
       QueueCandidate& cand = entry.candidates[c];
       cand.pos = layout.PositionOf(cand.lba.value());
-      keys_.push_back(Key{cand.pos.cylinder, c, entry.seq});
+      keys_.push_back(KeyOf(entry, c));
     }
   }
   std::sort(keys_.begin(), keys_.end());
@@ -85,11 +85,11 @@ size_t DriveQueue::IndexOf(uint64_t seq) const {
 void DriveQueue::Index(const QueuedRequest& entry) {
   for (uint32_t c = 0; c < entry.candidates.size();) {
     const uint32_t run = RunLength(entry, c);
-    const Key first{entry.candidates[c].pos.cylinder, c, entry.seq};
+    const Key first = KeyOf(entry, c);
     auto at = keys_.insert(std::lower_bound(keys_.begin(), keys_.end(), first),
                            run, first);
     for (uint32_t k = 1; k < run; ++k) {
-      (at + k)->candidate = c + k;
+      *(at + k) = KeyOf(entry, c + k);
     }
     c += run;
   }
@@ -98,9 +98,9 @@ void DriveQueue::Index(const QueuedRequest& entry) {
 void DriveQueue::Unindex(const QueuedRequest& entry) {
   for (uint32_t c = 0; c < entry.candidates.size();) {
     const uint32_t run = RunLength(entry, c);
-    const Key first{entry.candidates[c].pos.cylinder, c, entry.seq};
+    const Key first = KeyOf(entry, c);
     const auto at = std::lower_bound(keys_.begin(), keys_.end(), first);
-    MIMDRAID_CHECK(at + run <= keys_.end() && *at == first)
+    MIMDRAID_CHECK(at + run <= keys_.end() && !(first < *at))
         << "entry " << entry.id << " candidate " << c << " is not indexed";
     keys_.erase(at, at + run);
     c += run;

@@ -33,25 +33,36 @@ namespace mimdraid {
 
 class DriveQueue {
  public:
-  // One live candidate in the cylinder index.
+  // One live candidate in the cylinder index. It carries what the SATF
+  // family's cost bound reads (position, size, direction), so a walk can
+  // rule a candidate out without finding its entry.
   struct Key {
-    uint32_t cylinder = 0;
+    SectorPos pos;
+    uint32_t sectors = 0;
     // Index into the entry's candidates.
-    uint32_t candidate = 0;
+    uint16_t candidate = 0;
+    bool is_write = false;
     // The entry's push sequence number.
     uint64_t seq = 0;
 
+    uint32_t cylinder() const { return pos.cylinder; }
     friend bool operator<(const Key& a, const Key& b) {
-      if (a.cylinder != b.cylinder) {
-        return a.cylinder < b.cylinder;
+      if (a.pos.cylinder != b.pos.cylinder) {
+        return a.pos.cylinder < b.pos.cylinder;
       }
       if (a.seq != b.seq) {
         return a.seq < b.seq;
       }
       return a.candidate < b.candidate;
     }
-    friend bool operator==(const Key&, const Key&) = default;
   };
+
+  // The key of `entry`'s candidate `c`, from its cached position.
+  static Key KeyOf(const QueuedRequest& entry, uint32_t c) {
+    return Key{entry.candidates[c].pos, entry.sectors,
+               static_cast<uint16_t>(c), entry.op == DiskOp::kWrite,
+               entry.seq};
+  }
 
   // Live entries in scan order (ascending seq).
   std::span<const QueuedRequest> entries() const {

@@ -34,13 +34,11 @@ CandidateCost CostOf(const ScheduleContext& ctx, const QueuedRequest& req,
 // It never prunes a candidate the full bound would keep, because
 // max(seek, wait) >= seek and rounded addition and subtraction are monotone,
 // so the decision is the full bound's.
-bool BoundExceeds(const AccessBound& bound, const QueueCandidate& cand,
-                  uint32_t sectors, bool is_write, double credit,
-                  double best) {
-  const double seek = bound.SeekUs(cand.pos, is_write);
+bool BoundExceeds(const AccessBound& bound, SectorPos pos, uint32_t sectors,
+                  bool is_write, double credit, double best) {
+  const double seek = bound.SeekUs(pos, is_write);
   return bound.Us(seek, sectors) - credit > best ||
-         bound.Us(std::max(seek, bound.WaitUs(cand.pos)), sectors) - credit >
-             best;
+         bound.Us(std::max(seek, bound.WaitUs(pos)), sectors) - credit > best;
 }
 
 }  // namespace
@@ -96,7 +94,8 @@ SchedulerPick SatfScheduler::Pick(const DriveQueue& queue,
   BlockAddr best_lba = entries[0].primary();
   double best_aged = std::numeric_limits<double>::infinity();
   double best_predicted = 0.0;
-  DriveQueue::Key best_key{0, UINT32_MAX, UINT64_MAX};
+  uint64_t best_seq = UINT64_MAX;
+  uint32_t best_candidate = UINT32_MAX;
   uint64_t examined = 0;
   uint64_t visited = 0;
   // keys[up] is the nearest unvisited key at or above the head's cylinder,
@@ -104,7 +103,7 @@ SchedulerPick SatfScheduler::Pick(const DriveQueue& queue,
   size_t up = static_cast<size_t>(
       std::partition_point(keys.begin(), keys.end(),
                            [head](const DriveQueue::Key& k) {
-                             return k.cylinder < head;
+                             return k.cylinder() < head;
                            }) -
       keys.begin());
   size_t down = up;
@@ -113,11 +112,11 @@ SchedulerPick SatfScheduler::Pick(const DriveQueue& queue,
   while (up < keys.size() || down > 0) {
     // Visit the nearer frontier; every unvisited key is at least as far.
     const bool take_up =
-        down == 0 || (up < keys.size() && keys[up].cylinder - head <=
-                                              head - keys[down - 1].cylinder);
+        down == 0 || (up < keys.size() && keys[up].cylinder() - head <=
+                                              head - keys[down - 1].cylinder());
     const DriveQueue::Key& key = take_up ? keys[up] : keys[down - 1];
     const uint32_t distance =
-        take_up ? key.cylinder - head : head - key.cylinder;
+        take_up ? key.cylinder() - head : head - key.cylinder();
     if (distance != floor_distance) {
       floor_distance = distance;
       floor_us = bound.FloorUs(distance) - max_credit;
@@ -136,6 +135,13 @@ SchedulerPick SatfScheduler::Pick(const DriveQueue& queue,
     if (key.seq > last_seq || (!all_replicas_ && key.candidate != 0)) {
       continue;
     }
+    // The key alone bounds the candidate; no entry earns more than
+    // max_credit, so a key ruled out here is ruled out below too, and only
+    // the keys that survive look up their entry.
+    if (BoundExceeds(bound, key.pos, key.sectors, key.is_write, max_credit,
+                     best_aged)) {
+      continue;
+    }
     const size_t i = queue.IndexOf(key.seq);
     const QueuedRequest& req = entries[i];
     const QueueCandidate& cand = req.candidates[key.candidate];
@@ -145,7 +151,8 @@ SchedulerPick SatfScheduler::Pick(const DriveQueue& queue,
     // normally share a cylinder, but a latent-bad-sector remap can move one
     // to spare space on a different cylinder. Aged cost >= bound - credit,
     // so a bound beaten by best_aged even after the credit cannot win.
-    if (BoundExceeds(bound, cand, req.sectors, is_write, age_credit,
+    if (age_credit != max_credit &&
+        BoundExceeds(bound, cand.pos, req.sectors, is_write, age_credit,
                      best_aged)) {
       continue;
     }
@@ -155,14 +162,15 @@ SchedulerPick SatfScheduler::Pick(const DriveQueue& queue,
     // Keys arrive in walk order, not scan order, so an exact tie goes to the
     // earlier entry and then the lower candidate, as a scan would take it.
     if (aged < best_aged ||
-        (aged == best_aged && (key.seq < best_key.seq ||
-                               (key.seq == best_key.seq &&
-                                key.candidate < best_key.candidate)))) {
+        (aged == best_aged &&
+         (key.seq < best_seq ||
+          (key.seq == best_seq && key.candidate < best_candidate)))) {
       best_aged = aged;
       best_predicted = cost.predicted_us;
       best = i;
       best_lba = cand.lba;
-      best_key = key;
+      best_seq = key.seq;
+      best_candidate = key.candidate;
     }
   }
   if (ctx.collector != nullptr) {
@@ -184,7 +192,7 @@ SchedulerPick RlookScheduler::Pick(const DriveQueue& queue,
   uint64_t examined = 0;
   const AccessBound bound = ctx.predictor->PickBound(ctx.now);
   for (const QueueCandidate& cand : req.candidates) {
-    if (BoundExceeds(bound, cand, req.sectors, is_write, /*credit=*/0.0,
+    if (BoundExceeds(bound, cand.pos, req.sectors, is_write, /*credit=*/0.0,
                      best_cost.effective_us)) {
       continue;
     }

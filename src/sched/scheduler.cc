@@ -30,8 +30,7 @@ size_t IndexFaults(const DriveQueue& queue) {
   std::vector<DriveQueue::Key> want;
   for (const QueuedRequest& entry : queue.entries()) {
     for (uint32_t c = 0; c < entry.candidates.size(); ++c) {
-      want.push_back(
-          DriveQueue::Key{entry.candidates[c].pos.cylinder, c, entry.seq});
+      want.push_back(DriveQueue::KeyOf(entry, c));
     }
   }
   std::vector<DriveQueue::Key> have(keys.begin(), keys.end());
