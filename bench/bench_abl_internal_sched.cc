@@ -87,7 +87,7 @@ Outcome RunHost(SchedulerKind kind, bool firmware = false) {
     predictor = MakeCalibratedPredictor(&sim, &disk, copt);
   }
   auto sched = MakeScheduler(kind);
-  DriveQueue queue;
+  DriveQueue queue(sched->index_window());
   uint64_t next_id = 1;
   std::unordered_map<uint64_t, std::function<void(SimTime)>> done_map;
 

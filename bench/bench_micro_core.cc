@@ -134,13 +134,13 @@ void RunPick(benchmark::State& state, SchedulerKind kind, bool replicated) {
   OraclePredictor predictor(&disk, 0.0);
   SrDiskPlacement placement(&disk.layout(), 3);
   Rng rng(5);
-  DriveQueue queue;
+  SatfScheduler sched(kind);
+  DriveQueue queue(sched.index_window());
   for (size_t i = 0; i < queue_len; ++i) {
     QueuedRequest req = RandomRead(disk, placement, replicated, rng);
     req.id = i + 1;
     queue.Push(std::move(req), disk.layout());
   }
-  SatfScheduler sched(kind);
   ScheduleContext ctx;
   ctx.predictor = &predictor;
   SimTime now;
@@ -177,14 +177,14 @@ void BM_DriveQueueCycle(benchmark::State& state) {
   OraclePredictor predictor(&disk, 0.0);
   SrDiskPlacement placement(&disk.layout(), 3);
   Rng rng(7);
-  DriveQueue queue;
+  SatfScheduler sched(SchedulerKind::kRsatf);
+  DriveQueue queue(sched.index_window());
   uint64_t next_id = 1;
   for (size_t i = 0; i + 1 < depth; ++i) {
     QueuedRequest req = RandomRead(disk, placement, /*replicated=*/true, rng);
     req.id = next_id++;
     queue.Push(std::move(req), disk.layout());
   }
-  SatfScheduler sched(SchedulerKind::kRsatf);
   ScheduleContext ctx;
   ctx.predictor = &predictor;
   for (auto _ : state) {
@@ -202,7 +202,7 @@ void BM_DriveQueueCycle(benchmark::State& state) {
     }
   }
 }
-BENCHMARK(BM_DriveQueueCycle)->Arg(8)->Arg(1024);
+BENCHMARK(BM_DriveQueueCycle)->Arg(8)->Arg(16)->Arg(1024);
 
 // The shallow SATF queue of the parity workloads: per-pick overhead, not the
 // candidate scan, dominates at this depth.

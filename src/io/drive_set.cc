@@ -34,8 +34,8 @@ DriveSet::DriveSet(Simulator* sim, std::vector<SimDisk*> disks,
   MIMDRAID_CHECK_EQ(predictors_.size(), disks_.size());
   const size_t n = disks_.size();
   schedulers_.reserve(n);
-  fg_.resize(n);
-  delayed_.resize(n);
+  fg_.reserve(n);
+  delayed_.reserve(n);
   failed_.resize(n, false);
   error_counts_.resize(n, 0);
   if (options_.auditor != nullptr) {
@@ -48,6 +48,8 @@ DriveSet::DriveSet(Simulator* sim, std::vector<SimDisk*> disks,
           std::move(scheduler), options_.auditor,
           [this, i]() -> const DiskLayout& { return disks_[i]->layout(); });
     }
+    fg_.emplace_back(scheduler->index_window());
+    delayed_.emplace_back(scheduler->index_window());
     schedulers_.push_back(std::move(scheduler));
     AttachObservers(SlotId(static_cast<uint32_t>(i)));
   }

@@ -30,10 +30,11 @@
 // OnEntryComplete unless the policy cancelled it.
 //
 // Each slot has a foreground and a delayed DriveQueue (src/sched/
-// drive_queue.h). A push derives the entry's candidate positions from the
-// drive's layout and files its candidates in the queue's cylinder index;
-// the queue picked from is synced to the layout right before each pick, so
-// a remap re-derives positions once and a promoted spare's queues start
+// drive_queue.h), both built for the slot's scheduler's index window. A push
+// derives the entry's candidate positions from the drive's layout and, while
+// the queue is deep enough to keep a cylinder index, files its candidates in
+// it; the queue picked from is synced to the layout right before each pick,
+// so a remap re-derives positions once and a promoted spare's queues start
 // from its own layout.
 #ifndef MIMDRAID_SRC_IO_DRIVE_SET_H_
 #define MIMDRAID_SRC_IO_DRIVE_SET_H_

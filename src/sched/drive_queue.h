@@ -2,25 +2,34 @@
 //
 // Entries are kept in scan order, which is push order: every Push stamps the
 // entry with the next sequence number (QueuedRequest::seq), and the LOOK
-// family and the scheduler tie-breaks read entries() front to back. Beside
-// the entries the queue keeps an index: one Key per live candidate, sorted by
-// (cylinder, seq, candidate), so the SATF family can walk outward from the
-// head's cylinder and stop once every key beyond is provably too far.
+// family and the scheduler tie-breaks read entries() front to back.
+//
+// A queue built for a scheduler that walks a cylinder index (the SATF
+// family, Scheduler::index_window()) also keeps one: a Key per candidate of
+// the first `window` entries, the ones a pick may choose, sorted by
+// (cylinder, seq, candidate), so the pick can walk outward from the head's
+// cylinder and stop once every key beyond is provably too far. The index
+// costs upkeep on every push and take, which a shallow queue does not earn
+// back, so it exists only while the window holds kIndexDepth entries or
+// more: it is built when a push fills the window to that depth and dropped
+// when a take empties it below half of it. Without an index a pick scans
+// entries() instead.
 //
 // Positions are derived at push time from the drive's layout. The queue
 // keeps one stamp for all of them: the layout they came from and its remap
-// count. SyncTo re-derives every position and re-sorts the keys when the
+// count. SyncTo re-derives every position and rebuilds the index when the
 // stamp is stale (a latent-bad-sector remap, or a spare promoted into the
 // slot); a scheduler ranks only a synced queue.
 //
 // Taking the front only advances `head_` past a moved-from slot; the dead
 // prefix is compacted away once it reaches a sixteenth of the vector, so a
 // front pop costs amortized O(1). Taking from the middle moves the entries
-// behind it. Each candidate's key is inserted and erased with a binary search
-// and one move of the key array; there is no per-key allocation.
+// behind it. Each key is inserted and erased with a binary search and one
+// move of the key array; there is no per-key allocation.
 #ifndef MIMDRAID_SRC_SCHED_DRIVE_QUEUE_H_
 #define MIMDRAID_SRC_SCHED_DRIVE_QUEUE_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -33,17 +42,19 @@ namespace mimdraid {
 
 class DriveQueue {
  public:
-  // One live candidate in the cylinder index. It carries what the SATF
-  // family's cost bound reads (position, size, direction), so a walk can
-  // rule a candidate out without finding its entry.
+  // One indexed candidate, 16 bytes. It carries what the SATF family's cost
+  // bound reads (position, size, direction), so a walk can rule a candidate
+  // out without finding its entry.
   struct Key {
     SectorPos pos;
-    uint32_t sectors = 0;
-    // Index into the entry's candidates.
-    uint16_t candidate = 0;
-    bool is_write = false;
     // The entry's push sequence number.
-    uint64_t seq = 0;
+    uint32_t seq = 0;
+    // The entry's size, saturated at 65535 sectors: a smaller size only
+    // lowers the bound, which so stays a lower bound.
+    uint16_t sectors = 0;
+    // Index into the entry's candidates.
+    uint16_t candidate : 15 = 0;
+    uint16_t is_write : 1 = 0;
 
     uint32_t cylinder() const { return pos.cylinder; }
     friend bool operator<(const Key& a, const Key& b) {
@@ -57,18 +68,36 @@ class DriveQueue {
     }
   };
 
+  // Window of a queue whose index covers every entry.
+  static constexpr size_t kWholeQueue = SIZE_MAX;
+  // Entries the window must hold before the queue indexes it. Below this
+  // depth a linear scan of the entries is cheaper than the index's upkeep
+  // and walk (BM_DriveQueueCycle: see DESIGN.md section 5).
+  static constexpr size_t kIndexDepth = 16;
+
+  // `window` is the number of leading entries the index covers
+  // (kWholeQueue: all of them); 0 keeps no index.
+  explicit DriveQueue(size_t window = 0) : window_(window) {}
+
   // The key of `entry`'s candidate `c`, from its cached position.
   static Key KeyOf(const QueuedRequest& entry, uint32_t c) {
-    return Key{entry.candidates[c].pos, entry.sectors,
-               static_cast<uint16_t>(c), entry.op == DiskOp::kWrite,
-               entry.seq};
+    return Key{.pos = entry.candidates[c].pos,
+               .seq = entry.seq,
+               .sectors = static_cast<uint16_t>(
+                   std::min<uint32_t>(entry.sectors, UINT16_MAX)),
+               .candidate = static_cast<uint16_t>(c),
+               .is_write = entry.op == DiskOp::kWrite};
   }
 
   // Live entries in scan order (ascending seq).
   std::span<const QueuedRequest> entries() const {
     return std::span<const QueuedRequest>(slots_).subspan(head_);
   }
-  // Every live candidate, ascending (cylinder, seq, candidate).
+  size_t window() const { return window_; }
+  // True while the index is kept (see the file comment).
+  bool indexed() const { return indexed_; }
+  // Every candidate of the first window() entries, ascending (cylinder, seq,
+  // candidate), while indexed(); empty otherwise.
   std::span<const Key> keys() const { return keys_; }
   size_t size() const { return slots_.size() - head_; }
   bool empty() const { return head_ == slots_.size(); }
@@ -91,18 +120,23 @@ class DriveQueue {
   void SyncTo(const DiskLayout& layout);
 
   // Position in entries() of the live entry pushed as `seq`.
-  size_t IndexOf(uint64_t seq) const;
+  size_t IndexOf(uint32_t seq) const;
 
  private:
-  // Adds or removes `entry`'s keys, one run per group of consecutive
-  // candidates on one cylinder (their keys are adjacent).
+  // Entries in the window.
+  size_t windowed() const { return std::min(size(), window_); }
+  // Inserts or erases `entry`'s keys.
   void Index(const QueuedRequest& entry);
   void Unindex(const QueuedRequest& entry);
+  // Rebuilds the index from the window's entries.
+  void Reindex();
 
   std::vector<QueuedRequest> slots_;
   size_t head_ = 0;
+  size_t window_;
+  bool indexed_ = false;
   std::vector<Key> keys_;
-  uint64_t next_seq_ = 0;
+  uint32_t next_seq_ = 0;
   const DiskLayout* layout_ = nullptr;
   size_t remaps_ = 0;
 };

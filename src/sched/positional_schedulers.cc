@@ -69,16 +69,70 @@ double SatfScheduler::AgeCredit(SimTime now, SimTime arrival) const {
   return age_weight_ * static_cast<double>((now - arrival).us());
 }
 
+size_t SatfScheduler::index_window() const {
+  return max_scan_ == 0 ? DriveQueue::kWholeQueue : max_scan_;
+}
+
 SchedulerPick SatfScheduler::Pick(const DriveQueue& queue,
                                   const ScheduleContext& ctx) {
   MIMDRAID_CHECK(!queue.empty());
   MIMDRAID_CHECK(ctx.predictor != nullptr);
+  // The window is the first `scan` entries in scan order.
+  const size_t scan = max_scan_ == 0 ? queue.size()
+                                     : std::min(max_scan_, queue.size());
+  if (!queue.indexed()) {
+    return Scan(queue.entries().first(scan), ctx);
+  }
+  MIMDRAID_CHECK_EQ(queue.window(), index_window());
+  return Walk(queue, scan, ctx);
+}
+
+SchedulerPick SatfScheduler::Scan(std::span<const QueuedRequest> window,
+                                  const ScheduleContext& ctx) {
+  size_t best = 0;
+  BlockAddr best_lba = window[0].primary();
+  double best_aged = std::numeric_limits<double>::infinity();
+  double best_predicted = 0.0;
+  uint64_t examined = 0;
+  const AccessBound bound = ctx.predictor->PickBound(ctx.now);
+  for (size_t i = 0; i < window.size(); ++i) {
+    const QueuedRequest& req = window[i];
+    const bool is_write = req.op == DiskOp::kWrite;
+    const double age_credit = AgeCredit(ctx.now, req.arrival_us);
+    const size_t candidates = all_replicas_ ? req.candidates.size() : 1;
+    for (size_t c = 0; c < candidates; ++c) {
+      const QueueCandidate& cand = req.candidates[c];
+      // The bound is evaluated per replica, not once per entry: replicas
+      // normally share a cylinder, but a latent-bad-sector remap can move one
+      // to spare space on a different cylinder. Aged cost >= bound - credit,
+      // so a bound beaten by best_aged even after the credit cannot win.
+      if (BoundExceeds(bound, cand.pos, req.sectors, is_write, age_credit,
+                       best_aged)) {
+        continue;
+      }
+      const CandidateCost cost = CostOf(ctx, req, cand.lba);
+      ++examined;
+      const double aged = cost.effective_us - age_credit;
+      if (aged < best_aged) {
+        best_aged = aged;
+        best_predicted = cost.predicted_us;
+        best = i;
+        best_lba = cand.lba;
+      }
+    }
+  }
+  if (ctx.collector != nullptr) {
+    ctx.collector->OnSchedulerScan(ctx.disk.value(), examined,
+                                   /*keys_visited=*/0);
+  }
+  return SchedulerPick{best, best_lba, best_predicted};
+}
+
+SchedulerPick SatfScheduler::Walk(const DriveQueue& queue, size_t scan,
+                                  const ScheduleContext& ctx) {
   const std::span<const QueuedRequest> entries = queue.entries();
+  // The index holds exactly the window's candidates.
   const std::span<const DriveQueue::Key> keys = queue.keys();
-  // The window is the first `scan` entries in scan order: seq <= last_seq.
-  const size_t scan = max_scan_ == 0 ? entries.size()
-                                     : std::min(max_scan_, entries.size());
-  const uint64_t last_seq = entries[scan - 1].seq;
   // No windowed entry earns more credit than the oldest one.
   SimTime oldest = entries[0].arrival_us;
   if (age_weight_ != 0.0) {
@@ -94,7 +148,7 @@ SchedulerPick SatfScheduler::Pick(const DriveQueue& queue,
   BlockAddr best_lba = entries[0].primary();
   double best_aged = std::numeric_limits<double>::infinity();
   double best_predicted = 0.0;
-  uint64_t best_seq = UINT64_MAX;
+  uint32_t best_seq = UINT32_MAX;
   uint32_t best_candidate = UINT32_MAX;
   uint64_t examined = 0;
   uint64_t visited = 0;
@@ -132,7 +186,7 @@ SchedulerPick SatfScheduler::Pick(const DriveQueue& queue,
       --down;
     }
     ++visited;
-    if (key.seq > last_seq || (!all_replicas_ && key.candidate != 0)) {
+    if (!all_replicas_ && key.candidate != 0) {
       continue;
     }
     // The key alone bounds the candidate; no entry earns more than
@@ -147,10 +201,9 @@ SchedulerPick SatfScheduler::Pick(const DriveQueue& queue,
     const QueueCandidate& cand = req.candidates[key.candidate];
     const bool is_write = req.op == DiskOp::kWrite;
     const double age_credit = AgeCredit(ctx.now, req.arrival_us);
-    // The bound is evaluated per replica, not once per entry: replicas
-    // normally share a cylinder, but a latent-bad-sector remap can move one
-    // to spare space on a different cylinder. Aged cost >= bound - credit,
-    // so a bound beaten by best_aged even after the credit cannot win.
+    // The bound is evaluated per replica, as in Scan. Aged cost >= bound -
+    // credit, so a bound beaten by best_aged even after the credit cannot
+    // win.
     if (age_credit != max_credit &&
         BoundExceeds(bound, cand.pos, req.sectors, is_write, age_credit,
                      best_aged)) {
@@ -160,7 +213,7 @@ SchedulerPick SatfScheduler::Pick(const DriveQueue& queue,
     ++examined;
     const double aged = cost.effective_us - age_credit;
     // Keys arrive in walk order, not scan order, so an exact tie goes to the
-    // earlier entry and then the lower candidate, as a scan would take it.
+    // earlier entry and then the lower candidate, as Scan would take it.
     if (aged < best_aged ||
         (aged == best_aged &&
          (key.seq < best_seq ||

@@ -18,18 +18,22 @@
 #ifndef MIMDRAID_SRC_SCHED_POSITIONAL_SCHEDULERS_H_
 #define MIMDRAID_SRC_SCHED_POSITIONAL_SCHEDULERS_H_
 
+#include <span>
+
 #include "src/sched/basic_schedulers.h"
 #include "src/sched/scheduler.h"
 
 namespace mimdraid {
 
-// One pruned walk serves SATF, RSATF and ASATF; the kind decides which
-// candidates of an entry are read and how much credit its age earns. The
-// walk visits the queue's cylinder index outward from the head's cylinder,
-// nearer frontier first, and stops once the bound's floor at the frontier's
-// seek distance, less the largest age credit in the window, exceeds the
-// best aged cost found: every key it has not visited lies at least that far
-// away. The pick equals a full scan's: same entry, replica and prediction.
+// One scheduler serves SATF, RSATF and ASATF; the kind decides which
+// candidates of an entry are read and how much credit its age earns. A pick
+// over an indexed queue walks the cylinder index outward from the head's
+// cylinder, nearer frontier first, and stops once the bound's floor at the
+// frontier's seek distance, less the largest age credit in the window,
+// exceeds the best aged cost found: every key it has not visited lies at
+// least that far away. A pick over a queue too shallow to keep an index
+// scans the window's entries in order. Either way the pick is the same:
+// same entry, replica and prediction.
 class SatfScheduler : public Scheduler {
  public:
   // Microseconds of predicted access time one microsecond of waiting is
@@ -42,9 +46,17 @@ class SatfScheduler : public Scheduler {
 
   SchedulerPick Pick(const DriveQueue& queue,
                      const ScheduleContext& ctx) override;
+  // The first max_scan entries, or the whole queue.
+  size_t index_window() const override;
   std::string name() const override { return SchedulerKindName(kind_); }
 
  private:
+  // Front-to-back scan of `window`, keeping the first strictly smaller cost.
+  SchedulerPick Scan(std::span<const QueuedRequest> window,
+                     const ScheduleContext& ctx);
+  // The cylinder walk over `queue`'s index of its first `scan` entries.
+  SchedulerPick Walk(const DriveQueue& queue, size_t scan,
+                     const ScheduleContext& ctx);
   // Cost credit an entry that arrived at `arrival` has earned by `now`.
   double AgeCredit(SimTime now, SimTime arrival) const;
 

@@ -55,8 +55,9 @@ struct QueuedRequest {
   uint32_t attempts = 0;
   // Push sequence number, stamped by DriveQueue::Push: increasing in push
   // order, which is the queue's scan order (ids are not: a forced-out
-  // propagation joins the foreground queue after younger entries).
-  uint64_t seq = 0;
+  // propagation joins the foreground queue after younger entries). A queue
+  // that runs out of numbers renumbers its live entries from 0.
+  uint32_t seq = 0;
 
   BlockAddr primary() const { return candidates.front().lba; }
 };

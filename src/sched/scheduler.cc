@@ -17,8 +17,9 @@ namespace mimdraid {
 namespace {
 
 // Keys of `queue`'s index that break it: each adjacent pair out of strict
-// (cylinder, seq, candidate) order, plus each key without a live candidate
-// at that cylinder and each live candidate without exactly one key.
+// (cylinder, seq, candidate) order, plus each key without a candidate of the
+// window at that cylinder and each such candidate without exactly one key.
+// An unindexed queue must hold no keys.
 size_t IndexFaults(const DriveQueue& queue) {
   const std::span<const DriveQueue::Key> keys = queue.keys();
   size_t faults = 0;
@@ -28,7 +29,10 @@ size_t IndexFaults(const DriveQueue& queue) {
     }
   }
   std::vector<DriveQueue::Key> want;
-  for (const QueuedRequest& entry : queue.entries()) {
+  const std::span<const QueuedRequest> entries = queue.entries();
+  const size_t window =
+      queue.indexed() ? std::min(queue.window(), entries.size()) : 0;
+  for (const QueuedRequest& entry : entries.first(window)) {
     for (uint32_t c = 0; c < entry.candidates.size(); ++c) {
       want.push_back(DriveQueue::KeyOf(entry, c));
     }
@@ -78,6 +82,7 @@ class AuditedScheduler final : public Scheduler {
     return pick;
   }
 
+  size_t index_window() const override { return inner_->index_window(); }
   std::string name() const override { return inner_->name(); }
 
  private:

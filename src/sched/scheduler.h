@@ -4,7 +4,8 @@
 // the next request to dispatch, choosing a concrete replica for
 // multi-candidate entries. Position-sensitive policies consult the drive's
 // AccessPredictor. The LOOK family scans the entries in order; the SATF
-// family walks the queue's cylinder index outward from the head.
+// family walks the queue's cylinder index outward from the head when the
+// queue keeps one, and scans its window of entries when it does not.
 #ifndef MIMDRAID_SRC_SCHED_SCHEDULER_H_
 #define MIMDRAID_SRC_SCHED_SCHEDULER_H_
 
@@ -49,6 +50,12 @@ class Scheduler {
   virtual SchedulerPick Pick(const DriveQueue& queue,
                              const ScheduleContext& ctx) = 0;
 
+  // The leading entries, in scan order, that this scheduler ranks through
+  // the queue's cylinder index (DriveQueue::kWholeQueue: all of them); 0
+  // when it reads entries() only. A queue for this scheduler is built as
+  // DriveQueue(index_window()).
+  virtual size_t index_window() const { return 0; }
+
   virtual std::string name() const = 0;
 };
 
@@ -70,9 +77,9 @@ std::unique_ptr<Scheduler> MakeScheduler(SchedulerKind kind,
                                          size_t max_scan = 0);
 
 // Wraps `inner` so every pick is validated by `auditor` (the queue synced to
-// the drive's layout, its cylinder index sorted with exactly one key per live
-// candidate, index in range, chosen LBA among the picked entry's candidates,
-// non-negative prediction). `layout`
+// the drive's layout; while it keeps a cylinder index, the index sorted with
+// exactly one key per candidate of its window; index in range, chosen LBA
+// among the picked entry's candidates, non-negative prediction). `layout`
 // returns the layout of the drive the queue belongs to at pick time (a spare
 // promotion swaps it). Used by the runtime invariant-audit layer; `auditor`
 // must not be null and must outlive the returned scheduler.

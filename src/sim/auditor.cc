@@ -131,8 +131,8 @@ void InvariantAuditor::OnSchedulerPick(const std::string& scheduler_name,
   AUDIT_EXPECT(index_faults == 0,
                scheduler_name << ": " << index_faults
                               << " faults in the queue's cylinder index (keys "
-                                 "out of order, or not one key per live "
-                                 "candidate)");
+                                 "out of order, or not one key per "
+                                 "candidate of the indexed window)");
   AUDIT_EXPECT(picked_index < queue_size,
                scheduler_name << ": pick index " << picked_index
                               << " out of range (queue size " << queue_size

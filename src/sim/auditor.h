@@ -134,8 +134,8 @@ class InvariantAuditor {
   // `stale_entries` counts queued entries whose cached candidate positions
   // were not derived from the drive's layout at its current remap count when
   // the pick began; `index_faults` counts breaks in the queue's cylinder
-  // index (keys out of order, a key without its candidate, a candidate
-  // without exactly one key).
+  // index (keys out of order, a key without its candidate, a candidate of
+  // the indexed window without exactly one key).
   void OnSchedulerPick(const std::string& scheduler_name, size_t queue_size,
                        size_t stale_entries, size_t index_faults,
                        size_t picked_index,

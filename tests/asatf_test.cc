@@ -39,7 +39,7 @@ class AsatfTest : public ::testing::Test {
   // cylinder; a single far request waits. Returns how many dispatches the
   // far request waited (capped at `max_dispatches`).
   int DispatchesUntilFarServed(Scheduler& sched, int max_dispatches) {
-    DriveQueue queue;
+    DriveQueue queue(sched.index_window());
     uint64_t next_id = 1;
     const uint32_t near_cyl = 100;
     const uint32_t far_cyl = 6000;
@@ -119,7 +119,7 @@ TEST_F(AsatfTest, AsatfThroughputCloseToSatf) {
     Scheduler* sched =
         pair == &satf_total ? static_cast<Scheduler*>(&satf) : &asatf;
     Rng local(11);
-    DriveQueue queue;
+    DriveQueue queue(sched->index_window());
     uint64_t id = 1;
     SimTime now;
     for (int i = 0; i < 16; ++i) {

@@ -87,7 +87,7 @@ TEST_P(SchedulerProperty, PickIsAlwaysValid) {
 
 TEST_P(SchedulerProperty, DrainsEveryRequestExactlyOnce) {
   auto sched = MakeScheduler(GetParam());
-  DriveQueue queue;
+  DriveQueue queue(sched->index_window());
   std::set<uint64_t> ids;
   for (int i = 0; i < 30; ++i) {
     queue.Push(RandomRequest(i + 1, 2), disk_.layout());
@@ -466,6 +466,8 @@ struct DrainCase {
 struct DrainStats {
   uint64_t remaps = 0;
   uint64_t picks = 0;
+  // Picks made over a queue that kept a cylinder index (the walk).
+  uint64_t walks = 0;
   uint64_t cancels = 0;
   std::set<double> rotations;
   std::set<double> phases;
@@ -510,8 +512,9 @@ QueuedRequest DrainEntry(const DrainCase& dc, const DiskLayout& layout,
   return r;
 }
 
-// Drains random queues the way DriveSet does (push, sync, pick, take, run
-// the pick on the drive, report it to the predictor) while
+// Drains random queues the way DriveSet does (push into a queue built for
+// the scheduler, sync, pick, take, run the pick on the drive, report it to
+// the predictor) while
 // latent-bad-sector remaps move replicas of queued entries. Every pick must
 // equal the reference's: same entry, same replica, same prediction. For the
 // SATF family the reference is BruteForcePick; RLOOK, which sweeps by
@@ -543,7 +546,7 @@ void DrainAndCompare(SchedulerKind kind, const DrainCase& dc, bool calibrated,
     auto reference_rlook = MakeScheduler(SchedulerKind::kRlook);
     const DiskLayout& layout = disk.layout();
 
-    DriveQueue queue;
+    DriveQueue queue(sched->index_window());
     uint64_t next_id = 1;
     auto add_entry = [&] {
       QueuedRequest r = DrainEntry(dc, layout, queue, sim.Now(), rng);
@@ -595,6 +598,7 @@ void DrainAndCompare(SchedulerKind kind, const DrainCase& dc, bool calibrated,
       ASSERT_EQ(got.predicted_service_us, want.predicted_service_us)
           << "trial " << trial << " pick " << stats->picks;
       ++stats->picks;
+      stats->walks += queue.indexed() ? 1 : 0;
 
       const QueuedRequest entry = queue.Take(got.queue_index);
       predictor.OnDispatch(sim.Now(), got.lba, entry.sectors,
@@ -624,6 +628,11 @@ TEST_P(ExactPruning, PicksMatchUnprunedScanAcrossRemaps) {
   // The remaps must actually have landed under queued entries.
   EXPECT_GT(stats.remaps, 100u);
   EXPECT_GT(stats.picks, 300u);
+  // The SATF family both walked the index and scanned shallow queues.
+  if (GetParam() != SchedulerKind::kRlook) {
+    EXPECT_GT(stats.walks, 100u);
+    EXPECT_GT(stats.picks - stats.walks, 100u);
+  }
 }
 
 TEST_P(ExactPruning, PicksMatchUnprunedScanUnderCalibratedPredictor) {
@@ -652,12 +661,16 @@ TEST_P(ExactPruning, DeepQueuesWithTiesCancelsAndOutOfOrderArrivals) {
     EXPECT_GT(stats.picks, 1000u);
     EXPECT_GT(stats.remaps, 50u);
     EXPECT_GT(stats.cancels, 100u);
+    if (GetParam() != SchedulerKind::kRlook) {
+      EXPECT_GT(stats.walks, 1000u);
+    }
   }
 }
 
-// max_scan confines the pick to the first entries in scan order, which the
-// walk meets in cylinder order: the window is cut by push order, never by
-// how far the walk got.
+// max_scan confines the pick to the first entries in scan order. A window
+// of 128 is indexed, and takes from inside it move the next entry in scan
+// order into the index; windows of 1 and 7 are too shallow to index and
+// are scanned.
 TEST_P(ExactPruning, ScanWindowsMatchTheFirstEntriesInScanOrder) {
   for (const size_t max_scan : {size_t{1}, size_t{7}, size_t{128}}) {
     const DrainCase dc{.initial_entries = 200,
@@ -673,6 +686,9 @@ TEST_P(ExactPruning, ScanWindowsMatchTheFirstEntriesInScanOrder) {
       DrainStats stats;
       DrainAndCompare(GetParam(), dc, calibrated, &stats);
       EXPECT_GT(stats.picks, 400u);
+      if (GetParam() != SchedulerKind::kRlook) {
+        EXPECT_EQ(stats.walks > 300, max_scan == 128) << stats.walks;
+      }
     }
   }
 }
@@ -747,7 +763,7 @@ TEST_P(ExactPruning, SeekFloorCoversAProfileThatStepsDown) {
       }
       queue.Push(std::move(r), layout);
     };
-    DriveQueue queue;
+    DriveQueue queue(sched->index_window());
     uint64_t next_id = 1;
     for (int i = 0; i < 24; ++i) {
       add_entry(queue, next_id++);
@@ -813,13 +829,21 @@ INSTANTIATE_TEST_SUITE_P(
 
 // --- Walk work: a guard on what the walk visits, not on host time. ---
 
+// Keys the walk visited and index depth, each summed over the picks that
+// walked, and how many picks walked.
+struct WalkWork {
+  uint64_t keys_visited = 0;
+  uint64_t depth_sum = 0;
+  uint64_t walks = 0;
+};
+
 // Drains a 1,024-entry RSATF queue of Dr = 3 reads spread uniformly over an
 // ST39133 (an SR-Array placement), running each pick on the drive so the
-// head moves, and returns the keys visited and the queue depth, each summed
-// over the picks. With `zero_bound` the picks run under the zero bound,
-// which must visit every key of every pick.
-void DrainDeepRsatfQueue(bool zero_bound, uint64_t* keys_visited,
-                         uint64_t* depth_sum) {
+// head moves. `max_scan` is the scheduler's window; the depth summed is the
+// number of entries in it. With `zero_bound` the picks run under the zero
+// bound, which must visit every key of every walk. A pick over a queue too
+// shallow to index scans its entries and visits no key.
+WalkWork DrainDeepRsatfQueue(bool zero_bound, size_t max_scan) {
   Simulator sim;
   SimDisk disk(&sim, MakeSt39133Geometry(), MakeSt39133SeekProfile(),
                DiskNoiseModel::None(), 1, 0.0);
@@ -829,9 +853,9 @@ void DrainDeepRsatfQueue(bool zero_bound, uint64_t* keys_visited,
       zero_bound ? static_cast<AccessPredictor&>(unpruned) : oracle;
   SrDiskPlacement placement(&disk.layout(), 3);
   TraceCollector collector;
-  SatfScheduler sched(SchedulerKind::kRsatf);
+  SatfScheduler sched(SchedulerKind::kRsatf, max_scan);
   Rng rng(5);
-  DriveQueue queue;
+  DriveQueue queue(sched.index_window());
   for (uint64_t i = 0; i < 1024; ++i) {
     QueuedRequest r;
     r.id = i + 1;
@@ -843,8 +867,7 @@ void DrainDeepRsatfQueue(bool zero_bound, uint64_t* keys_visited,
     }
     queue.Push(std::move(r), disk.layout());
   }
-  *keys_visited = 0;
-  *depth_sum = 0;
+  WalkWork work;
   while (!queue.empty()) {
     const uint64_t before = collector.scheduler_keys_visited();
     const SchedulerPick pick = sched.Pick(
@@ -853,11 +876,16 @@ void DrainDeepRsatfQueue(bool zero_bound, uint64_t* keys_visited,
                                .collector = &collector,
                                .disk = SlotId(0)});
     const uint64_t visited = collector.scheduler_keys_visited() - before;
-    if (zero_bound) {
-      ASSERT_EQ(visited, queue.keys().size());
+    if (queue.indexed()) {
+      if (zero_bound) {
+        EXPECT_EQ(visited, queue.keys().size());
+      }
+      work.keys_visited += visited;
+      work.depth_sum += std::min(queue.size(), queue.window());
+      ++work.walks;
+    } else {
+      EXPECT_EQ(visited, 0u);
     }
-    *keys_visited += visited;
-    *depth_sum += queue.size();
     const QueuedRequest entry = queue.Take(pick.queue_index);
     bool done = false;
     disk.Start(entry.op, pick.lba, entry.sectors,
@@ -866,24 +894,93 @@ void DrainDeepRsatfQueue(bool zero_bound, uint64_t* keys_visited,
       sim.Step();
     }
   }
+  return work;
 }
 
+// Every pick walks until the queue falls below half the index depth.
+constexpr uint64_t kDrainWalks = 1024 - DriveQueue::kIndexDepth / 2 + 1;
+
 TEST(SatfWalkWork, DeepRsatfQueueVisitsAnEighthOfItsDepthAtMost) {
-  uint64_t keys_visited = 0;
-  uint64_t depth_sum = 0;
-  DrainDeepRsatfQueue(/*zero_bound=*/false, &keys_visited, &depth_sum);
-  ASSERT_GT(depth_sum, 0u);
-  EXPECT_LE(keys_visited * 8, depth_sum)
-      << static_cast<double>(keys_visited) / 1024.0 << " keys per pick at a "
-      << static_cast<double>(depth_sum) / 1024.0 << "-entry mean depth";
+  const WalkWork work = DrainDeepRsatfQueue(/*zero_bound=*/false, 0);
+  EXPECT_EQ(work.walks, kDrainWalks);
+  EXPECT_LE(work.keys_visited * 8, work.depth_sum)
+      << static_cast<double>(work.keys_visited) / work.walks
+      << " keys per walk at a "
+      << static_cast<double>(work.depth_sum) / work.walks
+      << "-entry mean depth";
+}
+
+// A 128-entry window over the same queue: the index holds only the
+// window's 384 keys, so the walk never visits an entry it may not choose.
+// The window's keys are an eighth as dense as the whole queue's, so the walk
+// reaches further for them: it visits about 0.13 keys per windowed entry,
+// a linear walk 3.
+TEST(SatfWalkWork, WindowedWalkVisitsAQuarterOfItsWindowAtMost) {
+  const WalkWork work = DrainDeepRsatfQueue(/*zero_bound=*/false, 128);
+  EXPECT_EQ(work.walks, kDrainWalks);
+  EXPECT_LE(work.keys_visited * 4, work.depth_sum)
+      << static_cast<double>(work.keys_visited) / work.walks
+      << " keys per walk at a "
+      << static_cast<double>(work.depth_sum) / work.walks
+      << "-entry mean window";
 }
 
 TEST(SatfWalkWork, ZeroBoundVisitsEveryKey) {
-  uint64_t keys_visited = 0;
-  uint64_t depth_sum = 0;
-  DrainDeepRsatfQueue(/*zero_bound=*/true, &keys_visited, &depth_sum);
-  // Three keys per entry, every one of them visited at every pick.
-  EXPECT_EQ(keys_visited, 3 * depth_sum);
+  const WalkWork work = DrainDeepRsatfQueue(/*zero_bound=*/true, 0);
+  EXPECT_EQ(work.walks, kDrainWalks);
+  // Three keys per entry, every one of them visited at every walk.
+  EXPECT_EQ(work.keys_visited, 3 * work.depth_sum);
+}
+
+// The index holds exactly the keys of the window's candidates, built once
+// the window holds kIndexDepth entries and kept until it falls below half of
+// that, through pushes, takes from the front, the middle and past the
+// window, and a remap.
+TEST_F(SchedulerProperty, DriveQueueIndexCoversItsWindowWhileDeepEnough) {
+  constexpr size_t kWindow = 20;
+  DriveQueue queue(kWindow);
+  auto expect_index = [&](const char* where) {
+    std::vector<DriveQueue::Key> want;
+    if (queue.indexed()) {
+      for (const QueuedRequest& e :
+           queue.entries().first(std::min(kWindow, queue.size()))) {
+        for (uint32_t c = 0; c < e.candidates.size(); ++c) {
+          want.push_back(DriveQueue::KeyOf(e, c));
+        }
+      }
+      std::sort(want.begin(), want.end());
+    }
+    ASSERT_EQ(queue.keys().size(), want.size()) << where;
+    for (size_t k = 0; k < want.size(); ++k) {
+      ASSERT_FALSE(queue.keys()[k] < want[k] || want[k] < queue.keys()[k])
+          << where << " key " << k;
+      ASSERT_EQ(queue.keys()[k].pos.slot, want[k].pos.slot) << where;
+    }
+  };
+  for (int i = 0; i < 40; ++i) {
+    queue.Push(RandomRequest(i + 1, 3), disk_.layout());
+    EXPECT_EQ(queue.indexed(),
+              std::min(kWindow, queue.size()) >= DriveQueue::kIndexDepth);
+    expect_index("push");
+  }
+  ASSERT_TRUE(disk_.mutable_layout().AddBadSector(
+      queue.entries()[3].candidates[1].lba.value()));
+  queue.SyncTo(disk_.layout());
+  expect_index("sync");
+  bool dropped = false;
+  while (!queue.empty()) {
+    const size_t size = queue.size();
+    // Past the window, inside it, and the front, in turn.
+    const size_t i = size > kWindow && size % 3 == 0 ? kWindow
+                     : size % 3 == 1                  ? size / 2
+                                                      : 0;
+    queue.Take(i);
+    const size_t windowed = std::min(kWindow, queue.size());
+    EXPECT_EQ(queue.indexed(), windowed >= DriveQueue::kIndexDepth / 2);
+    dropped = dropped || !queue.indexed();
+    expect_index("take");
+  }
+  EXPECT_TRUE(dropped);
 }
 
 // The audited scheduler flags a pick over positions derived from another

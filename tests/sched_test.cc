@@ -20,15 +20,16 @@ class SchedTest : public ::testing::Test {
     ctx_.predictor = &predictor_;
   }
 
-  // Picks from `q` the way DriveSet does: through a drive queue, which
-  // derives the positions from the drive's layout as each entry is pushed.
+  // Picks from `q` the way DriveSet does: through a drive queue built for
+  // `sched`, which derives the positions from the drive's layout as each
+  // entry is pushed.
   SchedulerPick PickFrom(Scheduler& sched,
                          const std::vector<QueuedRequest>& q) {
-    return sched.Pick(QueueOf(q), ctx_);
+    return sched.Pick(QueueOf(q, sched.index_window()), ctx_);
   }
 
-  DriveQueue QueueOf(const std::vector<QueuedRequest>& q) {
-    DriveQueue queue;
+  DriveQueue QueueOf(const std::vector<QueuedRequest>& q, size_t window) {
+    DriveQueue queue(window);
     for (const QueuedRequest& r : q) {
       queue.Push(r, disk_.layout());
     }
@@ -218,7 +219,7 @@ TEST_F(SchedTest, RsatfReplicaChoiceReducesPredictedCost) {
     ASSERT_NE(rep, kInvalidLba);
     r.candidates.push_back(QueueCandidate(BlockAddr(rep)));
     q.push_back(r);
-    const DriveQueue queue = QueueOf(q);
+    const DriveQueue queue = QueueOf(q, rsatf.index_window());
     ScheduleContext ctx = ctx_;
     ctx.now = SimTime(static_cast<int64_t>(s) * 137);
     rsatf_total += rsatf.Pick(queue, ctx).predicted_service_us;
