@@ -50,7 +50,7 @@ class DriveQueue {
     // The entry's push sequence number.
     uint32_t seq = 0;
     // The entry's size, saturated at 65535 sectors: a smaller size only
-    // lowers the bound, which so stays a lower bound.
+    // lowers the cost bound, so the bound stays valid.
     uint16_t sectors = 0;
     // Index into the entry's candidates.
     uint16_t candidate : 15 = 0;
@@ -67,6 +67,9 @@ class DriveQueue {
       return a.candidate < b.candidate;
     }
   };
+  // Every live candidate of a deep queue has one; a wider key costs peak
+  // memory in proportion.
+  static_assert(sizeof(Key) == 16);
 
   // Window of a queue whose index covers every entry.
   static constexpr size_t kWholeQueue = SIZE_MAX;
