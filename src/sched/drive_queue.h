@@ -67,7 +67,7 @@ class DriveQueue {
       return a.candidate < b.candidate;
     }
   };
-  // Every live candidate of a deep queue has one; a wider key costs peak
+  // Every candidate in a deep queue's window has one; a wider key costs peak
   // memory in proportion.
   static_assert(sizeof(Key) == 16);
 
